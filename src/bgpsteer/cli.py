@@ -41,7 +41,7 @@ PREDICTED_FILE = "predicted_ingress.csv"
 def _load(path: str) -> Scenario:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario: {exc}", 0, 0) from exc
     return parse_scenario(text)
 
@@ -169,15 +169,18 @@ def cmd_plan(args) -> int:
 def _read_csv(path: Path) -> dict[tuple[str, str], str]:
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read {path}: {exc}", 0, 0) from exc
     if not lines or lines[0] != "src_asn,dst_prefix,link":
         raise ScenarioError(f"{path} is not an ingress CSV", 0, 0)
     entries: dict[tuple[str, str], str] = {}
-    for line in lines[1:]:
+    for number, line in enumerate(lines[1:], start=2):
         if not line:
             continue
-        src, prefix, link = line.split(",")
+        fields = line.split(",")
+        if len(fields) != 3 or not fields[0].isdecimal():
+            raise ScenarioError(f"{path}: malformed row {line!r}", number, 1)
+        src, prefix, link = fields
         entries[(src, prefix)] = link
     return entries
 

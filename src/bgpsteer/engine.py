@@ -1,19 +1,26 @@
 """Synchronous route propagation to a converged fixed point.
 
-Each round every AS recomputes its best routes from the previous round's
-snapshot and announces them to all up-link neighbors, subject to valley-free
-export, loop prevention and the receiving provider's ingress policies.
-Announcements fully replace what a neighbor previously sent over a link, so
-withdrawals are just absence.  Round N depends only on round N-1 state, which
-makes runs deterministic and the per-AS recomputation trivially parallel.
+In round N an AS rebuilds its Adj-RIB-In from what its up-link neighbors
+announce out of their round N-1 Loc-RIBs, subject to valley-free export,
+loop prevention and the receiving provider's ingress policies, then selects
+its Loc-RIB.  Announcements fully replace what a neighbor previously sent
+over a link, so withdrawals are just absence.
+
+Rounds are change-driven: round 1 recomputes every AS; round N recomputes
+only the ASes with an up-link neighbor whose Loc-RIB changed in round N-1,
+and every other AS keeps its RIBs.  Since round N reads only round N-1
+state, a skipped AS would have rebuilt exactly what it holds, so each round
+still yields the full synchronous snapshot: the round count, the per-round
+trace and the pairs an OscillationError reports are those of recomputing
+every AS every round.  Runs are deterministic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
-from .policies import AnnotatedRoute, egress_apply, ingress_transform, plain
+from .policies import AnnotatedRoute, egress_apply, egress_times, ingress_transform, plain
 from .routes import (
     COMMUNITY_BUDGET,
     Community,
@@ -177,26 +184,15 @@ def propagate_to_convergence(
     validate: bool = True,
 ) -> ConvergedState:
     te = te or TeConfig()
+    if max_rounds is not None and max_rounds < 1:
+        raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
     if validate:
         require_valid(t)
         te.validate(t)
 
     ann = _announcement_table(t, te)
-    # Directed adjacency over up links: asn -> [(link id, neighbor, rel of
-    # neighbor from asn)], plus a per-(link, asn) relationship lookup.
-    adjacency: dict[int, list[tuple[str, int, Rel]]] = {asn: [] for asn in t.roles}
-    rel_at: dict[tuple[str, int], Rel] = {}
-    for link in t.links:
-        if not link.up:
-            continue
-        a, b = link.endpoints()
-        adjacency[a].append((link.id, b, link.rel_from(a)))
-        adjacency[b].append((link.id, a, link.rel_from(b)))
-        rel_at[(link.id, a)] = link.rel_from(a)
-        rel_at[(link.id, b)] = link.rel_from(b)
-    for lst in adjacency.values():
-        lst.sort()
-    neighbor_rels = {asn: t.neighbor_rels(asn) for asn in t.roles}
+    index = t.index
+    adjacency, rel_at = index.adjacency, index.rel_at
 
     # Local routes exist for every prefix the AS originates or explicitly
     # advertises (more-specifics), even when announced nowhere.
@@ -214,21 +210,24 @@ def propagate_to_convergence(
     }
 
     bound = max_rounds if max_rounds is not None else 2 * len(t.roles) + MAX_PREPEND + 4
-    bound = max(bound, 1)
     prev_adj, prev_loc = adj, loc
+    dirty: set[int] = set(t.roles)
 
     for round_no in range(1, bound + 1):
-        inbox: dict[int, dict[Prefix, dict[str, tuple[Route, int]]]] = {asn: {} for asn in t.roles}
-        for exporter, neighbors in adjacency.items():
+        inbox: dict[int, dict[Prefix, dict[str, tuple[Route, int]]]] = {
+            asn: {} for asn in t.roles if asn in dirty
+        }
+        for exporter in t.roles:
+            targets = [n for n in adjacency.get(exporter, ()) if n[1] in inbox]
             entries = loc[exporter]
-            if not entries:
+            if not targets or not entries:
                 continue
             catalog = t.catalogs.get(exporter)
             exporter_ann = ann.get(exporter, {})
             for prefix, entry in entries.items():
                 route = entry.route
                 if route.learned_on == LOCAL:
-                    for link_id, neighbor, _rel_neighbor in neighbors:
+                    for link_id, neighbor, _rel_neighbor in targets:
                         ad = exporter_ann.get((prefix, link_id))
                         if ad is None:
                             continue
@@ -239,94 +238,87 @@ def propagate_to_convergence(
                         inbox[neighbor].setdefault(prefix, {})[link_id] = (wire, exporter)
                 else:
                     learned_rel = rel_at[(route.learned_on, exporter)]
-                    # egress_apply output varies only with the prepend count,
-                    # so one wire per count serves all neighbors
+                    # egress_apply output varies only with egress_times, so
+                    # one wire per value serves all neighbors
                     wire_cache: dict[int, Route] = {}
-                    for link_id, neighbor, rel_neighbor in neighbors:
+                    for link_id, neighbor, rel_neighbor in targets:
                         if not export_permitted(learned_rel, rel_neighbor):
                             continue
-                        if neighbor in entry.suppressed_toward:
+                        times = egress_times(entry, neighbor)
+                        if times is None:
                             continue
-                        times = entry.prepend_schedule.get(neighbor, 0)
                         wire = wire_cache.get(times)
                         if wire is None:
-                            wire = egress_apply(entry, exporter, neighbor, catalog)
-                            wire_cache[times] = wire
+                            wire = wire_cache[times] = egress_apply(entry, exporter, neighbor, catalog)
                         inbox[neighbor].setdefault(prefix, {})[link_id] = (wire, exporter)
 
-        new_adj: dict[int, dict[Prefix, dict[str, AnnotatedRoute]]] = {asn: {} for asn in t.roles}
+        new_adj, new_loc = dict(adj), dict(loc)
+        adj_changed = False
+        loc_changed: list[int] = []
         for receiver, by_prefix in inbox.items():
             catalog = t.catalogs.get(receiver)
-            rels = neighbor_rels[receiver]
+            rels = index.neighbor_rels.get(receiver, {})
+            rib_in: dict[Prefix, dict[str, AnnotatedRoute]] = {}
             for prefix, by_link in by_prefix.items():
                 for link_id, (wire, sender) in by_link.items():
                     if receiver in wire.as_path:
                         continue
                     sender_rel = rel_at[(link_id, receiver)]
-                    if (
-                        catalog is not None
-                        and catalog.drops_community_updates
-                        and sender_rel is Rel.CUSTOMER
-                        and wire.communities
-                    ):
+                    catalog_applies = catalog is not None and sender_rel is Rel.CUSTOMER
+                    if catalog_applies and catalog.drops_community_updates and wire.communities:
                         continue
-                    lp = _ingress_lp(te, catalog, receiver, sender, sender_rel, wire)
                     installed = Route(
-                        wire.prefix, wire.as_path, lp,
+                        wire.prefix, wire.as_path, _ingress_lp(te, receiver, sender, sender_rel),
                         wire.med, wire.communities, link_id, wire.origin_as,
                     )
-                    if catalog is not None and sender_rel is Rel.CUSTOMER:
+                    if catalog_applies:
                         annotated = ingress_transform(catalog, installed, rels)
+                        if annotated.lp_override is not None:
+                            annotated = replace(
+                                annotated, route=replace(installed, local_pref=annotated.lp_override)
+                            )
                     else:
                         annotated = plain(installed)
-                    new_adj[receiver].setdefault(prefix, {})[link_id] = annotated
+                    rib_in.setdefault(prefix, {})[link_id] = annotated
 
-        new_loc: dict[int, dict[Prefix, AnnotatedRoute]] = {}
-        for asn in t.roles:
+            local = local_entries[receiver]
             table: dict[Prefix, AnnotatedRoute] = {}
-            for prefix in set(local_entries[asn]) | set(new_adj[asn]):
+            for prefix in set(local) | set(rib_in):
                 best: AnnotatedRoute | None = None
-                for cand in new_adj[asn].get(prefix, {}).values():
+                for cand in rib_in.get(prefix, {}).values():
                     if best is None or compare_routes(cand.route, best.route) < 0:
                         best = cand
-                local = local_entries[asn].get(prefix)
-                if local is not None and (best is None or compare_routes(local.route, best.route) < 0):
-                    best = local
+                own = local.get(prefix)
+                if own is not None and (best is None or compare_routes(own.route, best.route) < 0):
+                    best = own
                 if best is not None:
                     table[prefix] = best
-            new_loc[asn] = table
+            if rib_in != adj[receiver]:
+                new_adj[receiver] = rib_in
+                adj_changed = True
+            if table != loc[receiver]:
+                new_loc[receiver] = table
+                loc_changed.append(receiver)
 
         if trace is not None:
             trace(round_no, ConvergedState(new_adj, new_loc, round_no).dump())
 
-        if new_adj == adj and new_loc == loc:
+        if not adj_changed and not loc_changed:
             return ConvergedState(new_adj, new_loc, round_no)
         prev_adj, prev_loc = adj, loc
         adj, loc = new_adj, new_loc
+        # Round N + 1 reads only round N's Loc-RIBs, so an AS none of whose
+        # neighbors changed its Loc-RIB would rebuild exactly the RIBs it has.
+        dirty = {neighbor for asn in loc_changed for _, neighbor, _ in adjacency.get(asn, ())}
 
     changing = _diff_pairs(prev_adj, prev_loc, adj, loc)
     raise OscillationError(changing, bound)
 
 
-def _ingress_lp(
-    te: TeConfig,
-    catalog,
-    receiver: int,
-    sender: int,
-    sender_rel: Rel,
-    wire: Route,
-) -> int:
-    """Effective LP at ingress: catalog LP communities (customer routes into a
-    catalog owner) beat the AS's own LP-override table, which beats the
-    relationship default."""
-    if catalog is not None and sender_rel is Rel.CUSTOMER:
-        override: int | None = None
-        for c in wire.communities:
-            lp = catalog.lp_rules.get(c)
-            if lp is not None:
-                override = lp if override is None else min(override, lp)
-        if override is not None:
-            return override
+def _ingress_lp(te: TeConfig, receiver: int, sender: int, sender_rel: Rel) -> int:
+    """LP at ingress before catalog rules: the AS's own LP-override table,
+    else the relationship default.  A catalog LP community on a customer
+    route (AnnotatedRoute.lp_override, from ingress_transform) beats both."""
     table = te.lp_overrides.get((receiver, sender))
     if table is not None:
         return table

@@ -223,16 +223,10 @@ def _legal_announcement_paths(
     if start == target:
         return [(start,)]
     paths: list[tuple[int, ...]] = []
-    adjacency: dict[int, list[tuple[int, Rel, Rel]]] = {}
-    for link in t.links:
-        if not link.up:
-            continue
-        a, b = link.endpoints()
-        adjacency.setdefault(a, []).append((b, link.rel_from(a), link.rel_from(b)))
-        adjacency.setdefault(b, []).append((a, link.rel_from(b), link.rel_from(a)))
+    index = t.index
 
     def walk(node: int, learned: Rel, visited: tuple[int, ...]) -> None:
-        for nxt, rel_next, rel_back in sorted(adjacency.get(node, []), key=lambda x: x[0]):
+        for link_id, nxt, rel_next in index.adjacency.get(node, ()):
             if nxt in visited or nxt in banned:
                 continue
             if not export_permitted(learned, rel_next):
@@ -241,7 +235,7 @@ def _legal_announcement_paths(
             if nxt == target:
                 paths.append(path)
             else:
-                walk(nxt, rel_back, path)
+                walk(nxt, index.rel_at[(link_id, nxt)], path)
 
     walk(start, Rel.CUSTOMER, (start,))
     return paths
@@ -454,6 +448,8 @@ def plan_inbound_te(
     budget: Budget = Budget(),
     lp_overrides: Mapping[tuple[int, int], int] | None = None,
 ) -> Plan | Infeasible | Exhausted:
+    if budget.max_actions < 0:
+        raise PlanningError(f"action budget must be >= 0, got {budget.max_actions}")
     require_valid(t)
     validate_objectives(t, dest, objectives)
     witnesses = common_upstream_check(t, objectives)

@@ -15,6 +15,7 @@ stripped from the route at the provider's egress.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, TYPE_CHECKING
 
 from .routes import Community, Route
@@ -77,6 +78,10 @@ class PolicyCatalog:
         )
 
     def communities(self) -> frozenset[Community]:
+        return self._communities
+
+    @cached_property
+    def _communities(self) -> frozenset[Community]:
         return frozenset(self.lp_rules) | frozenset(self.suppress_rules) | frozenset(self.prepend_rules)
 
     def validate(self, t: "Topology") -> list[Finding]:
@@ -176,17 +181,27 @@ def ingress_transform(cat: PolicyCatalog, r: Route, neighbors: Mapping[int, Rel]
     return AnnotatedRoute(r, lp_override, frozenset(suppressed), schedule)
 
 
+def egress_times(ar: AnnotatedRoute, neighbor: int) -> int | None:
+    """How many times the provider adds itself to the AS-path toward
+    `neighbor`: 1 + schedule[neighbor] (the 1 is the normal AS-path
+    addition), or None when the route is suppressed toward the neighbor.
+    egress_apply's output depends on the neighbor only through this value."""
+    if neighbor in ar.suppressed_toward:
+        return None
+    return 1 + ar.prepend_schedule.get(neighbor, 0)
+
+
 def egress_apply(ar: AnnotatedRoute, provider: int, neighbor: int, catalog: PolicyCatalog | None = None) -> Route | None:
     """Turn an installed route into the wire form sent to `neighbor`.
 
     None when the neighbor is suppressed.  Otherwise the provider is
-    prepended 1 + schedule[neighbor] times (the 1 is the normal AS-path
-    addition), the provider's own catalog communities are stripped, and LP is
-    zeroed since it never crosses the AS boundary.
+    prepended egress_times(ar, neighbor) times, the provider's own catalog
+    communities are stripped, and LP is zeroed since it never crosses the AS
+    boundary.
     """
-    if neighbor in ar.suppressed_toward:
+    times = egress_times(ar, neighbor)
+    if times is None:
         return None
-    times = 1 + ar.prepend_schedule.get(neighbor, 0)
     r = ar.route
     communities = r.communities
     if catalog is not None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Mapping, TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -145,6 +146,58 @@ class ValidationReport:
         return not self.errors
 
 
+_REL_RANK = {Rel.CUSTOMER: 0, Rel.PEER: 1, Rel.PROVIDER: 2}
+
+
+@dataclass(frozen=True, slots=True)
+class TopologyIndex:
+    """Lookups compiled once from a topology's links.
+
+    * `links`: link id -> link (the first link with that id, down links too);
+    * `up_links`: ASN -> its up links, in `Topology.links` order;
+    * `adjacency`: ASN -> (link id, neighbor, neighbor's relationship) over up
+      links, sorted;
+    * `rel_at`: (link id, ASN) -> relationship of the other endpoint of that
+      up link, as seen from ASN;
+    * `neighbor_rels`: ASN -> neighbor -> relationship over up links, a
+      customer over any link counting as a customer.
+
+    ASes with no up link have no entry in the per-AS maps."""
+
+    links: Mapping[str, Link]
+    up_links: Mapping[int, tuple[Link, ...]]
+    adjacency: Mapping[int, tuple[tuple[str, int, Rel], ...]]
+    rel_at: Mapping[tuple[str, int], Rel]
+    neighbor_rels: Mapping[int, Mapping[int, Rel]]
+
+    @classmethod
+    def build(cls, links: Iterable[Link]) -> "TopologyIndex":
+        by_id: dict[str, Link] = {}
+        up_links: dict[int, list[Link]] = {}
+        adjacency: dict[int, list[tuple[str, int, Rel]]] = {}
+        rel_at: dict[tuple[str, int], Rel] = {}
+        neighbor_rels: dict[int, dict[int, Rel]] = {}
+        for link in links:
+            by_id.setdefault(link.id, link)
+            if not link.up:
+                continue
+            for asn in link.endpoints():
+                other, rel = link.other(asn), link.rel_from(asn)
+                up_links.setdefault(asn, []).append(link)
+                adjacency.setdefault(asn, []).append((link.id, other, rel))
+                rel_at[(link.id, asn)] = rel
+                rels = neighbor_rels.setdefault(asn, {})
+                if other not in rels or _REL_RANK[rel] < _REL_RANK[rels[other]]:
+                    rels[other] = rel
+        return cls(
+            by_id,
+            {asn: tuple(l) for asn, l in up_links.items()},
+            {asn: tuple(sorted(adj)) for asn, adj in adjacency.items()},
+            rel_at,
+            neighbor_rels,
+        )
+
+
 @dataclass(frozen=True)
 class Topology:
     """Validated AS graph.  `roles` maps ASN -> "stub" | "transit"."""
@@ -154,29 +207,28 @@ class Topology:
     originations: Mapping[int, frozenset[Prefix]]
     catalogs: Mapping[int, "PolicyCatalog"] = field(default_factory=dict)
 
+    @cached_property
+    def index(self) -> TopologyIndex:
+        """Built on first use and shared by every later lookup, since the
+        topology never changes."""
+        return TopologyIndex.build(self.links)
+
     def ases(self) -> list[int]:
         return sorted(self.roles)
 
     def link_by_id(self, link_id: str) -> Link:
-        for link in self.links:
-            if link.id == link_id:
-                return link
-        raise KeyError(f"unknown link id: {link_id}")
+        link = self.index.links.get(link_id)
+        if link is None:
+            raise KeyError(f"unknown link id: {link_id}")
+        return link
 
     def up_links_of(self, asn: int) -> list[Link]:
-        return [l for l in self.links if l.up and asn in l.endpoints()]
+        return list(self.index.up_links.get(asn, ()))
 
     def neighbor_rels(self, asn: int) -> dict[int, Rel]:
         """Neighbor ASN -> relationship over up links.  A neighbor reached over
         both a c2p and a p2p link counts as a customer if any link says so."""
-        rank = {Rel.CUSTOMER: 0, Rel.PEER: 1, Rel.PROVIDER: 2}
-        out: dict[int, Rel] = {}
-        for link in self.up_links_of(asn):
-            rel = link.rel_from(asn)
-            other = link.other(asn)
-            if other not in out or rank[rel] < rank[out[other]]:
-                out[other] = rel
-        return out
+        return dict(self.index.neighbor_rels.get(asn, {}))
 
     def originated_by(self, asn: int) -> frozenset[Prefix]:
         return self.originations.get(asn, frozenset())
@@ -200,11 +252,7 @@ def relationship_between(t: Topology, a: int, b: int) -> set[tuple[str, Rel]]:
         raise KeyError(f"unknown AS: {b}")
     if a == b:
         raise ValueError("relationship_between: the two ASes must differ")
-    out = set()
-    for link in t.links:
-        if link.up and set(link.endpoints()) == {a, b}:
-            out.add((link.id, link.rel_from(a)))
-    return out
+    return {(link.id, link.rel_from(a)) for link in t.up_links_of(a) if link.other(a) == b}
 
 
 def _provider_cycle(t: Topology) -> list[int] | None:

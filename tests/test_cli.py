@@ -161,3 +161,56 @@ def test_plan_reports_lp_constraint_violation(tmp_path, capsys):
         assert "LP-constraint violated" in out
     else:
         assert code == 4  # the override may defeat every bounded plan
+
+
+def single_error_line(err: str) -> str:
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    return lines[0]
+
+
+def test_diff_malformed_row_exit_1(tmp_path, capsys):
+    good, bad = tmp_path / "good", tmp_path / "bad"
+    main(["simulate", "--scenario", str(SCN / "deep_baseline.scn"), "--out", str(good)])
+    bad.mkdir()
+    (bad / "ingress.csv").write_text((good / "ingress.csv").read_text() + "65101,10.1.0.0/16\n")
+    capsys.readouterr()
+    assert main(["diff", str(good), str(bad)]) == 1
+    assert "malformed row" in single_error_line(capsys.readouterr().err)
+
+
+def test_diff_non_utf8_csv_exit_1(tmp_path, capsys):
+    good, bad = tmp_path / "good", tmp_path / "bad"
+    main(["simulate", "--scenario", str(SCN / "deep_baseline.scn"), "--out", str(good)])
+    bad.mkdir()
+    (bad / "ingress.csv").write_bytes(b"src_asn,dst_prefix,link\n65101,10.1.0.0/16,l\xff\n")
+    capsys.readouterr()
+    assert main(["diff", str(good), str(bad)]) == 1
+    assert "cannot read" in single_error_line(capsys.readouterr().err)
+
+
+def test_simulate_non_utf8_scenario_exit_1(tmp_path, capsys):
+    scn = tmp_path / "latin1.scn"
+    scn.write_bytes((SCN / "dualprovider_baseline.scn").read_bytes() + b"# caf\xe9\n")
+    assert main(["simulate", "--scenario", str(scn), "--out", str(tmp_path / "o")]) == 1
+    assert "cannot read scenario" in single_error_line(capsys.readouterr().err)
+
+
+def test_plan_negative_budget_exit_1(tmp_path, capsys):
+    code = main([
+        "plan", "--scenario", str(SCN / "dualprovider_sourceasn_objectives.scn"),
+        "--out", str(tmp_path / "o"), "--budget-actions", "-1",
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "budget" in single_error_line(captured.err)
+
+
+def test_simulate_max_rounds_zero_exit_1(tmp_path, capsys):
+    code = main([
+        "simulate", "--scenario", str(SCN / "dualprovider_baseline.scn"),
+        "--out", str(tmp_path / "o"), "--max-rounds", "0",
+    ])
+    assert code == 1
+    assert "max_rounds" in single_error_line(capsys.readouterr().err)

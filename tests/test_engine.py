@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -184,3 +185,43 @@ def test_valley_free_sample():
                 if entry.route.learned_on == LOCAL:
                     continue
                 assert gen.is_valley_free(t, asn, entry.route.as_path)
+
+
+CONVERGING_GOLDENS = sorted(
+    p for p in Path("scenarios").glob("*.scn") if p.name != "oscillate.scn"
+)
+
+
+@pytest.mark.parametrize("max_rounds", [None, 1, 2, 3, 4, 7, 12, 13])
+def test_oscillation_rounds_and_changing_pairs_pinned(max_rounds):
+    s = parse_scenario(open("scenarios/oscillate.scn").read())
+    with pytest.raises(OscillationError) as err:
+        propagate_to_convergence(s.topology, s.te_config, max_rounds=max_rounds)
+    # default bound: 2 * |ASes| + MAX_PREPEND + 4 = 13 for three ASes
+    assert err.value.rounds == (13 if max_rounds is None else max_rounds)
+    assert err.value.changing == ((100, P1), (200, P1))
+
+
+def test_oscillation_trace_alternates_between_two_states():
+    s = parse_scenario(open("scenarios/oscillate.scn").read())
+    dumps = []
+    with pytest.raises(OscillationError):
+        propagate_to_convergence(s.topology, s.te_config, trace=lambda n, d: dumps.append((n, d)))
+    assert [n for n, _ in dumps] == list(range(1, 14))
+    assert all(d.startswith(f"rounds {n}\n") for n, d in dumps)
+    bodies = [d.split("\n", 1)[1] for _, d in dumps]
+    assert bodies[0] != bodies[1]
+    assert all(body == bodies[(n - 1) % 2] for n, body in enumerate(bodies, start=1))
+    # odd rounds: both providers hold only the customer route; even rounds:
+    # each prefers the peer's route
+    assert "best path=65001 lp=10 med=- from=l1" in bodies[0]
+    assert "best path=200,65001 lp=100 med=- from=l3" in bodies[1]
+
+
+@pytest.mark.parametrize("path", CONVERGING_GOLDENS, ids=lambda p: p.stem)
+def test_trace_called_once_per_round_and_ends_at_the_fixed_point(path):
+    s = parse_scenario(path.read_text())
+    dumps = []
+    state = propagate_to_convergence(s.topology, s.te_config, trace=lambda n, d: dumps.append((n, d)))
+    assert [n for n, _ in dumps] == list(range(1, state.rounds_used + 1))
+    assert dumps[-1][1] == state.dump()

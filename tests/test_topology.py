@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -200,3 +201,26 @@ def test_parsed_topologies_validate_clean():
 def test_finding_is_data():
     f = Finding("warning", "x")
     assert f.severity == "warning"
+
+
+GOLDENS = sorted(Path("scenarios").glob("*.scn"))
+
+
+@pytest.mark.parametrize("path", GOLDENS, ids=lambda p: p.stem)
+def test_link_and_neighbor_lookups_match_a_scan_of_the_links(path):
+    t = parse_scenario(path.read_text()).topology
+    for link_id in {l.id for l in t.links}:
+        assert t.link_by_id(link_id) == next(l for l in t.links if l.id == link_id)
+    rank = {Rel.CUSTOMER: 0, Rel.PEER: 1, Rel.PROVIDER: 2}
+    for asn in list(t.roles) + [4_000_000]:
+        up = [l for l in t.links if l.up and asn in l.endpoints()]
+        assert t.up_links_of(asn) == up
+        expected: dict[int, Rel] = {}
+        for l in up:
+            other, rel = l.other(asn), l.rel_from(asn)
+            if other not in expected or rank[rel] < rank[expected[other]]:
+                expected[other] = rel
+        assert t.neighbor_rels(asn) == expected
+    with pytest.raises(KeyError) as err:
+        t.link_by_id("no-such-link")
+    assert err.value.args == ("unknown link id: no-such-link",)
