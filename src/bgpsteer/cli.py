@@ -47,6 +47,8 @@ def _load(path: str) -> Scenario:
 
 
 def _out_dir(args) -> Path:
+    """The report directory, created here: call it only once a report is ready
+    to be written, so a failed run leaves no directory behind."""
     out = Path(args.out) if args.out else Path(str(args.scenario) + ".out")
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -72,7 +74,6 @@ def cmd_simulate(args) -> int:
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    out = _out_dir(args)
     trace = None
     if args.trace:
         def trace(round_no: int, dump: str) -> None:
@@ -90,6 +91,7 @@ def cmd_simulate(args) -> int:
     except (TopologyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    out = _out_dir(args)
     (out / STATE_FILE).write_text(state.dump(), encoding="utf-8")
     (out / INGRESS_FILE).write_text(_merged_ingress_csv(state, scenario), encoding="utf-8")
     print(f"converged in {state.rounds_used} rounds; reports in {out}")
@@ -128,7 +130,6 @@ def cmd_plan(args) -> int:
         print("error: objectives target more than one destination AS", file=sys.stderr)
         return 1
     dest = dests.pop()
-    out = _out_dir(args)
     budget = Budget(max_actions=args.budget_actions)
     try:
         result = plan_inbound_te(
@@ -148,18 +149,19 @@ def cmd_plan(args) -> int:
         lines = ["status infeasible"]
         lines += [str(w) for w in result.witnesses]
         text = "\n".join(lines) + "\n"
-        (out / PLAN_FILE).write_text(text, encoding="utf-8")
+        (_out_dir(args) / PLAN_FILE).write_text(text, encoding="utf-8")
         print(text, end="")
         return 3
     if isinstance(result, Exhausted):
         text = f"status exhausted tried={result.candidates_tried} max-actions={result.max_actions}\n"
-        (out / PLAN_FILE).write_text(text, encoding="utf-8")
+        (_out_dir(args) / PLAN_FILE).write_text(text, encoding="utf-8")
         print(text, end="")
         return 4
     report = evaluate_plan(
         scenario.topology, dest, result, scenario.objectives, scenario.te_config.lp_overrides
     )
     text = _plan_report(scenario, dest, result, report)
+    out = _out_dir(args)
     (out / PLAN_FILE).write_text(text, encoding="utf-8")
     (out / PREDICTED_FILE).write_text(result.predicted_map.to_csv(), encoding="utf-8")
     print(text, end="")
@@ -181,6 +183,8 @@ def _read_csv(path: Path) -> dict[tuple[str, str], str]:
         if len(fields) != 3 or not fields[0].isdecimal():
             raise ScenarioError(f"{path}: malformed row {line!r}", number, 1)
         src, prefix, link = fields
+        if (src, prefix) in entries:
+            raise ScenarioError(f"{path}: duplicate row for {src},{prefix}", number, 1)
         entries[(src, prefix)] = link
     return entries
 

@@ -140,13 +140,17 @@ class ConvergedState:
         """Longest-prefix-match lookup: the loc_rib entry whose key is the
         longest installed prefix covering `prefix` (the exact entry when
         installed exactly)."""
-        if asn not in self.loc_rib:
+        rib = self.loc_rib.get(asn)
+        if rib is None:
             raise KeyError(f"unknown AS: {asn}")
+        exact = rib.get(prefix)
+        if exact is not None:  # no installed key covering `prefix` is longer
+            return exact.route
         best_key: Prefix | None = None
-        for key in self.loc_rib[asn]:
+        for key in rib:
             if key.contains(prefix) and (best_key is None or key.length > best_key.length):
                 best_key = key
-        return self.loc_rib[asn][best_key].route if best_key is not None else None
+        return rib[best_key].route if best_key is not None else None
 
     def dump(self) -> str:
         """Canonical text form, sorted, for golden-file comparison."""

@@ -5,6 +5,16 @@ wildcards on the source side define the granularity class.  The ingress map
 assigns every (source AS, destination prefix) pair to the inter-domain link
 through which its traffic enters the destination AS.  Forwarding is
 destination-based: source prefixes never influence resolution.
+
+Traffic for a prefix leaves an AS on the link of the route that AS selects
+for the prefix by longest-prefix match, and every hop matches the same
+queried prefix.  So an AS's next hop depends only on the AS and the prefix,
+and the walk from an AS is its first link followed by its next hop's walk:
+the last link, through which the traffic enters its owner, is the next
+hop's last link, or the AS's own link when the next hop holds the route
+locally.  A `ForwardingTable` holds these answers for one state and one
+prefix, resolving each AS at most once; `ingress_map` reads one table per
+originated prefix, so it costs one lookup per AS and prefix.
 """
 
 from __future__ import annotations
@@ -77,6 +87,54 @@ def resolve_forwarding(
         current = nxt
 
 
+class ForwardingTable:
+    """Where each AS's traffic for one prefix ends up, in one converged state.
+
+    `last_link(asn)` is the last link of the hop-by-hop walk that
+    `resolve_forwarding` would take from `asn`: LOCAL when `asn` holds the
+    route locally (an empty walk), None when some hop has no route or the walk
+    revisits an AS.  Answers are resolved on demand and memoised along the
+    forwarding tree, so each AS is looked up at most once per table."""
+
+    def __init__(self, s: ConvergedState, t: Topology, prefix: Prefix) -> None:
+        self._s, self._t, self._prefix = s, t, prefix
+        self._known: dict[int, str | None] = {}
+
+    def last_link(self, asn: int) -> str | None:
+        known = self._known
+        walk: list[tuple[int, str]] = []  # (AS, link it forwards on), in walk order
+        on_walk: set[int] = set()
+        current = asn
+        while current not in known:
+            if current in on_walk:  # a loop: cannot happen at a fixed point; guard anyway
+                known[current] = None
+                break
+            on_walk.add(current)
+            route = self._s.best_route(current, self._prefix)
+            if route is None:
+                known[current] = None
+                break
+            if route.learned_on == LOCAL:
+                known[current] = LOCAL
+                break
+            link = self._t.link_by_id(route.learned_on)
+            walk.append((current, link.id))
+            current = link.other(current)
+        answer = known[current]
+        for hop, link_id in reversed(walk):
+            answer = link_id if answer == LOCAL else answer
+            known[hop] = answer
+        return answer
+
+
+def entry_link(t: Topology, dest: int, last: str | None) -> str | None:
+    """The link through which a walk whose last link is `last` enters `dest`:
+    `last` itself when it is a link incident to `dest`, else None."""
+    if last is None or last == LOCAL:
+        return None
+    return last if dest in t.link_by_id(last).endpoints() else None
+
+
 @dataclass(frozen=True)
 class IngressMap:
     """dest plus (src ASN, destination prefix) -> entry link id or
@@ -97,20 +155,13 @@ def ingress_map(s: ConvergedState, t: Topology, dest: int) -> IngressMap:
     prefixes = sorted(t.originated_by(dest), key=Prefix.sort_key)
     if not prefixes:
         raise ValueError(f"AS {dest} originates nothing")
+    tables = [(prefix, ForwardingTable(s, t, prefix)) for prefix in prefixes]
     entries: dict[tuple[int, Prefix], str] = {}
     for src in t.ases():
         if src == dest:
             continue
-        for prefix in prefixes:
-            hops = resolve_forwarding(s, t, src, prefix)
-            if not hops:
-                entries[(src, prefix)] = UNREACHABLE
-                continue
-            last = t.link_by_id(hops[-1])
-            if dest not in last.endpoints():
-                entries[(src, prefix)] = UNREACHABLE
-            else:
-                entries[(src, prefix)] = last.id
+        for prefix, table in tables:
+            entries[(src, prefix)] = entry_link(t, dest, table.last_link(src)) or UNREACHABLE
     return IngressMap(dest, entries)
 
 

@@ -23,7 +23,16 @@ from .engine import (
     TeConfig,
     propagate_to_convergence,
 )
-from .flows import Flow, FlowClass, IngressMap, classify, diff_ingress, ingress_map, resolve_forwarding
+from .flows import (
+    Flow,
+    FlowClass,
+    ForwardingTable,
+    IngressMap,
+    classify,
+    diff_ingress,
+    entry_link,
+    ingress_map,
+)
 from .routes import Community, export_permitted
 from .topology import Prefix, Rel, Topology, require_valid
 
@@ -394,16 +403,14 @@ def _objective_satisfied(
     sources = _objective_sources(t, dest, o)
     if not sources:
         return False
+    table = ForwardingTable(state, t, o.flow.dst_prefix)
     any_reachable = False
     for src in sources:
-        hops = resolve_forwarding(state, t, src, o.flow.dst_prefix)
-        if not hops:
-            continue
-        last = t.link_by_id(hops[-1])
-        if dest not in last.endpoints():
+        link = entry_link(t, dest, table.last_link(src))
+        if link is None:
             continue
         any_reachable = True
-        if last.id != o.required_link:
+        if link != o.required_link:
             return False
     return any_reachable
 

@@ -78,6 +78,7 @@ def test_plan_infeasible_exit_3(tmp_path, capsys):
     code = main(["plan", "--scenario", str(SCN / "singleprovider_split_objectives.scn"), "--out", str(tmp_path / "o")])
     assert code == 3
     assert "same-provider" in capsys.readouterr().out
+    assert (tmp_path / "o" / "plan.txt").read_text().startswith("status infeasible\n")
 
 
 def test_plan_pivot_witness_printed(tmp_path, capsys):
@@ -105,6 +106,7 @@ def test_plan_exhausted_exit_4(tmp_path, capsys):
     ])
     assert code == 4
     assert "exhausted" in capsys.readouterr().out
+    assert (tmp_path / "o" / "plan.txt").read_text().startswith("status exhausted ")
 
 
 def test_diff_identical_dirs_exit_0(tmp_path, capsys):
@@ -205,6 +207,7 @@ def test_plan_negative_budget_exit_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "budget" in single_error_line(captured.err)
+    assert not (tmp_path / "o").exists()
 
 
 def test_simulate_max_rounds_zero_exit_1(tmp_path, capsys):
@@ -214,3 +217,29 @@ def test_simulate_max_rounds_zero_exit_1(tmp_path, capsys):
     ])
     assert code == 1
     assert "max_rounds" in single_error_line(capsys.readouterr().err)
+
+
+def test_simulate_without_fixed_point_leaves_no_report_directory(tmp_path, capsys):
+    code = main([
+        "simulate", "--scenario", str(SCN / "oscillate.scn"),
+        "--out", str(tmp_path / "o"), "--max-rounds", "1",
+    ])
+    assert code == 2
+    assert "no fixed point" in single_error_line(capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
+def test_diff_duplicated_row_exit_1(tmp_path, capsys):
+    good, bad = tmp_path / "good", tmp_path / "bad"
+    main(["simulate", "--scenario", str(SCN / "deep_baseline.scn"), "--out", str(good)])
+    lines = (good / "ingress.csv").read_text().splitlines()
+    src, prefix, _link = lines[1].split(",")
+    bad.mkdir()
+    (bad / "ingress.csv").write_text("\n".join(lines + [f"{src},{prefix},elsewhere"]) + "\n")
+    capsys.readouterr()
+    assert main(["diff", str(good), str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = single_error_line(captured.err)
+    assert f"line {len(lines) + 1}," in err
+    assert str(bad / "ingress.csv") in err and "duplicate row" in err

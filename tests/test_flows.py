@@ -1,6 +1,10 @@
+import random
+from pathlib import Path
+
 import pytest
 
 from bgpsteer import (
+    OscillationError,
     Flow,
     FlowClass,
     IngressMap,
@@ -12,7 +16,11 @@ from bgpsteer import (
     propagate_to_convergence,
     resolve_forwarding,
 )
-from bgpsteer.flows import UNREACHABLE
+from bgpsteer.engine import ConvergedState
+from bgpsteer.flows import UNREACHABLE, ForwardingTable
+from bgpsteer.policies import AnnotatedRoute
+from bgpsteer.routes import Route, local_route
+from bgpsteer.topology import LOCAL, Link, Topology
 
 P1 = Prefix.parse("10.1.0.0/16")
 P2 = Prefix.parse("10.2.0.0/16")
@@ -144,3 +152,106 @@ def test_deep_diff_before_after():
     as_set = {(m[0], m[1], m[2], m[3]) for m in moves}
     assert (65102, P2, "l1", "l2") in as_set
     assert (65103, P2, "l1", "l2") in as_set
+
+
+def reference_ingress_entries(state, t, dest):
+    """Hop-by-hop reference for `ingress_map`: one `resolve_forwarding` walk
+    per (source, prefix) pair."""
+    entries = {}
+    for src in t.ases():
+        if src == dest:
+            continue
+        for prefix in t.originated_by(dest):
+            hops = resolve_forwarding(state, t, src, prefix)
+            entered = hops and dest in t.link_by_id(hops[-1]).endpoints()
+            entries[(src, prefix)] = hops[-1] if entered else UNREACHABLE
+    return entries
+
+
+def assert_table_matches_walks(state, t):
+    """Every originated prefix's ingress map, and the forwarding table of
+    every prefix a route is installed for, against single-flow walks."""
+    for dest in t.originations:
+        if t.originated_by(dest):
+            assert ingress_map(state, t, dest).entries == reference_ingress_entries(state, t, dest)
+    installed = {p for rib in state.loc_rib.values() for p in rib}
+    for prefix in installed:
+        if t.origin_of(prefix) is None:
+            continue
+        table = ForwardingTable(state, t, prefix)
+        for src in t.ases():
+            hops = resolve_forwarding(state, t, src, prefix)
+            assert table.last_link(src) == (None if hops is None else hops[-1] if hops else LOCAL)
+
+
+CONVERGING_GOLDENS = sorted(p for p in Path("scenarios").glob("*.scn") if p.name != "oscillate.scn")
+
+
+@pytest.mark.parametrize("path", CONVERGING_GOLDENS, ids=lambda p: p.stem)
+def test_ingress_table_matches_hop_by_hop_walks_on_goldens(path):
+    s, state = run(path)
+    assert_table_matches_walks(state, s.topology)
+
+
+def test_ingress_table_matches_hop_by_hop_walks_on_random_cases():
+    import gen
+
+    rng = random.Random(2024)
+    converged = 0
+    for case in range(200):
+        policies = case % 2 == 1
+        t = gen.rand_topology(rng, with_catalogs=policies)
+        te = gen.rand_te(rng, t, with_communities=policies, with_lp_overrides=policies)
+        try:
+            state = propagate_to_convergence(t, te)
+        except OscillationError:
+            continue
+        assert_table_matches_walks(state, t)
+        converged += 1
+    assert converged >= 190
+
+
+def test_ingress_falls_back_to_another_origins_aggregate():
+    # 1 originates 10.1.0.0/16 but announces it only to provider 2; 4
+    # originates the covering 10.0.0.0/8 and sells transit to 3 alone.  So
+    # 3 and its customer 5 forward 10.1.0.0/16 traffic toward 4, where it
+    # ends without entering 1.
+    text = (
+        "as 1 stub\nas 2 transit\nas 3 transit\nas 4 transit\nas 5 stub\nas 6 stub\n"
+        "link l1 1 2 c2p\nlink l2 1 3 c2p\nlink l3 5 3 c2p\nlink l4 6 2 c2p\nlink l5 3 4 c2p\n"
+        "originate 1 10.1.0.0/16\noriginate 4 10.0.0.0/8\n"
+        "advertise 1 10.1.0.0/16 l1\n"
+    )
+    s = parse_scenario(text)
+    state = propagate_to_convergence(s.topology, s.te_config)
+    assert resolve_forwarding(state, s.topology, 5, P1) == ["l3", "l5"]
+    assert resolve_forwarding(state, s.topology, 4, P1) == []
+    m = ingress_map(state, s.topology, 1)
+    assert m.entries == {
+        (2, P1): "l1",
+        (3, P1): UNREACHABLE,
+        (4, P1): UNREACHABLE,
+        (5, P1): UNREACHABLE,
+        (6, P1): "l1",
+    }
+    assert_table_matches_walks(state, s.topology)
+
+
+def test_forwarding_loop_leaves_every_as_on_it_dead():
+    # Not a fixed point of the engine: a hand-made state where 2 -> 3 -> 4 -> 2
+    # forward in a circle and 5 forwards into the circle.
+    hops = {2: ("l2", 3), 3: ("l3", 4), 4: ("l4", 2), 5: ("l5", 2)}
+    links = [Link("l1", 2, 1, 1), Link("l2", 2, 3, None), Link("l3", 3, 4, None),
+             Link("l4", 4, 2, None), Link("l5", 5, 2, 5)]
+    t = Topology({1: "stub", 2: "transit", 3: "transit", 4: "transit", 5: "stub"}, tuple(links),
+                 {1: frozenset({P1})})
+    loc_rib = {1: {P1: AnnotatedRoute(local_route(P1, 1))}}
+    for asn, (link_id, nxt) in hops.items():
+        route = Route(P1, (nxt, 1), 100, None, frozenset(), link_id, 1)
+        loc_rib[asn] = {P1: AnnotatedRoute(route)}
+    state = ConvergedState({}, loc_rib, 1)
+    for order in ([5, 2, 3, 4, 1], [3, 1, 4, 5, 2]):
+        table = ForwardingTable(state, t, P1)
+        assert [table.last_link(asn) for asn in order] == [None if asn != 1 else LOCAL for asn in order]
+    assert all(resolve_forwarding(state, t, asn, P1) is None for asn in hops)
+    assert ingress_map(state, t, 1).entries == {(asn, P1): UNREACHABLE for asn in hops}

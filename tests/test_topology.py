@@ -224,3 +224,52 @@ def test_link_and_neighbor_lookups_match_a_scan_of_the_links(path):
     with pytest.raises(KeyError) as err:
         t.link_by_id("no-such-link")
     assert err.value.args == ("unknown link id: no-such-link",)
+
+
+def origin_by_scan(t: Topology, prefix: Prefix) -> int | None:
+    """Reference for `Topology.origin_of`: scan every origination for the
+    longest one covering `prefix`."""
+    best: tuple[int, int] | None = None
+    for asn, prefixes in t.originations.items():
+        for p in prefixes:
+            if p.contains(prefix) and (best is None or p.length > best[0]):
+                best = (p.length, asn)
+    return None if best is None else best[1]
+
+
+def origin_queries(t: Topology, extra: list[Prefix]) -> list[Prefix]:
+    """Every originated prefix, its two halves and a /28 inside it, the given
+    extra prefixes, and two prefixes outside any origination in the tests."""
+    queries = list(extra) + [Prefix.parse("192.168.0.0/16"), Prefix.parse("0.0.0.0/0")]
+    for prefixes in t.originations.values():
+        for p in prefixes:
+            queries.append(p)
+            if p.length < 32:
+                queries += [Prefix(p.base, p.length + 1), Prefix(p.base | 1 << (31 - p.length), p.length + 1)]
+            if p.length < 28:
+                queries.append(Prefix(p.base, 28))
+    return queries
+
+
+def test_origin_of_matches_a_scan_of_the_originations():
+    import gen
+
+    cases = []
+    for path in GOLDENS:
+        s = parse_scenario(path.read_text())
+        cases.append((s.topology, [o.flow.dst_prefix for o in s.objectives]))
+    rng = random.Random(11)
+    for _ in range(5):
+        cases.append((gen.rand_topology(rng), []))
+        t, _dest, objectives, _budget = gen.rand_planning_instance(rng)
+        cases.append((t, [o.flow.dst_prefix for o in objectives]))
+    nested = {1: "10.0.0.0/8", 2: "10.1.0.0/16", 3: "10.1.128.0/17", 4: "10.1.128.0/24"}
+    t = Topology({asn: "stub" for asn in nested}, (),
+                 {asn: frozenset({Prefix.parse(p)}) for asn, p in nested.items()})
+    expected = {"10.1.128.0/25": 4, "10.1.129.0/24": 3, "10.1.0.0/17": 2, "10.200.0.0/16": 1, "11.0.0.0/8": None}
+    assert {p: t.origin_of(Prefix.parse(p)) for p in expected} == expected
+    cases.append((t, [Prefix.parse(p) for p in expected]))
+    cases.append((Topology({1: "stub"}, (), {}), []))
+    for t, extra in cases:
+        for prefix in origin_queries(t, extra):
+            assert t.origin_of(prefix) == origin_by_scan(t, prefix), (prefix, dict(t.originations))
