@@ -30,7 +30,7 @@ from .planner import (
     plan_inbound_te,
 )
 from .scenario import Scenario, ScenarioError, parse_scenario
-from .topology import Prefix, TopologyError
+from .topology import Prefix, TopologyError, is_number
 
 STATE_FILE = "state.txt"
 INGRESS_FILE = "ingress.csv"
@@ -46,11 +46,19 @@ def _load(path: str) -> Scenario:
     return parse_scenario(text)
 
 
-def _out_dir(args) -> Path:
-    """The report directory, created here: call it only once a report is ready
-    to be written, so a failed run leaves no directory behind."""
+def _write_reports(args, reports: dict[str, str]) -> Path | None:
+    """Create the report directory and write `reports` (file name -> text)
+    into it.  Call it only once the reports are ready, so a failed run leaves
+    no directory behind.  None, with an error line printed, when the
+    directory or a report cannot be written (say, `--out` names a file)."""
     out = Path(args.out) if args.out else Path(str(args.scenario) + ".out")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in reports.items():
+            (out / name).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        print(f"error: cannot write reports to {out}: {exc}", file=sys.stderr)
+        return None
     return out
 
 
@@ -91,9 +99,11 @@ def cmd_simulate(args) -> int:
     except (TopologyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    out = _out_dir(args)
-    (out / STATE_FILE).write_text(state.dump(), encoding="utf-8")
-    (out / INGRESS_FILE).write_text(_merged_ingress_csv(state, scenario), encoding="utf-8")
+    out = _write_reports(
+        args, {STATE_FILE: state.dump(), INGRESS_FILE: _merged_ingress_csv(state, scenario)}
+    )
+    if out is None:
+        return 1
     print(f"converged in {state.rounds_used} rounds; reports in {out}")
     return 0
 
@@ -149,21 +159,23 @@ def cmd_plan(args) -> int:
         lines = ["status infeasible"]
         lines += [str(w) for w in result.witnesses]
         text = "\n".join(lines) + "\n"
-        (_out_dir(args) / PLAN_FILE).write_text(text, encoding="utf-8")
+        if _write_reports(args, {PLAN_FILE: text}) is None:
+            return 1
         print(text, end="")
         return 3
     if isinstance(result, Exhausted):
         text = f"status exhausted tried={result.candidates_tried} max-actions={result.max_actions}\n"
-        (_out_dir(args) / PLAN_FILE).write_text(text, encoding="utf-8")
+        if _write_reports(args, {PLAN_FILE: text}) is None:
+            return 1
         print(text, end="")
         return 4
     report = evaluate_plan(
         scenario.topology, dest, result, scenario.objectives, scenario.te_config.lp_overrides
     )
     text = _plan_report(scenario, dest, result, report)
-    out = _out_dir(args)
-    (out / PLAN_FILE).write_text(text, encoding="utf-8")
-    (out / PREDICTED_FILE).write_text(result.predicted_map.to_csv(), encoding="utf-8")
+    reports = {PLAN_FILE: text, PREDICTED_FILE: result.predicted_map.to_csv()}
+    if _write_reports(args, reports) is None:
+        return 1
     print(text, end="")
     return 0
 
@@ -180,7 +192,7 @@ def _read_csv(path: Path) -> dict[tuple[str, str], str]:
         if not line:
             continue
         fields = line.split(",")
-        if len(fields) != 3 or not fields[0].isdecimal():
+        if len(fields) != 3 or not is_number(fields[0]):
             raise ScenarioError(f"{path}: malformed row {line!r}", number, 1)
         src, prefix, link = fields
         if (src, prefix) in entries:

@@ -13,12 +13,17 @@ state, a skipped AS would have rebuilt exactly what it holds, so each round
 still yields the full synchronous snapshot: the round count, the per-round
 trace and the pairs an OscillationError reports are those of recomputing
 every AS every round.  Runs are deterministic.
+
+The decision process never compares routes of different prefixes, so each
+prefix converges on its own.  A run restricted to a set of prefixes (the
+`prefixes` argument) yields exactly the full run's RIB entries for those
+prefixes, and the full run takes as many rounds as the slowest prefix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping
+from typing import Callable, Collection, Mapping
 
 from .policies import AnnotatedRoute, egress_apply, egress_times, ingress_transform, plain
 from .routes import (
@@ -183,10 +188,14 @@ def propagate_to_convergence(
     t: Topology,
     te: TeConfig | None = None,
     *,
+    prefixes: Collection[Prefix] | None = None,
     max_rounds: int | None = None,
     trace: Callable[[int, str], None] | None = None,
     validate: bool = True,
 ) -> ConvergedState:
+    """Run synchronous rounds to a fixed point.  With `prefixes`, only those
+    prefixes' local routes and announcements enter the run; the round bound
+    still counts every AS."""
     te = te or TeConfig()
     if max_rounds is not None and max_rounds < 1:
         raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
@@ -195,15 +204,22 @@ def propagate_to_convergence(
         te.validate(t)
 
     ann = _announcement_table(t, te)
+    wanted = None if prefixes is None else frozenset(prefixes)
+    if wanted is not None:
+        ann = {
+            origin: {key: ad for key, ad in table.items() if key[0] in wanted}
+            for origin, table in ann.items()
+        }
     index = t.index
     adjacency, rel_at = index.adjacency, index.rel_at
 
     # Local routes exist for every prefix the AS originates or explicitly
     # advertises (more-specifics), even when announced nowhere.
     local_entries: dict[int, dict[Prefix, AnnotatedRoute]] = {asn: {} for asn in t.roles}
-    for asn, prefixes in t.originations.items():
-        for p in prefixes:
-            local_entries[asn][p] = plain(local_route(p, asn))
+    for asn, originated in t.originations.items():
+        for p in originated:
+            if wanted is None or p in wanted:
+                local_entries[asn][p] = plain(local_route(p, asn))
     for origin, table in ann.items():
         for (p, _link_id) in table:
             local_entries[origin].setdefault(p, plain(local_route(p, origin)))

@@ -4,9 +4,18 @@ Given per-(source AS, destination prefix) ingress-link objectives for a stub
 AS, the planner first screens for structural infeasibility (two objectives on
 one prefix whose candidate routes all funnel through a single upstream AS can
 never be split by prepending), then enumerates advertisement and
-community-attachment action sets in ascending intervention cost, re-simulating
-each candidate until one realizes every objective.  Every returned plan is
-re-checkable from scratch with evaluate_plan.
+community-attachment action sets in ascending intervention cost until one
+realizes every objective.  Every returned plan is re-checkable from scratch
+with evaluate_plan.
+
+Inbound TE acts per prefix: an action on one prefix changes no route for a
+prefix that neither covers nor lies inside it.  So the planner splits the
+prefixes into groups closed under containment, judges each candidate group
+by group, and memoises each group's verdict under the candidate's actions on
+that group.  A candidate whose part for a group was seen before costs no
+simulation for that group; a new part costs one run restricted to the
+group's prefixes.  Candidates are still tried in the same order and with the
+same outcome as full re-simulation.
 """
 
 from __future__ import annotations
@@ -448,6 +457,85 @@ def _side_effects(
     return tuple(m for m in moves if m not in demanded)
 
 
+def _candidates(
+    t: Topology, dest: int, atoms: Sequence[Action], max_actions: int
+) -> list[tuple[tuple, tuple[int, ...]]]:
+    """Every set of at most `max_actions` atoms, as (plan_cost, atom indices),
+    in ascending cost; equal costs keep the order of generation (by size,
+    then lexicographically).  `atoms` must be sorted by Action.sort_key, so
+    each index tuple lists its sort keys in plan_cost's order."""
+    weights = [ACTION_WEIGHT[a.kind] for a in atoms]
+    prepends = [_prepend_amount(t, dest, a) for a in atoms]
+    keys = [a.sort_key() for a in atoms]
+    costed: list[tuple[tuple, tuple[int, ...]]] = []
+    for size in range(0, max_actions + 1):
+        for combo in itertools.combinations(range(len(atoms)), size):
+            cost = (
+                sum(weights[i] for i in combo),
+                sum(prepends[i] for i in combo),
+                tuple(keys[i] for i in combo),
+            )
+            costed.append((cost, combo))
+    costed.sort(key=lambda cc: cc[0])
+    return costed
+
+
+def _prefix_groups(t: Topology, objectives: Sequence[Objective]) -> list[frozenset[Prefix]]:
+    """Connected components of the containment relation over every AS's
+    originated prefixes plus the objective prefixes, ordered by their lowest
+    prefix.  Longest-prefix match only ever picks among covering prefixes,
+    so no action on one group's prefixes changes another group's routes or
+    forwarding."""
+    universe = {p for prefixes in t.originations.values() for p in prefixes}
+    universe |= {o.flow.dst_prefix for o in objectives}
+    # Two prefixes are nested or disjoint, and a prefix sorts before every
+    # prefix inside it, so each component is its first prefix and the run of
+    # prefixes that follow inside it.
+    groups: list[list[Prefix]] = []
+    for p in sorted(universe, key=Prefix.sort_key):
+        if groups and groups[-1][0].contains(p):
+            groups[-1].append(p)
+        else:
+            groups.append([p])
+    return [frozenset(g) for g in groups]
+
+
+def _restrict(state: ConvergedState, prefixes: frozenset[Prefix]) -> ConvergedState:
+    """The state's RIB entries for `prefixes`; the round count stays the
+    whole run's."""
+    return ConvergedState(
+        {
+            asn: {p: by_link for p, by_link in rib.items() if p in prefixes}
+            for asn, rib in state.adj_rib_in.items()
+        },
+        {
+            asn: {p: entry for p, entry in rib.items() if p in prefixes}
+            for asn, rib in state.loc_rib.items()
+        },
+        state.rounds_used,
+    )
+
+
+def _merge(states: Sequence[ConvergedState]) -> ConvergedState:
+    """One state from restricted states over disjoint prefix sets, with the
+    largest of their round counts."""
+    adj: dict[int, dict] = {}
+    loc: dict[int, dict] = {}
+    for s in states:
+        for asn, rib in s.adj_rib_in.items():
+            adj.setdefault(asn, {}).update(rib)
+        for asn, rib in s.loc_rib.items():
+            loc.setdefault(asn, {}).update(rib)
+    return ConvergedState(adj, loc, max(s.rounds_used for s in states))
+
+
+# Per-group verdicts in plan_inbound_te's memo, besides a converged state (the
+# group converges and meets its objectives) and a TeConfig (consistent, not
+# simulated yet).
+_INCONSISTENT = "inconsistent"
+_FAILS = "fails"  # the group oscillates or misses one of its objectives
+
+
 def plan_inbound_te(
     t: Topology,
     dest: int,
@@ -455,6 +543,18 @@ def plan_inbound_te(
     budget: Budget = Budget(),
     lp_overrides: Mapping[tuple[int, int], int] | None = None,
 ) -> Plan | Infeasible | Exhausted:
+    """Try action sets in ascending plan_cost; return the first one whose
+    simulation converges and meets every objective.
+
+    Each candidate is judged per prefix group (`_prefix_groups`): its actions
+    split by group, and a memo keyed by (group, the group's actions) holds the
+    group's verdict.  Consistency is checked per (prefix, link) key, so a
+    candidate is consistent when every group's part is; it converges when
+    every group's restricted run does, and an objective depends only on its
+    own group's routes.  A memo miss costs one propagation restricted to the
+    group, and the baseline run seeds every group's empty part.  So the
+    result, including Exhausted.candidates_tried (the consistent candidates
+    judged), is that of simulating every candidate in full."""
     if budget.max_actions < 0:
         raise PlanningError(f"action budget must be >= 0, got {budget.max_actions}")
     require_valid(t)
@@ -469,29 +569,63 @@ def plan_inbound_te(
     baseline_state = propagate_to_convergence(t, baseline_te, validate=False)
     baseline_map = ingress_map(baseline_state, t, dest)
 
+    groups = _prefix_groups(t, objectives)
+    group_of = {p: g for g, prefixes in enumerate(groups) for p in prefixes}
+    goals: list[list[Objective]] = [[] for _ in groups]
+    for o in objectives:
+        goals[group_of[o.flow.dst_prefix]].append(o)
+
+    def judge(g: int, state: ConvergedState) -> ConvergedState | str:
+        return state if all(_objective_satisfied(state, t, dest, o) for o in goals[g]) else _FAILS
+
+    memo: dict[tuple[int, tuple[int, ...]], object] = {
+        (g, ()): judge(g, _restrict(baseline_state, prefixes)) for g, prefixes in enumerate(groups)
+    }
     atoms = _build_atoms(t, dest, objectives)
-    candidates: list[tuple[tuple, tuple[Action, ...]]] = []
-    for size in range(0, budget.max_actions + 1):
-        for combo in itertools.combinations(atoms, size):
-            candidates.append((plan_cost(t, dest, combo), combo))
-    candidates.sort(key=lambda cv: cv[0])
+    atom_group = [group_of[a.prefix] for a in atoms]
+
+    def checked(key: tuple[int, tuple[int, ...]]) -> object:
+        """The memo entry, once the part's consistency is known."""
+        verdict = memo.get(key)
+        if verdict is None:
+            te = te_config_from_actions(t, dest, [atoms[i] for i in key[1]], lp_overrides)
+            verdict = memo[key] = _INCONSISTENT if te is None else te
+        return verdict
+
+    def simulated(key: tuple[int, tuple[int, ...]]) -> object:
+        """The memo entry of a consistent part, once its group is simulated."""
+        verdict = memo[key]
+        if isinstance(verdict, TeConfig):
+            g = key[0]
+            try:
+                state = propagate_to_convergence(t, verdict, prefixes=groups[g], validate=False)
+            except OscillationError:
+                verdict = _FAILS
+            else:
+                verdict = judge(g, state)
+            memo[key] = verdict
+        return verdict
 
     tried = 0
-    for _cost, combo in candidates:
-        te = te_config_from_actions(t, dest, combo, lp_overrides)
-        if te is None:
+    for _cost, combo in _candidates(t, dest, atoms, budget.max_actions):
+        parts: list[list[int]] = [[] for _ in groups]
+        for i in combo:
+            parts[atom_group[i]].append(i)
+        keys = [(g, tuple(part)) for g, part in enumerate(parts)]
+        if any(checked(key) is _INCONSISTENT for key in keys):
             continue
         tried += 1
-        try:
-            state = propagate_to_convergence(t, te, validate=False)
-        except OscillationError:
-            continue
-        if not all(_objective_satisfied(state, t, dest, o) for o in objectives):
-            continue
-        predicted = ingress_map(state, t, dest)
-        actions = tuple(sorted(combo, key=Action.sort_key))
-        side = _side_effects(t, dest, objectives, baseline_map, predicted)
-        return Plan(actions, predicted, side, lp_flag)
+        states: list[ConvergedState] = []
+        for key in keys:
+            verdict = simulated(key)
+            if verdict is _FAILS:
+                break
+            states.append(verdict)
+        else:
+            predicted = ingress_map(_merge(states), t, dest)
+            actions = tuple(atoms[i] for i in combo)
+            side = _side_effects(t, dest, objectives, baseline_map, predicted)
+            return Plan(actions, predicted, side, lp_flag)
     return Exhausted(tried, budget.max_actions)
 
 

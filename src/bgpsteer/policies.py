@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import Mapping, TYPE_CHECKING
 
 from .routes import Community, Route
-from .topology import Finding, Rel
+from .topology import Finding, Rel, is_number
 
 if TYPE_CHECKING:
     from .topology import Topology
@@ -150,7 +150,7 @@ def plain(route: Route) -> AnnotatedRoute:
 def parse_community(text: str) -> Community:
     """Parse the "high:low" notation; both parts are 16-bit decimals."""
     high_s, sep, low_s = text.partition(":")
-    if not sep or not high_s.isdigit() or not low_s.isdigit():
+    if not sep or not is_number(high_s) or not is_number(low_s):
         raise ValueError(f"malformed community: {text!r}")
     high, low = int(high_s), int(low_s)
     if high > 0xFFFF or low > 0xFFFF:

@@ -35,6 +35,7 @@ from .topology import (
     Link,
     Prefix,
     Topology,
+    is_number,
     validate_topology,
 )
 
@@ -84,7 +85,7 @@ def _fail(tok: _Token, msg: str) -> ScenarioError:
 
 
 def _parse_asn(tok: _Token) -> int:
-    if not tok.text.isdigit():
+    if not is_number(tok.text):
         raise _fail(tok, f"expected an AS number, got {tok.text!r}")
     value = int(tok.text)
     if not MIN_ASN <= value <= MAX_ASN:
@@ -233,7 +234,7 @@ def parse_scenario(text: str) -> Scenario:
                 _expect(tokens, 5, "policy lp record")
                 c = _parse_comm(tokens[3])
                 draft.claim(c, tokens[3])
-                if not tokens[4].text.isdigit():
+                if not is_number(tokens[4].text):
                     raise _fail(tokens[4], "LP value must be a non-negative integer")
                 draft.lp[c] = int(tokens[4].text)
             elif what == "prepend":
@@ -284,7 +285,7 @@ def parse_scenario(text: str) -> Scenario:
                     communities.add(_parse_comm(tokens[i + 1]))
                     i += 2
                 elif word == "med":
-                    if i + 1 >= len(tokens) or not tokens[i + 1].text.isdigit():
+                    if i + 1 >= len(tokens) or not is_number(tokens[i + 1].text):
                         raise _fail(tokens[i], "med keyword needs a non-negative integer")
                     if med is not None:
                         raise _fail(tokens[i], "med given twice")
@@ -303,7 +304,7 @@ def parse_scenario(text: str) -> Scenario:
             _expect(tokens, 4, "lp-override record")
             asn = known(tokens[1])
             neighbor = known(tokens[2])
-            if not tokens[3].text.isdigit():
+            if not is_number(tokens[3].text):
                 raise _fail(tokens[3], "LP value must be a non-negative integer")
             lp_overrides[(asn, neighbor)] = int(tokens[3].text)
         elif kind == "objective":

@@ -26,6 +26,13 @@ class TopologyError(ValueError):
     """Raised when an operation receives a topology that fails validation."""
 
 
+def is_number(text: str) -> bool:
+    """True for a non-empty run of ASCII digits.  str.isdigit() alone also
+    accepts digits such as '²', which int() rejects, and other scripts'
+    decimal digits, which int() reads."""
+    return text.isascii() and text.isdigit()
+
+
 def check_asn(value: int) -> int:
     if not isinstance(value, int) or not MIN_ASN <= value <= MAX_ASN:
         raise ValueError(f"ASN out of range: {value!r}")
@@ -63,12 +70,12 @@ class Prefix:
         if not sep:
             raise ValueError(f"prefix missing /length: {text!r}")
         octets = addr.split(".")
-        if len(octets) != 4 or not all(o.isdigit() for o in octets):
+        if len(octets) != 4 or not all(is_number(o) for o in octets):
             raise ValueError(f"bad IPv4 address: {addr!r}")
         values = [int(o) for o in octets]
         if any(v > 255 for v in values):
             raise ValueError(f"bad IPv4 address: {addr!r}")
-        if not length_s.isdigit():
+        if not is_number(length_s):
             raise ValueError(f"bad prefix length: {length_s!r}")
         base = (values[0] << 24) | (values[1] << 16) | (values[2] << 8) | values[3]
         return cls(base, int(length_s))

@@ -1,5 +1,7 @@
 from pathlib import Path
 
+import pytest
+
 from bgpsteer.cli import main
 
 SCN = Path("scenarios")
@@ -181,6 +183,17 @@ def test_diff_malformed_row_exit_1(tmp_path, capsys):
     assert "malformed row" in single_error_line(capsys.readouterr().err)
 
 
+def test_diff_row_with_non_ascii_asn_exit_1(tmp_path, capsys):
+    # Arabic-Indic digits would read as AS 65101 and dodge the duplicate check
+    good, bad = tmp_path / "good", tmp_path / "bad"
+    main(["simulate", "--scenario", str(SCN / "deep_baseline.scn"), "--out", str(good)])
+    bad.mkdir()
+    (bad / "ingress.csv").write_text((good / "ingress.csv").read_text() + "٦٥١٠١,10.1.0.0/16,l2\n")
+    capsys.readouterr()
+    assert main(["diff", str(bad), str(bad)]) == 1
+    assert "malformed row" in single_error_line(capsys.readouterr().err)
+
+
 def test_diff_non_utf8_csv_exit_1(tmp_path, capsys):
     good, bad = tmp_path / "good", tmp_path / "bad"
     main(["simulate", "--scenario", str(SCN / "deep_baseline.scn"), "--out", str(good)])
@@ -243,3 +256,47 @@ def test_diff_duplicated_row_exit_1(tmp_path, capsys):
     err = single_error_line(captured.err)
     assert f"line {len(lines) + 1}," in err
     assert str(bad / "ingress.csv") in err and "duplicate row" in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("as 6500² stub\n", "expected an AS number"),
+        (
+            (SCN / "dualprovider_baseline.scn").read_text() + "lp-override 100 300 ²\n",
+            "LP value must be",
+        ),
+        ("as 1 stub\nas 2 transit\nlink l1 1 2 c2p\noriginate 1 ١٠.1.0.0/16\n", "bad IPv4 address"),
+        (
+            (SCN / "dualprovider_baseline.scn").read_text() + "policy 100 lp ١٠٠:77 50\n",
+            "malformed community",
+        ),
+    ],
+    ids=["asn", "lp-override", "prefix", "community"],
+)
+def test_simulate_non_ascii_digit_exit_1(tmp_path, capsys, text, message):
+    # str.isdigit() accepts '²', which int() rejects, and Arabic-Indic digits,
+    # which int() reads: numbers are ASCII digits only
+    scn = tmp_path / "digits.scn"
+    scn.write_text(text, encoding="utf-8")
+    assert main(["simulate", "--scenario", str(scn), "--out", str(tmp_path / "o")]) == 1
+    assert message in single_error_line(capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--scenario", str(SCN / "med_basic.scn")],
+        ["plan", "--scenario", str(SCN / "deep_objectives.scn")],
+    ],
+    ids=["simulate", "plan"],
+)
+def test_out_naming_a_file_exit_1(tmp_path, capsys, argv):
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    assert main(argv + ["--out", str(taken)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot write reports" in single_error_line(captured.err)
+    assert taken.read_text() == "keep\n"

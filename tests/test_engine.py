@@ -225,3 +225,80 @@ def test_trace_called_once_per_round_and_ends_at_the_fixed_point(path):
     state = propagate_to_convergence(s.topology, s.te_config, trace=lambda n, d: dumps.append((n, d)))
     assert [n for n, _ in dumps] == list(range(1, state.rounds_used + 1))
     assert dumps[-1][1] == state.dump()
+
+
+def _containment_groups(prefixes):
+    """Connected components of the containment relation."""
+    groups = []
+    for p in sorted(prefixes, key=Prefix.sort_key):
+        merged, rest = {p}, []
+        for g in groups:
+            if any(p.contains(q) or q.contains(p) for q in g):
+                merged |= g
+            else:
+                rest.append(g)
+        groups = rest + [merged]
+    return [frozenset(g) for g in groups]
+
+
+def _filtered(ribs, group):
+    return {asn: {p: v for p, v in rib.items() if p in group} for asn, rib in ribs.items()}
+
+
+def _check_restricted_runs(t, te):
+    """Each containment group's restricted run against the full run; returns
+    whether the full run oscillates."""
+    prefixes = {p for ps in t.originations.values() for p in ps}
+    prefixes |= {ad.prefix for ad in te.advertisements}
+    groups = _containment_groups(prefixes)
+    try:
+        full = propagate_to_convergence(t, te)
+    except OscillationError as exc:
+        changing = []
+        for g in groups:
+            try:
+                propagate_to_convergence(t, te, prefixes=g)
+            except OscillationError as part:
+                assert part.rounds == exc.rounds
+                assert part.changing == tuple(pair for pair in exc.changing if pair[1] in g)
+                changing += part.changing
+        assert sorted(changing, key=lambda ap: (ap[0], ap[1].sort_key())) == list(exc.changing)
+        return True
+    rounds = []
+    for g in groups:
+        part = propagate_to_convergence(t, te, prefixes=g)
+        assert part.loc_rib == _filtered(full.loc_rib, g)
+        assert part.adj_rib_in == _filtered(full.adj_rib_in, g)
+        rounds.append(part.rounds_used)
+    assert max(rounds, default=1) == full.rounds_used
+    return False
+
+
+@pytest.mark.parametrize("path", CONVERGING_GOLDENS, ids=lambda p: p.stem)
+def test_restricted_runs_match_the_full_run_on_goldens(path):
+    s = parse_scenario(path.read_text())
+    assert not _check_restricted_runs(s.topology, s.te_config)
+
+
+def test_restricted_run_of_the_oscillating_group_reports_its_pairs():
+    s = parse_scenario(open("scenarios/oscillate.scn").read())
+    assert _check_restricted_runs(s.topology, s.te_config)
+    with pytest.raises(OscillationError) as err:
+        propagate_to_convergence(s.topology, s.te_config, prefixes=[P1])
+    assert err.value.rounds == 13
+    assert err.value.changing == ((100, P1), (200, P1))
+    # a group with no prefix of the run converges at once
+    assert propagate_to_convergence(s.topology, s.te_config, prefixes=[P2]).rounds_used == 1
+
+
+def test_restricted_runs_match_the_full_run_on_random_cases():
+    rng = random.Random(211)
+    more_specific = lp_overrides = oscillating = 0
+    for _ in range(300):
+        t = gen.rand_topology(rng, with_catalogs=rng.random() < 0.5)
+        te = gen.rand_te(rng, t, with_communities=True, with_lp_overrides=True)
+        originated = {p for ps in t.originations.values() for p in ps}
+        more_specific += any(ad.prefix not in originated for ad in te.advertisements)
+        lp_overrides += bool(te.lp_overrides)
+        oscillating += _check_restricted_runs(t, te)
+    assert more_specific >= 10 and lp_overrides >= 50 and oscillating >= 1

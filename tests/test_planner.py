@@ -1,4 +1,7 @@
+import itertools
+import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -10,18 +13,29 @@ from bgpsteer import (
     Exhausted,
     Flow,
     Infeasible,
+    Link,
     Objective,
+    OscillationError,
     Plan,
     PlanningError,
     Prefix,
     SAME_PROVIDER,
+    Topology,
     common_upstream_check,
     evaluate_plan,
+    ingress_map,
     parse_scenario,
     plan_inbound_te,
+    propagate_to_convergence,
     te_config_from_actions,
 )
-from bgpsteer.planner import plan_cost
+from bgpsteer.planner import (
+    _build_atoms,
+    _candidates,
+    _objective_satisfied,
+    _side_effects,
+    plan_cost,
+)
 
 P1 = Prefix.parse("10.1.0.0/16")
 P2 = Prefix.parse("10.2.0.0/16")
@@ -258,3 +272,146 @@ def test_random_planner_vs_exhaustive_sample():
         else:
             assert not sat
     assert checked > 60
+
+
+# ---------------------------------------------------------------------------
+# The per-group memo against full re-simulation of every candidate
+# ---------------------------------------------------------------------------
+
+COVER = Prefix.parse("10.0.0.0/8")
+ELSEWHERE = Prefix.parse("192.168.0.0/16")
+P1_HALF = Prefix.parse("10.1.128.0/17")
+
+
+def reference_plan(t, dest, objectives, budget, lp_overrides):
+    """Enumerate every action set, sort by plan_cost, and simulate each
+    candidate over the whole topology until one meets every objective.
+    Returns the result and how many candidates oscillated."""
+    witnesses = common_upstream_check(t, objectives)
+    if witnesses:
+        return Infeasible(tuple(witnesses)), 0
+    lp_overrides = dict(lp_overrides or {})
+    baseline_te = te_config_from_actions(t, dest, [], lp_overrides)
+    baseline_map = ingress_map(propagate_to_convergence(t, baseline_te, validate=False), t, dest)
+    atoms = _build_atoms(t, dest, objectives)
+    candidates = []
+    for size in range(0, budget.max_actions + 1):
+        for combo in itertools.combinations(atoms, size):
+            candidates.append((plan_cost(t, dest, combo), combo))
+    candidates.sort(key=lambda cv: cv[0])
+    tried = oscillating = 0
+    for _cost, combo in candidates:
+        te = te_config_from_actions(t, dest, combo, lp_overrides)
+        if te is None:
+            continue
+        tried += 1
+        try:
+            state = propagate_to_convergence(t, te, validate=False)
+        except OscillationError:
+            oscillating += 1
+            continue
+        if not all(_objective_satisfied(state, t, dest, o) for o in objectives):
+            continue
+        predicted = ingress_map(state, t, dest)
+        actions = tuple(sorted(combo, key=Action.sort_key))
+        side = _side_effects(t, dest, objectives, baseline_map, predicted)
+        return Plan(actions, predicted, side, bool(lp_overrides)), oscillating
+    return Exhausted(tried, budget.max_actions), oscillating
+
+
+def rand_grouped_instance(rng):
+    """A five-AS planning instance from gen, widened so that its prefixes
+    form several groups: two originated prefixes, and sometimes a
+    more-specific objective, a covering 10.0.0.0/8 (the destination's own or
+    another AS's), an unrelated prefix, and a peering between the providers
+    with LP overrides that can make candidates oscillate."""
+    t, dest, objectives, budget = gen.rand_planning_instance(rng)
+    others = [a for a in t.ases() if a != dest]
+    originations = {dest: frozenset({P1, P2})}
+    if rng.random() < 0.5:
+        owner = dest if rng.random() < 0.5 else rng.choice(others)
+        originations[owner] = originations.get(owner, frozenset()) | {COVER}
+    if rng.random() < 0.5:
+        owner = rng.choice(others)
+        originations[owner] = originations.get(owner, frozenset()) | {ELSEWHERE}
+    links = list(t.links)
+    p1, p2 = (t.link_by_id(l).other(dest) for l in ("l1", "l2"))
+    peered = p1 != p2 and not any({p1, p2} == set(l.endpoints()) for l in links)
+    lp_overrides = {}
+    if peered and rng.random() < 0.6:
+        links.append(Link(f"l{len(links) + 1}", p1, p2, None))
+        if rng.random() < 0.7:
+            lp_overrides[rng.choice([(p1, p2), (p2, p1)])] = rng.choice([150, 250])
+    objectives = list(objectives)
+    if rng.random() < 0.4:
+        src = rng.choice([a for a in others if t.roles[a] == "stub"] + [None])
+        objectives.append(Objective(Flow(None, src, P1_HALF, dest), rng.choice(["l1", "l2"])))
+    t = Topology(t.roles, tuple(links), originations, t.catalogs)
+    return t, dest, objectives, budget, lp_overrides
+
+
+def test_planner_matches_full_resimulation_of_every_candidate():
+    rng = random.Random(4242)
+    kinds = dict.fromkeys(
+        ["plan", "exhausted", "oscillating", "more-specific", "own cover", "other cover"], 0
+    )
+    for _ in range(70):
+        t, dest, objectives, budget, lp_overrides = rand_grouped_instance(rng)
+        if not gen.instance_is_plannable(t, dest, objectives):
+            continue
+        try:
+            expected, oscillating = reference_plan(t, dest, objectives, budget, lp_overrides)
+        except OscillationError as exc:
+            with pytest.raises(OscillationError) as err:
+                plan_inbound_te(t, dest, objectives, budget, lp_overrides)
+            assert str(err.value) == str(exc)
+            continue
+        got = plan_inbound_te(t, dest, objectives, budget, lp_overrides)
+        assert got == expected
+        if isinstance(expected, Plan):
+            assert got.predicted_map.to_csv() == expected.predicted_map.to_csv()
+            kinds["plan"] += 1
+        elif isinstance(expected, Exhausted):
+            assert got.candidates_tried == expected.candidates_tried
+            kinds["exhausted"] += 1
+        kinds["oscillating"] += oscillating > 0
+        kinds["own cover"] += COVER in t.originated_by(dest)
+        kinds["other cover"] += any(COVER in ps for a, ps in t.originations.items() if a != dest)
+        kinds["more-specific"] += any(o.flow.dst_prefix == P1_HALF for o in objectives)
+    assert all(n >= 3 for n in kinds.values()), kinds
+
+
+def test_withheld_prefix_falls_back_to_the_destination_cover():
+    # 65102 reaches 65001 only over l2.  Withholding 10.2.0.0/16 there sends
+    # its traffic along 10.0.0.0/8, still over l2; only withholding both meets
+    # the objective (unreachable sources do not count against it).  The
+    # sibling 10.1.0.0/16 puts a prefix between the two in prefix order.
+    s = parse_scenario(
+        "as 65001 stub\nas 100 transit\nas 200 transit\nas 65101 stub\nas 65102 stub\n"
+        "link l1 65001 100 c2p\nlink l2 65001 200 c2p\n"
+        "link l3 65101 100 c2p\nlink l4 65102 200 c2p\n"
+        "originate 65001 10.0.0.0/8\noriginate 65001 10.1.0.0/16\noriginate 65001 10.2.0.0/16\n"
+        "objective 65001 * 10.2.0.0/16 l1\n"
+    )
+    budget = Budget(max_actions=2)
+    expected, _ = reference_plan(s.topology, 65001, s.objectives, budget, {})
+    got = plan_inbound_te(s.topology, 65001, s.objectives, budget)
+    assert got == expected
+    assert [str(a) for a in got.actions] == ["withhold 10.0.0.0/8 l2", "withhold 10.2.0.0/16 l2"]
+
+
+OBJECTIVE_GOLDENS = sorted(
+    p for p in Path("scenarios").glob("*.scn") if "\nobjective " in p.read_text()
+)
+
+
+@pytest.mark.parametrize("path", OBJECTIVE_GOLDENS, ids=lambda p: p.stem)
+def test_enumeration_costs_equal_plan_cost(path):
+    s = load(path)
+    dest = s.objectives[0].flow.dst_asn
+    atoms = _build_atoms(s.topology, dest, s.objectives)
+    costed = _candidates(s.topology, dest, atoms, Budget().max_actions)
+    assert len(costed) == sum(math.comb(len(atoms), k) for k in range(Budget().max_actions + 1))
+    for cost, combo in costed:
+        assert cost == plan_cost(s.topology, dest, [atoms[i] for i in combo])
+    assert [cost for cost, _ in costed] == sorted(cost for cost, _ in costed)
