@@ -180,24 +180,29 @@ def cmd_plan(args) -> int:
     return 0
 
 
-def _read_csv(path: Path) -> dict[tuple[str, str], str]:
+def _read_csv(path: Path) -> dict[tuple[int, Prefix], str]:
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read {path}: {exc}", 0, 0) from exc
     if not lines or lines[0] != "src_asn,dst_prefix,link":
         raise ScenarioError(f"{path} is not an ingress CSV", 0, 0)
-    entries: dict[tuple[str, str], str] = {}
+    entries: dict[tuple[int, Prefix], str] = {}
     for number, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         fields = line.split(",")
-        if len(fields) != 3 or not is_number(fields[0]):
+        if len(fields) != 3 or not is_number(fields[0]) or not fields[2]:
             raise ScenarioError(f"{path}: malformed row {line!r}", number, 1)
-        src, prefix, link = fields
-        if (src, prefix) in entries:
-            raise ScenarioError(f"{path}: duplicate row for {src},{prefix}", number, 1)
-        entries[(src, prefix)] = link
+        src, prefix_text, link = fields
+        try:
+            prefix = Prefix.parse(prefix_text)
+        except ValueError as exc:
+            raise ScenarioError(f"{path}: {exc}", number, len(src) + 2) from exc
+        key = (int(src), prefix)
+        if key in entries:
+            raise ScenarioError(f"{path}: duplicate row for {src},{prefix_text}", number, 1)
+        entries[key] = link
     return entries
 
 
@@ -212,7 +217,7 @@ def cmd_diff(args) -> int:
         print("error: ingress CSVs cover different scenario keys", file=sys.stderr)
         return 1
     moves = []
-    for key in sorted(base, key=lambda k: (int(k[0]), k[1])):
+    for key in sorted(base, key=lambda k: (k[0], k[1].sort_key())):
         if base[key] != new[key]:
             moves.append(f"{key[0]},{key[1]},{base[key]},{new[key]}")
     for line in moves:

@@ -1,18 +1,24 @@
 """Synchronous route propagation to a converged fixed point.
 
-In round N an AS rebuilds its Adj-RIB-In from what its up-link neighbors
-announce out of their round N-1 Loc-RIBs, subject to valley-free export,
-loop prevention and the receiving provider's ingress policies, then selects
-its Loc-RIB.  Announcements fully replace what a neighbor previously sent
-over a link, so withdrawals are just absence.
+In round N each AS exports out of its round N-1 Loc-RIB to its up-link
+neighbors, subject to valley-free export and the exporter's egress
+policies; the receiver installs what arrives after loop prevention and its
+own ingress policies, then selects its Loc-RIB.  A new announcement over a
+link replaces what the neighbor sent there before, so a withdrawal is just
+an announcement of nothing.
 
-Rounds are change-driven: round 1 recomputes every AS; round N recomputes
-only the ASes with an up-link neighbor whose Loc-RIB changed in round N-1,
-and every other AS keeps its RIBs.  Since round N reads only round N-1
-state, a skipped AS would have rebuilt exactly what it holds, so each round
-still yields the full synchronous snapshot: the round count, the per-round
-trace and the pairs an OscillationError reports are those of recomputing
-every AS every round.  Runs are deterministic.
+The unit of change is an (AS, prefix) pair.  Round 1 exports every local
+entry; round N exports only the pairs whose Loc-RIB entry changed or
+vanished in round N-1, each to every up-link neighbor (or takes back what it
+sent).  The receiver patches its Adj-RIB-In for that (prefix, link) and
+re-runs the decision for that prefix only; RIBs persist across rounds.
+All of a round's updates come from the previous round's Loc-RIBs, so every
+round still yields the full synchronous snapshot: the round count, the
+per-round trace and the pairs an OscillationError reports (those whose
+Adj-RIB-In changed in the last round) are those of recomputing every AS
+every round.  compare_routes is a total order over one prefix's
+candidates, so the order updates arrive in never changes a result.  Runs
+are deterministic.
 
 The decision process never compares routes of different prefixes, so each
 prefix converges on its own.  A run restricted to a set of prefixes (the
@@ -23,7 +29,7 @@ prefixes, and the full run takes as many rounds as the slowest prefix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Collection, Mapping
+from typing import Callable, Collection, Iterator, Mapping
 
 from .policies import AnnotatedRoute, egress_apply, egress_times, ingress_transform, plain
 from .routes import (
@@ -210,8 +216,6 @@ def propagate_to_convergence(
             origin: {key: ad for key, ad in table.items() if key[0] in wanted}
             for origin, table in ann.items()
         }
-    index = t.index
-    adjacency, rel_at = index.adjacency, index.rel_at
 
     # Local routes exist for every prefix the AS originates or explicitly
     # advertises (more-specifics), even when announced nowhere.
@@ -230,109 +234,122 @@ def propagate_to_convergence(
     }
 
     bound = max_rounds if max_rounds is not None else 2 * len(t.roles) + MAX_PREPEND + 4
-    prev_adj, prev_loc = adj, loc
-    dirty: set[int] = set(t.roles)
+    # (AS, prefix) pairs whose Loc-RIB entry changed or vanished last round;
+    # round 1 exports every local entry.
+    changed = [(asn, p) for asn, entries in local_entries.items() for p in entries]
 
     for round_no in range(1, bound + 1):
-        inbox: dict[int, dict[Prefix, dict[str, tuple[Route, int]]]] = {
-            asn: {} for asn in t.roles if asn in dirty
-        }
-        for exporter in t.roles:
-            targets = [n for n in adjacency.get(exporter, ()) if n[1] in inbox]
-            entries = loc[exporter]
-            if not targets or not entries:
-                continue
-            catalog = t.catalogs.get(exporter)
-            exporter_ann = ann.get(exporter, {})
-            for prefix, entry in entries.items():
-                route = entry.route
-                if route.learned_on == LOCAL:
-                    for link_id, neighbor, _rel_neighbor in targets:
-                        ad = exporter_ann.get((prefix, link_id))
-                        if ad is None:
-                            continue
-                        wire = Route(
-                            prefix, (exporter,) + route.as_path, 0,
-                            ad.med, ad.communities, LOCAL, route.origin_as,
-                        )
-                        inbox[neighbor].setdefault(prefix, {})[link_id] = (wire, exporter)
+        # Export: round N's updates all come from round N-1's Loc-RIBs; they
+        # patch only Adj-RIB-Ins, which no export reads.
+        touched: set[tuple[int, Prefix]] = set()
+        for exporter, prefix in changed:
+            entry = loc[exporter].get(prefix)
+            for link_id, neighbor, wire in _export(t, ann, exporter, entry):
+                received = None
+                if wire is not None:
+                    received = _receive(t, te, neighbor, exporter, link_id, wire)
+                rib = adj[neighbor]
+                by_link = rib.get(prefix)
+                if received == (by_link.get(link_id) if by_link is not None else None):
+                    continue
+                touched.add((neighbor, prefix))
+                if received is not None:
+                    rib.setdefault(prefix, {})[link_id] = received
                 else:
-                    learned_rel = rel_at[(route.learned_on, exporter)]
-                    # egress_apply output varies only with egress_times, so
-                    # one wire per value serves all neighbors
-                    wire_cache: dict[int, Route] = {}
-                    for link_id, neighbor, rel_neighbor in targets:
-                        if not export_permitted(learned_rel, rel_neighbor):
-                            continue
-                        times = egress_times(entry, neighbor)
-                        if times is None:
-                            continue
-                        wire = wire_cache.get(times)
-                        if wire is None:
-                            wire = wire_cache[times] = egress_apply(entry, exporter, neighbor, catalog)
-                        inbox[neighbor].setdefault(prefix, {})[link_id] = (wire, exporter)
+                    del by_link[link_id]
+                    if not by_link:
+                        del rib[prefix]
 
-        new_adj, new_loc = dict(adj), dict(loc)
-        adj_changed = False
-        loc_changed: list[int] = []
-        for receiver, by_prefix in inbox.items():
-            catalog = t.catalogs.get(receiver)
-            rels = index.neighbor_rels.get(receiver, {})
-            rib_in: dict[Prefix, dict[str, AnnotatedRoute]] = {}
-            for prefix, by_link in by_prefix.items():
-                for link_id, (wire, sender) in by_link.items():
-                    if receiver in wire.as_path:
-                        continue
-                    sender_rel = rel_at[(link_id, receiver)]
-                    catalog_applies = catalog is not None and sender_rel is Rel.CUSTOMER
-                    if catalog_applies and catalog.drops_community_updates and wire.communities:
-                        continue
-                    installed = Route(
-                        wire.prefix, wire.as_path, _ingress_lp(te, receiver, sender, sender_rel),
-                        wire.med, wire.communities, link_id, wire.origin_as,
-                    )
-                    if catalog_applies:
-                        annotated = ingress_transform(catalog, installed, rels)
-                        if annotated.lp_override is not None:
-                            annotated = replace(
-                                annotated, route=replace(installed, local_pref=annotated.lp_override)
-                            )
-                    else:
-                        annotated = plain(installed)
-                    rib_in.setdefault(prefix, {})[link_id] = annotated
-
-            local = local_entries[receiver]
-            table: dict[Prefix, AnnotatedRoute] = {}
-            for prefix in set(local) | set(rib_in):
-                best: AnnotatedRoute | None = None
-                for cand in rib_in.get(prefix, {}).values():
-                    if best is None or compare_routes(cand.route, best.route) < 0:
-                        best = cand
-                own = local.get(prefix)
-                if own is not None and (best is None or compare_routes(own.route, best.route) < 0):
-                    best = own
-                if best is not None:
-                    table[prefix] = best
-            if rib_in != adj[receiver]:
-                new_adj[receiver] = rib_in
-                adj_changed = True
-            if table != loc[receiver]:
-                new_loc[receiver] = table
-                loc_changed.append(receiver)
+        # Decision: only for the prefixes whose Adj-RIB-In changed.
+        changed = []
+        for receiver, prefix in touched:
+            best = local_entries[receiver].get(prefix)
+            for cand in adj[receiver].get(prefix, {}).values():
+                if best is None or compare_routes(cand.route, best.route) < 0:
+                    best = cand
+            rib = loc[receiver]
+            if best != rib.get(prefix):
+                if best is None:
+                    del rib[prefix]
+                else:
+                    rib[prefix] = best
+                changed.append((receiver, prefix))
 
         if trace is not None:
-            trace(round_no, ConvergedState(new_adj, new_loc, round_no).dump())
+            trace(round_no, ConvergedState(adj, loc, round_no).dump())
+        if not touched:
+            return ConvergedState(adj, loc, round_no)
 
-        if not adj_changed and not loc_changed:
-            return ConvergedState(new_adj, new_loc, round_no)
-        prev_adj, prev_loc = adj, loc
-        adj, loc = new_adj, new_loc
-        # Round N + 1 reads only round N's Loc-RIBs, so an AS none of whose
-        # neighbors changed its Loc-RIB would rebuild exactly the RIBs it has.
-        dirty = {neighbor for asn in loc_changed for _, neighbor, _ in adjacency.get(asn, ())}
+    # A Loc-RIB entry changes only where its Adj-RIB-In did, so the pairs
+    # still changing are those whose Adj-RIB-In changed in the last round.
+    changing = sorted(touched, key=lambda ap: (ap[0], ap[1].sort_key()))
+    raise OscillationError(tuple(changing), bound)
 
-    changing = _diff_pairs(prev_adj, prev_loc, adj, loc)
-    raise OscillationError(changing, bound)
+
+def _export(
+    t: Topology,
+    ann: Mapping[int, Mapping[tuple[Prefix, str], Advertisement]],
+    exporter: int,
+    entry: AnnotatedRoute | None,
+) -> Iterator[tuple[str, int, Route | None]]:
+    """(link id, neighbor, wire route) for each up link of `exporter`: what
+    it sends for its Loc-RIB entry `entry` of one prefix, or None when it
+    sends nothing there (no entry, no announcement on that link, valley-free
+    export or catalog suppression)."""
+    targets = t.index.adjacency.get(exporter, ())
+    if entry is None:
+        for link_id, neighbor, _rel in targets:
+            yield link_id, neighbor, None
+        return
+    route = entry.route
+    if route.learned_on == LOCAL:
+        own = ann.get(exporter, {})
+        for link_id, neighbor, _rel in targets:
+            ad = own.get((route.prefix, link_id))
+            wire = None
+            if ad is not None:
+                wire = Route(route.prefix, (exporter,), 0, ad.med, ad.communities, LOCAL, exporter)
+            yield link_id, neighbor, wire
+        return
+    catalog = t.catalogs.get(exporter)
+    learned_rel = t.index.rel_at[(route.learned_on, exporter)]
+    # egress_apply output varies only with egress_times, so one wire per
+    # value serves all neighbors
+    wires: dict[int, Route] = {}
+    for link_id, neighbor, rel_neighbor in targets:
+        permitted = export_permitted(learned_rel, rel_neighbor)
+        times = egress_times(entry, neighbor) if permitted else None
+        wire = None
+        if times is not None:
+            wire = wires.get(times)
+            if wire is None:
+                wire = wires[times] = egress_apply(entry, exporter, neighbor, catalog)
+        yield link_id, neighbor, wire
+
+
+def _receive(
+    t: Topology, te: TeConfig, receiver: int, sender: int, link_id: str, wire: Route
+) -> AnnotatedRoute | None:
+    """Ingress on one link: the entry `receiver` installs in its Adj-RIB-In
+    for `wire`, or None when the route loops or its catalog drops the
+    update."""
+    if receiver in wire.as_path:
+        return None
+    sender_rel = t.index.rel_at[(link_id, receiver)]
+    catalog = t.catalogs.get(receiver)
+    catalog_applies = catalog is not None and sender_rel is Rel.CUSTOMER
+    if catalog_applies and catalog.drops_community_updates and wire.communities:
+        return None
+    installed = Route(
+        wire.prefix, wire.as_path, _ingress_lp(te, receiver, sender, sender_rel),
+        wire.med, wire.communities, link_id, wire.origin_as,
+    )
+    if not catalog_applies:
+        return plain(installed)
+    annotated = ingress_transform(catalog, installed, t.index.neighbor_rels.get(receiver, {}))
+    if annotated.lp_override is None:
+        return annotated
+    return replace(annotated, route=replace(installed, local_pref=annotated.lp_override))
 
 
 def _ingress_lp(te: TeConfig, receiver: int, sender: int, sender_rel: Rel) -> int:
@@ -343,16 +360,3 @@ def _ingress_lp(te: TeConfig, receiver: int, sender: int, sender_rel: Rel) -> in
     if table is not None:
         return table
     return default_local_pref(sender_rel)
-
-
-def _diff_pairs(adj1, loc1, adj2, loc2) -> tuple[tuple[int, Prefix], ...]:
-    pairs: set[tuple[int, Prefix]] = set()
-    for asn in set(loc1) | set(loc2):
-        for prefix in set(loc1.get(asn, {})) | set(loc2.get(asn, {})):
-            if loc1.get(asn, {}).get(prefix) != loc2.get(asn, {}).get(prefix):
-                pairs.add((asn, prefix))
-    for asn in set(adj1) | set(adj2):
-        for prefix in set(adj1.get(asn, {})) | set(adj2.get(asn, {})):
-            if adj1.get(asn, {}).get(prefix) != adj2.get(asn, {}).get(prefix):
-                pairs.add((asn, prefix))
-    return tuple(sorted(pairs, key=lambda ap: (ap[0], ap[1].sort_key())))

@@ -300,3 +300,45 @@ def test_out_naming_a_file_exit_1(tmp_path, capsys, argv):
     assert captured.out == ""
     assert "cannot write reports" in single_error_line(captured.err)
     assert taken.read_text() == "keep\n"
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("65001,not-a-prefix,", "malformed row"),
+        ("65001,not-a-prefix,l1", "prefix missing /length"),
+        ("65001,10.1.0.1/16,l1", "host bits set"),
+        ("65001,10.1.0.0/33,l1", "prefix length out of range"),
+        ("65001,10.1.0.0/16,", "malformed row"),
+    ],
+    ids=["seed-repro", "no-length", "host-bits", "length", "empty-link"],
+)
+def test_diff_row_with_bad_prefix_or_empty_link_exit_1(tmp_path, capsys, row, message):
+    # the same bad row in both CSVs: the files agree, but neither is valid
+    csv = f"src_asn,dst_prefix,link\n65002,10.2.0.0/16,l2\n{row}\n"
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "ingress.csv").write_text(csv)
+    assert main(["diff", str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = single_error_line(captured.err)
+    assert str(tmp_path / "a" / "ingress.csv") in err and "line 3," in err and message in err
+
+
+def test_diff_moves_in_asn_then_prefix_order(tmp_path, capsys):
+    # 10.10.0.0/16 sorts after 10.2.0.0/16 by address, before it as text;
+    # AS 10 sorts after AS 9 by number, before it as text
+    keys = ["9,10.10.0.0/16", "10,10.2.0.0/16", "9,10.2.0.0/16", "9,10.0.0.0/8", "10,10.10.0.0/16"]
+    for name, link in (("a", "l1"), ("b", "l2")):
+        (tmp_path / name).mkdir()
+        rows = "".join(f"{key},{link}\n" for key in keys)
+        (tmp_path / name / "ingress.csv").write_text("src_asn,dst_prefix,link\n" + rows)
+    assert main(["diff", str(tmp_path / "a"), str(tmp_path / "b")]) == 5
+    assert capsys.readouterr().out.splitlines() == [
+        "9,10.0.0.0/8,l1,l2",
+        "9,10.2.0.0/16,l1,l2",
+        "9,10.10.0.0/16,l1,l2",
+        "10,10.2.0.0/16,l1,l2",
+        "10,10.10.0.0/16,l1,l2",
+    ]

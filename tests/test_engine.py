@@ -1,17 +1,23 @@
 import random
+from dataclasses import replace
+from functools import cmp_to_key
 from pathlib import Path
 
 import pytest
 
 import gen
 from bgpsteer import (
+    Link,
     OscillationError,
     Prefix,
     TeConfig,
     parse_scenario,
     propagate_to_convergence,
 )
-from bgpsteer.topology import LOCAL
+from bgpsteer.engine import MAX_PREPEND, ConvergedState, _announcement_table
+from bgpsteer.policies import egress_apply, ingress_transform, plain
+from bgpsteer.routes import Route, compare_routes, default_local_pref, export_permitted, local_route
+from bgpsteer.topology import LOCAL, Rel
 
 P1 = Prefix.parse("10.1.0.0/16")
 P2 = Prefix.parse("10.2.0.0/16")
@@ -302,3 +308,162 @@ def test_restricted_runs_match_the_full_run_on_random_cases():
         lp_overrides += bool(te.lp_overrides)
         oscillating += _check_restricted_runs(t, te)
     assert more_specific >= 10 and lp_overrides >= 50 and oscillating >= 1
+
+
+# ---------------------------------------------------------------------------
+# Reference round loop: every AS recomputes everything every round
+# ---------------------------------------------------------------------------
+
+
+def _reference_run(t, te, *, prefixes=None, max_rounds=None):
+    """The synchronous round loop with no change tracking: every round, every
+    AS rebuilds its whole Adj-RIB-In from what each up-link neighbor exports
+    out of its previous-round Loc-RIB, then re-selects every prefix.  Returns
+    the per-round dumps and the converged state or the OscillationError the
+    engine must raise."""
+    ann = _announcement_table(t, te)
+    if prefixes is not None:
+        ann = {o: {k: ad for k, ad in tab.items() if k[0] in prefixes} for o, tab in ann.items()}
+    local = {asn: {} for asn in t.roles}
+    for asn, originated in t.originations.items():
+        for p in originated:
+            if prefixes is None or p in prefixes:
+                local[asn][p] = plain(local_route(p, asn))
+    for origin, table in ann.items():
+        for p, _link_id in table:
+            local[origin].setdefault(p, plain(local_route(p, origin)))
+    rank = cmp_to_key(lambda a, b: compare_routes(a.route, b.route))
+
+    def receive(receiver, link, sender, wire):
+        if receiver in wire.as_path:
+            return None
+        sender_rel = link.rel_from(receiver)
+        catalog = t.catalogs.get(receiver)
+        applies = catalog is not None and sender_rel is Rel.CUSTOMER
+        if applies and catalog.drops_community_updates and wire.communities:
+            return None
+        lp = te.lp_overrides.get((receiver, sender), default_local_pref(sender_rel))
+        installed = Route(
+            wire.prefix, wire.as_path, lp, wire.med, wire.communities, link.id, wire.origin_as
+        )
+        if not applies:
+            return plain(installed)
+        ar = ingress_transform(catalog, installed, t.neighbor_rels(receiver))
+        if ar.lp_override is not None:
+            ar = replace(ar, route=replace(installed, local_pref=ar.lp_override))
+        return ar
+
+    adj = {asn: {} for asn in t.roles}
+    loc = {asn: dict(entries) for asn, entries in local.items()}
+    bound = max_rounds or 2 * len(t.roles) + MAX_PREPEND + 4
+    dumps = []
+    for round_no in range(1, bound + 1):
+        new_adj = {asn: {} for asn in t.roles}
+        for receiver in t.roles:
+            for link in t.up_links_of(receiver):
+                sender = link.other(receiver)
+                for prefix, entry in loc[sender].items():
+                    route = entry.route
+                    if route.learned_on == LOCAL:
+                        ad = ann.get(sender, {}).get((prefix, link.id))
+                        if ad is None:
+                            continue
+                        wire = Route(prefix, (sender,), 0, ad.med, ad.communities, LOCAL, sender)
+                    else:
+                        learned_rel = t.link_by_id(route.learned_on).rel_from(sender)
+                        if not export_permitted(learned_rel, link.rel_from(sender)):
+                            continue
+                        wire = egress_apply(entry, sender, receiver, t.catalogs.get(sender))
+                        if wire is None:
+                            continue
+                    ar = receive(receiver, link, sender, wire)
+                    if ar is not None:
+                        new_adj[receiver].setdefault(prefix, {})[link.id] = ar
+        new_loc = {}
+        for asn in t.roles:
+            table = {}
+            for prefix in set(local[asn]) | set(new_adj[asn]):
+                cands = list(new_adj[asn].get(prefix, {}).values())
+                cands += [local[asn][prefix]] if prefix in local[asn] else []
+                table[prefix] = min(cands, key=rank)
+            new_loc[asn] = table
+        dumps.append(ConvergedState(new_adj, new_loc, round_no).dump())
+        if new_adj == adj and new_loc == loc:
+            return dumps, ConvergedState(new_adj, new_loc, round_no)
+        pairs = {
+            (asn, p)
+            for asn in t.roles
+            for old, new in ((adj[asn], new_adj[asn]), (loc[asn], new_loc[asn]))
+            for p in set(old) | set(new)
+            if old.get(p) != new.get(p)
+        }
+        adj, loc = new_adj, new_loc
+    changing = tuple(sorted(pairs, key=lambda ap: (ap[0], ap[1].sort_key())))
+    return dumps, OscillationError(changing, bound)
+
+
+def _check_against_reference(t, te, *, prefixes=None, max_rounds=None):
+    """The engine against _reference_run: rounds, every per-round trace,
+    the final dump and RIBs, or the oscillation report.  Returns the
+    reference outcome."""
+    want_dumps, want = _reference_run(t, te, prefixes=prefixes, max_rounds=max_rounds)
+    dumps = []
+    try:
+        got = propagate_to_convergence(
+            t, te, prefixes=prefixes, max_rounds=max_rounds, trace=lambda n, d: dumps.append(d)
+        )
+    except OscillationError as exc:
+        got = exc
+    assert dumps == want_dumps
+    assert type(got) is type(want)
+    if isinstance(want, OscillationError):
+        assert (got.rounds, got.changing) == (want.rounds, want.changing)
+    else:
+        assert got.rounds_used == want.rounds_used
+        assert got.dump() == want.dump()
+        assert got.loc_rib == want.loc_rib and got.adj_rib_in == want.adj_rib_in
+    return want
+
+
+def _with_disagree_gadget(rng, t, te):
+    """Two providers of an origin peer and each prefer the other's routes
+    (LP 300), as in oscillate.scn, which makes the run likely to oscillate."""
+    candidates = []
+    for origin in sorted(t.originations):
+        providers = sorted({l.other(origin) for l in t.up_links_of(origin) if l.customer == origin})
+        candidates += [(a, b) for i, a in enumerate(providers) for b in providers[i + 1:]]
+    if not candidates:
+        return t, te
+    a, b = rng.choice(candidates)
+    links = t.links + (Link(f"l{len(t.links) + 1}", a, b, None),)
+    overrides = {**te.lp_overrides, (a, b): 300, (b, a): 300}
+    return replace(t, links=links), TeConfig(te.advertisements, overrides)
+
+
+@pytest.mark.parametrize("path", sorted(Path("scenarios").glob("*.scn")), ids=lambda p: p.stem)
+def test_engine_matches_the_reference_loop_on_goldens(path):
+    s = parse_scenario(path.read_text())
+    _check_against_reference(s.topology, s.te_config)
+
+
+def test_engine_matches_the_reference_loop_on_random_cases():
+    rng = random.Random(307)
+    oscillating = truncated = restricted = more_specific = 0
+    for _ in range(250):
+        t = gen.rand_topology(rng, with_catalogs=rng.random() < 0.6)
+        te = gen.rand_te(rng, t, with_communities=True, with_lp_overrides=True)
+        if rng.random() < 0.3:
+            t, te = _with_disagree_gadget(rng, t, te)
+        originated = {p for ps in t.originations.values() for p in ps}
+        more_specific += any(ad.prefix not in originated for ad in te.advertisements)
+        want = _check_against_reference(t, te)
+        if isinstance(want, OscillationError):
+            oscillating += 1
+        elif want.rounds_used > 1 and rng.random() < 0.3:
+            _check_against_reference(t, te, max_rounds=rng.randrange(1, want.rounds_used))
+            truncated += 1
+        prefixes = sorted(originated | {ad.prefix for ad in te.advertisements}, key=Prefix.sort_key)
+        if prefixes and rng.random() < 0.4:
+            _check_against_reference(t, te, prefixes=rng.sample(prefixes, rng.randint(1, len(prefixes))))
+            restricted += 1
+    assert oscillating >= 5 and truncated >= 30 and restricted >= 50 and more_specific >= 20
