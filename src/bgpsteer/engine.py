@@ -165,25 +165,35 @@ class ConvergedState:
 
     def dump(self) -> str:
         """Canonical text form, sorted, for golden-file comparison."""
+        # Every receiver of one wire route shares its AS-path tuple, so each
+        # distinct path is formatted once.
+        paths: dict[tuple[int, ...], str] = {}
+
+        def route_line(kind: str, r: Route) -> str:
+            path = paths.get(r.as_path)
+            if path is None:
+                path = paths[r.as_path] = r.path_str()
+            med = "-" if r.med is None else r.med
+            comms = "-"
+            if r.communities:
+                comms = ",".join(str(c) for c in sorted(r.communities, key=Community.sort_key))
+            return f"  {kind} path={path} lp={r.local_pref} med={med} from={r.learned_on} comms={comms}"
+
         lines = [f"rounds {self.rounds_used}"]
         for asn in sorted(self.loc_rib):
             lines.append(f"as {asn}")
-            prefixes = set(self.loc_rib[asn]) | set(self.adj_rib_in.get(asn, {}))
-            for p in sorted(prefixes, key=Prefix.sort_key):
+            loc = self.loc_rib[asn]
+            adj = self.adj_rib_in.get(asn, {})
+            for p in sorted(loc.keys() | adj.keys(), key=Prefix.sort_key):
                 lines.append(f" rib {p}")
-                entry = self.loc_rib[asn].get(p)
+                entry = loc.get(p)
                 if entry is not None:
-                    lines.append(f"  best {_route_line(entry.route)}")
-                for link_id in sorted(self.adj_rib_in.get(asn, {}).get(p, {})):
-                    cand = self.adj_rib_in[asn][p][link_id]
-                    lines.append(f"  cand {_route_line(cand.route)}")
-        return "\n".join(lines) + "\n"
-
-
-def _route_line(r: Route) -> str:
-    med = str(r.med) if r.med is not None else "-"
-    comms = ",".join(str(c) for c in sorted(r.communities, key=Community.sort_key)) or "-"
-    return f"path={r.path_str()} lp={r.local_pref} med={med} from={r.learned_on} comms={comms}"
+                    lines.append(route_line("best", entry.route))
+                by_link = adj.get(p, {})
+                for link_id in sorted(by_link):
+                    lines.append(route_line("cand", by_link[link_id].route))
+        lines.append("")
+        return "\n".join(lines)
 
 
 def best_route(s: ConvergedState, asn: int, prefix: Prefix) -> Route | None:

@@ -3,23 +3,25 @@
 Given per-(source AS, destination prefix) ingress-link objectives for a stub
 AS, the planner first screens for structural infeasibility (two objectives on
 one prefix whose candidate routes all funnel through a single upstream AS can
-never be split by prepending), then enumerates advertisement and
-community-attachment action sets in ascending intervention cost until one
-realizes every objective.  Every returned plan is re-checkable from scratch
-with evaluate_plan.
+never be split by prepending), then finds the advertisement and
+community-attachment action set of least intervention cost that realizes
+every objective.  Every returned plan is re-checkable from scratch with
+evaluate_plan.
 
 Inbound TE acts per prefix: an action on one prefix changes no route for a
 prefix that neither covers nor lies inside it.  So the planner splits the
-prefixes into groups closed under containment, judges each candidate group
-by group, and memoises each group's verdict under the candidate's actions on
-that group.  A candidate whose part for a group was seen before costs no
-simulation for that group; a new part costs one run restricted to the
-group's prefixes.  Candidates are still tried in the same order and with the
-same outcome as full re-simulation.
+prefixes into groups closed under containment and searches each group with
+objectives on its own: it generates the group's action sets lazily in
+ascending cost and judges each with one run restricted to the group's
+prefixes.  Groups without objectives keep their baseline routes.  The
+cheapest combination of the groups' satisfying sets that fits the action
+budget is the plan that simulating every candidate in full, in ascending
+cost, would find.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from enum import Enum
@@ -41,6 +43,7 @@ from .flows import (
     diff_ingress,
     entry_link,
     ingress_map,
+    ingress_map_by_prefix,
 )
 from .routes import Community, export_permitted
 from .topology import Prefix, Rel, Topology, require_valid
@@ -457,29 +460,6 @@ def _side_effects(
     return tuple(m for m in moves if m not in demanded)
 
 
-def _candidates(
-    t: Topology, dest: int, atoms: Sequence[Action], max_actions: int
-) -> list[tuple[tuple, tuple[int, ...]]]:
-    """Every set of at most `max_actions` atoms, as (plan_cost, atom indices),
-    in ascending cost; equal costs keep the order of generation (by size,
-    then lexicographically).  `atoms` must be sorted by Action.sort_key, so
-    each index tuple lists its sort keys in plan_cost's order."""
-    weights = [ACTION_WEIGHT[a.kind] for a in atoms]
-    prepends = [_prepend_amount(t, dest, a) for a in atoms]
-    keys = [a.sort_key() for a in atoms]
-    costed: list[tuple[tuple, tuple[int, ...]]] = []
-    for size in range(0, max_actions + 1):
-        for combo in itertools.combinations(range(len(atoms)), size):
-            cost = (
-                sum(weights[i] for i in combo),
-                sum(prepends[i] for i in combo),
-                tuple(keys[i] for i in combo),
-            )
-            costed.append((cost, combo))
-    costed.sort(key=lambda cc: cc[0])
-    return costed
-
-
 def _prefix_groups(t: Topology, objectives: Sequence[Objective]) -> list[frozenset[Prefix]]:
     """Connected components of the containment relation over every AS's
     originated prefixes plus the objective prefixes, ordered by their lowest
@@ -500,40 +480,105 @@ def _prefix_groups(t: Topology, objectives: Sequence[Objective]) -> list[frozens
     return [frozenset(g) for g in groups]
 
 
-def _restrict(state: ConvergedState, prefixes: frozenset[Prefix]) -> ConvergedState:
-    """The state's RIB entries for `prefixes`; the round count stays the
-    whole run's."""
-    return ConvergedState(
-        {
-            asn: {p: by_link for p, by_link in rib.items() if p in prefixes}
-            for asn, rib in state.adj_rib_in.items()
-        },
-        {
-            asn: {p: entry for p, entry in rib.items() if p in prefixes}
-            for asn, rib in state.loc_rib.items()
-        },
-        state.rounds_used,
+class _Parts:
+    """One group's non-empty parts (sets of its atoms) of at most `cap`
+    atoms, generated lazily in ascending cost.
+
+    A part's cost is (total weight, total prepends, its atom indices in
+    ascending order); `atoms` is sorted by Action.sort_key, so costs order
+    parts exactly as plan_cost does.  Over the group's atoms ordered by
+    (weight, prepends, sort key), a part's successors add the atom after
+    its last one, or replace its last atom with that next atom.  Each part
+    has one predecessor, and both steps raise the cost (replacing an atom
+    with a later one raises each position of the sorted index tuple or
+    leaves it), so a heap pops every part once, in ascending cost.  Parts
+    above `cap`, which the caller may lower at any time, are dropped with
+    their successors, which are no smaller."""
+
+    def __init__(
+        self, members: Sequence[int], weights: Sequence[int], prepends: Sequence[int], cap: int
+    ) -> None:
+        self._order = sorted(members, key=lambda i: (weights[i], prepends[i], i))
+        self._weights, self._prepends = weights, prepends
+        self.cap = cap
+        self._heap: list[tuple[tuple, tuple[int, ...]]] = []
+        if self._order and cap >= 1:
+            self._push((0,))
+
+    def _push(self, chosen: tuple[int, ...]) -> None:
+        indices = tuple(sorted(self._order[j] for j in chosen))
+        cost = (
+            sum(self._weights[i] for i in indices),
+            sum(self._prepends[i] for i in indices),
+            indices,
+        )
+        heapq.heappush(self._heap, (cost, chosen))
+
+    def peek(self) -> tuple | None:
+        """The next part's cost, or None when no part is left."""
+        heap = self._heap
+        while heap and len(heap[0][1]) > self.cap:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None
+
+    def pop(self) -> tuple:
+        """The next part's cost; call only after peek returned one."""
+        cost, chosen = heapq.heappop(self._heap)
+        nxt = chosen[-1] + 1
+        if nxt < len(self._order):
+            if len(chosen) < self.cap:
+                self._push(chosen + (nxt,))
+            self._push(chosen[:-1] + (nxt,))
+        return cost
+
+
+def _combined(costs: Sequence[tuple]) -> tuple:
+    """The cost of the union of parts from different groups.  Weights and
+    prepends add up; the atom indices interleave, since Action.sort_key
+    starts with the action kind."""
+    return (
+        sum(c[0] for c in costs),
+        sum(c[1] for c in costs),
+        tuple(sorted(i for c in costs for i in c[2])),
     )
 
 
-def _merge(states: Sequence[ConvergedState]) -> ConvergedState:
-    """One state from restricted states over disjoint prefix sets, with the
-    largest of their round counts."""
-    adj: dict[int, dict] = {}
-    loc: dict[int, dict] = {}
-    for s in states:
-        for asn, rib in s.adj_rib_in.items():
-            adj.setdefault(asn, {}).update(rib)
-        for asn, rib in s.loc_rib.items():
-            loc.setdefault(asn, {}).update(rib)
-    return ConvergedState(adj, loc, max(s.rounds_used for s in states))
+def _cheapest_fit(
+    fronts: Sequence[Sequence[tuple[tuple, ConvergedState]]], max_actions: int
+) -> tuple[tuple, tuple[ConvergedState, ...]] | None:
+    """The cheapest choice of one (cost, state) per group whose parts hold at
+    most `max_actions` atoms together, as (combined cost, states); None when
+    no choice fits."""
+    best = None
+    for choice in itertools.product(*fronts):
+        if sum(len(cost[2]) for cost, _state in choice) > max_actions:
+            continue
+        cost = _combined([c for c, _state in choice])
+        if best is None or cost < best[0]:
+            best = (cost, tuple(state for _cost, state in choice))
+    return best
 
 
-# Per-group verdicts in plan_inbound_te's memo, besides a converged state (the
-# group converges and meets its objectives) and a TeConfig (consistent, not
-# simulated yet).
-_INCONSISTENT = "inconsistent"
-_FAILS = "fails"  # the group oscillates or misses one of its objectives
+def _consistent_sets(t: Topology, dest: int, atoms: Sequence[Action], max_actions: int) -> int:
+    """How many sets of at most `max_actions` atoms te_config_from_actions
+    accepts.  It checks each (prefix, link) key on its own, so this is the
+    convolution, by size, of each key's counts."""
+    by_key: dict[tuple[Prefix, str], list[Action]] = {}
+    for a in atoms:
+        by_key.setdefault((a.prefix, a.link_id), []).append(a)
+    total = [1]  # total[n]: consistent sets of n atoms over the keys so far
+    for key_atoms in by_key.values():
+        counts = [
+            sum(te_config_from_actions(t, dest, combo) is not None
+                for combo in itertools.combinations(key_atoms, n))
+            for n in range(min(len(key_atoms), max_actions) + 1)
+        ]
+        merged = [0] * min(len(total) + len(counts) - 1, max_actions + 1)
+        for i, x in enumerate(total):
+            for j, y in enumerate(counts[: len(merged) - i]):
+                merged[i + j] += x * y
+        total = merged
+    return sum(total)
 
 
 def plan_inbound_te(
@@ -543,18 +588,24 @@ def plan_inbound_te(
     budget: Budget = Budget(),
     lp_overrides: Mapping[tuple[int, int], int] | None = None,
 ) -> Plan | Infeasible | Exhausted:
-    """Try action sets in ascending plan_cost; return the first one whose
-    simulation converges and meets every objective.
+    """The action set of least plan_cost, among those of at most
+    `budget.max_actions` actions, whose simulation converges and meets every
+    objective.
 
-    Each candidate is judged per prefix group (`_prefix_groups`): its actions
-    split by group, and a memo keyed by (group, the group's actions) holds the
-    group's verdict.  Consistency is checked per (prefix, link) key, so a
-    candidate is consistent when every group's part is; it converges when
-    every group's restricted run does, and an objective depends only on its
-    own group's routes.  A memo miss costs one propagation restricted to the
-    group, and the baseline run seeds every group's empty part.  So the
-    result, including Exhausted.candidates_tried (the consistent candidates
-    judged), is that of simulating every candidate in full."""
+    The search works per prefix group (`_prefix_groups`): consistency is
+    checked per (prefix, link) key, each group converges on its own, and an
+    objective depends only on its own group's routes.  So the answer is the
+    cheapest combination of one satisfying part per group.  A group without
+    objectives takes its empty part, which the baseline run has shown to
+    converge.  Each group with objectives judges its parts lazily in
+    ascending cost (`_Parts`), one run restricted to the group per
+    consistent part; the baseline state answers the empty part.  Once a
+    group has a satisfying part, only smaller parts can still help it, and
+    the search stops when no part left, combined with the other groups'
+    cheapest, can beat the cheapest combination that fits the budget.  The
+    result is that of simulating every candidate in full in ascending cost;
+    Exhausted.candidates_tried is the number of consistent candidates, all
+    of which that search would have judged."""
     if budget.max_actions < 0:
         raise PlanningError(f"action budget must be >= 0, got {budget.max_actions}")
     require_valid(t)
@@ -564,69 +615,92 @@ def plan_inbound_te(
         return Infeasible(tuple(witnesses))
 
     lp_overrides = dict(lp_overrides or {})
-    lp_flag = bool(lp_overrides)
     baseline_te = te_config_from_actions(t, dest, [], lp_overrides)
     baseline_state = propagate_to_convergence(t, baseline_te, validate=False)
     baseline_map = ingress_map(baseline_state, t, dest)
 
     groups = _prefix_groups(t, objectives)
     group_of = {p: g for g, prefixes in enumerate(groups) for p in prefixes}
-    goals: list[list[Objective]] = [[] for _ in groups]
+    goals: dict[int, list[Objective]] = {}
     for o in objectives:
-        goals[group_of[o.flow.dst_prefix]].append(o)
-
-    def judge(g: int, state: ConvergedState) -> ConvergedState | str:
-        return state if all(_objective_satisfied(state, t, dest, o) for o in goals[g]) else _FAILS
-
-    memo: dict[tuple[int, tuple[int, ...]], object] = {
-        (g, ()): judge(g, _restrict(baseline_state, prefixes)) for g, prefixes in enumerate(groups)
-    }
+        goals.setdefault(group_of[o.flow.dst_prefix], []).append(o)
     atoms = _build_atoms(t, dest, objectives)
-    atom_group = [group_of[a.prefix] for a in atoms]
+    weights = [ACTION_WEIGHT[a.kind] for a in atoms]
+    prepends = [_prepend_amount(t, dest, a) for a in atoms]
 
-    def checked(key: tuple[int, tuple[int, ...]]) -> object:
-        """The memo entry, once the part's consistency is known."""
-        verdict = memo.get(key)
-        if verdict is None:
-            te = te_config_from_actions(t, dest, [atoms[i] for i in key[1]], lp_overrides)
-            verdict = memo[key] = _INCONSISTENT if te is None else te
-        return verdict
+    def satisfies(g: int, state: ConvergedState) -> bool:
+        return all(_objective_satisfied(state, t, dest, o) for o in goals[g])
 
-    def simulated(key: tuple[int, tuple[int, ...]]) -> object:
-        """The memo entry of a consistent part, once its group is simulated."""
-        verdict = memo[key]
-        if isinstance(verdict, TeConfig):
-            g = key[0]
-            try:
-                state = propagate_to_convergence(t, verdict, prefixes=groups[g], validate=False)
-            except OscillationError:
-                verdict = _FAILS
-            else:
-                verdict = judge(g, state)
-            memo[key] = verdict
-        return verdict
+    def judge(g: int, indices: tuple[int, ...]) -> ConvergedState | None:
+        """The group's state when the part is consistent, converges and
+        meets the group's objectives, else None."""
+        te = te_config_from_actions(t, dest, [atoms[i] for i in indices], lp_overrides)
+        if te is None:
+            return None
+        try:
+            state = propagate_to_convergence(t, te, prefixes=groups[g], validate=False)
+        except OscillationError:
+            return None
+        return state if satisfies(g, state) else None
 
-    tried = 0
-    for _cost, combo in _candidates(t, dest, atoms, budget.max_actions):
-        parts: list[list[int]] = [[] for _ in groups]
-        for i in combo:
-            parts[atom_group[i]].append(i)
-        keys = [(g, tuple(part)) for g, part in enumerate(parts)]
-        if any(checked(key) is _INCONSISTENT for key in keys):
-            continue
-        tried += 1
-        states: list[ConvergedState] = []
-        for key in keys:
-            verdict = simulated(key)
-            if verdict is _FAILS:
-                break
-            states.append(verdict)
-        else:
-            predicted = ingress_map(_merge(states), t, dest)
-            actions = tuple(atoms[i] for i in combo)
-            side = _side_effects(t, dest, objectives, baseline_map, predicted)
-            return Plan(actions, predicted, side, lp_flag)
-    return Exhausted(tried, budget.max_actions)
+    # Per group with objectives, its satisfying parts found so far as
+    # (cost, state): ascending cost, descending size.
+    fronts = {
+        g: [((0, 0, ()), baseline_state)] if satisfies(g, baseline_state) else [] for g in goals
+    }
+    unmet = [g for g in goals if not fronts[g]]
+    # Every other unmet group needs at least one action.
+    cap = budget.max_actions - len(unmet) + 1
+    queues = {
+        g: _Parts([i for i, a in enumerate(atoms) if group_of[a.prefix] == g], weights, prepends, cap)
+        for g in unmet
+    }
+    best = _cheapest_fit(list(fronts.values()), budget.max_actions)
+    while True:
+        upcoming = {g: cost for g, q in queues.items() if (cost := q.peek()) is not None}
+        if not upcoming or any(not fronts[g] and g not in upcoming for g in unmet):
+            break  # nothing left to judge, or a group that can no longer be met
+        # The cheapest cost each group can still contribute.
+        lower = {g: front[0][0] if front else upcoming[g] for g, front in fronts.items()}
+        bounds = {
+            g: _combined([cost] + [lower[h] for h in goals if h != g])
+            for g, cost in upcoming.items()
+        }
+        # Groups with no satisfying part yet go first: each must find one.
+        g = min(upcoming, key=lambda g: (bool(fronts[g]), bounds[g]))
+        if best is not None and bounds[g] >= best[0]:
+            break
+        cost = queues[g].pop()
+        state = judge(g, cost[2])
+        if state is not None:
+            fronts[g].append((cost, state))
+            queues[g].cap = len(cost[2]) - 1
+            best = _cheapest_fit(list(fronts.values()), budget.max_actions)
+
+    if best is None:
+        return Exhausted(_consistent_sets(t, dest, atoms, budget.max_actions), budget.max_actions)
+    cost, states = best
+    state_of = dict(zip(fronts, states))
+    predicted = ingress_map_by_prefix(
+        lambda p: state_of.get(group_of[p], baseline_state), t, dest
+    )
+    side = _side_effects(t, dest, objectives, baseline_map, predicted)
+    return Plan(tuple(atoms[i] for i in cost[2]), predicted, side, bool(lp_overrides))
+
+
+def _baseline_map(
+    t: Topology, dest: int, lp_overrides: Mapping[tuple[int, int], int] | None
+) -> IngressMap:
+    """The ingress map of the empty action set, simulated once per topology,
+    destination and LP-override table and kept in the topology's memo.  It
+    never reads the planner's own baseline, so a re-check stays
+    independent."""
+    key = ("evaluate_plan baseline", dest, frozenset((lp_overrides or {}).items()))
+    found = t.memo.get(key)
+    if found is None:
+        te = te_config_from_actions(t, dest, [], lp_overrides)
+        found = t.memo[key] = ingress_map(propagate_to_convergence(t, te, validate=False), t, dest)
+    return found
 
 
 def evaluate_plan(
@@ -645,8 +719,6 @@ def evaluate_plan(
         raise PlanningError("plan contains invalid action references")
     state = propagate_to_convergence(t, te, validate=False)
     satisfied = tuple(_objective_satisfied(state, t, dest, o) for o in objectives)
-    baseline_te = te_config_from_actions(t, dest, [], lp_overrides)
-    baseline_map = ingress_map(propagate_to_convergence(t, baseline_te, validate=False), t, dest)
     new_map = ingress_map(state, t, dest)
-    side = _side_effects(t, dest, objectives, baseline_map, new_map)
+    side = _side_effects(t, dest, objectives, _baseline_map(t, dest, lp_overrides), new_map)
     return EvaluationReport(satisfied, side, state.rounds_used)

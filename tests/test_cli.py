@@ -1,3 +1,4 @@
+import time
 from pathlib import Path
 
 import pytest
@@ -109,6 +110,46 @@ def test_plan_exhausted_exit_4(tmp_path, capsys):
     assert code == 4
     assert "exhausted" in capsys.readouterr().out
     assert (tmp_path / "o" / "plan.txt").read_text().startswith("status exhausted ")
+
+
+ONE_ATOM = (
+    "as 65001 stub\nas 100 transit\nas 65101 stub\n"
+    "link l1 65001 100 c2p\nlink l2 65101 100 c2p\n"
+    "originate 65001 10.1.0.0/16\n"
+    "objective 65001 65101 10.1.0.0/16 l1\n"
+)
+# 65101 reaches 65001 only through 100, so no action moves it to l2: two
+# atoms (withhold on l1, withhold on l2), four consistent action sets.
+TWO_ATOMS_UNMET = (
+    "as 65001 stub\nas 100 transit\nas 200 transit\nas 65101 stub\n"
+    "link l1 65001 100 c2p\nlink l2 65001 200 c2p\nlink l3 65101 100 c2p\n"
+    "originate 65001 10.1.0.0/16\n"
+    "objective 65001 65101 10.1.0.0/16 l2\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, code", [(ONE_ATOM, 0), (TWO_ATOMS_UNMET, 4)], ids=["plan", "exhausted"]
+)
+def test_plan_huge_budget_costs_what_the_atoms_allow(tmp_path, capsys, text, code):
+    # The search is bounded by the atom count, not by the budget: a budget
+    # of a billion reports what a budget of 3 reports, at once.
+    scn = tmp_path / "s.scn"
+    scn.write_text(text)
+    reports = []
+    for budget in ("3", "1000000000"):
+        out = tmp_path / budget
+        started = time.perf_counter()
+        assert main(["plan", "--scenario", str(scn), "--out", str(out), "--budget-actions", budget]) == code
+        assert time.perf_counter() - started < 5.0
+        reports.append((out / "plan.txt").read_text())
+    small, huge = reports
+    if code == 0:
+        assert small == huge
+    else:
+        assert small == "status exhausted tried=4 max-actions=3\n"
+        assert huge == "status exhausted tried=4 max-actions=1000000000\n"
+    capsys.readouterr()
 
 
 def test_diff_identical_dirs_exit_0(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import gen
+from bgpsteer import planner
 from bgpsteer import (
     Action,
     ActionKind,
@@ -30,9 +32,13 @@ from bgpsteer import (
     te_config_from_actions,
 )
 from bgpsteer.planner import (
+    ACTION_WEIGHT,
     _build_atoms,
-    _candidates,
+    _consistent_sets,
     _objective_satisfied,
+    _Parts,
+    _prefix_groups,
+    _prepend_amount,
     _side_effects,
     plan_cost,
 )
@@ -275,7 +281,7 @@ def test_random_planner_vs_exhaustive_sample():
 
 
 # ---------------------------------------------------------------------------
-# The per-group memo against full re-simulation of every candidate
+# The per-group search against full re-simulation of every candidate
 # ---------------------------------------------------------------------------
 
 COVER = Prefix.parse("10.0.0.0/8")
@@ -400,6 +406,181 @@ def test_withheld_prefix_falls_back_to_the_destination_cover():
     assert [str(a) for a in got.actions] == ["withhold 10.0.0.0/8 l2", "withhold 10.2.0.0/16 l2"]
 
 
+# ---------------------------------------------------------------------------
+# Search cost, tight budgets, computed counts and the evaluate_plan cache
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "name, limit",
+    [("dualprovider_destprefix_objectives", 100), ("dualprovider_sourceasn_objectives", 120)],
+)
+def test_planner_propagations_on_the_36_atom_goldens(monkeypatch, name, limit):
+    # Each group with objectives judges its own parts in ascending cost and
+    # stops at its cheapest satisfying one.
+    calls = []
+    real = planner.propagate_to_convergence
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("prefixes"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(planner, "propagate_to_convergence", counted)
+    s = load(f"scenarios/{name}.scn")
+    assert isinstance(plan_inbound_te(s.topology, 65001, s.objectives), Plan)
+    assert len(calls) <= limit
+    assert calls[0] is None and all(prefixes is not None for prefixes in calls[1:])
+
+
+P3 = Prefix.parse("10.3.0.0/16")
+
+
+def rand_three_group_instance(rng):
+    """A five-AS planning instance from gen whose destination originates
+    three unrelated prefixes, two of which carry objectives.  When a loose
+    budget finds a plan, the budget is one action short of it; `split` says
+    whether that plan acts on both groups, so that the cheapest part of one
+    no longer combines with the other's."""
+    t, dest, _objectives, _budget = gen.rand_planning_instance(rng)
+    t = Topology(t.roles, t.links, {dest: frozenset({P1, P2, P3})}, t.catalogs)
+    sources = [a for a in t.ases() if a != dest and t.roles[a] == "stub"]
+    objectives = []
+    for prefix in rng.sample([P1, P2, P3], 2):
+        for _ in range(rng.randint(1, 2)):
+            src = rng.choice(sources + [None])
+            objectives.append(Objective(Flow(None, src, prefix, dest), rng.choice(["l1", "l2"])))
+    budget, split = Budget(max_actions=2), False
+    if gen.instance_is_plannable(t, dest, objectives):
+        loose = plan_inbound_te(t, dest, objectives, Budget(max_actions=4))
+        if isinstance(loose, Plan) and loose.actions:
+            budget = Budget(max_actions=len(loose.actions) - 1)
+            split = len({a.prefix for a in loose.actions}) == 2
+    return t, dest, objectives, budget, split
+
+
+def test_three_groups_under_tight_budgets_match_full_resimulation():
+    rng = random.Random(6161)
+    kinds = dict.fromkeys(["plan", "exhausted", "split plan cut short"], 0)
+    for _ in range(60):
+        t, dest, objectives, budget, split = rand_three_group_instance(rng)
+        if not gen.instance_is_plannable(t, dest, objectives):
+            continue
+        expected, _oscillating = reference_plan(t, dest, objectives, budget, {})
+        got = plan_inbound_te(t, dest, objectives, budget)
+        assert got == expected
+        if isinstance(expected, Plan):
+            assert got.predicted_map.to_csv() == expected.predicted_map.to_csv()
+            kinds["plan"] += 1
+        elif isinstance(expected, Exhausted):
+            assert got.candidates_tried == expected.candidates_tried
+            kinds["exhausted"] += 1
+        kinds["split plan cut short"] += split
+    assert all(n >= 3 for n in kinds.values()), kinds
+
+
+def test_tight_budget_trades_a_cheaper_part_for_a_smaller_one():
+    # Three links to one provider: pushing 65101 onto l3 takes a MED on l1
+    # and on l2 (cost 2), or, for the /17, one more-specific on l3 (cost 2,
+    # but it sorts after the MEDs).  192.168.0.0/16 is a third group without
+    # objectives.  Budget 4 takes both groups' cheapest parts; budget 3 must
+    # take the /17's larger-cost single action; budget 2 cannot meet both.
+    s = parse_scenario(
+        "as 65001 stub\nas 100 transit\nas 65101 stub\n"
+        "link l1 65001 100 c2p\nlink l2 65001 100 c2p\nlink l3 65001 100 c2p\n"
+        "link l4 65101 100 c2p\n"
+        "originate 65001 10.1.0.0/16\noriginate 65001 10.2.0.0/16\n"
+        "originate 65101 192.168.0.0/16\n"
+        "objective 65001 65101 10.1.128.0/17 l3\nobjective 65001 65101 10.2.0.0/16 l3\n"
+    )
+    results = {}
+    for n in (2, 3, 4):
+        expected, _ = reference_plan(s.topology, 65001, s.objectives, Budget(n), {})
+        got = results[n] = plan_inbound_te(s.topology, 65001, s.objectives, Budget(n))
+        assert got == expected
+    assert isinstance(results[2], Exhausted)
+    assert [str(a) for a in results[3].actions] == [
+        "set-med 10.2.0.0/16 l1 10",
+        "set-med 10.2.0.0/16 l2 10",
+        "advertise-more-specific 10.1.128.0/17 l3",
+    ]
+    assert [str(a) for a in results[4].actions] == [
+        "set-med 10.1.0.0/16 l1 10",
+        "set-med 10.1.0.0/16 l2 10",
+        "set-med 10.2.0.0/16 l1 10",
+        "set-med 10.2.0.0/16 l2 10",
+    ]
+
+
+def brute_force_consistent_counts(t, dest, atoms, max_actions):
+    """Consistent action sets of at most n atoms, for n = 0..max_actions."""
+    counts, total = [], 0
+    for n in range(max_actions + 1):
+        total += sum(
+            te_config_from_actions(t, dest, combo) is not None
+            for combo in itertools.combinations(atoms, n)
+        )
+        counts.append(total)
+    return counts
+
+
+def test_candidates_tried_counts_every_consistent_action_set():
+    cases = [load(p) for p in OBJECTIVE_GOLDENS if "dualprovider" not in p.stem]
+    cases = [(s.topology, s.objectives[0].flow.dst_asn, s.objectives) for s in cases]
+    rng = random.Random(77)
+    while len(cases) < 15:
+        t, dest, objectives, _budget, _lp = rand_grouped_instance(rng)
+        if gen.instance_is_plannable(t, dest, objectives):
+            cases.append((t, dest, objectives))
+    for t, dest, objectives in cases:
+        atoms = _build_atoms(t, dest, objectives)
+        expected = brute_force_consistent_counts(t, dest, atoms, 3)
+        assert [_consistent_sets(t, dest, atoms, n) for n in range(4)] == expected
+    # ... and through the planner: a budget of 1 is too small here.
+    s = load("scenarios/dualprovider_sourceasn_objectives.scn")
+    result = plan_inbound_te(s.topology, 65001, s.objectives, Budget(max_actions=1))
+    atoms = _build_atoms(s.topology, 65001, s.objectives)
+    assert result.candidates_tried == brute_force_consistent_counts(s.topology, 65001, atoms, 1)[1]
+
+
+def test_evaluate_plan_baseline_cache(monkeypatch):
+    rng = random.Random(90005)  # the 9g suite's instances
+    plans = 0
+    while plans < 40:
+        t, dest, objectives, budget = gen.rand_planning_instance(rng)
+        if not gen.instance_is_plannable(t, dest, objectives):
+            continue
+        plan = plan_inbound_te(t, dest, objectives, budget)
+        if not isinstance(plan, Plan):
+            continue
+        plans += 1
+        uncached = evaluate_plan(dataclasses.replace(t), dest, plan, objectives)
+        assert evaluate_plan(t, dest, plan, objectives) == uncached
+        assert evaluate_plan(t, dest, plan, objectives) == uncached
+
+    s = load("scenarios/deep_objectives.scn")
+    twin = parse_scenario(Path("scenarios/deep_objectives.scn").read_text())
+    assert twin.topology == s.topology and twin.topology is not s.topology
+    plan = plan_inbound_te(s.topology, 65001, s.objectives)
+    overrides = {(65101, 400): 300}
+    fresh = evaluate_plan(dataclasses.replace(s.topology), 65001, plan, s.objectives, overrides)
+    calls = []
+    real = planner.propagate_to_convergence
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(planner, "propagate_to_convergence", counted)
+    first = evaluate_plan(s.topology, 65001, plan, s.objectives)
+    assert len(calls) == 2  # the plan and the baseline
+    assert evaluate_plan(s.topology, 65001, plan, s.objectives) == first
+    assert len(calls) == 3  # the baseline came from the cache
+    assert evaluate_plan(twin.topology, 65001, plan, s.objectives) == first
+    assert len(calls) == 5  # an equal topology keeps its own cache
+    assert evaluate_plan(s.topology, 65001, plan, s.objectives, overrides) == fresh
+    assert len(calls) == 7  # other LP overrides miss the cache
+
+
 OBJECTIVE_GOLDENS = sorted(
     p for p in Path("scenarios").glob("*.scn") if "\nobjective " in p.read_text()
 )
@@ -407,11 +588,24 @@ OBJECTIVE_GOLDENS = sorted(
 
 @pytest.mark.parametrize("path", OBJECTIVE_GOLDENS, ids=lambda p: p.stem)
 def test_enumeration_costs_equal_plan_cost(path):
+    # Each group's lazily generated parts: every non-empty set of the
+    # group's atoms up to the budget, once each, in ascending plan_cost.
     s = load(path)
     dest = s.objectives[0].flow.dst_asn
     atoms = _build_atoms(s.topology, dest, s.objectives)
-    costed = _candidates(s.topology, dest, atoms, Budget().max_actions)
-    assert len(costed) == sum(math.comb(len(atoms), k) for k in range(Budget().max_actions + 1))
-    for cost, combo in costed:
-        assert cost == plan_cost(s.topology, dest, [atoms[i] for i in combo])
-    assert [cost for cost, _ in costed] == sorted(cost for cost, _ in costed)
+    weights = [ACTION_WEIGHT[a.kind] for a in atoms]
+    prepends = [_prepend_amount(s.topology, dest, a) for a in atoms]
+    budget = Budget().max_actions
+    for group in _prefix_groups(s.topology, s.objectives):
+        members = [i for i, a in enumerate(atoms) if a.prefix in group]
+        parts = _Parts(members, weights, prepends, budget)
+        costed = []
+        while parts.peek() is not None:
+            costed.append(parts.pop())
+        assert len(costed) == sum(math.comb(len(members), k) for k in range(1, budget + 1))
+        assert len(set(costed)) == len(costed)
+        for weight, prepend, indices in costed:
+            assert set(indices) <= set(members)
+            expected = plan_cost(s.topology, dest, [atoms[i] for i in indices])
+            assert (weight, prepend, tuple(atoms[i].sort_key() for i in indices)) == expected
+        assert costed == sorted(costed)
