@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .engine import ConvergedState
 from .topology import LOCAL, Prefix, Topology
@@ -152,19 +152,10 @@ class IngressMap:
 
 
 def ingress_map(s: ConvergedState, t: Topology, dest: int) -> IngressMap:
-    return ingress_map_by_prefix(lambda prefix: s, t, dest)
-
-
-def ingress_map_by_prefix(
-    state_of: Callable[[Prefix], ConvergedState], t: Topology, dest: int
-) -> IngressMap:
-    """The ingress map with each destination prefix's entries read from its
-    own state, `state_of(prefix)`: for states of runs restricted to disjoint
-    groups of prefixes, each closed under containment."""
     prefixes = sorted(t.originated_by(dest), key=Prefix.sort_key)
     if not prefixes:
         raise ValueError(f"AS {dest} originates nothing")
-    tables = [(prefix, ForwardingTable(state_of(prefix), t, prefix)) for prefix in prefixes]
+    tables = [(prefix, ForwardingTable(s, t, prefix)) for prefix in prefixes]
     entries: dict[tuple[int, Prefix], str] = {}
     for src in t.ases():
         if src == dest:

@@ -43,7 +43,6 @@ from .flows import (
     diff_ingress,
     entry_link,
     ingress_map,
-    ingress_map_by_prefix,
 )
 from .routes import Community, export_permitted
 from .topology import Prefix, Rel, Topology, require_valid
@@ -680,27 +679,18 @@ def plan_inbound_te(
     if best is None:
         return Exhausted(_consistent_sets(t, dest, atoms, budget.max_actions), budget.max_actions)
     cost, states = best
-    state_of = dict(zip(fronts, states))
-    predicted = ingress_map_by_prefix(
-        lambda p: state_of.get(group_of[p], baseline_state), t, dest
+    # Each destination prefix's entries come from its own group's run; a
+    # prefix's forwarding reads only its group's routes.
+    maps = {
+        g: baseline_map if state is baseline_state else ingress_map(state, t, dest)
+        for g, state in zip(fronts, states)
+    }
+    predicted = IngressMap(
+        dest,
+        {key: maps.get(group_of[key[1]], baseline_map).entries[key] for key in baseline_map.entries},
     )
     side = _side_effects(t, dest, objectives, baseline_map, predicted)
     return Plan(tuple(atoms[i] for i in cost[2]), predicted, side, bool(lp_overrides))
-
-
-def _baseline_map(
-    t: Topology, dest: int, lp_overrides: Mapping[tuple[int, int], int] | None
-) -> IngressMap:
-    """The ingress map of the empty action set, simulated once per topology,
-    destination and LP-override table and kept in the topology's memo.  It
-    never reads the planner's own baseline, so a re-check stays
-    independent."""
-    key = ("evaluate_plan baseline", dest, frozenset((lp_overrides or {}).items()))
-    found = t.memo.get(key)
-    if found is None:
-        te = te_config_from_actions(t, dest, [], lp_overrides)
-        found = t.memo[key] = ingress_map(propagate_to_convergence(t, te, validate=False), t, dest)
-    return found
 
 
 def evaluate_plan(
@@ -719,6 +709,8 @@ def evaluate_plan(
         raise PlanningError("plan contains invalid action references")
     state = propagate_to_convergence(t, te, validate=False)
     satisfied = tuple(_objective_satisfied(state, t, dest, o) for o in objectives)
+    baseline_te = te_config_from_actions(t, dest, [], lp_overrides)
+    baseline_map = ingress_map(propagate_to_convergence(t, baseline_te, validate=False), t, dest)
     new_map = ingress_map(state, t, dest)
-    side = _side_effects(t, dest, objectives, _baseline_map(t, dest, lp_overrides), new_map)
+    side = _side_effects(t, dest, objectives, baseline_map, new_map)
     return EvaluationReport(satisfied, side, state.rounds_used)

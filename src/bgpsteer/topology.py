@@ -220,13 +220,6 @@ class Topology:
         topology never changes."""
         return TopologyIndex.build(self.links)
 
-    @cached_property
-    def memo(self) -> dict:
-        """Results derived from this topology, kept by the modules that
-        compute them under keys of their own.  Like `index`, they stay
-        valid for the topology's lifetime, since it never changes."""
-        return {}
-
     def ases(self) -> list[int]:
         return sorted(self.roles)
 

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import random
@@ -407,7 +406,7 @@ def test_withheld_prefix_falls_back_to_the_destination_cover():
 
 
 # ---------------------------------------------------------------------------
-# Search cost, tight budgets, computed counts and the evaluate_plan cache
+# Search cost, tight budgets and computed counts
 # ---------------------------------------------------------------------------
 
 
@@ -540,45 +539,6 @@ def test_candidates_tried_counts_every_consistent_action_set():
     result = plan_inbound_te(s.topology, 65001, s.objectives, Budget(max_actions=1))
     atoms = _build_atoms(s.topology, 65001, s.objectives)
     assert result.candidates_tried == brute_force_consistent_counts(s.topology, 65001, atoms, 1)[1]
-
-
-def test_evaluate_plan_baseline_cache(monkeypatch):
-    rng = random.Random(90005)  # the 9g suite's instances
-    plans = 0
-    while plans < 40:
-        t, dest, objectives, budget = gen.rand_planning_instance(rng)
-        if not gen.instance_is_plannable(t, dest, objectives):
-            continue
-        plan = plan_inbound_te(t, dest, objectives, budget)
-        if not isinstance(plan, Plan):
-            continue
-        plans += 1
-        uncached = evaluate_plan(dataclasses.replace(t), dest, plan, objectives)
-        assert evaluate_plan(t, dest, plan, objectives) == uncached
-        assert evaluate_plan(t, dest, plan, objectives) == uncached
-
-    s = load("scenarios/deep_objectives.scn")
-    twin = parse_scenario(Path("scenarios/deep_objectives.scn").read_text())
-    assert twin.topology == s.topology and twin.topology is not s.topology
-    plan = plan_inbound_te(s.topology, 65001, s.objectives)
-    overrides = {(65101, 400): 300}
-    fresh = evaluate_plan(dataclasses.replace(s.topology), 65001, plan, s.objectives, overrides)
-    calls = []
-    real = planner.propagate_to_convergence
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(planner, "propagate_to_convergence", counted)
-    first = evaluate_plan(s.topology, 65001, plan, s.objectives)
-    assert len(calls) == 2  # the plan and the baseline
-    assert evaluate_plan(s.topology, 65001, plan, s.objectives) == first
-    assert len(calls) == 3  # the baseline came from the cache
-    assert evaluate_plan(twin.topology, 65001, plan, s.objectives) == first
-    assert len(calls) == 5  # an equal topology keeps its own cache
-    assert evaluate_plan(s.topology, 65001, plan, s.objectives, overrides) == fresh
-    assert len(calls) == 7  # other LP overrides miss the cache
 
 
 OBJECTIVE_GOLDENS = sorted(
