@@ -2,11 +2,17 @@
 
 Exit codes:
   0  success (converged / plan found / no diff)
-  1  input error (unreadable file, parse error, bad objectives)
+  1  input error (bad or missing flag, unreadable file, parse error, bad
+     objectives)
   2  no fixed point (oscillation)
   3  objectives structurally infeasible (witnesses printed)
   4  bounded search exhausted without a plan
   5  diff found moved flows
+
+Each command returns 0, 3, 4 or 5, or raises; `main` alone turns an
+`OscillationError` into exit 2 and a `ValueError` (which `ScenarioError`,
+`PlanningError` and `TopologyError` are) into exit 1, each with one `error:`
+line on stderr.  Any other exception is a bug and propagates.
 
 All reports are sorted and timestamp-free, so repeated runs on identical
 inputs are byte-identical.
@@ -15,11 +21,12 @@ inputs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
 from .engine import OscillationError, propagate_to_convergence
-from .flows import ingress_map
+from .flows import ingress_csv, ingress_map, moved_entries
 from .planner import (
     Budget,
     Exhausted,
@@ -30,7 +37,7 @@ from .planner import (
     plan_inbound_te,
 )
 from .scenario import Scenario, ScenarioError, parse_scenario
-from .topology import Prefix, TopologyError, is_number
+from .topology import Prefix, is_number
 
 STATE_FILE = "state.txt"
 INGRESS_FILE = "ingress.csv"
@@ -46,64 +53,34 @@ def _load(path: str) -> Scenario:
     return parse_scenario(text)
 
 
-def _write_reports(args, reports: dict[str, str]) -> Path | None:
+def _write_reports(args, reports: dict[str, str]) -> Path:
     """Create the report directory and write `reports` (file name -> text)
     into it.  Call it only once the reports are ready, so a failed run leaves
-    no directory behind.  None, with an error line printed, when the
-    directory or a report cannot be written (say, `--out` names a file)."""
+    no directory behind.  ValueError when the directory or a report cannot be
+    written (say, `--out` names a file)."""
     out = Path(args.out) if args.out else Path(str(args.scenario) + ".out")
     try:
         out.mkdir(parents=True, exist_ok=True)
         for name, text in reports.items():
             (out / name).write_text(text, encoding="utf-8")
     except OSError as exc:
-        print(f"error: cannot write reports to {out}: {exc}", file=sys.stderr)
-        return None
+        raise ValueError(f"cannot write reports to {out}: {exc}") from exc
     return out
 
 
-def _merged_ingress_csv(state, scenario: Scenario) -> str:
-    rows: list[tuple[int, Prefix, str]] = []
-    for dest in sorted(scenario.topology.originations):
-        if not scenario.topology.originated_by(dest):
-            continue
-        m = ingress_map(state, scenario.topology, dest)
-        for (src, prefix), link in m.entries.items():
-            rows.append((src, prefix, link))
-    lines = ["src_asn,dst_prefix,link"]
-    for src, prefix, link in sorted(rows, key=lambda r: (r[0], r[1].sort_key())):
-        lines.append(f"{src},{prefix},{link}")
-    return "\n".join(lines) + "\n"
-
-
 def cmd_simulate(args) -> int:
-    try:
-        scenario = _load(args.scenario)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    scenario = _load(args.scenario)
     trace = None
     if args.trace:
         def trace(round_no: int, dump: str) -> None:
             sys.stderr.write(f"--- round {round_no} ---\n{dump}")
-    try:
-        state = propagate_to_convergence(
-            scenario.topology,
-            scenario.te_config,
-            max_rounds=args.max_rounds,
-            trace=trace,
-        )
-    except OscillationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (TopologyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    out = _write_reports(
-        args, {STATE_FILE: state.dump(), INGRESS_FILE: _merged_ingress_csv(state, scenario)}
-    )
-    if out is None:
-        return 1
+    t = scenario.topology
+    state = propagate_to_convergence(t, scenario.te_config, max_rounds=args.max_rounds, trace=trace)
+    entries = {}
+    for dest, prefixes in t.originations.items():
+        if prefixes:
+            entries.update(ingress_map(state, t, dest).entries)
+    out = _write_reports(args, {STATE_FILE: state.dump(), INGRESS_FILE: ingress_csv(entries)})
     print(f"converged in {state.rounds_used} rounds; reports in {out}")
     return 0
 
@@ -127,57 +104,29 @@ def _plan_report(scenario: Scenario, dest: int, plan: Plan, report) -> str:
 
 
 def cmd_plan(args) -> int:
-    try:
-        scenario = _load(args.scenario)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    scenario = _load(args.scenario)
     if not scenario.objectives:
-        print("error: scenario contains no objectives", file=sys.stderr)
-        return 1
+        raise PlanningError("scenario contains no objectives")
     dests = {o.flow.dst_asn for o in scenario.objectives}
     if len(dests) != 1:
-        print("error: objectives target more than one destination AS", file=sys.stderr)
-        return 1
+        raise PlanningError("objectives target more than one destination AS")
     dest = dests.pop()
+    lp_overrides = scenario.te_config.lp_overrides
     budget = Budget(max_actions=args.budget_actions)
-    try:
-        result = plan_inbound_te(
-            scenario.topology,
-            dest,
-            scenario.objectives,
-            budget,
-            scenario.te_config.lp_overrides,
-        )
-    except OscillationError as exc:  # the baseline itself has no fixed point
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (PlanningError, TopologyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    result = plan_inbound_te(scenario.topology, dest, scenario.objectives, budget, lp_overrides)
     if isinstance(result, Infeasible):
-        lines = ["status infeasible"]
-        lines += [str(w) for w in result.witnesses]
-        text = "\n".join(lines) + "\n"
-        if _write_reports(args, {PLAN_FILE: text}) is None:
-            return 1
-        print(text, end="")
-        return 3
-    if isinstance(result, Exhausted):
+        text = "\n".join(["status infeasible", *map(str, result.witnesses)]) + "\n"
+        reports, code = {PLAN_FILE: text}, 3
+    elif isinstance(result, Exhausted):
         text = f"status exhausted tried={result.candidates_tried} max-actions={result.max_actions}\n"
-        if _write_reports(args, {PLAN_FILE: text}) is None:
-            return 1
-        print(text, end="")
-        return 4
-    report = evaluate_plan(
-        scenario.topology, dest, result, scenario.objectives, scenario.te_config.lp_overrides
-    )
-    text = _plan_report(scenario, dest, result, report)
-    reports = {PLAN_FILE: text, PREDICTED_FILE: result.predicted_map.to_csv()}
-    if _write_reports(args, reports) is None:
-        return 1
+        reports, code = {PLAN_FILE: text}, 4
+    else:
+        report = evaluate_plan(scenario.topology, dest, result, scenario.objectives, lp_overrides)
+        text = _plan_report(scenario, dest, result, report)
+        reports, code = {PLAN_FILE: text, PREDICTED_FILE: result.predicted_map.to_csv()}, 0
+    _write_reports(args, reports)
     print(text, end="")
-    return 0
+    return code
 
 
 def _read_csv(path: Path) -> dict[tuple[int, Prefix], str]:
@@ -207,26 +156,33 @@ def _read_csv(path: Path) -> dict[tuple[int, Prefix], str]:
 
 
 def cmd_diff(args) -> int:
-    try:
-        base = _read_csv(Path(args.baseline) / INGRESS_FILE)
-        new = _read_csv(Path(args.comparison) / INGRESS_FILE)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if set(base) != set(new):
-        print("error: ingress CSVs cover different scenario keys", file=sys.stderr)
-        return 1
-    moves = []
-    for key in sorted(base, key=lambda k: (k[0], k[1].sort_key())):
-        if base[key] != new[key]:
-            moves.append(f"{key[0]},{key[1]},{base[key]},{new[key]}")
-    for line in moves:
-        print(line)
+    base = _read_csv(Path(args.baseline) / INGRESS_FILE)
+    new = _read_csv(Path(args.comparison) / INGRESS_FILE)
+    moves = moved_entries(base, new)
+    for src, prefix, old, new_link in moves:
+        print(f"{src},{prefix},{old},{new_link}")
     return 5 if moves else 0
 
 
+def _count(text: str) -> int:
+    """A flag's number, read by the scenario files' rule (`is_number`)."""
+    if not is_number(text):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
+class _Parser(argparse.ArgumentParser):
+    """A bad, missing or unknown argument is an input error like any other:
+    raised for `main` to report, not argparse's usage text and exit 2 (which
+    here means oscillation)."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bgpsteer",
         description="AS-level BGP simulation and community-driven inbound traffic engineering",
     )
@@ -235,14 +191,14 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run a scenario to its converged state")
     sim.add_argument("--scenario", required=True, help="scenario file path")
     sim.add_argument("--out", help="report directory (default: <scenario>.out)")
-    sim.add_argument("--max-rounds", type=int, default=None, help="override the round bound")
+    sim.add_argument("--max-rounds", type=_count, default=None, help="override the round bound")
     sim.add_argument("--trace", action="store_true", help="dump per-round RIBs to stderr")
     sim.set_defaults(func=cmd_simulate)
 
     plan = sub.add_parser("plan", help="search community/advertisement actions for the objectives")
     plan.add_argument("--scenario", required=True, help="scenario file with objective records")
     plan.add_argument("--out", help="report directory (default: <scenario>.out)")
-    plan.add_argument("--budget-actions", type=int, default=3, help="max actions per plan")
+    plan.add_argument("--budget-actions", type=_count, default=3, help="max actions per plan")
     plan.set_defaults(func=cmd_plan)
 
     diff = sub.add_parser("diff", help="compare the ingress CSVs of two run directories")
@@ -253,8 +209,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+    except (OscillationError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, OscillationError) else 1
 
 
 if __name__ == "__main__":

@@ -145,10 +145,29 @@ class IngressMap:
     entries: Mapping[tuple[int, Prefix], str]
 
     def to_csv(self) -> str:
-        lines = ["src_asn,dst_prefix,link"]
-        for (src, prefix) in sorted(self.entries, key=lambda k: (k[0], k[1].sort_key())):
-            lines.append(f"{src},{prefix},{self.entries[(src, prefix)]}")
-        return "\n".join(lines) + "\n"
+        return ingress_csv(self.entries)
+
+
+def _row_key(key: tuple[int, Prefix]) -> tuple[int, tuple[int, int]]:
+    return (key[0], key[1].sort_key())
+
+
+def ingress_csv(entries: Mapping[tuple[int, Prefix], str]) -> str:
+    """`src_asn,dst_prefix,link` rows, ordered by source AS and then by prefix
+    address and length."""
+    rows = [f"{src},{prefix},{entries[src, prefix]}" for src, prefix in sorted(entries, key=_row_key)]
+    return "\n".join(["src_asn,dst_prefix,link", *rows]) + "\n"
+
+
+def moved_entries(
+    base: Mapping[tuple[int, Prefix], str], new: Mapping[tuple[int, Prefix], str]
+) -> list[tuple[int, Prefix, str, str]]:
+    """(src, prefix, old link, new link) for each entry whose link changed, in
+    `ingress_csv` row order."""
+    if set(base) != set(new):
+        raise ValueError("ingress maps cover different key sets")
+    keys = sorted(base, key=_row_key)
+    return [(*key, base[key], new[key]) for key in keys if base[key] != new[key]]
 
 
 def ingress_map(s: ConvergedState, t: Topology, dest: int) -> IngressMap:
@@ -171,11 +190,4 @@ def diff_ingress(
     """Entries whose link changed, sorted by (src, prefix)."""
     if base.dest != new.dest:
         raise ValueError("ingress maps are for different destinations")
-    if set(base.entries) != set(new.entries):
-        raise ValueError("ingress maps cover different key sets")
-    moves = []
-    for key in sorted(base.entries, key=lambda k: (k[0], k[1].sort_key())):
-        old_link, new_link = base.entries[key], new.entries[key]
-        if old_link != new_link:
-            moves.append((key[0], key[1], old_link, new_link))
-    return moves
+    return moved_entries(base.entries, new.entries)

@@ -69,7 +69,6 @@ class ActionKind(Enum):
     SET_MED = 1
     ADVERTISE_MORE_SPECIFIC = 2
     WITHHOLD = 3
-    ADVERTISE = 4
 
 
 # Intervention cost per action: attaching a community or a MED value is
@@ -77,7 +76,6 @@ class ActionKind(Enum):
 ACTION_WEIGHT = {
     ActionKind.ATTACH_COMMUNITY: 1,
     ActionKind.SET_MED: 1,
-    ActionKind.ADVERTISE: 1,
     ActionKind.ADVERTISE_MORE_SPECIFIC: 2,
     ActionKind.WITHHOLD: 2,
 }
@@ -94,10 +92,6 @@ class Action:
     @classmethod
     def withhold(cls, prefix: Prefix, link_id: str) -> "Action":
         return cls(ActionKind.WITHHOLD, prefix, link_id)
-
-    @classmethod
-    def advertise(cls, prefix: Prefix, link_id: str) -> "Action":
-        return cls(ActionKind.ADVERTISE, prefix, link_id)
 
     @classmethod
     def advertise_more_specific(cls, prefix: Prefix, link_id: str) -> "Action":
@@ -121,7 +115,6 @@ class Action:
             ActionKind.SET_MED: "set-med",
             ActionKind.ADVERTISE_MORE_SPECIFIC: "advertise-more-specific",
             ActionKind.WITHHOLD: "withhold",
-            ActionKind.ADVERTISE: "advertise",
         }
         parts = [names[self.kind], str(self.prefix), self.link_id]
         if self.community is not None:
@@ -348,7 +341,7 @@ def te_config_from_actions(
         (p, l.id): {"communities": set(), "med": None} for p in origs for l in links
     }
     by_phase = sorted(actions, key=lambda a: (a.kind is not ActionKind.WITHHOLD, a.sort_key()))
-    structural = [a for a in by_phase if a.kind in (ActionKind.WITHHOLD, ActionKind.ADVERTISE, ActionKind.ADVERTISE_MORE_SPECIFIC)]
+    structural = [a for a in by_phase if a.kind in (ActionKind.WITHHOLD, ActionKind.ADVERTISE_MORE_SPECIFIC)]
     attachments = [a for a in by_phase if a.kind in (ActionKind.ATTACH_COMMUNITY, ActionKind.SET_MED)]
     for a in structural:
         if a.link_id not in link_ids:
@@ -358,10 +351,6 @@ def te_config_from_actions(
             if key not in present:
                 return None
             del present[key]
-        elif a.kind is ActionKind.ADVERTISE:
-            if a.prefix not in origs or key in present:
-                return None
-            present[key] = {"communities": set(), "med": None}
         else:  # more specific
             if key in present:
                 return None

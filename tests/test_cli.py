@@ -4,6 +4,9 @@ from pathlib import Path
 import pytest
 
 from bgpsteer.cli import main
+from bgpsteer.engine import OscillationError
+from bgpsteer.scenario import ScenarioError
+from bgpsteer.topology import Prefix, TopologyError
 
 SCN = Path("scenarios")
 
@@ -382,4 +385,83 @@ def test_diff_moves_in_asn_then_prefix_order(tmp_path, capsys):
         "9,10.10.0.0/16,l1,l2",
         "10,10.2.0.0/16,l1,l2",
         "10,10.10.0.0/16,l1,l2",
+    ]
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--budget-actions", "١"), ("--budget-actions", "²"), ("--budget-actions", "1.5"), ("--max-rounds", "x")],
+    ids=["arabic-indic", "superscript", "float", "letters"],
+)
+def test_flag_numbers_are_ascii_digits_exit_1(tmp_path, capsys, flag, value):
+    # flags read numbers by the scenario files' rule: int() alone reads '١' as 1
+    command = "plan" if flag == "--budget-actions" else "simulate"
+    code = main([
+        command, "--scenario", str(SCN / "dualprovider_sourceasn_objectives.scn"),
+        "--out", str(tmp_path / "o"), flag, value,
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in single_error_line(captured.err)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["simulate"], ["plan", "--scenario"], ["diff", "a"], ["frobnicate"], ["simulate", "--bogus"]],
+    ids=["nothing", "no-scenario", "no-value", "one-dir", "unknown-command", "unknown-flag"],
+)
+def test_bad_argv_is_an_input_error_exit_1(tmp_path, capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    single_error_line(captured.err)
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [
+        (ScenarioError("bad record", 3, 1), 1),
+        (TopologyError("invalid topology: dangling link"), 1),
+        (ValueError("bad value"), 1),
+        (OscillationError(((65001, Prefix.parse("10.1.0.0/16")),), 7), 2),
+        (KeyError("a bug"), None),
+    ],
+    ids=["scenario", "topology", "value", "oscillation", "bug"],
+)
+def test_main_alone_maps_exceptions_to_exit_codes(tmp_path, capsys, monkeypatch, exc, code):
+    def propagate(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("bgpsteer.cli.propagate_to_convergence", propagate)
+    argv = ["simulate", "--scenario", str(SCN / "dualprovider_baseline.scn"), "--out", str(tmp_path / "o")]
+    if code is None:  # not an outcome of the contract: a bug shows as a traceback
+        with pytest.raises(KeyError):
+            main(argv)
+    else:
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert single_error_line(captured.err) == f"error: {exc}"
+    assert not (tmp_path / "o").exists()
+
+
+def test_simulate_ingress_csv_covers_every_origin(tmp_path, capsys):
+    # one row per (source AS, prefix) for every originating AS, in one order
+    scn = tmp_path / "two_origins.scn"
+    scn.write_text(
+        "as 3 transit\nas 20 stub\nas 100 stub\n"
+        "link l1 100 3 c2p\nlink l2 20 3 c2p\n"
+        "originate 100 10.10.0.0/16\noriginate 20 10.2.0.0/16\noriginate 20 10.0.0.0/8\n"
+    )
+    assert main(["simulate", "--scenario", str(scn), "--out", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o" / "ingress.csv").read_text().splitlines() == [
+        "src_asn,dst_prefix,link",
+        "3,10.0.0.0/8,l2",
+        "3,10.2.0.0/16,l2",
+        "3,10.10.0.0/16,l1",
+        "20,10.10.0.0/16,l1",
+        "100,10.0.0.0/8,l2",
+        "100,10.2.0.0/16,l2",
     ]

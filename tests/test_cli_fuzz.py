@@ -4,13 +4,19 @@ The golden scenarios and a `simulate` ingress CSV are mutated with a fixed
 seed: truncated lines, missing or duplicated fields, bytes that are not
 UTF-8, out-of-range ASNs and prefix lengths.  Every case runs through the
 in-process `cli.main` (`simulate`, `plan --budget-actions 1`, `diff`) and
-must end with an exit code in 0-5, no exception and at most one `error:`
-line on stderr.  300 cases in all; this module is not one of the timed
+must end with an exit code in 0-5, no exception and no `SystemExit`, and one
+`error:` line on stderr exactly when the code is 1 or 2 (2 only for "no fixed
+point").  The command lines of golden runs are mutated too: a flag dropped,
+a number made into letters, non-ASCII digits, a negative number or a float,
+an unknown flag or subcommand.  Each malformed command line is an input
+error, exit 1.  350 cases in all; this module is not one of the timed
 criterion-9 suites.
 """
 
+import itertools
 import random
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -20,6 +26,7 @@ SCENARIOS = sorted(Path("scenarios").glob("*.scn"))
 WITH_OBJECTIVES = [p for p in SCENARIOS if "\nobjective " in p.read_text()]
 SCENARIO_CASES = 100  # each runs simulate and plan
 CSV_CASES = 100
+ARGV_CASES = 50
 BAD_ASNS = [b"0", b"-1", b"4294967296", b"99999999999999999999", b"65536.1"]
 BAD_PREFIXES = [b"10.1.0.0/33", b"10.1.0.0/-1", b"10.1.0.0/999", b"10.256.0.0/16", b"10.1.0.0"]
 BAD_BYTES = [b"\xff", b"\xc3\x28", b"\xe2\x82", b"\x80abc", b"\xed\xa0\x80"]
@@ -72,12 +79,14 @@ def scenario_cases(paths: list[Path]) -> list[tuple[str, bytes]]:
 def run_cli(argv: list[str], capsys, what: str) -> int:
     try:
         code = main(argv)
-    except Exception as exc:  # a traceback breaks the contract under test
+    except (Exception, SystemExit) as exc:  # a traceback or an argparse exit breaks the contract
         pytest.fail(f"{what}: {' '.join(argv)} raised {exc!r}")
     err = capsys.readouterr().err
     assert code in range(6), (what, code, err)
     assert "Traceback" not in err, (what, err)
-    assert sum(line.startswith("error:") for line in err.splitlines()) <= 1, (what, err)
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == (code in (1, 2)), (what, code, err)
+    assert code != 2 or "no fixed point" in errors[0], (what, err)
     return code
 
 
@@ -106,3 +115,58 @@ def test_fuzzed_ingress_csvs_keep_the_exit_code_contract(tmp_path, capsys):
         pair = [str(base), str(fuzzed)] if rng.random() < 0.5 else [str(fuzzed), str(base)]
         codes.append(run_cli(["diff"] + pair, capsys, f"csv case {n}"))
     assert 1 in codes
+
+
+
+NUMBER_FLAGS = {"simulate": "--max-rounds", "plan": "--budget-actions"}
+BAD_NUMBERS = ["abc", "١", "３", "-1", "1.5"]  # letters, non-ASCII digits, negative, float
+UNKNOWN_FLAGS = ["--bogus", "--rounds", "-z", "--budget-action-count"]
+UNKNOWN_COMMANDS = ["simulat", "run", "PLAN", "", "--scenario"]
+
+
+def mutate_argv(rng: random.Random, argv: list[str], bad_numbers: Iterator[str]) -> tuple[list[str], bool]:
+    """A mutated copy of `argv`, and whether it is malformed.  A bad number is
+    the next of `bad_numbers`, so every kind of them is tried; `diff`, which
+    has no number flag, gets an unknown flag instead."""
+    argv = list(argv)
+    command = argv[0]
+    kind = rng.choice(["drop", "number", "unknown-flag", "unknown-command"])
+    if kind == "drop" and command == "diff":  # one of the two run directories
+        del argv[rng.choice([1, 2])]
+    elif kind == "drop":  # --out stays: without it, reports land next to the golden scenario
+        flag = rng.choice(["--scenario", NUMBER_FLAGS[command]])
+        i = argv.index(flag)
+        del argv[i : i + 2]
+        return argv, flag == "--scenario"
+    elif kind == "number" and command in NUMBER_FLAGS:
+        argv[argv.index(NUMBER_FLAGS[command]) + 1] = next(bad_numbers)
+    elif kind == "unknown-command":
+        argv[0] = rng.choice(UNKNOWN_COMMANDS)
+    else:
+        argv.insert(rng.randrange(len(argv) + 1), rng.choice(UNKNOWN_FLAGS))
+    return argv, True
+
+
+def test_mutated_command_lines_keep_the_exit_code_contract(tmp_path, capsys):
+    runs = [tmp_path / "base", tmp_path / "planned"]
+    for run, name in zip(runs, ("deep_baseline.scn", "deep_planned.scn")):
+        assert main(["simulate", "--scenario", f"scenarios/{name}", "--out", str(run)]) == 0
+    capsys.readouterr()
+    rng = random.Random(7170)
+    bad_numbers = itertools.cycle(BAD_NUMBERS)
+    malformed = 0
+    for n in range(ARGV_CASES):
+        out = str(tmp_path / f"argv{n}")
+        command = rng.choice(["simulate", "plan", "diff"])
+        if command == "simulate":
+            argv = [command, "--scenario", str(rng.choice(SCENARIOS)), "--out", out, "--max-rounds", "50"]
+        elif command == "plan":
+            argv = [command, "--scenario", str(rng.choice(WITH_OBJECTIVES)), "--out", out, "--budget-actions", "1"]
+        else:
+            argv = [command, *map(str, runs)]
+        mutated, bad = mutate_argv(rng, argv, bad_numbers)
+        code = run_cli(mutated, capsys, f"argv case {n}")
+        if bad:
+            assert code == 1, (n, mutated)
+            malformed += 1
+    assert malformed > ARGV_CASES // 2
