@@ -1,7 +1,7 @@
 """Command-line front end: simulate, plan and diff scenario runs.
 
 Exit codes:
-  0  success (converged / plan found / no diff)
+  0  success (converged / plan found / no diff / help printed)
   1  input error (bad or missing flag, unreadable file, parse error, bad
      objectives)
   2  no fixed point (oscillation)
@@ -210,7 +210,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit:
+            # Only the help action exits (`_Parser.error` raises): the help
+            # is on stdout and nothing is left to run.
+            return 0
         return args.func(args)
     except (OscillationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, Collection, Iterator, Mapping
 
+from .policies import PREPEND_MAX as MAX_PREPEND
 from .policies import AnnotatedRoute, egress_apply, egress_times, ingress_transform, plain
 from .routes import (
     COMMUNITY_BUDGET,
@@ -42,10 +43,6 @@ from .routes import (
     local_route,
 )
 from .topology import LOCAL, Prefix, Rel, Topology, require_valid
-
-# Prepend counts are capped at 3, so converged paths stretch at most that far
-# beyond the plain diameter bound.
-MAX_PREPEND = 3
 
 
 class OscillationError(RuntimeError):
@@ -243,6 +240,8 @@ def propagate_to_convergence(
         asn: dict(entries) for asn, entries in local_entries.items()
     }
 
+    # Prepend counts are capped, so converged paths stretch at most that far
+    # beyond the plain diameter bound.
     bound = max_rounds if max_rounds is not None else 2 * len(t.roles) + MAX_PREPEND + 4
     # (AS, prefix) pairs whose Loc-RIB entry changed or vanished last round;
     # round 1 exports every local entry.

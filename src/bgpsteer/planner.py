@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
@@ -64,21 +65,23 @@ class Objective:
 
 
 class ActionKind(Enum):
-    # Enumeration rank doubles as the tie-break order inside a cost class.
-    ATTACH_COMMUNITY = 0
-    SET_MED = 1
-    ADVERTISE_MORE_SPECIFIC = 2
-    WITHHOLD = 3
+    # (rank, weight, phase, report name).  Rank breaks ties inside a cost
+    # class.  Weight is the intervention cost: attaching a community or a MED
+    # value is reversible tuning; withdrawing reachability or inflating
+    # tables costs more.  te_config_from_actions expands kinds by phase.
+    ATTACH_COMMUNITY = (0, 1, 2, "attach-community")
+    SET_MED = (1, 1, 2, "set-med")
+    ADVERTISE_MORE_SPECIFIC = (2, 2, 1, "advertise-more-specific")
+    WITHHOLD = (3, 2, 0, "withhold")
+
+    def __init__(self, rank: int, weight: int, phase: int, report_name: str) -> None:
+        self.rank = rank
+        self.weight = weight
+        self.phase = phase
+        self.report_name = report_name
 
 
-# Intervention cost per action: attaching a community or a MED value is
-# reversible tuning; withdrawing reachability or inflating tables costs more.
-ACTION_WEIGHT = {
-    ActionKind.ATTACH_COMMUNITY: 1,
-    ActionKind.SET_MED: 1,
-    ActionKind.ADVERTISE_MORE_SPECIFIC: 2,
-    ActionKind.WITHHOLD: 2,
-}
+ACTION_WEIGHT = {kind: kind.weight for kind in ActionKind}
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,16 +110,10 @@ class Action:
 
     def sort_key(self) -> tuple:
         extra = str(self.community) if self.community is not None else ""
-        return (self.kind.value, self.prefix.sort_key(), self.link_id, extra, self.med or 0)
+        return (self.kind.rank, self.prefix.sort_key(), self.link_id, extra, self.med or 0)
 
     def __str__(self) -> str:
-        names = {
-            ActionKind.ATTACH_COMMUNITY: "attach-community",
-            ActionKind.SET_MED: "set-med",
-            ActionKind.ADVERTISE_MORE_SPECIFIC: "advertise-more-specific",
-            ActionKind.WITHHOLD: "withhold",
-        }
-        parts = [names[self.kind], str(self.prefix), self.link_id]
+        parts = [self.kind.report_name, str(self.prefix), self.link_id]
         if self.community is not None:
             parts.append(str(self.community))
         if self.med is not None:
@@ -169,14 +166,10 @@ class EvaluationReport:
     rounds_used: int
 
 
-def _stub_sources(t: Topology, dest: int) -> list[int]:
-    return [a for a in t.ases() if a != dest and t.roles[a] == "stub"]
-
-
 def _objective_sources(t: Topology, dest: int, o: Objective) -> list[int]:
     if o.flow.src_asn is not None:
         return [o.flow.src_asn]
-    return _stub_sources(t, dest)
+    return [a for a in t.ases() if a != dest and t.roles[a] == "stub"]
 
 
 def validate_objectives(t: Topology, dest: int, objectives: Sequence[Objective]) -> None:
@@ -300,9 +293,7 @@ def _build_atoms(
 ) -> list[Action]:
     links = sorted(t.up_links_of(dest), key=lambda l: l.id)
     origs = sorted(t.originated_by(dest), key=Prefix.sort_key)
-    provider_links: dict[int, int] = {}
-    for l in links:
-        provider_links[l.other(dest)] = provider_links.get(l.other(dest), 0) + 1
+    provider_links = Counter(l.other(dest) for l in links)
     med_capable = {l.id for l in links if provider_links[l.other(dest)] >= 2}
     atoms: list[Action] = []
     for p in origs:
@@ -332,49 +323,42 @@ def te_config_from_actions(
     lp_overrides: Mapping[tuple[int, int], int] | None = None,
 ) -> TeConfig | None:
     """Expand an action set into an explicit advertisement table, or None when
-    the set is internally inconsistent (e.g. a community attached to a
-    withheld announcement)."""
-    links = sorted(t.up_links_of(dest), key=lambda l: l.id)
-    link_ids = {l.id for l in links}
+    the set is internally inconsistent.  Each originated prefix starts
+    announced plainly on each of dest's up links; then, in ActionKind phase
+    order, withholds remove announcements, more-specifics inside dest's space
+    add them, and communities and MEDs decorate them.  Each action reads one
+    (prefix, link) key, so a set is consistent exactly when each key's
+    actions are: it repeats nothing, names only communities in the provider's
+    catalog, and finds each announcement present or absent as its kind needs."""
+    catalogs = {l.id: t.catalogs.get(l.other(dest)) for l in t.up_links_of(dest)}
     origs = t.originated_by(dest)
-    present: dict[tuple[Prefix, str], dict] = {
-        (p, l.id): {"communities": set(), "med": None} for p in origs for l in links
-    }
-    by_phase = sorted(actions, key=lambda a: (a.kind is not ActionKind.WITHHOLD, a.sort_key()))
-    structural = [a for a in by_phase if a.kind in (ActionKind.WITHHOLD, ActionKind.ADVERTISE_MORE_SPECIFIC)]
-    attachments = [a for a in by_phase if a.kind in (ActionKind.ATTACH_COMMUNITY, ActionKind.SET_MED)]
-    for a in structural:
-        if a.link_id not in link_ids:
-            return None
+    # (prefix, link id) -> [communities, MED] of each announcement.
+    present = {(p, link_id): [set(), None] for p in origs for link_id in catalogs}
+    for a in sorted(actions, key=lambda a: (a.kind.phase, a.sort_key())):
         key = (a.prefix, a.link_id)
         if a.kind is ActionKind.WITHHOLD:
-            if key not in present:
+            if present.pop(key, None) is None:
                 return None
-            del present[key]
-        else:  # more specific
-            if key in present:
+        elif a.kind is ActionKind.ADVERTISE_MORE_SPECIFIC:
+            if a.link_id not in catalogs or key in present:
                 return None
             if not any(a.prefix.is_strict_subprefix_of(p) for p in origs):
                 return None
-            present[key] = {"communities": set(), "med": None}
-    for a in attachments:
-        key = (a.prefix, a.link_id)
-        if key not in present:
+            present[key] = [set(), None]
+        elif key not in present:
             return None
-        if a.kind is ActionKind.ATTACH_COMMUNITY:
-            cat = t.catalogs.get(t.link_by_id(a.link_id).other(dest))
-            if cat is None or a.community not in cat.communities():
+        elif a.kind is ActionKind.ATTACH_COMMUNITY:
+            cat, communities = catalogs[a.link_id], present[key][0]
+            if cat is None or a.community not in cat.communities() or a.community in communities:
                 return None
-            if a.community in present[key]["communities"]:
-                return None
-            present[key]["communities"].add(a.community)
+            communities.add(a.community)
         else:
-            if present[key]["med"] is not None:
+            if present[key][1] is not None:
                 return None
-            present[key]["med"] = a.med
+            present[key][1] = a.med
     ads = tuple(
-        Advertisement(dest, p, link_id, frozenset(attrs["communities"]), attrs["med"])
-        for (p, link_id), attrs in sorted(
+        Advertisement(dest, p, link_id, frozenset(communities), med)
+        for (p, link_id), (communities, med) in sorted(
             present.items(), key=lambda kv: (kv[0][0].sort_key(), kv[0][1])
         )
     )
@@ -400,12 +384,9 @@ def plan_cost(t: Topology, dest: int, actions: Sequence[Action]) -> tuple:
 def _objective_satisfied(
     state: ConvergedState, t: Topology, dest: int, o: Objective
 ) -> bool:
-    sources = _objective_sources(t, dest, o)
-    if not sources:
-        return False
     table = ForwardingTable(state, t, o.flow.dst_prefix)
     any_reachable = False
-    for src in sources:
+    for src in _objective_sources(t, dest, o):
         link = entry_link(t, dest, table.last_link(src))
         if link is None:
             continue
@@ -415,24 +396,6 @@ def _objective_satisfied(
     return any_reachable
 
 
-def _demanded_moves(
-    t: Topology,
-    dest: int,
-    objectives: Sequence[Objective],
-    moves: Sequence[tuple[int, Prefix, str, str]],
-) -> set[tuple[int, Prefix, str, str]]:
-    demanded = set()
-    for move in moves:
-        src, prefix, _old, new = move
-        for o in objectives:
-            if o.flow.dst_prefix != prefix or o.required_link != new:
-                continue
-            if o.flow.src_asn is None or o.flow.src_asn == src:
-                demanded.add(move)
-                break
-    return demanded
-
-
 def _side_effects(
     t: Topology,
     dest: int,
@@ -440,12 +403,19 @@ def _side_effects(
     base: IngressMap,
     new: IngressMap,
 ) -> tuple[tuple[int, Prefix, str, str], ...]:
-    """Moves of stub-source traffic not demanded by any objective.  Transit
-    ASes necessarily co-move with the stubs behind them, so only stub sources
-    are reported."""
-    moves = [m for m in diff_ingress(base, new) if t.roles.get(m[0]) == "stub"]
-    demanded = _demanded_moves(t, dest, objectives, moves)
-    return tuple(m for m in moves if m not in demanded)
+    """Moves of stub-source traffic not demanded by any objective.  A move
+    is demanded by an objective on its prefix that requires its new link, for
+    its source or for every source.  Transit ASes necessarily co-move with
+    the stubs behind them, so only stub sources are reported."""
+    return tuple(
+        (src, prefix, old, link)
+        for src, prefix, old, link in diff_ingress(base, new)
+        if t.roles.get(src) == "stub"
+        and not any(
+            o.flow.dst_prefix == prefix and o.required_link == link and o.flow.src_asn in (None, src)
+            for o in objectives
+        )
+    )
 
 
 def _prefix_groups(t: Topology, objectives: Sequence[Objective]) -> list[frozenset[Prefix]]:

@@ -66,15 +66,11 @@ def _tokenize(text: str) -> list[list[_Token]]:
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         tokens: list[_Token] = []
-        i = 0
-        while i < len(line):
-            if line[i].isspace():
-                i += 1
-                continue
-            start = i
-            while i < len(line) and not line[i].isspace():
-                i += 1
-            tokens.append(_Token(line[start:i], line_no, start + 1))
+        col = 0
+        for word in line.split():
+            col = line.index(word, col)
+            tokens.append(_Token(word, line_no, col + 1))
+            col += len(word)
         if tokens:
             records.append(tokens)
     return records

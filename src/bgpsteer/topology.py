@@ -240,28 +240,16 @@ class Topology:
     def originated_by(self, asn: int) -> frozenset[Prefix]:
         return self.originations.get(asn, frozenset())
 
-    @cached_property
-    def _origins(self) -> tuple[Mapping[tuple[int, int], int], tuple[int, ...]]:
-        """(base, length) of each originated prefix -> its origin (the first
-        origin listed when two claim it), and the originated lengths, longest
-        first.  Built on first use, like `index`."""
-        origins: dict[tuple[int, int], int] = {}
-        for asn, prefixes in self.originations.items():
-            for p in prefixes:
-                origins.setdefault((p.base, p.length), asn)
-        return origins, tuple(sorted({length for _base, length in origins}, reverse=True))
-
     def origin_of(self, prefix: Prefix) -> int | None:
         """AS originating a prefix that covers `prefix`, preferring the longest
-        covering origination.  None when nothing covers it."""
-        origins, lengths = self._origins
-        for length in lengths:
-            if length <= prefix.length:
-                shift = 32 - length
-                asn = origins.get((prefix.base >> shift << shift, length))
-                if asn is not None:
-                    return asn
-        return None
+        covering origination (the first origin listed when two claim it).
+        None when nothing covers it."""
+        best: tuple[int, int] | None = None
+        for asn, prefixes in self.originations.items():
+            for p in prefixes:
+                if p.contains(prefix) and (best is None or p.length > best[0]):
+                    best = (p.length, asn)
+        return None if best is None else best[1]
 
 
 def relationship_between(t: Topology, a: int, b: int) -> set[tuple[str, Rel]]:

@@ -420,6 +420,23 @@ def test_bad_argv_is_an_input_error_exit_1(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, usage",
+    [
+        (["-h"], "usage: bgpsteer "),
+        (["simulate", "--help"], "usage: bgpsteer simulate "),
+        (["plan", "-h"], "usage: bgpsteer plan "),
+        (["diff", "--help"], "usage: bgpsteer diff "),
+    ],
+    ids=["top", "simulate", "plan", "diff"],
+)
+def test_help_prints_usage_to_stdout_exit_0(tmp_path, capsys, argv, usage):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith(usage)
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize(
     "exc, code",
     [
         (ScenarioError("bad record", 3, 1), 1),

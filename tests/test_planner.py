@@ -11,6 +11,7 @@ from bgpsteer import (
     Action,
     ActionKind,
     Budget,
+    Community,
     Exhausted,
     Flow,
     Infeasible,
@@ -201,6 +202,54 @@ def test_te_config_from_actions_rejects_dangling_attachment():
         Action.attach(P2, "l1", s.topology.catalogs[100].communities().__iter__().__next__()),
     ]
     assert te_config_from_actions(s.topology, 65001, actions) is None
+
+
+C100 = Community(100, 50)  # in provider 100's catalog (link l1), not in 200's (l2)
+
+
+@pytest.mark.parametrize(
+    "path, actions",
+    [
+        ("dualprovider_baseline", [Action.withhold(P1, "l9")]),
+        ("failover_morespecific_l1down", [Action.withhold(P1, "l1")]),
+        ("dualprovider_baseline", [Action.withhold(P1, "l1"), Action.withhold(P1, "l1")]),
+        ("dualprovider_baseline", [Action.advertise_more_specific(P1, "l1")]),
+        ("dualprovider_baseline", [Action.advertise_more_specific(Prefix.parse("10.3.0.0/24"), "l1")]),
+        ("dualprovider_baseline", [Action.set_med(P2, "l1", 10), Action.withhold(P2, "l1")]),
+        ("dualprovider_baseline", [Action.attach(P1, "l2", C100)]),
+        ("dualprovider_baseline", [Action.attach(P1, "l1", C100), Action.attach(P1, "l1", C100)]),
+        ("dualprovider_baseline", [Action.set_med(P1, "l1", 10), Action.set_med(P1, "l1", 20)]),
+    ],
+    ids=[
+        "unknown-link", "down-link", "second-withhold", "more-specific-of-an-origination",
+        "more-specific-outside-dest", "med-on-a-withheld-key", "community-off-catalog",
+        "community-twice", "two-meds",
+    ],
+)
+def test_te_config_from_actions_rejects_each_inconsistency(path, actions):
+    t = load(f"scenarios/{path}.scn").topology
+    assert te_config_from_actions(t, 65001, actions) is None
+    # Without its last action the set is consistent.
+    assert te_config_from_actions(t, 65001, actions[:-1]) is not None
+
+
+def test_te_config_from_actions_expands_withholds_then_more_specifics_then_attachments():
+    t = load("scenarios/dualprovider_baseline.scn").topology
+    t = Topology(t.roles, t.links, {65001: t.originated_by(65001) | {COVER}}, t.catalogs)
+    # P1 lies inside the origination COVER, so once withheld on l1 it may be
+    # announced there again as a more-specific, which a community then tags.
+    actions = [
+        Action.attach(P1, "l1", C100),
+        Action.advertise_more_specific(P1, "l1"),
+        Action.withhold(P1, "l1"),
+    ]
+    te = te_config_from_actions(t, 65001, actions)
+    assert te is not None
+    assert [(ad.communities, ad.med) for ad in te.advertisements if (ad.prefix, ad.link_id) == (P1, "l1")] == [
+        (frozenset({C100}), None)
+    ]
+    # Without the withhold, the more-specific finds P1 already announced.
+    assert te_config_from_actions(t, 65001, actions[1:2]) is None
 
 
 def test_te_config_from_actions_explicit_everything():
@@ -569,3 +618,82 @@ def test_enumeration_costs_equal_plan_cost(path):
             expected = plan_cost(s.topology, dest, [atoms[i] for i in indices])
             assert (weight, prepend, tuple(atoms[i].sort_key() for i in indices)) == expected
         assert costed == sorted(costed)
+
+
+def off_atom_actions(t, dest):
+    """Actions _build_atoms never generates: on unknown and down links,
+    more-specifics of originated prefixes and outside dest's space, any
+    catalog's communities and one in none, and a third MED value."""
+    stray = Community(65535, 7)
+    communities = {c for cat in t.catalogs.values() for c in cat.communities()} | {stray}
+    up = sorted(l.id for l in t.up_links_of(dest))
+    down = sorted(l.id for l in t.links if not l.up and dest in l.endpoints())
+    actions = []
+    for p in sorted(t.originated_by(dest), key=Prefix.sort_key):
+        for link_id in up + down + ["no-such-link"]:
+            actions += [Action.withhold(p, link_id), Action.advertise_more_specific(p, link_id)]
+            actions += [Action.set_med(p, link_id, 30)]
+            actions += [Action.attach(p, link_id, c) for c in sorted(communities, key=Community.sort_key)]
+        for link_id in up:
+            actions.append(Action.advertise_more_specific(ELSEWHERE, link_id))
+            if p.length < 32:
+                half = Prefix(p.base, p.length + 1)
+                actions += [Action.advertise_more_specific(half, link_id), Action.set_med(half, link_id, 10)]
+    return actions
+
+
+def per_key_advertisements(t, dest, actions):
+    """te_config_from_actions applied to each (prefix, link) key's actions on
+    their own: None when some key's actions are inconsistent, else the
+    baseline advertisements with each acted-on key's own result in place."""
+    by_key = {}
+    for a in actions:
+        by_key.setdefault((a.prefix, a.link_id), []).append(a)
+    ads = {(ad.prefix, ad.link_id): ad for ad in te_config_from_actions(t, dest, []).advertisements}
+    for key, key_actions in by_key.items():
+        te = te_config_from_actions(t, dest, key_actions)
+        if te is None:
+            return None
+        ads.pop(key, None)
+        ads.update({key: ad for ad in te.advertisements if (ad.prefix, ad.link_id) == key})
+    return tuple(ads[key] for key in sorted(ads, key=lambda k: (k[0].sort_key(), k[1])))
+
+
+def test_te_config_from_actions_checks_each_key_on_its_own():
+    # _consistent_sets counts consistent sets key by key, and the planner's
+    # per-group search relies on the same per-key rule.
+    rng = random.Random(4099)
+    instances = []
+    for path in OBJECTIVE_GOLDENS:
+        s = load(path)
+        instances.append((s.topology, s.objectives[0].flow.dst_asn, s.objectives))
+    while len(instances) < 40:
+        t, dest, objectives, _budget, _lp = rand_grouped_instance(rng)
+        provider = t.link_by_id("l1").other(dest)
+        down = Link(f"l{len(t.links) + 1}", dest, provider, dest, up=False)
+        t = Topology(t.roles, t.links + (down,), t.originations, t.catalogs)
+        instances.append((t, dest, objectives))
+    outcomes = {True: 0, False: 0}
+    for t, dest, objectives in instances:
+        atoms = _build_atoms(t, dest, objectives)
+        pools = []
+        for actions in (atoms, atoms + off_atom_actions(t, dest)):
+            by_key = {}
+            for a in actions:
+                by_key.setdefault((a.prefix, a.link_id), []).append(a)
+            pools.append((by_key, sorted(by_key, key=lambda k: (k[0].sort_key(), k[1]))))
+        for _ in range(150):
+            by_key, keys = rng.choice(pools)
+            actions = [
+                rng.choice(by_key[key])
+                for key in rng.sample(keys, rng.randint(1, min(3, len(keys))))
+                for _ in range(rng.randint(1, 3))
+            ]
+            rng.shuffle(actions)
+            te = te_config_from_actions(t, dest, actions)
+            expected = per_key_advertisements(t, dest, actions)
+            assert (te is None) == (expected is None), actions
+            if te is not None:
+                assert te.advertisements == expected, actions
+            outcomes[te is None] += 1
+    assert min(outcomes.values()) >= 500, outcomes
