@@ -28,7 +28,7 @@ prefixes, and the full run takes as many rounds as the slowest prefix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Collection, Iterator, Mapping
 
 from .policies import PREPEND_MAX as MAX_PREPEND
@@ -204,17 +204,16 @@ def propagate_to_convergence(
     prefixes: Collection[Prefix] | None = None,
     max_rounds: int | None = None,
     trace: Callable[[int, str], None] | None = None,
-    validate: bool = True,
 ) -> ConvergedState:
     """Run synchronous rounds to a fixed point.  With `prefixes`, only those
     prefixes' local routes and announcements enter the run; the round bound
-    still counts every AS."""
+    still counts every AS.  Every run rejects an invalid topology or TE
+    config; a topology is checked only once (`Topology.validation`)."""
     te = te or TeConfig()
     if max_rounds is not None and max_rounds < 1:
         raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
-    if validate:
-        require_valid(t)
-        te.validate(t)
+    require_valid(t)
+    te.validate(t)
 
     ann = _announcement_table(t, te)
     wanted = None if prefixes is None else frozenset(prefixes)
@@ -349,23 +348,12 @@ def _receive(
     catalog_applies = catalog is not None and sender_rel is Rel.CUSTOMER
     if catalog_applies and catalog.drops_community_updates and wire.communities:
         return None
+    # A catalog LP community (ingress_transform) beats the override table.
     installed = Route(
-        wire.prefix, wire.as_path, _ingress_lp(te, receiver, sender, sender_rel),
+        wire.prefix, wire.as_path,
+        te.lp_overrides.get((receiver, sender), default_local_pref(sender_rel)),
         wire.med, wire.communities, link_id, wire.origin_as,
     )
     if not catalog_applies:
         return plain(installed)
-    annotated = ingress_transform(catalog, installed, t.index.neighbor_rels.get(receiver, {}))
-    if annotated.lp_override is None:
-        return annotated
-    return replace(annotated, route=replace(installed, local_pref=annotated.lp_override))
-
-
-def _ingress_lp(te: TeConfig, receiver: int, sender: int, sender_rel: Rel) -> int:
-    """LP at ingress before catalog rules: the AS's own LP-override table,
-    else the relationship default.  A catalog LP community on a customer
-    route (AnnotatedRoute.lp_override, from ingress_transform) beats both."""
-    table = te.lp_overrides.get((receiver, sender))
-    if table is not None:
-        return table
-    return default_local_pref(sender_rel)
+    return ingress_transform(catalog, installed, t.index.neighbor_rels.get(receiver, {}))

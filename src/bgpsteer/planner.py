@@ -574,7 +574,7 @@ def plan_inbound_te(
 
     lp_overrides = dict(lp_overrides or {})
     baseline_te = te_config_from_actions(t, dest, [], lp_overrides)
-    baseline_state = propagate_to_convergence(t, baseline_te, validate=False)
+    baseline_state = propagate_to_convergence(t, baseline_te)
     baseline_map = ingress_map(baseline_state, t, dest)
 
     groups = _prefix_groups(t, objectives)
@@ -596,7 +596,7 @@ def plan_inbound_te(
         if te is None:
             return None
         try:
-            state = propagate_to_convergence(t, te, prefixes=groups[g], validate=False)
+            state = propagate_to_convergence(t, te, prefixes=groups[g])
         except OscillationError:
             return None
         return state if satisfies(g, state) else None
@@ -666,10 +666,10 @@ def evaluate_plan(
     te = te_config_from_actions(t, dest, plan.actions, lp_overrides)
     if te is None:
         raise PlanningError("plan contains invalid action references")
-    state = propagate_to_convergence(t, te, validate=False)
+    state = propagate_to_convergence(t, te)
     satisfied = tuple(_objective_satisfied(state, t, dest, o) for o in objectives)
     baseline_te = te_config_from_actions(t, dest, [], lp_overrides)
-    baseline_map = ingress_map(propagate_to_convergence(t, baseline_te, validate=False), t, dest)
+    baseline_map = ingress_map(propagate_to_convergence(t, baseline_te), t, dest)
     new_map = ingress_map(state, t, dest)
     side = _side_effects(t, dest, objectives, baseline_map, new_map)
     return EvaluationReport(satisfied, side, state.rounds_used)

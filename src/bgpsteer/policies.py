@@ -14,7 +14,7 @@ stripped from the route at the provider's egress.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Mapping, TYPE_CHECKING
 
@@ -161,8 +161,8 @@ def parse_community(text: str) -> Community:
 def ingress_transform(cat: PolicyCatalog, r: Route, neighbors: Mapping[int, Rel]) -> AnnotatedRoute:
     """Apply the owner's catalog to a route received from a customer.
 
-    Unknown communities are inert.  When several LP rules match, the lowest
-    LP wins; when two prepend rules target the same neighbor, the larger
+    Unknown communities are inert.  The lowest matching LP rule sets the
+    route's LP; when two prepend rules target the same neighbor, the larger
     count wins.  Suppression never targets customers.
     """
     lp_override: int | None = None
@@ -178,6 +178,8 @@ def ingress_transform(cat: PolicyCatalog, r: Route, neighbors: Mapping[int, Rel]
             sel, count = cat.prepend_rules[c]
             for asn in cat.expand_selector(sel, neighbors, exclude_customers=False):
                 schedule[asn] = max(schedule.get(asn, 0), count)
+    if lp_override is not None:
+        r = replace(r, local_pref=lp_override)
     return AnnotatedRoute(r, lp_override, frozenset(suppressed), schedule)
 
 

@@ -36,7 +36,6 @@ from .topology import (
     Prefix,
     Topology,
     is_number,
-    validate_topology,
 )
 
 
@@ -331,7 +330,7 @@ def parse_scenario(text: str) -> Scenario:
         originations={asn: frozenset(ps) for asn, ps in originations.items()},
         catalogs=catalogs,
     )
-    report = validate_topology(topology)
+    report = topology.validation
     if not report.ok():  # parser checks should make this unreachable
         raise ScenarioError("; ".join(f.message for f in report.errors), 0, 0)
     advertisements.sort(key=lambda ad: (ad.origin, ad.prefix.sort_key(), ad.link_id))

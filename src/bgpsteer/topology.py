@@ -207,7 +207,8 @@ class TopologyIndex:
 
 @dataclass(frozen=True)
 class Topology:
-    """Validated AS graph.  `roles` maps ASN -> "stub" | "transit"."""
+    """AS graph.  `roles` maps ASN -> "stub" | "transit".  Immutability is
+    load-bearing: `index` and `validation` are computed once and cached."""
 
     roles: Mapping[int, str]
     links: tuple[Link, ...]
@@ -219,6 +220,11 @@ class Topology:
         """Built on first use and shared by every later lookup, since the
         topology never changes."""
         return TopologyIndex.build(self.links)
+
+    @cached_property
+    def validation(self) -> ValidationReport:
+        """validate_topology's report, computed once; `require_valid` reads it."""
+        return validate_topology(self)
 
     def ases(self) -> list[int]:
         return sorted(self.roles)
@@ -364,7 +370,7 @@ def validate_topology(t: Topology) -> ValidationReport:
 
 
 def require_valid(t: Topology) -> None:
-    report = validate_topology(t)
+    report = t.validation
     if not report.ok():
         msgs = "; ".join(f.message for f in report.errors)
         raise TopologyError(f"invalid topology: {msgs}")

@@ -429,7 +429,7 @@ def exhaustive_plan_search(
             if te is None:
                 continue
             try:
-                state = propagate_to_convergence(t, te, validate=False)
+                state = propagate_to_convergence(t, te)
             except OscillationError:
                 continue
             if all(_objective_satisfied(state, t, dest, o) for o in objectives):

@@ -269,6 +269,17 @@ def test_lp_override_flag_tags_plan():
     assert result.lp_constraint_violated
 
 
+def test_planner_and_evaluate_plan_reject_an_lp_override_on_an_undeclared_as():
+    s = load("scenarios/dualprovider_sourceasn_objectives.scn")
+    bad = {(65001, 4242): 300}
+    message = r"LP override references undeclared AS \(65001, 4242\)"
+    with pytest.raises(ValueError, match=message):
+        plan_inbound_te(s.topology, 65001, s.objectives, lp_overrides=bad)
+    plan = plan_inbound_te(s.topology, 65001, s.objectives)
+    with pytest.raises(ValueError, match=message):
+        evaluate_plan(s.topology, 65001, plan, s.objectives, bad)
+
+
 def test_evaluate_plan_reports_unsatisfied():
     s = load("scenarios/dualprovider_baseline.scn")
     objectives = (Objective(Flow(None, 65101, P2, 65001), "l2"),)
@@ -346,7 +357,7 @@ def reference_plan(t, dest, objectives, budget, lp_overrides):
         return Infeasible(tuple(witnesses)), 0
     lp_overrides = dict(lp_overrides or {})
     baseline_te = te_config_from_actions(t, dest, [], lp_overrides)
-    baseline_map = ingress_map(propagate_to_convergence(t, baseline_te, validate=False), t, dest)
+    baseline_map = ingress_map(propagate_to_convergence(t, baseline_te), t, dest)
     atoms = _build_atoms(t, dest, objectives)
     candidates = []
     for size in range(0, budget.max_actions + 1):
@@ -360,7 +371,7 @@ def reference_plan(t, dest, objectives, budget, lp_overrides):
             continue
         tried += 1
         try:
-            state = propagate_to_convergence(t, te, validate=False)
+            state = propagate_to_convergence(t, te)
         except OscillationError:
             oscillating += 1
             continue

@@ -10,14 +10,19 @@ from bgpsteer import (
     Rel,
     ScenarioError,
     Topology,
+    TopologyError,
+    evaluate_plan,
     parse_scenario,
     parse_topology,
+    plan_inbound_te,
+    propagate_to_convergence,
     relationship_between,
     serialize_scenario,
     validate_topology,
 )
 from bgpsteer.policies import PolicyCatalog
 from bgpsteer.routes import Community
+from bgpsteer.topology import require_valid
 
 DUAL = open("scenarios/dualprovider_baseline.scn").read()
 
@@ -196,6 +201,29 @@ def test_parsed_topologies_validate_clean():
         te = gen.rand_te(rng, t)
         text = serialize_scenario(Scenario(t, te, ()))
         assert not validate_topology(parse_topology(text)).errors
+
+
+def test_each_topology_is_validated_once(monkeypatch):
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return validate_topology(t)
+
+    monkeypatch.setattr("bgpsteer.topology.validate_topology", counted)
+    s = parse_scenario(open("scenarios/dualprovider_sourceasn_objectives.scn").read())
+    t = s.topology
+    propagate_to_convergence(t, s.te_config)
+    plan = plan_inbound_te(t, 65001, s.objectives)
+    evaluate_plan(t, 65001, plan, s.objectives)
+    assert len(calls) == 1 and calls[0] is t
+
+
+def test_an_invalid_topology_fails_every_check():
+    t = Topology({1: "stub"}, (Link("l1", 1, 2, 1),), {}, {})
+    for _ in range(2):  # the second check reads the cached report
+        with pytest.raises(TopologyError, match="undeclared AS 2"):
+            require_valid(t)
 
 
 def test_finding_is_data():
