@@ -9,9 +9,10 @@ an announcement of nothing.
 
 The unit of change is an (AS, prefix) pair.  Round 1 exports every local
 entry; round N exports only the pairs whose Loc-RIB entry changed or
-vanished in round N-1, each to every up-link neighbor (or takes back what it
-sent).  The receiver patches its Adj-RIB-In for that (prefix, link) and
-re-runs the decision for that prefix only; RIBs persist across rounds.
+vanished in round N-1, each to every up-link neighbor it may go to (and
+takes back what it sent where it no longer may).  The receiver patches its
+Adj-RIB-In for that (prefix, link) and re-runs the decision for that prefix
+only; RIBs persist across rounds.
 All of a round's updates come from the previous round's Loc-RIBs, so every
 round still yields the full synchronous snapshot: the round count, the
 per-round trace and the pairs an OscillationError reports (those whose
@@ -19,6 +20,17 @@ Adj-RIB-In changed in the last round) are those of recomputing every AS
 every round.  compare_routes is a total order over one prefix's
 candidates, so the order updates arrive in never changes a result.  Runs
 are deterministic.
+
+What never changes between runs is compiled once per topology
+(`Topology.sessions`): per exporter, each up link's neighbor, the LP that
+neighbor assigns by default, its catalog where the exporter is its
+customer, and the valley-free split of the links per learned link.  A run
+resolves its LP-override table into a copy of that table once, and the
+round loop walks the session tuples with no per-message lookups.  Each rule
+keeps one code path: the loop check, `drops_community_updates` and the LP
+installed (override table, else the relationship default) in `_deliver`,
+a catalog LP community in `ingress_transform`, and the prepends and
+suppression of `egress_times`/`egress_apply`.
 
 The decision process never compares routes of different prefixes, so each
 prefix converges on its own.  A run restricted to a set of prefixes (the
@@ -29,7 +41,7 @@ prefixes, and the full run takes as many rounds as the slowest prefix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Collection, Iterator, Mapping
+from typing import Callable, Collection, Iterable, Mapping
 
 from .policies import PREPEND_MAX as MAX_PREPEND
 from .policies import AnnotatedRoute, egress_apply, egress_times, ingress_transform, plain
@@ -38,11 +50,9 @@ from .routes import (
     Community,
     Route,
     compare_routes,
-    default_local_pref,
-    export_permitted,
     local_route,
 )
-from .topology import LOCAL, Prefix, Rel, Topology, require_valid
+from .topology import LOCAL, Prefix, Session, Sessions, Topology, require_valid
 
 
 class OscillationError(RuntimeError):
@@ -79,6 +89,7 @@ class TeConfig:
     lp_overrides: Mapping[tuple[int, int], int] = field(default_factory=dict)
 
     def validate(self, t: Topology) -> None:
+        links = t.links_by_id
         seen: set[tuple[int, Prefix, str]] = set()
         for ad in self.advertisements:
             key = (ad.origin, ad.prefix, ad.link_id)
@@ -87,13 +98,13 @@ class TeConfig:
             seen.add(key)
             if ad.origin not in t.roles:
                 raise ValueError(f"advertisement by undeclared AS {ad.origin}")
-            try:
-                link = t.link_by_id(ad.link_id)
-            except KeyError as exc:
-                raise ValueError(str(exc)) from exc
-            if ad.origin not in link.endpoints():
+            link = links.get(ad.link_id)
+            if link is None:
+                raise ValueError(f"unknown link id: {ad.link_id}")
+            if ad.origin != link.a and ad.origin != link.b:
                 raise ValueError(f"AS {ad.origin} is not on link {ad.link_id}")
-            if not any(p.contains(ad.prefix) for p in t.originated_by(ad.origin)):
+            originated = t.originated_by(ad.origin)
+            if ad.prefix not in originated and not any(p.contains(ad.prefix) for p in originated):
                 raise ValueError(
                     f"AS {ad.origin} advertises {ad.prefix} outside its originated space"
                 )
@@ -118,11 +129,12 @@ def _announcement_table(
     table: dict[int, dict[tuple[Prefix, str], Advertisement]] = {}
     for asn in t.originations:
         table[asn] = {}
+        out = t.sessions.get(asn)
         for p in t.originated_by(asn):
-            if p in explicit.get(asn, set()):
+            if p in explicit.get(asn, set()) or out is None:
                 continue
-            for link in t.up_links_of(asn):
-                table[asn][(p, link.id)] = Advertisement(asn, p, link.id)
+            for s in out.all:
+                table[asn][(p, s.link_id)] = Advertisement(asn, p, s.link_id)
     for ad in te.advertisements:
         table.setdefault(ad.origin, {})[(ad.prefix, ad.link_id)] = ad
     return table
@@ -231,42 +243,34 @@ def propagate_to_convergence(
             if wanted is None or p in wanted:
                 local_entries[asn][p] = plain(local_route(p, asn))
     for origin, table in ann.items():
-        for (p, _link_id) in table:
-            local_entries[origin].setdefault(p, plain(local_route(p, origin)))
+        entries = local_entries[origin]
+        for p, _link_id in table:
+            if p not in entries:
+                entries[p] = plain(local_route(p, origin))
 
     adj: dict[int, dict[Prefix, dict[str, AnnotatedRoute]]] = {asn: {} for asn in t.roles}
     loc: dict[int, dict[Prefix, AnnotatedRoute]] = {
         asn: dict(entries) for asn, entries in local_entries.items()
     }
+    sessions = t.sessions
+    if te.lp_overrides:
+        sessions = _with_lp_overrides(sessions, te.lp_overrides)
 
     # Prepend counts are capped, so converged paths stretch at most that far
     # beyond the plain diameter bound.
     bound = max_rounds if max_rounds is not None else 2 * len(t.roles) + MAX_PREPEND + 4
-    # (AS, prefix) pairs whose Loc-RIB entry changed or vanished last round;
-    # round 1 exports every local entry.
-    changed = [(asn, p) for asn, entries in local_entries.items() for p in entries]
+    # (AS, prefix, entry before) for each Loc-RIB entry that changed or
+    # vanished last round; round 1 exports every local entry.
+    changed = [(asn, p, None) for asn, entries in local_entries.items() for p in entries]
 
     for round_no in range(1, bound + 1):
         # Export: round N's updates all come from round N-1's Loc-RIBs; they
         # patch only Adj-RIB-Ins, which no export reads.
         touched: set[tuple[int, Prefix]] = set()
-        for exporter, prefix in changed:
-            entry = loc[exporter].get(prefix)
-            for link_id, neighbor, wire in _export(t, ann, exporter, entry):
-                received = None
-                if wire is not None:
-                    received = _receive(t, te, neighbor, exporter, link_id, wire)
-                rib = adj[neighbor]
-                by_link = rib.get(prefix)
-                if received == (by_link.get(link_id) if by_link is not None else None):
-                    continue
-                touched.add((neighbor, prefix))
-                if received is not None:
-                    rib.setdefault(prefix, {})[link_id] = received
-                else:
-                    del by_link[link_id]
-                    if not by_link:
-                        del rib[prefix]
+        for exporter, prefix, before in changed:
+            out = sessions.get(exporter)
+            if out is not None:
+                _export(adj, touched, ann, exporter, out, prefix, loc[exporter].get(prefix), before)
 
         # Decision: only for the prefixes whose Adj-RIB-In changed.
         changed = []
@@ -276,12 +280,13 @@ def propagate_to_convergence(
                 if best is None or compare_routes(cand.route, best.route) < 0:
                     best = cand
             rib = loc[receiver]
-            if best != rib.get(prefix):
+            before = rib.get(prefix)
+            if best != before:
                 if best is None:
                     del rib[prefix]
                 else:
                     rib[prefix] = best
-                changed.append((receiver, prefix))
+                changed.append((receiver, prefix, before))
 
         if trace is not None:
             trace(round_no, ConvergedState(adj, loc, round_no).dump())
@@ -294,66 +299,114 @@ def propagate_to_convergence(
     raise OscillationError(tuple(changing), bound)
 
 
+def _with_lp_overrides(
+    sessions: Mapping[int, Sessions], overrides: Mapping[tuple[int, int], int]
+) -> dict[int, Sessions]:
+    """`sessions` with the LP-override table resolved: an override for
+    (receiver, sender) replaces the receiver's default LP on every link from
+    the sender."""
+    resolved = dict(sessions)
+    for sender in {sender for _receiver, sender in overrides}:
+        own = sessions.get(sender)
+        if own is not None:
+            resolved[sender] = Sessions.build(
+                (s._replace(local_pref=overrides.get((s.neighbor, sender), s.local_pref)) for s in own.all),
+                own.catalog,
+            )
+    return resolved
+
+
 def _export(
-    t: Topology,
+    adj: dict[int, dict[Prefix, dict[str, AnnotatedRoute]]],
+    touched: set[tuple[int, Prefix]],
     ann: Mapping[int, Mapping[tuple[Prefix, str], Advertisement]],
     exporter: int,
+    out: Sessions,
+    prefix: Prefix,
     entry: AnnotatedRoute | None,
-) -> Iterator[tuple[str, int, Route | None]]:
-    """(link id, neighbor, wire route) for each up link of `exporter`: what
-    it sends for its Loc-RIB entry `entry` of one prefix, or None when it
-    sends nothing there (no entry, no announcement on that link, valley-free
-    export or catalog suppression)."""
-    targets = t.index.adjacency.get(exporter, ())
+    before: AnnotatedRoute | None,
+) -> None:
+    """Send what `exporter` now holds for `prefix` (its Loc-RIB entry
+    `entry`, or None; it held `before` last round) on each of its up links:
+    its announcement there for a local entry, else the egress form where
+    valley-free export permits it and the catalog does not suppress it, else
+    nothing.  A withdrawal goes only where `before` went out, since a
+    neighbor holds a route from this exporter nowhere else."""
+    if before is None:
+        reached: tuple[Session, ...] = ()
+    elif before.route.learned_on == LOCAL:
+        reached = out.all
+    else:
+        reached = out.by_learned[before.route.learned_on][0]
     if entry is None:
-        for link_id, neighbor, _rel in targets:
-            yield link_id, neighbor, None
+        _deliver(adj, touched, reached, prefix, None)
         return
     route = entry.route
     if route.learned_on == LOCAL:
         own = ann.get(exporter, {})
-        for link_id, neighbor, _rel in targets:
-            ad = own.get((route.prefix, link_id))
+        for s in out.all:
+            ad = own.get((prefix, s.link_id))
             wire = None
             if ad is not None:
-                wire = Route(route.prefix, (exporter,), 0, ad.med, ad.communities, LOCAL, exporter)
-            yield link_id, neighbor, wire
+                wire = Route(prefix, (exporter,), 0, ad.med, ad.communities, LOCAL, exporter)
+            _deliver(adj, touched, (s,), prefix, wire)
         return
-    catalog = t.catalogs.get(exporter)
-    learned_rel = t.index.rel_at[(route.learned_on, exporter)]
-    # egress_apply output varies only with egress_times, so one wire per
-    # value serves all neighbors
-    wires: dict[int, Route] = {}
-    for link_id, neighbor, rel_neighbor in targets:
-        permitted = export_permitted(learned_rel, rel_neighbor)
-        times = egress_times(entry, neighbor) if permitted else None
-        wire = None
-        if times is not None:
-            wire = wires.get(times)
-            if wire is None:
-                wire = wires[times] = egress_apply(entry, exporter, neighbor, catalog)
-        yield link_id, neighbor, wire
+    send, withhold = out.by_learned[route.learned_on]
+    # Every split sends on all links or on the customer links alone, so
+    # `reached` has a link outside `send` exactly when it is the longer.
+    if len(reached) > len(send):
+        _deliver(adj, touched, withhold, prefix, None)
+    if not send:
+        return
+    # egress_apply's output varies only with egress_times, which is the same
+    # toward every neighbor unless the entry carries catalog actions: one
+    # wire per value serves all neighbors.
+    if entry.suppressed_toward or entry.prepend_schedule:
+        by_times: dict[int | None, list[Session]] = {}
+        for s in send:
+            by_times.setdefault(egress_times(entry, s.neighbor), []).append(s)
+    else:
+        by_times = {egress_times(entry, send[0].neighbor): send}
+    for times, group in by_times.items():
+        wire = None if times is None else egress_apply(entry, exporter, group[0].neighbor, out.catalog)
+        _deliver(adj, touched, group, prefix, wire)
 
 
-def _receive(
-    t: Topology, te: TeConfig, receiver: int, sender: int, link_id: str, wire: Route
-) -> AnnotatedRoute | None:
-    """Ingress on one link: the entry `receiver` installs in its Adj-RIB-In
-    for `wire`, or None when the route loops or its catalog drops the
-    update."""
-    if receiver in wire.as_path:
-        return None
-    sender_rel = t.index.rel_at[(link_id, receiver)]
-    catalog = t.catalogs.get(receiver)
-    catalog_applies = catalog is not None and sender_rel is Rel.CUSTOMER
-    if catalog_applies and catalog.drops_community_updates and wire.communities:
-        return None
-    # A catalog LP community (ingress_transform) beats the override table.
-    installed = Route(
-        wire.prefix, wire.as_path,
-        te.lp_overrides.get((receiver, sender), default_local_pref(sender_rel)),
-        wire.med, wire.communities, link_id, wire.origin_as,
-    )
-    if not catalog_applies:
-        return plain(installed)
-    return ingress_transform(catalog, installed, t.index.neighbor_rels.get(receiver, {}))
+def _deliver(
+    adj: dict[int, dict[Prefix, dict[str, AnnotatedRoute]]],
+    touched: set[tuple[int, Prefix]],
+    targets: Iterable[Session],
+    prefix: Prefix,
+    wire: Route | None,
+) -> None:
+    """Ingress of `wire` (None: a withdrawal) over each of the `targets`
+    sessions: the receiver's Adj-RIB-In entry for (prefix, link) becomes what
+    it installs, nothing when the route loops or its catalog drops the
+    update; each changed (receiver, prefix) pair goes into `touched`."""
+    for link_id, receiver, _rel, local_pref, catalog, neighbor_rels in targets:
+        received = None
+        if (
+            wire is not None
+            and receiver not in wire.as_path
+            and not (catalog is not None and catalog.drops_community_updates and wire.communities)
+        ):
+            # A catalog LP community (ingress_transform) beats `local_pref`,
+            # which already holds any LP override.
+            installed = Route(
+                prefix, wire.as_path, local_pref, wire.med, wire.communities, link_id, wire.origin_as
+            )
+            if catalog is None:
+                received = plain(installed)
+            else:
+                received = ingress_transform(catalog, installed, neighbor_rels)
+        rib = adj[receiver]
+        by_link = rib.get(prefix)
+        if received == (by_link.get(link_id) if by_link is not None else None):
+            continue
+        touched.add((receiver, prefix))
+        if received is not None:
+            rib.setdefault(prefix, {})[link_id] = received
+        else:
+            del by_link[link_id]
+            if not by_link:
+                del rib[prefix]

@@ -45,8 +45,8 @@ from .flows import (
     entry_link,
     ingress_map,
 )
-from .routes import Community, export_permitted
-from .topology import Prefix, Rel, Topology, require_valid
+from .routes import Community
+from .topology import Prefix, Session, Topology, require_valid
 
 SAME_PROVIDER = "same-provider"
 
@@ -229,21 +229,22 @@ def _legal_announcement_paths(
     if start == target:
         return [(start,)]
     paths: list[tuple[int, ...]] = []
-    index = t.index
+    sessions = t.sessions
 
-    def walk(node: int, learned: Rel, visited: tuple[int, ...]) -> None:
-        for link_id, nxt, rel_next in index.adjacency.get(node, ()):
+    def walk(exported_on: Sequence[Session], visited: tuple[int, ...]) -> None:
+        for s in exported_on:
+            nxt = s.neighbor
             if nxt in visited or nxt in banned:
-                continue
-            if not export_permitted(learned, rel_next):
                 continue
             path = visited + (nxt,)
             if nxt == target:
                 paths.append(path)
             else:
-                walk(nxt, index.rel_at[(link_id, nxt)], path)
+                walk(sessions[nxt].by_learned[s.link_id][0], path)
 
-    walk(start, Rel.CUSTOMER, (start,))
+    own = sessions.get(start)
+    # The route starts out customer-learned: it may go up any link.
+    walk(own.all if own is not None else (), (start,))
     return paths
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping, TYPE_CHECKING
 
 from .routes import Community, Route
@@ -133,7 +134,7 @@ class PolicyCatalog:
         return chosen
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnnotatedRoute:
     """A received route plus the catalog actions it triggered at ingress."""
 
@@ -143,8 +144,14 @@ class AnnotatedRoute:
     prepend_schedule: Mapping[int, int] = field(default_factory=dict)
 
 
+_NO_SUPPRESSION: frozenset[int] = frozenset()
+_NO_SCHEDULE: Mapping[int, int] = MappingProxyType({})
+
+
 def plain(route: Route) -> AnnotatedRoute:
-    return AnnotatedRoute(route)
+    """`route` with no catalog action; every plain entry shares the same
+    empty, immutable suppression set and prepend schedule."""
+    return AnnotatedRoute(route, None, _NO_SUPPRESSION, _NO_SCHEDULE)
 
 
 def parse_community(text: str) -> Community:

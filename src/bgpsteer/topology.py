@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Mapping, TYPE_CHECKING
+from typing import Iterable, Mapping, NamedTuple, TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .policies import PolicyCatalog
@@ -156,59 +156,56 @@ class ValidationReport:
 _REL_RANK = {Rel.CUSTOMER: 0, Rel.PEER: 1, Rel.PROVIDER: 2}
 
 
+class Session(NamedTuple):
+    """One up link as its exporting end sees it, with what the receiving end
+    does to a route that arrives over it."""
+
+    link_id: str
+    neighbor: int  # the receiving end
+    rel: Rel  # the neighbor, as seen from the exporter
+    local_pref: int  # the neighbor's default LP for routes over this link
+    # The neighbor's catalog, when the exporter is its customer, and the
+    # neighbor's `neighbor_rels`, which its selectors expand over; both None
+    # where no catalog applies.
+    catalog: "PolicyCatalog | None"
+    neighbor_rels: Mapping[int, Rel] | None
+
+
 @dataclass(frozen=True, slots=True)
-class TopologyIndex:
-    """Lookups compiled once from a topology's links.
+class Sessions:
+    """One AS's up links as sessions, compiled for export.
 
-    * `links`: link id -> link (the first link with that id, down links too);
-    * `up_links`: ASN -> its up links, in `Topology.links` order;
-    * `adjacency`: ASN -> (link id, neighbor, neighbor's relationship) over up
-      links, sorted;
-    * `rel_at`: (link id, ASN) -> relationship of the other endpoint of that
-      up link, as seen from ASN;
-    * `neighbor_rels`: ASN -> neighbor -> relationship over up links, a
-      customer over any link counting as a customer.
+    * `all`: a session per up link, sorted by link id;
+    * `by_learned`: link id -> (the sessions a route learned over that link
+      is exported on, the sessions it is not), the valley-free split;
+    * `catalog`: the AS's own catalog, whose communities its egress strips."""
 
-    ASes with no up link have no entry in the per-AS maps."""
-
-    links: Mapping[str, Link]
-    up_links: Mapping[int, tuple[Link, ...]]
-    adjacency: Mapping[int, tuple[tuple[str, int, Rel], ...]]
-    rel_at: Mapping[tuple[str, int], Rel]
-    neighbor_rels: Mapping[int, Mapping[int, Rel]]
+    all: tuple[Session, ...]
+    by_learned: Mapping[str, tuple[tuple[Session, ...], tuple[Session, ...]]]
+    catalog: "PolicyCatalog | None"
 
     @classmethod
-    def build(cls, links: Iterable[Link]) -> "TopologyIndex":
-        by_id: dict[str, Link] = {}
-        up_links: dict[int, list[Link]] = {}
-        adjacency: dict[int, list[tuple[str, int, Rel]]] = {}
-        rel_at: dict[tuple[str, int], Rel] = {}
-        neighbor_rels: dict[int, dict[int, Rel]] = {}
-        for link in links:
-            by_id.setdefault(link.id, link)
-            if not link.up:
-                continue
-            for asn in link.endpoints():
-                other, rel = link.other(asn), link.rel_from(asn)
-                up_links.setdefault(asn, []).append(link)
-                adjacency.setdefault(asn, []).append((link.id, other, rel))
-                rel_at[(link.id, asn)] = rel
-                rels = neighbor_rels.setdefault(asn, {})
-                if other not in rels or _REL_RANK[rel] < _REL_RANK[rels[other]]:
-                    rels[other] = rel
-        return cls(
-            by_id,
-            {asn: tuple(l) for asn, l in up_links.items()},
-            {asn: tuple(sorted(adj)) for asn, adj in adjacency.items()},
-            rel_at,
-            neighbor_rels,
-        )
+    def build(cls, sessions: Iterable[Session], catalog: "PolicyCatalog | None") -> "Sessions":
+        ordered = tuple(sorted(sessions, key=lambda s: s.link_id))
+        # One copy of each distinct split, shared by the learned
+        # relationships that give it.
+        by_mask: dict[tuple[bool, ...], tuple[tuple[Session, ...], tuple[Session, ...]]] = {}
+        split = {}
+        for rel in Rel:
+            mask = tuple(routes.export_permitted(rel, s.rel) for s in ordered)
+            if mask not in by_mask:
+                send = tuple(s for s, ok in zip(ordered, mask) if ok)
+                withhold = tuple(s for s, ok in zip(ordered, mask) if not ok)
+                by_mask[mask] = (send if withhold else ordered, withhold)
+            split[rel] = by_mask[mask]
+        return cls(ordered, {s.link_id: split[s.rel] for s in ordered}, catalog)
 
 
 @dataclass(frozen=True)
 class Topology:
     """AS graph.  `roles` maps ASN -> "stub" | "transit".  Immutability is
-    load-bearing: `index` and `validation` are computed once and cached."""
+    load-bearing: `links_by_id`, `sessions` and `validation` are computed
+    once, on first use, and cached."""
 
     roles: Mapping[int, str]
     links: tuple[Link, ...]
@@ -216,10 +213,37 @@ class Topology:
     catalogs: Mapping[int, "PolicyCatalog"] = field(default_factory=dict)
 
     @cached_property
-    def index(self) -> TopologyIndex:
-        """Built on first use and shared by every later lookup, since the
-        topology never changes."""
-        return TopologyIndex.build(self.links)
+    def links_by_id(self) -> Mapping[str, Link]:
+        """Link id -> link: the first link with that id, down links too."""
+        by_id: dict[str, Link] = {}
+        for link in self.links:
+            by_id.setdefault(link.id, link)
+        return by_id
+
+    @cached_property
+    def sessions(self) -> Mapping[int, Sessions]:
+        """ASN -> its up links compiled for propagation (ASes with no up link
+        have no entry): what never changes with the TE config.  That is the
+        default LP a receiver assigns (`default_local_pref` of the sender's
+        relationship), its catalog and `neighbor_rels` where the sender is
+        its customer, and the valley-free export split."""
+        owner_rels = {asn: self.neighbor_rels(asn) for asn in self.catalogs}
+        per_as: dict[int, list[Session]] = {}
+        for link in self.links:
+            if not link.up:
+                continue
+            for asn, neighbor in ((link.a, link.b), (link.b, link.a)):
+                sender_rel = link.rel_from(neighbor)
+                applies = sender_rel is Rel.CUSTOMER and neighbor in self.catalogs
+                per_as.setdefault(asn, []).append(Session(
+                    link.id,
+                    neighbor,
+                    link.rel_from(asn),
+                    routes.default_local_pref(sender_rel),
+                    self.catalogs[neighbor] if applies else None,
+                    owner_rels[neighbor] if applies else None,
+                ))
+        return {asn: Sessions.build(s, self.catalogs.get(asn)) for asn, s in per_as.items()}
 
     @cached_property
     def validation(self) -> ValidationReport:
@@ -230,18 +254,24 @@ class Topology:
         return sorted(self.roles)
 
     def link_by_id(self, link_id: str) -> Link:
-        link = self.index.links.get(link_id)
+        link = self.links_by_id.get(link_id)
         if link is None:
             raise KeyError(f"unknown link id: {link_id}")
         return link
 
     def up_links_of(self, asn: int) -> list[Link]:
-        return list(self.index.up_links.get(asn, ()))
+        """The up links of `asn`, in `links` order."""
+        return [link for link in self.links if link.up and asn in link.endpoints()]
 
     def neighbor_rels(self, asn: int) -> dict[int, Rel]:
         """Neighbor ASN -> relationship over up links.  A neighbor reached over
         both a c2p and a p2p link counts as a customer if any link says so."""
-        return dict(self.index.neighbor_rels.get(asn, {}))
+        rels: dict[int, Rel] = {}
+        for link in self.up_links_of(asn):
+            other, rel = link.other(asn), link.rel_from(asn)
+            if other not in rels or _REL_RANK[rel] < _REL_RANK[rels[other]]:
+                rels[other] = rel
+        return rels
 
     def originated_by(self, asn: int) -> frozenset[Prefix]:
         return self.originations.get(asn, frozenset())
@@ -374,3 +404,8 @@ def require_valid(t: Topology) -> None:
     if not report.ok():
         msgs = "; ".join(f.message for f in report.errors)
         raise TopologyError(f"invalid topology: {msgs}")
+
+
+# routes imports this module's names, so it is bound last: either module can
+# be imported first, and each import of the package gets its own pair.
+from . import routes  # noqa: E402

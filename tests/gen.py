@@ -136,6 +136,37 @@ def rand_topology(
     return Topology(roles, tuple(links), originations, catalogs)
 
 
+def with_rule_facts(rng: random.Random, t: Topology) -> Topology:
+    """`t` plus policy facts that rand_topology never draws: a p2p link
+    parallel to an up c2p link (so `neighbor_rels` counts the peer as a
+    customer), catalogs that drop community updates, and region-tagged
+    neighbors targeted by `PeerSelector.for_region` rules."""
+    links = list(t.links)
+    c2p = [l for l in links if l.up and l.customer is not None]
+    if c2p and rng.random() < 0.6:
+        l = rng.choice(c2p)
+        links.append(Link(f"l{len(links) + 1}", l.a, l.b, None))
+    catalogs = dict(t.catalogs)
+    for asn in sorted(a for a, role in t.roles.items() if role == "transit"):
+        if rng.random() < 0.3:
+            continue
+        cat = catalogs.get(asn, PolicyCatalog(asn))
+        neighbors = sorted({l.other(asn) for l in links if asn in l.endpoints()})
+        regions = {n: rng.choice(("eu", "us")) for n in neighbors if rng.random() < 0.6}
+        suppress, prepend = dict(cat.suppress_rules), dict(cat.prepend_rules)
+        if regions:
+            suppress[Community(asn % 0xFFFF, 90)] = PeerSelector.for_region(rng.choice(sorted(set(regions.values()))))
+            prepend[Community(asn % 0xFFFF, 91)] = (PeerSelector.for_region(rng.choice(("eu", "us"))), rng.randint(1, 3))
+        catalogs[asn] = replace(
+            cat,
+            suppress_rules=suppress,
+            prepend_rules=prepend,
+            region_of=regions,
+            drops_community_updates=rng.random() < 0.4,
+        )
+    return replace(t, links=tuple(links), catalogs=catalogs)
+
+
 def rand_te(
     rng: random.Random,
     t: Topology,

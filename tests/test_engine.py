@@ -7,10 +7,12 @@ import pytest
 
 import gen
 from bgpsteer import (
+    Advertisement,
     Link,
     OscillationError,
     Prefix,
     TeConfig,
+    Topology,
     parse_scenario,
     propagate_to_convergence,
 )
@@ -467,3 +469,101 @@ def test_engine_matches_the_reference_loop_on_random_cases():
             _check_against_reference(t, te, prefixes=rng.sample(prefixes, rng.randint(1, len(prefixes))))
             restricted += 1
     assert oscillating >= 5 and truncated >= 30 and restricted >= 50 and more_specific >= 20
+
+
+def test_engine_matches_the_reference_loop_on_compiled_rule_facts():
+    """Random cases with the facts `Topology.sessions` compiles that
+    rand_topology never draws: a p2p link parallel to a c2p link, catalogs
+    that drop community updates, and region selectors."""
+    rng = random.Random(409)
+    parallel = dropping = regional = 0
+    for _ in range(300):
+        t = gen.with_rule_facts(rng, gen.rand_topology(rng, with_catalogs=rng.random() < 0.5))
+        te = gen.rand_te(rng, t, with_communities=True, with_lp_overrides=True)
+        up = [l for l in t.links if l.up]
+        parallel += any(
+            p.customer is None and c.customer is not None and {p.a, p.b} == {c.a, c.b}
+            for p in up
+            for c in up
+        )
+        tagged = {c for ad in te.advertisements for c in ad.communities}
+        dropping += any(
+            ad.communities
+            and link.up
+            and link.customer == ad.origin
+            and getattr(t.catalogs.get(link.other(ad.origin)), "drops_community_updates", False)
+            for ad in te.advertisements
+            for link in [t.link_by_id(ad.link_id)]
+        )
+        regional += any(
+            c in tagged
+            for cat in t.catalogs.values()
+            for c, sel in [*cat.suppress_rules.items(), *((c, s) for c, (s, _) in cat.prepend_rules.items())]
+            if sel.kind == "region"
+        )
+        _check_against_reference(t, te)
+    assert parallel >= 120 and dropping >= 20 and regional >= 50
+
+
+def _outcome(t, te):
+    """A run's dump, or its oscillation report."""
+    try:
+        return propagate_to_convergence(t, te).dump()
+    except OscillationError as exc:
+        return (exc.rounds, exc.changing)
+
+
+def _fresh(t):
+    """An equal topology with nothing compiled yet."""
+    return Topology(dict(t.roles), t.links, dict(t.originations), dict(t.catalogs))
+
+
+def _random_overrides(rng, t):
+    pairs = sorted({(a, l.other(a)) for l in t.links if l.up for a in l.endpoints()})
+    chosen = rng.sample(pairs, min(len(pairs), rng.randint(1, 3)))
+    return {pair: rng.choice([20, 80, 150, 400]) for pair in chosen}
+
+
+def test_compiled_sessions_are_per_topology_and_lp_overrides_per_call():
+    """One topology object runs with LP overrides, without, with others and
+    with the first again; every run equals a run on a fresh, equal topology.
+    Random topologies all name their links l1, l2, ..., so running them
+    interleaved also shows that no compiled entry crosses topologies."""
+    rng = random.Random(419)
+    cases = []
+    for _ in range(60):
+        t = gen.rand_topology(rng, with_catalogs=rng.random() < 0.5)
+        te = gen.rand_te(rng, t, with_communities=True)
+        sequence = [_random_overrides(rng, t), {}, _random_overrides(rng, t)]
+        cases.append((t, [TeConfig(te.advertisements, o) for o in sequence + sequence[:1]]))
+    # Two topologies whose l1 and l2 join different ASes.
+    roles = {1: "stub", 2: "transit", 3: "transit"}
+    p1 = {1: frozenset({P1})}
+    for links in (
+        (Link("l1", 1, 2, 1), Link("l2", 1, 3, 1), Link("l3", 2, 3, None)),
+        (Link("l1", 1, 3, 1), Link("l2", 2, 3, None), Link("l3", 1, 2, 1)),
+    ):
+        t = Topology(roles, links, p1)
+        cases.append((t, [TeConfig((), o) for o in ({(2, 1): 20}, {}, {(3, 1): 20}, {(2, 1): 20})]))
+    overridden = 0
+    for step in range(4):
+        for t, tes in cases:
+            assert _outcome(t, tes[step]) == _outcome(_fresh(t), tes[step])
+            overridden += step == 0 and _outcome(_fresh(t), tes[0]) != _outcome(_fresh(t), tes[1])
+    assert overridden >= 30
+
+
+def test_a_displaced_local_entry_is_withdrawn_where_it_was_announced():
+    """AS 1 advertises a more-specific that AS 2 originates, and prefers AS
+    2's route (LP override above the local LP).  Its peer-learned route may
+    not go to its provider, so the provider loses AS 1's announcement."""
+    sub = Prefix.parse("10.1.128.0/17")
+    t = Topology(
+        {1: "stub", 2: "stub", 3: "transit"},
+        (Link("l1", 1, 3, 1), Link("l2", 2, 3, 2), Link("l3", 1, 2, None)),
+        {1: frozenset({P1}), 2: frozenset({sub})},
+    )
+    te = TeConfig((Advertisement(1, sub, "l1"),), {(1, 2): 2000})
+    state = _check_against_reference(t, te)
+    assert state.selected(1, sub).learned_on == "l3"
+    assert set(state.adj_rib_in[3][sub]) == {"l2"}

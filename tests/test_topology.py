@@ -236,7 +236,16 @@ GOLDENS = sorted(Path("scenarios").glob("*.scn"))
 
 @pytest.mark.parametrize("path", GOLDENS, ids=lambda p: p.stem)
 def test_link_and_neighbor_lookups_match_a_scan_of_the_links(path):
-    t = parse_scenario(path.read_text()).topology
+    _check_lookups(parse_scenario(path.read_text()).topology)
+
+
+def test_link_and_neighbor_lookups_match_a_scan_on_random_topologies():
+    """Includes p2p links parallel to c2p links (gen.with_rule_facts)."""
+    for t in _session_cases()[len(GOLDENS):]:
+        _check_lookups(t)
+
+
+def _check_lookups(t):
     for link_id in {l.id for l in t.links}:
         assert t.link_by_id(link_id) == next(l for l in t.links if l.id == link_id)
     rank = {Rel.CUSTOMER: 0, Rel.PEER: 1, Rel.PROVIDER: 2}
@@ -252,6 +261,45 @@ def test_link_and_neighbor_lookups_match_a_scan_of_the_links(path):
     with pytest.raises(KeyError) as err:
         t.link_by_id("no-such-link")
     assert err.value.args == ("unknown link id: no-such-link",)
+
+
+def _session_cases():
+    import gen
+
+    cases = [parse_scenario(path.read_text()).topology for path in GOLDENS]
+    rng = random.Random(23)
+    for _ in range(150):
+        t = gen.rand_topology(rng, with_catalogs=rng.random() < 0.6)
+        cases.append(gen.with_rule_facts(rng, t) if rng.random() < 0.7 else t)
+    return cases
+
+
+def test_sessions_match_the_plain_lookups():
+    """Each compiled session equals what Link.rel_from, default_local_pref,
+    the catalogs and neighbor_rels give for its link (the last two only
+    where the receiver's catalog applies); down links have none, and each
+    learned link's split is export_permitted's."""
+    from bgpsteer.routes import default_local_pref, export_permitted
+
+    for t in _session_cases():
+        up_ends = {(asn, l.id) for l in t.links if l.up for asn in l.endpoints()}
+        assert {(asn, s.link_id) for asn, out in t.sessions.items() for s in out.all} == up_ends
+        for asn, out in t.sessions.items():
+            assert out.catalog is t.catalogs.get(asn)
+            assert [s.link_id for s in out.all] == sorted(s.link_id for s in out.all)
+            for s in out.all:
+                link = t.link_by_id(s.link_id)
+                sender_rel = link.rel_from(s.neighbor)
+                assert s.neighbor == link.other(asn)
+                assert s.rel is link.rel_from(asn)
+                assert s.local_pref == default_local_pref(sender_rel)
+                assert s.catalog is (t.catalogs.get(s.neighbor) if sender_rel is Rel.CUSTOMER else None)
+                assert s.neighbor_rels == (None if s.catalog is None else t.neighbor_rels(s.neighbor))
+            for learned in out.all:
+                send, withhold = out.by_learned[learned.link_id]
+                assert send == tuple(s for s in out.all if export_permitted(learned.rel, s.rel))
+                assert withhold == tuple(s for s in out.all if s not in send)
+        assert set(t.sessions) == {asn for asn, _ in up_ends}
 
 
 def origin_by_scan(t: Topology, prefix: Prefix) -> int | None:
