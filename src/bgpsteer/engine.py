@@ -83,10 +83,15 @@ class TeConfig:
 
     An originated prefix with no explicit advertisement is announced plainly
     on every up link of its origin; one explicit line switches that prefix to
-    exactly the listed links (selective advertisement)."""
+    exactly the listed links (selective advertisement).  A `withheld`
+    (origin, prefix) pair switches the prefix to its explicit links too, so
+    with none it is announced nowhere.  The scenario format has no record for
+    it; the planner sets it when an action set withholds a prefix on every
+    link."""
 
     advertisements: tuple[Advertisement, ...] = ()
     lp_overrides: Mapping[tuple[int, int], int] = field(default_factory=dict)
+    withheld: frozenset[tuple[int, Prefix]] = frozenset()
 
     def validate(self, t: Topology) -> None:
         links = t.links_by_id
@@ -112,6 +117,9 @@ class TeConfig:
                 raise ValueError(f"advertisement of {ad.prefix} exceeds the community budget")
             if ad.med is not None and ad.med < 0:
                 raise ValueError("MED must be >= 0")
+        for origin, prefix in self.withheld:
+            if prefix not in t.originated_by(origin):
+                raise ValueError(f"AS {origin} withholds {prefix}, which it does not originate")
         for (asn, neighbor), lp in self.lp_overrides.items():
             if asn not in t.roles or neighbor not in t.roles:
                 raise ValueError(f"LP override references undeclared AS ({asn}, {neighbor})")
@@ -124,6 +132,8 @@ def _announcement_table(
 ) -> dict[int, dict[tuple[Prefix, str], Advertisement]]:
     """origin -> (prefix, link) -> advertisement, after filling defaults."""
     explicit: dict[int, set[Prefix]] = {}
+    for origin, p in te.withheld:
+        explicit.setdefault(origin, set()).add(p)
     for ad in te.advertisements:
         explicit.setdefault(ad.origin, set()).add(ad.prefix)
     table: dict[int, dict[tuple[Prefix, str], Advertisement]] = {}
@@ -193,7 +203,7 @@ class ConvergedState:
             lines.append(f"as {asn}")
             loc = self.loc_rib[asn]
             adj = self.adj_rib_in.get(asn, {})
-            for p in sorted(loc.keys() | adj.keys(), key=Prefix.sort_key):
+            for p in sorted(loc.keys() | adj.keys()):
                 lines.append(f" rib {p}")
                 entry = loc.get(p)
                 if entry is not None:
@@ -295,7 +305,7 @@ def propagate_to_convergence(
 
     # A Loc-RIB entry changes only where its Adj-RIB-In did, so the pairs
     # still changing are those whose Adj-RIB-In changed in the last round.
-    changing = sorted(touched, key=lambda ap: (ap[0], ap[1].sort_key()))
+    changing = sorted(touched)
     raise OscillationError(tuple(changing), bound)
 
 
@@ -348,7 +358,7 @@ def _export(
             ad = own.get((prefix, s.link_id))
             wire = None
             if ad is not None:
-                wire = Route(prefix, (exporter,), 0, ad.med, ad.communities, LOCAL, exporter)
+                wire = Route._make((prefix, (exporter,), 0, ad.med, ad.communities, LOCAL, exporter))
             _deliver(adj, touched, (s,), prefix, wire)
         return
     send, withhold = out.by_learned[route.learned_on]
@@ -392,8 +402,8 @@ def _deliver(
         ):
             # A catalog LP community (ingress_transform) beats `local_pref`,
             # which already holds any LP override.
-            installed = Route(
-                prefix, wire.as_path, local_pref, wire.med, wire.communities, link_id, wire.origin_as
+            installed = Route._make(
+                (prefix, wire.as_path, local_pref, wire.med, wire.communities, link_id, wire.origin_as)
             )
             if catalog is None:
                 received = plain(installed)

@@ -148,14 +148,10 @@ class IngressMap:
         return ingress_csv(self.entries)
 
 
-def _row_key(key: tuple[int, Prefix]) -> tuple[int, tuple[int, int]]:
-    return (key[0], key[1].sort_key())
-
-
 def ingress_csv(entries: Mapping[tuple[int, Prefix], str]) -> str:
     """`src_asn,dst_prefix,link` rows, ordered by source AS and then by prefix
     address and length."""
-    rows = [f"{src},{prefix},{entries[src, prefix]}" for src, prefix in sorted(entries, key=_row_key)]
+    rows = [f"{src},{prefix},{entries[src, prefix]}" for src, prefix in sorted(entries)]
     return "\n".join(["src_asn,dst_prefix,link", *rows]) + "\n"
 
 
@@ -166,12 +162,12 @@ def moved_entries(
     `ingress_csv` row order."""
     if set(base) != set(new):
         raise ValueError("ingress maps cover different key sets")
-    keys = sorted(base, key=_row_key)
+    keys = sorted(base)
     return [(*key, base[key], new[key]) for key in keys if base[key] != new[key]]
 
 
 def ingress_map(s: ConvergedState, t: Topology, dest: int) -> IngressMap:
-    prefixes = sorted(t.originated_by(dest), key=Prefix.sort_key)
+    prefixes = sorted(t.originated_by(dest))
     if not prefixes:
         raise ValueError(f"AS {dest} originates nothing")
     tables = [(prefix, ForwardingTable(s, t, prefix)) for prefix in prefixes]

@@ -110,7 +110,7 @@ class Action:
 
     def sort_key(self) -> tuple:
         extra = str(self.community) if self.community is not None else ""
-        return (self.kind.rank, self.prefix.sort_key(), self.link_id, extra, self.med or 0)
+        return (self.kind.rank, self.prefix, self.link_id, extra, self.med or 0)
 
     def __str__(self) -> str:
         parts = [self.kind.report_name, str(self.prefix), self.link_id]
@@ -293,7 +293,7 @@ def _build_atoms(
     t: Topology, dest: int, objectives: Sequence[Objective]
 ) -> list[Action]:
     links = sorted(t.up_links_of(dest), key=lambda l: l.id)
-    origs = sorted(t.originated_by(dest), key=Prefix.sort_key)
+    origs = sorted(t.originated_by(dest))
     provider_links = Counter(l.other(dest) for l in links)
     med_capable = {l.id for l in links if provider_links[l.other(dest)] >= 2}
     atoms: list[Action] = []
@@ -307,10 +307,7 @@ def _build_atoms(
             if l.id in med_capable:
                 for v in (10, 20):
                     atoms.append(Action.set_med(p, l.id, v))
-    subs = sorted(
-        {o.flow.dst_prefix for o in objectives if o.flow.dst_prefix not in set(origs)},
-        key=Prefix.sort_key,
-    )
+    subs = sorted({o.flow.dst_prefix for o in objectives if o.flow.dst_prefix not in set(origs)})
     for sp in subs:
         for l in links:
             atoms.append(Action.advertise_more_specific(sp, l.id))
@@ -330,7 +327,10 @@ def te_config_from_actions(
     add them, and communities and MEDs decorate them.  Each action reads one
     (prefix, link) key, so a set is consistent exactly when each key's
     actions are: it repeats nothing, names only communities in the provider's
-    catalog, and finds each announcement present or absent as its kind needs."""
+    catalog, and finds each announcement present or absent as its kind needs.
+    An originated prefix withheld on every link goes into `withheld`, so it
+    is announced nowhere (traffic for it falls back to a covering prefix,
+    if dest announces one, else it is unreachable)."""
     catalogs = {l.id: t.catalogs.get(l.other(dest)) for l in t.up_links_of(dest)}
     origs = t.originated_by(dest)
     # (prefix, link id) -> [communities, MED] of each announcement.
@@ -359,11 +359,11 @@ def te_config_from_actions(
             present[key][1] = a.med
     ads = tuple(
         Advertisement(dest, p, link_id, frozenset(communities), med)
-        for (p, link_id), (communities, med) in sorted(
-            present.items(), key=lambda kv: (kv[0][0].sort_key(), kv[0][1])
-        )
+        for (p, link_id), (communities, med) in sorted(present.items())
     )
-    return TeConfig(ads, dict(lp_overrides or {}))
+    announced = {p for p, _link_id in present}
+    withheld = frozenset((dest, p) for p in origs if p not in announced)
+    return TeConfig(ads, dict(lp_overrides or {}), withheld)
 
 
 def _prepend_amount(t: Topology, dest: int, action: Action) -> int:
@@ -431,7 +431,7 @@ def _prefix_groups(t: Topology, objectives: Sequence[Objective]) -> list[frozens
     # prefix inside it, so each component is its first prefix and the run of
     # prefixes that follow inside it.
     groups: list[list[Prefix]] = []
-    for p in sorted(universe, key=Prefix.sort_key):
+    for p in sorted(universe):
         if groups and groups[-1][0].contains(p):
             groups[-1].append(p)
         else:

@@ -10,14 +10,18 @@ applied when the provider receives routes from a customer:
 
 Communities carrying these instructions are local to the provider and are
 stripped from the route at the provider's egress.
+
+`AnnotatedRoute` is a NamedTuple: it equals and sorts like the tuple of its
+fields, and a changed copy is `ar._replace(...)`.  Its defaults are shared
+immutable empties, so `AnnotatedRoute(route)` is the plain entry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import abc
+from dataclasses import dataclass, field
 from functools import cached_property
-from types import MappingProxyType
-from typing import Mapping, TYPE_CHECKING
+from typing import Iterator, Mapping, NamedTuple, TYPE_CHECKING
 
 from .routes import Community, Route
 from .topology import Finding, Rel, is_number
@@ -97,6 +101,10 @@ class PolicyCatalog:
                     Finding("error", f"AS {self.owner}: community {c} mapped by more than one rule")
                 )
             seen.add(c)
+        # ingress_transform installs a catalog LP unchecked (Route._replace).
+        for c, lp in sorted(self.lp_rules.items(), key=lambda kv: kv[0].sort_key()):
+            if lp < 0:
+                findings.append(Finding("error", f"AS {self.owner}: LP {lp} for {c} is negative"))
         for c, (_, count) in sorted(self.prepend_rules.items(), key=lambda kv: kv[0].sort_key()):
             if not PREPEND_MIN <= count <= PREPEND_MAX:
                 findings.append(
@@ -134,24 +142,48 @@ class PolicyCatalog:
         return chosen
 
 
-@dataclass(frozen=True, slots=True)
-class AnnotatedRoute:
+class _EmptySchedule(abc.Mapping):
+    """The prepend schedule of a route that triggered none: empty, immutable,
+    and one shared instance, which pickling and copying keep."""
+
+    __slots__ = ()
+
+    def __getitem__(self, neighbor: int) -> int:
+        raise KeyError(neighbor)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(())
+
+    def __len__(self) -> int:
+        return 0
+
+    def get(self, neighbor: int, default: int | None = None) -> int | None:
+        return default
+
+    def __repr__(self) -> str:
+        return "{}"
+
+    def __reduce__(self) -> str:
+        return "_NO_SCHEDULE"
+
+
+_NO_SUPPRESSION: frozenset[int] = frozenset()
+_NO_SCHEDULE: Mapping[int, int] = _EmptySchedule()
+
+
+class AnnotatedRoute(NamedTuple):
     """A received route plus the catalog actions it triggered at ingress."""
 
     route: Route
     lp_override: int | None = None
-    suppressed_toward: frozenset[int] = frozenset()
-    prepend_schedule: Mapping[int, int] = field(default_factory=dict)
-
-
-_NO_SUPPRESSION: frozenset[int] = frozenset()
-_NO_SCHEDULE: Mapping[int, int] = MappingProxyType({})
+    suppressed_toward: frozenset[int] = _NO_SUPPRESSION
+    prepend_schedule: Mapping[int, int] = _NO_SCHEDULE
 
 
 def plain(route: Route) -> AnnotatedRoute:
     """`route` with no catalog action; every plain entry shares the same
     empty, immutable suppression set and prepend schedule."""
-    return AnnotatedRoute(route, None, _NO_SUPPRESSION, _NO_SCHEDULE)
+    return AnnotatedRoute(route)
 
 
 def parse_community(text: str) -> Community:
@@ -186,7 +218,7 @@ def ingress_transform(cat: PolicyCatalog, r: Route, neighbors: Mapping[int, Rel]
             for asn in cat.expand_selector(sel, neighbors, exclude_customers=False):
                 schedule[asn] = max(schedule.get(asn, 0), count)
     if lp_override is not None:
-        r = replace(r, local_pref=lp_override)
+        r = r._replace(local_pref=lp_override)
     return AnnotatedRoute(r, lp_override, frozenset(suppressed), schedule)
 
 
@@ -215,12 +247,6 @@ def egress_apply(ar: AnnotatedRoute, provider: int, neighbor: int, catalog: Poli
     communities = r.communities
     if catalog is not None:
         communities = communities - catalog.communities()
-    return Route(
-        r.prefix,
-        (provider,) * times + r.as_path,
-        0,
-        r.med,
-        communities,
-        r.learned_on,
-        r.origin_as,
+    return Route._make(
+        (r.prefix, (provider,) * times + r.as_path, 0, r.med, communities, r.learned_on, r.origin_as)
     )

@@ -4,11 +4,18 @@ AS-path convention: first element is the most recent hop, last element is
 the originating AS.  A locally originated route has an empty path and
 learned_on == "local"; every export prepends the sender once, so the origin's
 announcement already carries the origin ASN.
+
+`Route` is a tuple (a NamedTuple with a checking constructor): it equals,
+hashes and sorts like the tuple of its fields, and a changed copy is
+`r._replace(field=value)`, not `dataclasses.replace`.  `Route(...)` checks
+every invariant; `Route._make` checks none and is the engine's trusted path,
+used only for routes built from already-checked routes and advertisements.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .topology import LOCAL, Prefix, Rel
 
@@ -45,8 +52,7 @@ class Community:
         return (self.high, self.low)
 
 
-@dataclass(frozen=True, slots=True)
-class Route:
+class _RouteFields(NamedTuple):
     prefix: Prefix
     as_path: tuple[int, ...]
     local_pref: int
@@ -55,18 +61,35 @@ class Route:
     learned_on: str  # link id, or "local"
     origin_as: int
 
-    def __post_init__(self) -> None:
-        if self.learned_on != LOCAL:
-            if not self.as_path:
+
+class Route(_RouteFields):
+    """One route, as the tuple of its seven fields.  `Route(...)` checks the
+    invariants below; `_make` and `_replace` check none."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        prefix: Prefix,
+        as_path: tuple[int, ...],
+        local_pref: int,
+        med: int | None,
+        communities: frozenset[Community],
+        learned_on: str,
+        origin_as: int,
+    ) -> "Route":
+        if learned_on != LOCAL:
+            if not as_path:
                 raise ValueError("received route with empty AS-path")
-            if self.as_path[-1] != self.origin_as:
+            if as_path[-1] != origin_as:
                 raise ValueError("AS-path must end at the origin AS")
-        if self.local_pref < 0:
+        if local_pref < 0:
             raise ValueError("local_pref must be >= 0")
-        if self.med is not None and self.med < 0:
+        if med is not None and med < 0:
             raise ValueError("MED must be >= 0")
-        if len(self.communities) > COMMUNITY_BUDGET:
+        if len(communities) > COMMUNITY_BUDGET:
             raise ValueError(f"more than {COMMUNITY_BUDGET} communities on one route")
+        return tuple.__new__(cls, (prefix, as_path, local_pref, med, communities, learned_on, origin_as))
 
     @property
     def path_len(self) -> int:
@@ -146,4 +169,4 @@ def prepend_path(r: Route, who: int, n: int) -> Route:
         raise ValueError("prepend count must be >= 0")
     if n == 0:
         return r
-    return replace(r, as_path=(who,) * n + r.as_path)
+    return r._replace(as_path=(who,) * n + r.as_path)

@@ -333,7 +333,7 @@ def parse_scenario(text: str) -> Scenario:
     report = topology.validation
     if not report.ok():  # parser checks should make this unreachable
         raise ScenarioError("; ".join(f.message for f in report.errors), 0, 0)
-    advertisements.sort(key=lambda ad: (ad.origin, ad.prefix.sort_key(), ad.link_id))
+    advertisements.sort(key=lambda ad: (ad.origin, ad.prefix, ad.link_id))
     te = TeConfig(tuple(advertisements), lp_overrides)
     te.validate(topology)
     return Scenario(topology, te, tuple(objectives))
@@ -345,7 +345,10 @@ def parse_topology(text: str) -> Topology:
 
 def serialize_scenario(s: Scenario) -> str:
     """Canonical text form; parse_scenario(serialize_scenario(s)) == s when
-    s's objectives are already in canonical order."""
+    s's objectives are already in canonical order.  ValueError for a TE
+    config that withholds a prefix everywhere, which no record expresses."""
+    if s.te_config.withheld:
+        raise ValueError("a prefix withheld on every link has no scenario record")
     t = s.topology
     lines: list[str] = []
     for asn in sorted(t.roles):
@@ -358,7 +361,7 @@ def serialize_scenario(s: Scenario) -> str:
         suffix = "" if link.up else " down"
         lines.append(f"link {link.id} {a} {b} {rel}{suffix}")
     for asn in sorted(t.originations):
-        for p in sorted(t.originated_by(asn), key=Prefix.sort_key):
+        for p in sorted(t.originated_by(asn)):
             lines.append(f"originate {asn} {p}")
     for owner in sorted(t.catalogs):
         cat = t.catalogs[owner]
@@ -373,7 +376,7 @@ def serialize_scenario(s: Scenario) -> str:
             lines.append(f"policy {owner} region {asn} {cat.region_of[asn]}")
         if cat.drops_community_updates:
             lines.append(f"policy {owner} drops-community-updates")
-    for ad in sorted(s.te_config.advertisements, key=lambda ad: (ad.origin, ad.prefix.sort_key(), ad.link_id)):
+    for ad in sorted(s.te_config.advertisements, key=lambda ad: (ad.origin, ad.prefix, ad.link_id)):
         parts = [f"advertise {ad.origin} {ad.prefix} {ad.link_id}"]
         for c in sorted(ad.communities, key=Community.sort_key):
             parts.append(f"community {c}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -39,23 +40,38 @@ def check_asn(value: int) -> int:
     return value
 
 
-@dataclass(frozen=True, slots=True)
-class Prefix:
-    """IPv4 prefix as (base address, length); host bits must be zero."""
+def _mask(length: int) -> int:
+    return ((1 << length) - 1) << (32 - length) if length else 0
 
-    base: int
-    length: int
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.length <= 32:
-            raise ValueError(f"prefix length out of range: {self.length}")
-        if not 0 <= self.base < 2**32:
+class Prefix(tuple):
+    """IPv4 prefix as (base address, length); host bits must be zero.
+
+    A tuple, so hashing, equality and ordering are the tuple's own: a
+    `Prefix` equals, hashes and sorts like the plain tuple (base, length)."""
+
+    __slots__ = ()
+
+    def __new__(cls, base: int, length: int) -> "Prefix":
+        if not 0 <= length <= 32:
+            raise ValueError(f"prefix length out of range: {length}")
+        if not 0 <= base < 2**32:
             raise ValueError("prefix base is not a 32-bit value")
-        if self.base & ~self.mask():
-            raise ValueError(f"host bits set below /{self.length}")
+        if base & ~_mask(length):
+            raise ValueError(f"host bits set below /{length}")
+        return tuple.__new__(cls, (base, length))
+
+    base = property(itemgetter(0), doc="The network address, as a 32-bit int.")
+    length = property(itemgetter(1), doc="The prefix length, 0..32.")
+
+    def __getnewargs__(self) -> tuple[int, int]:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"Prefix(base={self[0]}, length={self[1]})"
 
     def mask(self) -> int:
-        return ((1 << self.length) - 1) << (32 - self.length) if self.length else 0
+        return _mask(self[1])
 
     def contains(self, other: "Prefix") -> bool:
         """True when `other` is inside (or equal to) this prefix."""

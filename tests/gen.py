@@ -278,12 +278,12 @@ def oracle_loc_ribs(t: Topology, te: TeConfig) -> dict[int, dict[Prefix, Route]]
             sent = best_up.get(sender)
             if sent is None:
                 return None
-            return replace(sent, as_path=(sender,) + sent.as_path, local_pref=0, learned_on=link.id)
+            return sent._replace(as_path=(sender,) + sent.as_path, local_pref=0, learned_on=link.id)
 
         def install(wire: Route | None, receiver: int, lp: int) -> Route | None:
             if wire is None or receiver in wire.as_path:
                 return None
-            return replace(wire, local_pref=lp)
+            return wire._replace(local_pref=lp)
 
         best_up: dict[int, Route] = {origin: local_route(prefix, origin)}
         for x in order:
@@ -328,7 +328,7 @@ def oracle_loc_ribs(t: Topology, te: TeConfig) -> dict[int, dict[Prefix, Route]]
                     sent = best.get(q)  # never local: only `origin` owns this key
                     if sent is None:
                         continue
-                    wire = replace(sent, as_path=(q,) + sent.as_path, local_pref=0, learned_on=link.id)
+                    wire = sent._replace(as_path=(q,) + sent.as_path, local_pref=0, learned_on=link.id)
                     r = install(wire, x, LP_PROVIDER)
                 if r is not None:
                     cands.append(r)

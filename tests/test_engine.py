@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from dataclasses import replace
 from functools import cmp_to_key
@@ -8,6 +10,7 @@ import pytest
 import gen
 from bgpsteer import (
     Advertisement,
+    Community,
     Link,
     OscillationError,
     Prefix,
@@ -17,7 +20,7 @@ from bgpsteer import (
     propagate_to_convergence,
 )
 from bgpsteer.engine import MAX_PREPEND, ConvergedState, _announcement_table
-from bgpsteer.policies import egress_apply, ingress_transform, plain
+from bgpsteer.policies import AnnotatedRoute, egress_apply, ingress_transform, plain
 from bgpsteer.routes import Route, compare_routes, default_local_pref, export_permitted, local_route
 from bgpsteer.topology import LOCAL, Rel
 
@@ -170,6 +173,14 @@ def test_te_config_validation_errors():
     bad = TeConfig((Advertisement(65001, Prefix.parse("192.168.0.0/16"), "l1"),), {})
     with pytest.raises(ValueError):
         propagate_to_convergence(s.topology, bad)
+
+
+def test_te_config_rejects_a_withheld_prefix_its_origin_does_not_originate():
+    s = parse_scenario(DUAL)
+    propagate_to_convergence(s.topology, TeConfig(withheld=frozenset({(65001, P1)})))
+    for pair in ((65001, Prefix.parse("10.1.0.0/17")), (100, P1), (4242, P1)):
+        with pytest.raises(ValueError, match="does not originate"):
+            propagate_to_convergence(s.topology, TeConfig(withheld=frozenset({pair})))
 
 
 def test_oracle_equivalence_sample():
@@ -352,7 +363,7 @@ def _reference_run(t, te, *, prefixes=None, max_rounds=None):
             return plain(installed)
         ar = ingress_transform(catalog, installed, t.neighbor_rels(receiver))
         if ar.lp_override is not None:
-            ar = replace(ar, route=replace(installed, local_pref=ar.lp_override))
+            ar = ar._replace(route=installed._replace(local_pref=ar.lp_override))
         return ar
 
     adj = {asn: {} for asn in t.roles}
@@ -424,7 +435,20 @@ def _check_against_reference(t, te, *, prefixes=None, max_rounds=None):
         assert got.rounds_used == want.rounds_used
         assert got.dump() == want.dump()
         assert got.loc_rib == want.loc_rib and got.adj_rib_in == want.adj_rib_in
+        _check_installed_routes(got)
     return want
+
+
+def _check_installed_routes(state):
+    """Every installed route passes the checking constructor unchanged: the
+    engine's trusted `Route._make` path builds only valid routes."""
+    for rib in state.adj_rib_in.values():
+        for by_link in rib.values():
+            for ar in by_link.values():
+                assert type(ar.route) is Route and Route(*ar.route) == ar.route
+    for rib in state.loc_rib.values():
+        for ar in rib.values():
+            assert type(ar.route) is Route and Route(*ar.route) == ar.route
 
 
 def _with_disagree_gadget(rng, t, te):
@@ -567,3 +591,32 @@ def test_a_displaced_local_entry_is_withdrawn_where_it_was_announced():
     state = _check_against_reference(t, te)
     assert state.selected(1, sub).learned_on == "l3"
     assert set(state.adj_rib_in[3][sub]) == {"l2"}
+
+
+def test_value_types_survive_pickle_and_deepcopy():
+    r = Route(P1, (100, 65001), 200, 10, frozenset({Community(100, 50)}), "l1", 65001)
+    values = [P1, r, plain(r), AnnotatedRoute(r, 50, frozenset({300}), {300: 2})]
+    for value in values:
+        for back in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert back == value and type(back) is type(value)
+            assert repr(back) == repr(value)
+    # The shared empty schedule stays the one shared, immutable instance.
+    empty = plain(r).prepend_schedule
+    assert pickle.loads(pickle.dumps(empty)) is empty and copy.deepcopy(empty) is empty
+    with pytest.raises(TypeError):
+        empty[300] = 1
+
+
+def test_converged_states_survive_pickle_and_deepcopy():
+    converged = 0
+    for path in sorted(Path("scenarios").glob("*.scn")):
+        s = parse_scenario(path.read_text())
+        try:
+            state = propagate_to_convergence(s.topology, s.te_config)
+        except OscillationError:
+            continue
+        converged += 1
+        for back in (pickle.loads(pickle.dumps(state)), copy.deepcopy(state)):
+            assert back.dump() == state.dump(), path.name
+            assert back.loc_rib == state.loc_rib and back.adj_rib_in == state.adj_rib_in
+    assert converged >= 19

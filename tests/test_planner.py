@@ -252,6 +252,43 @@ def test_te_config_from_actions_expands_withholds_then_more_specifics_then_attac
     assert te_config_from_actions(t, 65001, actions[1:2]) is None
 
 
+def test_a_prefix_withheld_on_every_link_is_announced_nowhere():
+    s = load("scenarios/dualprovider_baseline.scn")
+    t = s.topology
+    te = te_config_from_actions(t, 65001, [Action.withhold(P2, "l1"), Action.withhold(P2, "l2")])
+    assert te.withheld == {(65001, P2)}
+    assert {ad.prefix for ad in te.advertisements} == {P1}
+    state = propagate_to_convergence(t, te)
+    assert [asn for asn, rib in state.loc_rib.items() if P2 in rib] == [65001]
+    baseline = ingress_map(propagate_to_convergence(t, s.te_config), t, 65001).entries
+    got = ingress_map(state, t, 65001).entries
+    assert {link for (_src, p), link in got.items() if p == P2} == {"unreachable"}
+    assert {k: v for k, v in got.items() if k[1] == P1} == {k: v for k, v in baseline.items() if k[1] == P1}
+
+
+def test_a_prefix_withheld_on_every_link_falls_back_to_its_cover():
+    # 10.2.0.0/16 lies inside dest's 10.0.0.0/8, which stays announced on l1
+    # only: its traffic follows the cover, so 65102 (behind l2 alone) loses it.
+    s = parse_scenario(
+        "as 65001 stub\nas 100 transit\nas 200 transit\nas 65101 stub\nas 65102 stub\n"
+        "link l1 65001 100 c2p\nlink l2 65001 200 c2p\n"
+        "link l3 65101 100 c2p\nlink l4 65102 200 c2p\n"
+        "originate 65001 10.0.0.0/8\noriginate 65001 10.2.0.0/16\n"
+    )
+    t = s.topology
+    actions = [Action.withhold(P2, "l1"), Action.withhold(P2, "l2"), Action.withhold(COVER, "l2")]
+    te = te_config_from_actions(t, 65001, actions)
+    assert te.withheld == {(65001, P2)}
+    state = propagate_to_convergence(t, te)
+    assert state.best_route(65101, P2).prefix == COVER
+    assert state.best_route(65102, P2) is None
+    assert all(P2 not in state.loc_rib[asn] for asn in (100, 200, 65101, 65102))
+    entries = ingress_map(state, t, 65001).entries
+    assert {src: entries[src, P2] for src in (100, 200, 65101, 65102)} == {
+        100: "l1", 200: "unreachable", 65101: "l1", 65102: "unreachable"
+    }
+
+
 def test_te_config_from_actions_explicit_everything():
     s = load("scenarios/dualprovider_baseline.scn")
     te = te_config_from_actions(s.topology, 65001, [])

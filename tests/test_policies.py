@@ -205,6 +205,15 @@ def test_catalog_validate_flags_non_neighbor_selector():
     assert any("non-neighbor" in f.message for f in validate_topology(t).errors)
 
 
+def test_catalog_validate_flags_a_negative_lp():
+    from bgpsteer import Link, Topology, TopologyError
+
+    cat = PolicyCatalog(2, {Community(2, 1): -5, Community(2, 2): 50}, {}, {}, {})
+    t = Topology({1: "stub", 2: "transit"}, (Link("l1", 1, 2, 1),), {1: frozenset({P1})}, {2: cat})
+    with pytest.raises(TopologyError, match="LP -5 for 2:1 is negative"):
+        propagate_to_convergence(t)
+
+
 def test_catalog_duplicate_community_rejected():
     text = (
         "as 1 stub\nas 2 transit\nlink l1 1 2 c2p\n"

@@ -127,15 +127,31 @@ def test_community_budget_fits_message_limit():
 
 
 def test_route_invariants():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty AS-path"):
         Route(P1, (), 100, None, frozenset(), "l1", D)  # received but empty path
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="end at the origin"):
         Route(P1, (ISP1, D), 100, None, frozenset(), "l1", ISP2)  # wrong origin
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="local_pref"):
         Route(P1, (D,), -1, None, frozenset(), "l1", D)
+    with pytest.raises(ValueError, match="MED"):
+        Route(P1, (D,), 100, -1, frozenset(), "l1", D)
     too_many = frozenset(Community(1, i) for i in range(65))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="communities"):
         Route(P1, (D,), 100, None, too_many, "l1", D)
+    # A local route may have an empty path; keywords still name the fields.
+    r = Route(
+        prefix=P1, as_path=(), local_pref=100, med=None, communities=frozenset(), learned_on="local", origin_as=D
+    )
+    assert r == (P1, (), 100, None, frozenset(), "local", D)
+
+
+def test_route_is_the_tuple_of_its_fields():
+    r = route([ISP1, D], lp=200, med=10)
+    fields = (P1, (ISP1, D), 200, 10, frozenset(), "lx", D)
+    assert r == fields and hash(r) == hash(fields) and tuple(r) == fields
+    changed = r._replace(local_pref=50)
+    assert type(changed) is Route and changed.local_pref == 50 and r.local_pref == 200
+    assert repr(r).startswith("Route(prefix=Prefix(base=167837696, length=16), as_path=(100, 65001)")
 
 
 def test_lp_dominance_argmax():

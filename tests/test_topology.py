@@ -40,6 +40,27 @@ def test_prefix_rejects(bad):
         Prefix.parse(bad)
 
 
+def test_prefix_constructor_checks():
+    with pytest.raises(ValueError, match="length out of range"):
+        Prefix(0, 33)
+    with pytest.raises(ValueError, match="length out of range"):
+        Prefix(0, -1)
+    with pytest.raises(ValueError, match="32-bit"):
+        Prefix(2**32, 32)
+    with pytest.raises(ValueError, match="host bits"):
+        Prefix(0x0A010001, 16)
+
+
+def test_prefix_is_the_tuple_base_length():
+    p = Prefix.parse("10.1.0.0/16")
+    assert p == (0x0A010000, 16) and hash(p) == hash((0x0A010000, 16))
+    assert Prefix(base=0x0A010000, length=16) == p and repr(p) == "Prefix(base=167837696, length=16)"
+    # Sorted by address, then length: the order every report uses.
+    ps = [Prefix.parse(x) for x in ("10.2.0.0/16", "10.1.128.0/17", "10.1.0.0/16", "10.0.0.0/8")]
+    assert sorted(ps) == sorted(ps, key=Prefix.sort_key)
+    assert [str(x) for x in sorted(ps)] == ["10.0.0.0/8", "10.1.0.0/16", "10.1.128.0/17", "10.2.0.0/16"]
+
+
 def test_prefix_containment():
     p16 = Prefix.parse("10.1.0.0/16")
     p17 = Prefix.parse("10.1.128.0/17")
@@ -175,6 +196,15 @@ def test_roundtrip_canonical_identity_on_goldens():
         s2 = parse_scenario(canon)
         assert s2 == s, path.name
         assert serialize_scenario(s2) == canon, path.name
+
+
+def test_serialize_rejects_a_prefix_withheld_on_every_link():
+    from bgpsteer import Scenario, TeConfig
+
+    s = parse_scenario(DUAL)
+    te = TeConfig(withheld=frozenset({(65001, Prefix.parse("10.1.0.0/16"))}))
+    with pytest.raises(ValueError, match="no scenario record"):
+        serialize_scenario(Scenario(s.topology, te, ()))
 
 
 def test_roundtrip_random_scenarios():
