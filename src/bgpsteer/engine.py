@@ -94,29 +94,9 @@ class TeConfig:
     withheld: frozenset[tuple[int, Prefix]] = frozenset()
 
     def validate(self, t: Topology) -> None:
-        links = t.links_by_id
         seen: set[tuple[int, Prefix, str]] = set()
         for ad in self.advertisements:
-            key = (ad.origin, ad.prefix, ad.link_id)
-            if key in seen:
-                raise ValueError(f"duplicate advertisement of {ad.prefix} on {ad.link_id}")
-            seen.add(key)
-            if ad.origin not in t.roles:
-                raise ValueError(f"advertisement by undeclared AS {ad.origin}")
-            link = links.get(ad.link_id)
-            if link is None:
-                raise ValueError(f"unknown link id: {ad.link_id}")
-            if ad.origin != link.a and ad.origin != link.b:
-                raise ValueError(f"AS {ad.origin} is not on link {ad.link_id}")
-            originated = t.originated_by(ad.origin)
-            if ad.prefix not in originated and not any(p.contains(ad.prefix) for p in originated):
-                raise ValueError(
-                    f"AS {ad.origin} advertises {ad.prefix} outside its originated space"
-                )
-            if len(ad.communities) > COMMUNITY_BUDGET:
-                raise ValueError(f"advertisement of {ad.prefix} exceeds the community budget")
-            if ad.med is not None and ad.med < 0:
-                raise ValueError("MED must be >= 0")
+            check_advertisement(t, ad, seen)
         for origin, prefix in self.withheld:
             if prefix not in t.originated_by(origin):
                 raise ValueError(f"AS {origin} withholds {prefix}, which it does not originate")
@@ -125,6 +105,29 @@ class TeConfig:
                 raise ValueError(f"LP override references undeclared AS ({asn}, {neighbor})")
             if lp < 0:
                 raise ValueError("LP override must be >= 0")
+
+
+def check_advertisement(t: Topology, ad: Advertisement, seen: set[tuple[int, Prefix, str]]) -> None:
+    """ValueError when `ad` breaks a rule of `TeConfig.validate`, or repeats
+    an (origin, prefix, link) key in `seen`, which it then joins."""
+    key = (ad.origin, ad.prefix, ad.link_id)
+    if key in seen:
+        raise ValueError(f"duplicate advertisement of {ad.prefix} on {ad.link_id}")
+    seen.add(key)
+    if ad.origin not in t.roles:
+        raise ValueError(f"advertisement by undeclared AS {ad.origin}")
+    link = t.links_by_id.get(ad.link_id)
+    if link is None:
+        raise ValueError(f"unknown link id: {ad.link_id}")
+    if ad.origin != link.a and ad.origin != link.b:
+        raise ValueError(f"AS {ad.origin} is not on link {ad.link_id}")
+    originated = t.originated_by(ad.origin)
+    if ad.prefix not in originated and not any(p.contains(ad.prefix) for p in originated):
+        raise ValueError(f"AS {ad.origin} advertises {ad.prefix} outside its originated space")
+    if len(ad.communities) > COMMUNITY_BUDGET:
+        raise ValueError(f"more than {COMMUNITY_BUDGET} communities on one advertisement of {ad.prefix}")
+    if ad.med is not None and ad.med < 0:
+        raise ValueError("MED must be >= 0")
 
 
 def _announcement_table(

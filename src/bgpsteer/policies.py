@@ -91,43 +91,36 @@ class PolicyCatalog:
 
     def validate(self, t: "Topology") -> list[Finding]:
         findings: list[Finding] = []
+
+        def err(msg: str, *subject) -> None:
+            findings.append(Finding("error", f"AS {self.owner}: {msg}", subject))
+
         seen: set[Community] = set()
         for c in sorted(
             list(self.lp_rules) + list(self.suppress_rules) + list(self.prepend_rules),
             key=Community.sort_key,
         ):
             if c in seen:
-                findings.append(
-                    Finding("error", f"AS {self.owner}: community {c} mapped by more than one rule")
-                )
+                err(f"community {c} already mapped by another rule", "rule", self.owner, c)
             seen.add(c)
         # ingress_transform installs a catalog LP unchecked (Route._replace).
         for c, lp in sorted(self.lp_rules.items(), key=lambda kv: kv[0].sort_key()):
             if lp < 0:
-                findings.append(Finding("error", f"AS {self.owner}: LP {lp} for {c} is negative"))
+                err(f"LP {lp} for {c} is negative", "rule", self.owner, c)
         for c, (_, count) in sorted(self.prepend_rules.items(), key=lambda kv: kv[0].sort_key()):
             if not PREPEND_MIN <= count <= PREPEND_MAX:
-                findings.append(
-                    Finding("error", f"AS {self.owner}: prepend count {count} for {c} outside {PREPEND_MIN}..{PREPEND_MAX}")
-                )
+                err(f"prepend count {count} for {c} outside {PREPEND_MIN}..{PREPEND_MAX}", "rule", self.owner, c)
         # Neighbor-ness counts down links too; a selector over a failed link
         # is dormant, not invalid.
-        neighbors: set[int] = set()
-        for link in t.links:
-            if self.owner in link.endpoints():
-                neighbors.add(link.other(self.owner))
-        selectors = [sel for sel in self.suppress_rules.values()]
-        selectors += [sel for sel, _ in self.prepend_rules.values()]
-        for sel in selectors:
+        neighbors = {link.other(self.owner) for link in t.links if self.owner in link.endpoints()}
+        selectors = list(self.suppress_rules.items())
+        selectors += [(c, sel) for c, (sel, _) in self.prepend_rules.items()]
+        for c, sel in selectors:
             if sel.kind == "asn" and sel.asn not in neighbors:
-                findings.append(
-                    Finding("error", f"AS {self.owner}: selector names non-neighbor AS {sel.asn}")
-                )
+                err(f"selector names non-neighbor AS {sel.asn}", "rule", self.owner, c)
         for asn in sorted(self.region_of):
             if asn not in neighbors:
-                findings.append(
-                    Finding("error", f"AS {self.owner}: region tag on non-neighbor AS {asn}")
-                )
+                err(f"region tag on non-neighbor AS {asn}", "region", self.owner, asn)
         return findings
 
     def expand_selector(self, sel: PeerSelector, neighbors: Mapping[int, Rel], *, exclude_customers: bool) -> set[int]:

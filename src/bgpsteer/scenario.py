@@ -16,27 +16,25 @@ Grammar (UTF-8, `#` starts a comment, blank lines ignored):
 
 A prefix with no `advertise` line is announced plainly on every up link of
 its origin; one `advertise` line switches the prefix to exactly the listed
-links.  Every record is checked while parsing and violations carry the line
-and column where they occur.
+links.  The parser checks each record's syntax (fields, keywords, numbers,
+prefixes, communities), resolves its ASN and link references, and rejects a
+record repeated under one key (an AS, an origination, a community in one
+rule kind, a region tag, an LP override).  Every other rule is the
+validators' (`validate_topology`, `PolicyCatalog.validate`,
+`check_advertisement`): their first error, in file order, is reported at
+the record that breaks it.  Every `ScenarioError` carries a line and column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import Advertisement, TeConfig
+from .engine import Advertisement, TeConfig, check_advertisement
 from .flows import Flow
 from .planner import Objective
 from .policies import ALL_UPSTREAMS, PeerSelector, PolicyCatalog, parse_community
-from .routes import COMMUNITY_BUDGET, Community
-from .topology import (
-    MAX_ASN,
-    MIN_ASN,
-    Link,
-    Prefix,
-    Topology,
-    is_number,
-)
+from .routes import Community
+from .topology import MAX_ASN, MIN_ASN, Link, Prefix, Topology, is_number
 
 
 class ScenarioError(ValueError):
@@ -102,6 +100,12 @@ def _parse_comm(tok: _Token) -> Community:
         raise _fail(tok, str(exc)) from exc
 
 
+def _parse_number(tok: _Token, msg: str) -> int:
+    if not is_number(tok.text):
+        raise _fail(tok, msg)
+    return int(tok.text)
+
+
 def _expect(tokens: list[_Token], n: int, what: str) -> None:
     if len(tokens) != n:
         tok = tokens[min(n, len(tokens) - 1)]
@@ -116,10 +120,6 @@ class _CatalogDraft:
         self.prepend: dict[Community, tuple[PeerSelector, int]] = {}
         self.region: dict[int, str] = {}
         self.drops = False
-
-    def claim(self, c: Community, tok: _Token) -> None:
-        if c in self.lp or c in self.suppress or c in self.prepend:
-            raise _fail(tok, f"community {c} already mapped in AS {self.owner}'s catalog")
 
     def build(self) -> PolicyCatalog:
         return PolicyCatalog(self.owner, self.lp, self.suppress, self.prepend, self.region, self.drops)
@@ -147,24 +147,19 @@ def parse_scenario(text: str) -> Scenario:
             raise _fail(tok, f"unknown ASN reference {asn}")
         return asn
 
+    # The token of the record that introduced each `Finding.subject`; a later
+    # record naming the same subject (a repeated link id, a prefix that a
+    # second AS originates) replaces it.
+    where: dict[tuple, _Token] = {}
     links: list[Link] = []
-    link_ids: set[str] = set()
     originations: dict[int, set[Prefix]] = {}
-    prefix_owner: dict[Prefix, int] = {}
     for tokens in records:
         kind = tokens[0].text
         if kind == "link":
             if len(tokens) not in (5, 6):
                 raise _fail(tokens[0], "link record: expected 5 or 6 fields")
-            link_id = tokens[1].text
-            if link_id in link_ids:
-                raise _fail(tokens[1], f"duplicate link id {link_id!r}")
-            if link_id == "local":
-                raise _fail(tokens[1], "'local' is reserved and cannot name a link")
             a = known(tokens[2])
             b = known(tokens[3])
-            if a == b:
-                raise _fail(tokens[3], "link endpoints must differ")
             rel = tokens[4].text
             if rel not in ("c2p", "p2p"):
                 raise _fail(tokens[4], f"relationship must be c2p or p2p, got {rel!r}")
@@ -173,34 +168,28 @@ def parse_scenario(text: str) -> Scenario:
                 if tokens[5].text != "down":
                     raise _fail(tokens[5], f"expected 'down', got {tokens[5].text!r}")
                 up = False
-            links.append(Link(link_id, a, b, a if rel == "c2p" else None, up))
-            link_ids.add(link_id)
+            try:
+                links.append(Link(tokens[1].text, a, b, a if rel == "c2p" else None, up))
+            except ValueError as exc:
+                raise _fail(tokens[1], str(exc)) from exc
+            where["link", tokens[1].text] = tokens[1]
         elif kind == "originate":
             _expect(tokens, 3, "originate record")
-            asn = known(tokens[1])
+            prefixes = originations.setdefault(known(tokens[1]), set())
             prefix = _parse_prefix(tokens[2])
-            if prefix in prefix_owner:
-                owner = prefix_owner[prefix]
-                if owner != asn:
-                    raise _fail(tokens[2], f"prefix {prefix} already originated by AS {owner}")
+            if prefix in prefixes:
                 raise _fail(tokens[2], f"duplicate origination of {prefix}")
-            prefix_owner[prefix] = asn
-            originations.setdefault(asn, set()).add(prefix)
-
+            prefixes.add(prefix)
+            where["prefix", prefix] = tokens[2]
     links.sort(key=lambda l: l.id)
-    neighbor_sets: dict[int, set[int]] = {asn: set() for asn in roles}
-    for link in links:
-        a, b = link.endpoints()
-        neighbor_sets[a].add(b)
-        neighbor_sets[b].add(a)
+    link_ids = {link.id for link in links}
 
     drafts: dict[int, _CatalogDraft] = {}
-    advertisements: list[Advertisement] = []
-    ad_keys: set[tuple[int, Prefix, str]] = set()
+    advertisements: list[tuple[Advertisement, _Token]] = []
     lp_overrides: dict[tuple[int, int], int] = {}
     objectives: list[Objective] = []
 
-    def parse_selector(tok: _Token, owner: int) -> PeerSelector:
+    def parse_selector(tok: _Token) -> PeerSelector:
         if tok.text == ALL_UPSTREAMS:
             return PeerSelector.all_upstreams()
         if tok.text.startswith("region:"):
@@ -208,10 +197,14 @@ def parse_scenario(text: str) -> Scenario:
             if not tag:
                 raise _fail(tok, "empty region tag")
             return PeerSelector.for_region(tag)
-        asn = known(tok)
-        if asn not in neighbor_sets[owner]:
-            raise _fail(tok, f"AS {asn} is not a neighbor of AS {owner}")
-        return PeerSelector.specific(asn)
+        return PeerSelector.specific(known(tok))
+
+    def claim(rules: dict, owner: int, tok: _Token) -> Community:
+        c = _parse_comm(tok)
+        if c in rules:
+            raise _fail(tok, f"community {c} already mapped in AS {owner}'s catalog")
+        where["rule", owner, c] = tok
+        return c
 
     for tokens in records:
         kind = tokens[0].text
@@ -221,36 +214,31 @@ def parse_scenario(text: str) -> Scenario:
             if len(tokens) < 3:
                 raise _fail(tokens[0], "policy record: too few fields")
             owner = known(tokens[1])
-            if roles[owner] != "transit":
-                raise _fail(tokens[1], f"catalog on non-transit AS {owner}")
-            draft = drafts.setdefault(owner, _CatalogDraft(owner))
+            if owner not in drafts:
+                drafts[owner] = _CatalogDraft(owner)
+                where["catalog", owner] = tokens[1]
+            draft = drafts[owner]
             what = tokens[2].text
             if what == "lp":
                 _expect(tokens, 5, "policy lp record")
-                c = _parse_comm(tokens[3])
-                draft.claim(c, tokens[3])
-                if not is_number(tokens[4].text):
-                    raise _fail(tokens[4], "LP value must be a non-negative integer")
-                draft.lp[c] = int(tokens[4].text)
+                c = claim(draft.lp, owner, tokens[3])
+                draft.lp[c] = _parse_number(tokens[4], "LP value must be a non-negative integer")
             elif what == "prepend":
                 _expect(tokens, 6, "policy prepend record")
-                c = _parse_comm(tokens[3])
-                draft.claim(c, tokens[3])
-                sel = parse_selector(tokens[4], owner)
-                if tokens[5].text not in ("1", "2", "3"):
-                    raise _fail(tokens[5], "prepend count must be 1, 2 or 3")
-                draft.prepend[c] = (sel, int(tokens[5].text))
+                c = claim(draft.prepend, owner, tokens[3])
+                sel = parse_selector(tokens[4])
+                draft.prepend[c] = (sel, _parse_number(tokens[5], "prepend count must be a number"))
             elif what == "suppress":
                 _expect(tokens, 5, "policy suppress record")
-                c = _parse_comm(tokens[3])
-                draft.claim(c, tokens[3])
-                draft.suppress[c] = parse_selector(tokens[4], owner)
+                c = claim(draft.suppress, owner, tokens[3])
+                draft.suppress[c] = parse_selector(tokens[4])
             elif what == "region":
                 _expect(tokens, 5, "policy region record")
                 peer = known(tokens[3])
-                if peer not in neighbor_sets[owner]:
-                    raise _fail(tokens[3], f"AS {peer} is not a neighbor of AS {owner}")
+                if peer in draft.region:
+                    raise _fail(tokens[3], f"region of AS {peer} given twice in AS {owner}'s catalog")
                 draft.region[peer] = tokens[4].text
+                where["region", owner, peer] = tokens[3]
             elif what == "drops-community-updates":
                 _expect(tokens, 3, "policy drops record")
                 draft.drops = True
@@ -261,14 +249,6 @@ def parse_scenario(text: str) -> Scenario:
                 raise _fail(tokens[0], "advertise record: too few fields")
             origin = known(tokens[1])
             prefix = _parse_prefix(tokens[2])
-            link_id = tokens[3].text
-            if link_id not in link_ids:
-                raise _fail(tokens[3], f"unknown link id {link_id!r}")
-            link = next(l for l in links if l.id == link_id)
-            if origin not in link.endpoints():
-                raise _fail(tokens[3], f"AS {origin} is not on link {link_id}")
-            if not any(p.contains(prefix) for p in originations.get(origin, ())):
-                raise _fail(tokens[2], f"{prefix} is outside AS {origin}'s originated space")
             communities: set[Community] = set()
             med: int | None = None
             i = 4
@@ -288,20 +268,14 @@ def parse_scenario(text: str) -> Scenario:
                     i += 2
                 else:
                     raise _fail(tokens[i], f"expected 'community' or 'med', got {word!r}")
-            if len(communities) > COMMUNITY_BUDGET:
-                raise _fail(tokens[2], f"more than {COMMUNITY_BUDGET} communities on one advertisement")
-            key = (origin, prefix, link_id)
-            if key in ad_keys:
-                raise _fail(tokens[2], f"duplicate advertisement of {prefix} on {link_id}")
-            ad_keys.add(key)
-            advertisements.append(Advertisement(origin, prefix, link_id, frozenset(communities), med))
+            ad = Advertisement(origin, prefix, tokens[3].text, frozenset(communities), med)
+            advertisements.append((ad, tokens[2]))
         elif kind == "lp-override":
             _expect(tokens, 4, "lp-override record")
-            asn = known(tokens[1])
-            neighbor = known(tokens[2])
-            if not is_number(tokens[3].text):
-                raise _fail(tokens[3], "LP value must be a non-negative integer")
-            lp_overrides[(asn, neighbor)] = int(tokens[3].text)
+            key = (known(tokens[1]), known(tokens[2]))
+            if key in lp_overrides:
+                raise _fail(tokens[1], f"lp-override {key[0]} {key[1]} given twice")
+            lp_overrides[key] = _parse_number(tokens[3], "LP value must be a non-negative integer")
         elif kind == "objective":
             if len(tokens) not in (5, 7):
                 raise _fail(tokens[0], "objective record: expected 5 fields (plus optional src-prefix)")
@@ -323,20 +297,26 @@ def parse_scenario(text: str) -> Scenario:
         else:
             raise _fail(tokens[0], f"unknown record kind {kind!r}")
 
-    catalogs = {owner: draft.build() for owner, draft in drafts.items()}
     topology = Topology(
         roles=roles,
         links=tuple(links),
         originations={asn: frozenset(ps) for asn, ps in originations.items()},
-        catalogs=catalogs,
+        catalogs={owner: draft.build() for owner, draft in drafts.items()},
     )
-    report = topology.validation
-    if not report.ok():  # parser checks should make this unreachable
-        raise ScenarioError("; ".join(f.message for f in report.errors), 0, 0)
-    advertisements.sort(key=lambda ad: (ad.origin, ad.prefix, ad.link_id))
-    te = TeConfig(tuple(advertisements), lp_overrides)
-    te.validate(topology)
-    return Scenario(topology, te, tuple(objectives))
+    # The validators state every semantic rule; report the first error they
+    # find, in file order, at the record that breaks the rule.
+    errors = [(where[f.subject], f.message) for f in topology.validation.errors]
+    seen: set[tuple[int, Prefix, str]] = set()
+    for ad, tok in advertisements:
+        try:
+            check_advertisement(topology, ad, seen)
+        except ValueError as exc:
+            errors.append((tok, str(exc)))
+    if errors:
+        tok, message = min(errors, key=lambda e: (e[0].line, e[0].col))
+        raise _fail(tok, message)
+    ads = sorted((ad for ad, _ in advertisements), key=lambda ad: (ad.origin, ad.prefix, ad.link_id))
+    return Scenario(topology, TeConfig(tuple(ads), lp_overrides), tuple(objectives))
 
 
 def parse_topology(text: str) -> Topology:

@@ -124,6 +124,8 @@ class Link:
     up: bool = True
 
     def __post_init__(self) -> None:
+        if self.id == LOCAL:
+            raise ValueError(f"{LOCAL!r} is reserved and cannot name a link")
         if self.a == self.b:
             raise ValueError(f"link {self.id}: endpoints must differ")
         if self.customer is not None and self.customer not in (self.a, self.b):
@@ -149,8 +151,14 @@ class Link:
 
 @dataclass(frozen=True)
 class Finding:
+    """One validation result.  `subject` names what it is about, so that a
+    reader of a scenario file can point at the record that introduced it:
+    ("link", id), ("prefix", prefix), ("catalog", owner),
+    ("rule", owner, community) or ("region", owner, peer)."""
+
     severity: str  # "error" | "warning"
     message: str
+    subject: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -356,8 +364,8 @@ def validate_topology(t: Topology) -> ValidationReport:
     warnings flag shapes (provider cycles) where convergence is not guaranteed."""
     findings: list[Finding] = []
 
-    def err(msg: str) -> None:
-        findings.append(Finding("error", msg))
+    def err(msg: str, *subject) -> None:
+        findings.append(Finding("error", msg, subject))
 
     def warn(msg: str) -> None:
         findings.append(Finding("warning", msg))
@@ -373,11 +381,11 @@ def validate_topology(t: Topology) -> ValidationReport:
     seen_ids: set[str] = set()
     for link in t.links:
         if link.id in seen_ids:
-            err(f"duplicate link id {link.id!r}")
+            err(f"duplicate link id {link.id!r}", "link", link.id)
         seen_ids.add(link.id)
         for end in link.endpoints():
             if end not in t.roles:
-                err(f"link {link.id}: undeclared AS {end}")
+                err(f"link {link.id}: undeclared AS {end}", "link", link.id)
 
     pair_kinds: dict[frozenset[int], set[str]] = {}
     for link in t.links:
@@ -395,7 +403,7 @@ def validate_topology(t: Topology) -> ValidationReport:
             continue
         for p in t.originations[asn]:
             if p in owners and owners[p] != asn:
-                err(f"prefix {p} originated by both AS {owners[p]} and AS {asn}")
+                err(f"prefix {p} of AS {asn} already originated by AS {owners[p]}", "prefix", p)
             owners[p] = asn
 
     for asn in sorted(t.catalogs):
@@ -404,7 +412,7 @@ def validate_topology(t: Topology) -> ValidationReport:
             err(f"policy catalog owned by undeclared AS {asn}")
             continue
         if not cat.is_empty() and t.roles[asn] != "transit":
-            err(f"catalog on non-transit AS {asn}")
+            err(f"catalog on non-transit AS {asn}", "catalog", asn)
         findings.extend(cat.validate(t))
 
     cycle = _provider_cycle(t)

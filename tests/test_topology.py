@@ -1,9 +1,11 @@
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from bgpsteer import (
+    Advertisement,
     Finding,
     Link,
     Prefix,
@@ -20,8 +22,8 @@ from bgpsteer import (
     serialize_scenario,
     validate_topology,
 )
-from bgpsteer.policies import PolicyCatalog
-from bgpsteer.routes import Community
+from bgpsteer.policies import PeerSelector, PolicyCatalog
+from bgpsteer.routes import COMMUNITY_BUDGET, Community
 from bgpsteer.topology import require_valid
 
 DUAL = open("scenarios/dualprovider_baseline.scn").read()
@@ -379,3 +381,203 @@ def test_origin_of_matches_a_scan_of_the_originations():
     for t, extra in cases:
         for prefix in origin_queries(t, extra):
             assert t.origin_of(prefix) == origin_by_scan(t, prefix), (prefix, dict(t.originations))
+
+
+# One bad scenario per rule the parser reports: the base is valid, each case
+# appends records to it and names the line and a message fragment.
+RULE_BASE = (
+    "as 1 stub\nas 2 transit\nas 3 stub\nas 4 stub\n"
+    "link l1 1 2 c2p\nlink l2 3 2 c2p\noriginate 1 10.1.0.0/16\n"
+)
+TOO_MANY_COMMUNITIES = "".join(f" community 65000:{i}" for i in range(COMMUNITY_BUDGET + 1))
+RULE_TABLE = [
+    ("as-twice", "as 1 stub\n", 8, "declared twice"),
+    ("bad-role", "as 5 hub\n", 8, "role must be stub or transit"),
+    ("unknown-asn", "link l3 1 9 p2p\n", 8, "unknown ASN reference"),
+    ("duplicate-link-id", "link l1 3 2 c2p\n", 8, "duplicate link id"),
+    ("endpoints-differ", "link l3 1 1 p2p\n", 8, "endpoints must differ"),
+    ("local-link-id", "link local 1 3 p2p\n", 8, "'local' is reserved"),
+    ("two-owners", "originate 3 10.1.0.0/16\n", 8, "already originated"),
+    ("originated-twice", "originate 1 10.1.0.0/16\n", 8, "duplicate origination"),
+    ("catalog-on-stub", "policy 1 lp 1:1 50\npolicy 1 lp 1:2 60\n", 8, "non-transit"),
+    ("community-two-kinds", "policy 2 lp 2:1 50\npolicy 2 suppress 2:1 all\n", 9, "already mapped"),
+    ("community-one-kind-twice", "policy 2 lp 2:1 50\npolicy 2 lp 2:1 60\n", 9, "already mapped"),
+    ("prepend-count-high", "policy 2 prepend 2:1 all 4\n", 8, "prepend count"),
+    ("prepend-count-zero", "policy 2 prepend 2:1 all 0\n", 8, "prepend count"),
+    ("prepend-count-word", "policy 2 prepend 2:1 all x\n", 8, "prepend count"),
+    ("suppress-non-neighbor", "policy 2 suppress 2:1 4\n", 8, "neighbor"),
+    ("prepend-non-neighbor", "policy 2 prepend 2:1 4 2\n", 8, "neighbor"),
+    ("region-non-neighbor", "policy 2 region 4 eu\n", 8, "neighbor"),
+    ("lp-word", "policy 2 lp 2:1 x\n", 8, "LP value must be"),
+    ("lp-override-negative", "lp-override 2 1 -5\n", 8, "LP value must be"),
+    ("ad-off-link", "advertise 1 10.1.0.0/16 l2\n", 8, "AS 1 is not on link l2"),
+    ("ad-outside-space", "advertise 1 10.2.0.0/16 l1\n", 8, "originated space"),
+    ("ad-budget", f"advertise 1 10.1.0.0/16 l1{TOO_MANY_COMMUNITIES}\n", 8, f"more than {COMMUNITY_BUDGET} communities"),
+    ("ad-twice", "advertise 1 10.1.0.0/16 l1\nadvertise 1 10.1.0.0/16 l1 med 5\n", 9, "duplicate advertisement"),
+    ("ad-unknown-link", "advertise 1 10.1.0.0/16 l9\n", 8, "unknown link id"),
+    ("ad-med-word", "advertise 1 10.1.0.0/16 l1 med x\n", 8, "med keyword needs"),
+    ("objective-unknown-link", "objective 1 * 10.1.0.0/16 l9\n", 8, "unknown link id"),
+]
+
+
+def test_rule_base_is_valid():
+    parse_scenario(RULE_BASE)
+
+
+@pytest.mark.parametrize("extra, line, message", [c[1:] for c in RULE_TABLE], ids=[c[0] for c in RULE_TABLE])
+def test_rule_table(extra, line, message):
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(RULE_BASE + extra)
+    assert err.value.line == line and message in str(err.value), str(err.value)
+
+
+def test_link_id_local_is_reserved_in_api_built_topologies():
+    # The engine marks locally originated routes learned_on="local"; a link
+    # of that name would be confused with them.
+    with pytest.raises(ValueError, match="'local' is reserved"):
+        Topology(
+            {1: "stub", 2: "transit", 3: "stub"},
+            (Link("local", 1, 2, 1), Link("l2", 3, 2, 3)),
+            {1: frozenset({Prefix.parse("10.1.0.0/16")})},
+        )
+
+
+@pytest.mark.parametrize(
+    "records",
+    ["policy 2 region 1 eu\npolicy 2 region 1 us\n", "lp-override 2 1 300\nlp-override 2 1 40\n"],
+    ids=["region", "lp-override"],
+)
+def test_a_repeated_region_or_lp_override_is_rejected(records):
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(RULE_BASE + records)
+    assert err.value.line == 9 and "given twice" in str(err.value)
+
+
+def _unchecked_link(link_id: str, a: int, b: int, customer: int | None) -> Link:
+    """An up link built without Link's own checks, to serialize as a fault."""
+    link = object.__new__(Link)
+    for name, value in zip(("id", "a", "b", "customer", "up"), (link_id, a, b, customer, True)):
+        object.__setattr__(link, name, value)
+    return link
+
+
+def _fault(kind: str, rng: random.Random, s):
+    """`s` with one fault of `kind` injected where the scenario allows it."""
+    t, te = s.topology, s.te_config
+    ases = t.ases()
+    origin = rng.choice(sorted(t.originations))
+    prefix = rng.choice(sorted(t.originated_by(origin)))
+    near = [l for l in t.links if origin in l.endpoints()]
+    far = [l for l in t.links if origin not in l.endpoints()]
+    transit = rng.choice([a for a in ases if t.roles[a] == "transit"] or ases)
+    neighbors = {l.other(transit) for l in t.links if transit in l.endpoints()}
+    strangers = [a for a in ases if a != transit and a not in neighbors]
+    stranger = rng.choice(strangers) if strangers else 60_001  # no link to `transit`
+    roles = {**t.roles, stranger: t.roles.get(stranger, "stub")}
+    c = Community(transit % 0xFFFF, 500)
+
+    def topo(**changes):
+        return replace(s, topology=replace(t, **changes))
+
+    def catalog(asn, **rules):
+        rules = replace(t.catalogs.get(asn, PolicyCatalog(asn)), **rules)
+        return topo(roles=roles, catalogs={**t.catalogs, asn: rules})
+
+    def ads(*extra):
+        return replace(s, te_config=replace(te, advertisements=te.advertisements + extra))
+
+    def ad(**fields):
+        link = rng.choice(near)
+        return Advertisement(**{"origin": origin, "prefix": prefix, "link_id": link.id, **fields})
+
+    if kind == "duplicate-link-id":
+        l = rng.choice(t.links)
+        return topo(links=t.links + (Link(l.id, l.b, l.a, None),))
+    if kind == "endpoints-differ":
+        return topo(links=t.links + (_unchecked_link("lx", origin, origin, None),))
+    if kind == "local-link-id":
+        return topo(links=t.links + (_unchecked_link("local", *rng.sample(ases, 2), None),))
+    if kind == "two-owners":
+        other = rng.choice([a for a in ases if a != origin])
+        return topo(originations={**t.originations, other: t.originated_by(other) | {prefix}})
+    if kind == "catalog-on-stub":
+        return catalog(rng.choice([a for a in ases if t.roles[a] == "stub"]), lp_rules={c: 50})
+    if kind == "community-two-kinds":
+        return catalog(transit, lp_rules={c: 50}, suppress_rules={c: PeerSelector.all_upstreams()})
+    if kind == "prepend-count":
+        return catalog(transit, prepend_rules={c: (PeerSelector.all_upstreams(), rng.choice([0, 4, 9]))})
+    if kind == "selector-non-neighbor":
+        return catalog(transit, suppress_rules={c: PeerSelector.specific(stranger)})
+    if kind == "region-non-neighbor":
+        return catalog(transit, region_of={stranger: "eu"})
+    if kind == "negative-lp":
+        return catalog(transit, lp_rules={c: -rng.randint(1, 300)})
+    if kind == "bad-role":
+        return topo(roles={**t.roles, rng.choice(ases): "hub"})
+    if kind == "unknown-asn":
+        return topo(links=t.links + (Link("lx", origin, 4_000_000, None),))
+    if kind == "ad-off-link" and far:
+        return ads(ad(link_id=rng.choice(far).id))
+    if kind == "ad-outside-space":
+        return ads(ad(prefix=Prefix.parse("192.168.0.0/16")))
+    if kind == "ad-budget":
+        return ads(ad(communities=frozenset(Community(65000, i) for i in range(COMMUNITY_BUDGET + 1))))
+    if kind == "ad-twice":
+        twice = ad()
+        return ads(twice, twice)
+    if kind == "ad-unknown-link":
+        return ads(ad(link_id="zz"))
+    if kind == "negative-med":
+        return ads(ad(med=-rng.randint(1, 50)))
+    return s
+
+
+FAULT_KINDS = [
+    "duplicate-link-id", "endpoints-differ", "local-link-id", "two-owners", "catalog-on-stub",
+    "community-two-kinds", "prepend-count", "selector-non-neighbor", "region-non-neighbor",
+    "negative-lp", "bad-role", "unknown-asn", "ad-off-link", "ad-outside-space", "ad-budget",
+    "ad-twice", "ad-unknown-link", "negative-med",
+]
+
+
+def _validators_reject(s) -> bool:
+    t = s.topology
+    try:
+        for l in t.links:
+            Link(l.id, l.a, l.b, l.customer, l.up)
+        s.te_config.validate(t)
+    except ValueError:
+        return True
+    return bool(validate_topology(t).errors)
+
+
+def test_the_parser_accepts_exactly_what_the_validators_accept():
+    """Seeded gen scenarios, each with one injected fault (or none),
+    serialized and parsed: the parse fails exactly when Link, validate_topology
+    or TeConfig.validate rejects the objects.  Every fault kind is rejected
+    often enough to count; a scenario with no fault always parses back to its
+    own text."""
+    import gen
+    from bgpsteer import Scenario
+
+    rejected = dict.fromkeys(FAULT_KINDS + ["none"], 0)
+    for n in range(15 * len(rejected)):
+        kind = list(rejected)[n % len(rejected)]
+        rng = random.Random(n)
+        t = gen.rand_topology(rng, with_catalogs=True)
+        if rng.random() < 0.5:
+            t = gen.with_rule_facts(rng, t)
+        te = gen.rand_te(rng, t, with_communities=True, with_lp_overrides=True)
+        s = _fault(kind, rng, Scenario(t, te, ()))
+        text = serialize_scenario(s)
+        reject = _validators_reject(s)
+        try:
+            parsed = parse_scenario(text)
+        except ScenarioError as exc:
+            assert reject, (kind, str(exc), text)
+        else:
+            assert not reject, (kind, text)
+            assert serialize_scenario(parsed) == text, kind
+        rejected[kind] += reject
+    assert rejected.pop("none") == 0
+    assert min(rejected.values()) >= 10, rejected
