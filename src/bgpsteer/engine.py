@@ -44,7 +44,15 @@ from dataclasses import dataclass, field
 from typing import Callable, Collection, Iterable, Mapping
 
 from .policies import PREPEND_MAX as MAX_PREPEND
-from .policies import AnnotatedRoute, egress_apply, egress_times, ingress_transform, plain
+from .policies import (
+    NO_SCHEDULE,
+    NO_SUPPRESSION,
+    AnnotatedRoute,
+    egress_apply,
+    egress_times,
+    ingress_transform,
+    plain,
+)
 from .routes import (
     COMMUNITY_BUDGET,
     Community,
@@ -187,19 +195,29 @@ class ConvergedState:
 
     def dump(self) -> str:
         """Canonical text form, sorted, for golden-file comparison."""
-        # Every receiver of one wire route shares its AS-path tuple, so each
-        # distinct path is formatted once.
+        # A route line is "  KIND path=PATH" plus a tail of its other fields.
+        # Every receiver of one wire route shares its AS-path tuple, and few
+        # (LP, MED, communities, link) combinations recur across many routes,
+        # so each distinct path, tail and prefix header is formatted once.
         paths: dict[tuple[int, ...], str] = {}
+        tails: dict[tuple, str] = {}
+        heads: dict[Prefix, str] = {}
 
         def route_line(kind: str, r: Route) -> str:
-            path = paths.get(r.as_path)
+            _, as_path, local_pref, med, communities, learned_on, _ = r
+            path = paths.get(as_path)
             if path is None:
-                path = paths[r.as_path] = r.path_str()
-            med = "-" if r.med is None else r.med
-            comms = "-"
-            if r.communities:
-                comms = ",".join(str(c) for c in sorted(r.communities, key=Community.sort_key))
-            return f"  {kind} path={path} lp={r.local_pref} med={med} from={r.learned_on} comms={comms}"
+                path = paths[as_path] = r.path_str()
+            key = (local_pref, med, communities, learned_on)
+            tail = tails.get(key)
+            if tail is None:
+                comms = "-"
+                if communities:
+                    comms = ",".join(str(c) for c in sorted(communities, key=Community.sort_key))
+                tail = tails[key] = (
+                    f" lp={local_pref} med={'-' if med is None else med} from={learned_on} comms={comms}"
+                )
+            return f"  {kind} path={path}{tail}"
 
         lines = [f"rounds {self.rounds_used}"]
         for asn in sorted(self.loc_rib):
@@ -207,13 +225,17 @@ class ConvergedState:
             loc = self.loc_rib[asn]
             adj = self.adj_rib_in.get(asn, {})
             for p in sorted(loc.keys() | adj.keys()):
-                lines.append(f" rib {p}")
+                head = heads.get(p)
+                if head is None:
+                    head = heads[p] = f" rib {p}"
+                lines.append(head)
                 entry = loc.get(p)
                 if entry is not None:
                     lines.append(route_line("best", entry.route))
-                by_link = adj.get(p, {})
-                for link_id in sorted(by_link):
-                    lines.append(route_line("cand", by_link[link_id].route))
+                by_link = adj.get(p)
+                if by_link:
+                    for link_id in sorted(by_link):
+                        lines.append(route_line("cand", by_link[link_id].route))
         lines.append("")
         return "\n".join(lines)
 
@@ -361,7 +383,7 @@ def _export(
             ad = own.get((prefix, s.link_id))
             wire = None
             if ad is not None:
-                wire = Route._make((prefix, (exporter,), 0, ad.med, ad.communities, LOCAL, exporter))
+                wire = tuple.__new__(Route, (prefix, (exporter,), 0, ad.med, ad.communities, LOCAL, exporter))
             _deliver(adj, touched, (s,), prefix, wire)
         return
     send, withhold = out.by_learned[route.learned_on]
@@ -405,11 +427,11 @@ def _deliver(
         ):
             # A catalog LP community (ingress_transform) beats `local_pref`,
             # which already holds any LP override.
-            installed = Route._make(
-                (prefix, wire.as_path, local_pref, wire.med, wire.communities, link_id, wire.origin_as)
+            installed = tuple.__new__(
+                Route, (prefix, wire.as_path, local_pref, wire.med, wire.communities, link_id, wire.origin_as)
             )
             if catalog is None:
-                received = plain(installed)
+                received = tuple.__new__(AnnotatedRoute, (installed, None, NO_SUPPRESSION, NO_SCHEDULE))
             else:
                 received = ingress_transform(catalog, installed, neighbor_rels)
         rib = adj[receiver]

@@ -94,14 +94,21 @@ class ForwardingTable:
     `resolve_forwarding` would take from `asn`: LOCAL when `asn` holds the
     route locally (an empty walk), None when some hop has no route or the walk
     revisits an AS.  Answers are resolved on demand and memoised along the
-    forwarding tree, so each AS is looked up at most once per table."""
+    forwarding tree, so each AS is looked up at most once per table.  A hop
+    reads the Loc-RIB entry for the prefix itself and falls back to
+    `ConvergedState.best_route`'s longest-prefix match only when there is
+    none."""
 
     def __init__(self, s: ConvergedState, t: Topology, prefix: Prefix) -> None:
         self._s, self._t, self._prefix = s, t, prefix
+        self._loc_rib, self._links = s.loc_rib, t.links_by_id
         self._known: dict[int, str | None] = {}
 
     def last_link(self, asn: int) -> str | None:
         known = self._known
+        if asn in known:
+            return known[asn]
+        loc_rib, links, prefix = self._loc_rib, self._links, self._prefix
         walk: list[tuple[int, str]] = []  # (AS, link it forwards on), in walk order
         on_walk: set[int] = set()
         current = asn
@@ -110,15 +117,20 @@ class ForwardingTable:
                 known[current] = None
                 break
             on_walk.add(current)
-            route = self._s.best_route(current, self._prefix)
+            rib = loc_rib.get(current)
+            entry = rib.get(prefix) if rib is not None else None
+            # best_route matches the longest covering prefix, or names an
+            # unknown AS.
+            route = entry.route if entry is not None else self._s.best_route(current, prefix)
             if route is None:
                 known[current] = None
                 break
-            if route.learned_on == LOCAL:
+            link_id = route.learned_on
+            if link_id == LOCAL:
                 known[current] = LOCAL
                 break
-            link = self._t.link_by_id(route.learned_on)
-            walk.append((current, link.id))
+            link = links.get(link_id) or self._t.link_by_id(link_id)
+            walk.append((current, link_id))
             current = link.other(current)
         answer = known[current]
         for hop, link_id in reversed(walk):
@@ -151,7 +163,8 @@ class IngressMap:
 def ingress_csv(entries: Mapping[tuple[int, Prefix], str]) -> str:
     """`src_asn,dst_prefix,link` rows, ordered by source AS and then by prefix
     address and length."""
-    rows = [f"{src},{prefix},{entries[src, prefix]}" for src, prefix in sorted(entries)]
+    text = {prefix: str(prefix) for prefix in {prefix for _src, prefix in entries}}
+    rows = [f"{src},{text[prefix]},{link}" for (src, prefix), link in sorted(entries.items())]
     return "\n".join(["src_asn,dst_prefix,link", *rows]) + "\n"
 
 
@@ -170,13 +183,19 @@ def ingress_map(s: ConvergedState, t: Topology, dest: int) -> IngressMap:
     prefixes = sorted(t.originated_by(dest))
     if not prefixes:
         raise ValueError(f"AS {dest} originates nothing")
-    tables = [(prefix, ForwardingTable(s, t, prefix)) for prefix in prefixes]
+    last_links = [(prefix, ForwardingTable(s, t, prefix).last_link) for prefix in prefixes]
+    # Few distinct last links occur, so entry_link runs once per distinct one.
+    entry_of: dict[str | None, str] = {}
     entries: dict[tuple[int, Prefix], str] = {}
     for src in t.ases():
         if src == dest:
             continue
-        for prefix, table in tables:
-            entries[(src, prefix)] = entry_link(t, dest, table.last_link(src)) or UNREACHABLE
+        for prefix, last_link in last_links:
+            last = last_link(src)
+            entry = entry_of.get(last)
+            if entry is None:
+                entry = entry_of[last] = entry_link(t, dest, last) or UNREACHABLE
+            entries[src, prefix] = entry
     return IngressMap(dest, entries)
 
 

@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import Iterator, Mapping, NamedTuple, TYPE_CHECKING
 
 from .routes import Community, Route
-from .topology import Finding, Rel, is_number
+from .topology import Finding, Rel, is_number, is_word
 
 if TYPE_CHECKING:
     from .topology import Topology
@@ -118,9 +118,16 @@ class PolicyCatalog:
         for c, sel in selectors:
             if sel.kind == "asn" and sel.asn not in neighbors:
                 err(f"selector names non-neighbor AS {sel.asn}", "rule", self.owner, c)
+            if sel.kind == "region" and not is_word(sel.region):
+                err(f"selector region tag {sel.region!r} is not one word (no whitespace or '#')", "rule", self.owner, c)
         for asn in sorted(self.region_of):
             if asn not in neighbors:
                 err(f"region tag on non-neighbor AS {asn}", "region", self.owner, asn)
+            if not is_word(self.region_of[asn]):
+                err(
+                    f"region tag {self.region_of[asn]!r} of AS {asn} is not one word (no whitespace or '#')",
+                    "region", self.owner, asn,
+                )
         return findings
 
     def expand_selector(self, sel: PeerSelector, neighbors: Mapping[int, Rel], *, exclude_customers: bool) -> set[int]:
@@ -157,11 +164,14 @@ class _EmptySchedule(abc.Mapping):
         return "{}"
 
     def __reduce__(self) -> str:
-        return "_NO_SCHEDULE"
+        return "NO_SCHEDULE"
 
 
-_NO_SUPPRESSION: frozenset[int] = frozenset()
-_NO_SCHEDULE: Mapping[int, int] = _EmptySchedule()
+# A plain entry's suppression set and prepend schedule: one shared instance
+# each, so the engine can build a plain entry as the literal tuple
+# (route, None, NO_SUPPRESSION, NO_SCHEDULE).
+NO_SUPPRESSION: frozenset[int] = frozenset()
+NO_SCHEDULE: Mapping[int, int] = _EmptySchedule()
 
 
 class AnnotatedRoute(NamedTuple):
@@ -169,8 +179,8 @@ class AnnotatedRoute(NamedTuple):
 
     route: Route
     lp_override: int | None = None
-    suppressed_toward: frozenset[int] = _NO_SUPPRESSION
-    prepend_schedule: Mapping[int, int] = _NO_SCHEDULE
+    suppressed_toward: frozenset[int] = NO_SUPPRESSION
+    prepend_schedule: Mapping[int, int] = NO_SCHEDULE
 
 
 def plain(route: Route) -> AnnotatedRoute:
@@ -240,6 +250,6 @@ def egress_apply(ar: AnnotatedRoute, provider: int, neighbor: int, catalog: Poli
     communities = r.communities
     if catalog is not None:
         communities = communities - catalog.communities()
-    return Route._make(
-        (r.prefix, (provider,) * times + r.as_path, 0, r.med, communities, r.learned_on, r.origin_as)
+    return tuple.__new__(
+        Route, (r.prefix, (provider,) * times + r.as_path, 0, r.med, communities, r.learned_on, r.origin_as)
     )

@@ -8,8 +8,10 @@ announcement already carries the origin ASN.
 `Route` is a tuple (a NamedTuple with a checking constructor): it equals,
 hashes and sorts like the tuple of its fields, and a changed copy is
 `r._replace(field=value)`, not `dataclasses.replace`.  `Route(...)` checks
-every invariant; `Route._make` checks none and is the engine's trusted path,
-used only for routes built from already-checked routes and advertisements.
+every invariant; `tuple.__new__(Route, fields)` checks none and is the
+engine's trusted path, used only for routes built from already-checked routes
+and advertisements, always on a literal 7-tuple (so `_make`'s length check
+could never fail there, and its call is skipped).
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ class _RouteFields(NamedTuple):
 
 class Route(_RouteFields):
     """One route, as the tuple of its seven fields.  `Route(...)` checks the
-    invariants below; `_make` and `_replace` check none."""
+    invariants below; `tuple.__new__`, `_make` and `_replace` check none."""
 
     __slots__ = ()
 
@@ -128,21 +130,26 @@ def compare_routes(r1: Route, r2: Route) -> int:
       4. lower first-hop ASN
       5. lexicographically smaller learned_on link id
     """
-    if r1.prefix != r2.prefix:
+    prefix1, path1, lp1, med1, _, on1, _ = r1
+    prefix2, path2, lp2, med2, _, on2, _ = r2
+    if prefix1 != prefix2:
         raise ValueError("compare_routes: prefix mismatch")
-    if r1.local_pref != r2.local_pref:
-        return -1 if r1.local_pref > r2.local_pref else 1
-    if r1.path_len != r2.path_len:
-        return -1 if r1.path_len < r2.path_len else 1
-    if r1.first_hop == r2.first_hop:
-        m1 = r1.med if r1.med is not None else 0
-        m2 = r2.med if r2.med is not None else 0
-        if m1 != m2:
-            return -1 if m1 < m2 else 1
-    if r1.first_hop != r2.first_hop:
-        return -1 if r1.first_hop < r2.first_hop else 1
-    if r1.learned_on != r2.learned_on:
-        return -1 if r1.learned_on < r2.learned_on else 1
+    if lp1 != lp2:
+        return -1 if lp1 > lp2 else 1
+    len1, len2 = len(path1), len(path2)
+    if len1 != len2:
+        return -1 if len1 < len2 else 1
+    # MED counts only between routes from the same neighbor, so a first-hop
+    # difference (step 4) decides before MED (step 3) is read.  The lengths
+    # are equal: both paths are empty (first hop 0 each) or neither is.
+    if len1 and path1[0] != path2[0]:
+        return -1 if path1[0] < path2[0] else 1
+    m1 = med1 if med1 is not None else 0
+    m2 = med2 if med2 is not None else 0
+    if m1 != m2:
+        return -1 if m1 < m2 else 1
+    if on1 != on2:
+        return -1 if on1 < on2 else 1
     return 0
 
 

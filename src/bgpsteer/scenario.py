@@ -19,10 +19,11 @@ its origin; one `advertise` line switches the prefix to exactly the listed
 links.  The parser checks each record's syntax (fields, keywords, numbers,
 prefixes, communities), resolves its ASN and link references, and rejects a
 record repeated under one key (an AS, an origination, a community in one
-rule kind, a region tag, an LP override).  Every other rule is the
-validators' (`validate_topology`, `PolicyCatalog.validate`,
-`check_advertisement`): their first error, in file order, is reported at
-the record that breaks it.  Every `ScenarioError` carries a line and column.
+rule kind, a region tag, an LP override, a community or MED within one
+advertisement).  Every other rule is the validators' (`validate_topology`,
+`PolicyCatalog.validate`, `check_advertisement`): their first error, in file
+order, is reported at the record that breaks it.  Every `ScenarioError`
+carries a line and column.
 """
 
 from __future__ import annotations
@@ -193,10 +194,7 @@ def parse_scenario(text: str) -> Scenario:
         if tok.text == ALL_UPSTREAMS:
             return PeerSelector.all_upstreams()
         if tok.text.startswith("region:"):
-            tag = tok.text.split(":", 1)[1]
-            if not tag:
-                raise _fail(tok, "empty region tag")
-            return PeerSelector.for_region(tag)
+            return PeerSelector.for_region(tok.text.split(":", 1)[1])
         return PeerSelector.specific(known(tok))
 
     def claim(rules: dict, owner: int, tok: _Token) -> Community:
@@ -257,7 +255,10 @@ def parse_scenario(text: str) -> Scenario:
                 if word == "community":
                     if i + 1 >= len(tokens):
                         raise _fail(tokens[i], "community keyword needs a value")
-                    communities.add(_parse_comm(tokens[i + 1]))
+                    c = _parse_comm(tokens[i + 1])
+                    if c in communities:
+                        raise _fail(tokens[i + 1], f"community {c} given twice")
+                    communities.add(c)
                     i += 2
                 elif word == "med":
                     if i + 1 >= len(tokens) or not is_number(tokens[i + 1].text):

@@ -34,6 +34,13 @@ def is_number(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
+def is_word(text: str) -> bool:
+    """True when `text` reads back from a scenario file as the one token it
+    was written as: non-empty, with no whitespace and no '#', which starts a
+    comment.  Link ids and region tags must be words."""
+    return isinstance(text, str) and "#" not in text and text.split() == [text]
+
+
 def check_asn(value: int) -> int:
     if not isinstance(value, int) or not MIN_ASN <= value <= MAX_ASN:
         raise ValueError(f"ASN out of range: {value!r}")
@@ -126,6 +133,8 @@ class Link:
     def __post_init__(self) -> None:
         if self.id == LOCAL:
             raise ValueError(f"{LOCAL!r} is reserved and cannot name a link")
+        if not is_word(self.id):
+            raise ValueError(f"link id {self.id!r} is not one word (no whitespace or '#')")
         if self.a == self.b:
             raise ValueError(f"link {self.id}: endpoints must differ")
         if self.customer is not None and self.customer not in (self.a, self.b):

@@ -255,3 +255,23 @@ def test_forwarding_loop_leaves_every_as_on_it_dead():
         assert [table.last_link(asn) for asn in order] == [None if asn != 1 else LOCAL for asn in order]
     assert all(resolve_forwarding(state, t, asn, P1) is None for asn in hops)
     assert ingress_map(state, t, 1).entries == {(asn, P1): UNREACHABLE for asn in hops}
+
+
+def test_a_hop_over_a_link_that_misses_the_as_raises():
+    # A hand-made state, not a fixed point: AS 3 claims to have learned its
+    # route over l1, which joins 1 and 2 only.
+    t = Topology({1: "stub", 2: "transit", 3: "stub"}, (Link("l1", 1, 2, 1), Link("l2", 3, 2, 3)),
+                 {1: frozenset({P1})})
+    loc_rib = {
+        1: {P1: AnnotatedRoute(local_route(P1, 1))},
+        2: {P1: AnnotatedRoute(Route(P1, (1,), 200, None, frozenset(), "l1", 1))},
+        3: {P1: AnnotatedRoute(Route(P1, (2, 1), 50, None, frozenset(), "l1", 1))},
+    }
+    state = ConvergedState({}, loc_rib, 1)
+    assert ForwardingTable(state, t, P1).last_link(2) == "l1"
+    with pytest.raises(ValueError, match="AS 3 is not on link l1"):
+        ForwardingTable(state, t, P1).last_link(3)
+    with pytest.raises(ValueError, match="AS 3 is not on link l1"):
+        resolve_forwarding(state, t, 3, P1)
+    with pytest.raises(ValueError, match="AS 3 is not on link l1"):
+        ingress_map(state, t, 1)

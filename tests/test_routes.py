@@ -14,6 +14,7 @@ from bgpsteer import (
     prepend_path,
 )
 from bgpsteer.routes import best_of
+from bgpsteer.topology import LOCAL
 
 P1 = Prefix.parse("10.1.0.0/16")
 
@@ -183,3 +184,42 @@ def test_prepend_monotonicity_argmax():
         bumped = prepend_path(loser, loser.first_hop, extra)
         mutated = [bumped if c is loser else c for c in cands]
         assert best_of(mutated) is not bumped
+
+
+def ranking_key(r):
+    """The five criteria as one sort key, smaller is better.  MED counts only
+    between routes with the same first hop, so placing the first hop before
+    MED states rules 3 and 4 exactly."""
+    first_hop = r.as_path[0] if r.as_path else 0
+    return (-r.local_pref, len(r.as_path), first_hop, r.med or 0, r.learned_on)
+
+
+def test_compare_matches_a_key_restatement_on_random_pairs():
+    rng = random.Random(77)
+    hops = (ISP1, ISP2, A)
+
+    def rand_route():
+        if rng.random() < 0.15:  # a local route: empty path, learned_on "local"
+            return Route(P1, (), rng.choice([100, 1000]), rng.choice([None, 0]), frozenset(), LOCAL, D)
+        path = tuple(rng.choice(hops) for _ in range(rng.randint(0, 2))) + (D,)
+        return Route(P1, path, rng.choice([100, 200]), rng.choice([None, 0, 0, 5, 10]),
+                     frozenset(), rng.choice(["l1", "l2", "l3"]), D)
+
+    seen = set()
+    for _ in range(3000):
+        r1, r2 = rand_route(), rand_route()
+        k1, k2 = ranking_key(r1), ranking_key(r2)
+        assert compare_routes(r1, r2) == (k1 > k2) - (k1 < k2), (r1, r2)
+        same_hop = (r1.as_path[:1] == r2.as_path[:1])
+        seen.add((
+            not r1.as_path and not r2.as_path,
+            same_hop,
+            {r1.med, r2.med} == {None, 0},
+            k1[:3] == k2[:3] and k1[3] != k2[3],  # decided by MED
+        ))
+    # Both-local pairs, same and different first hops, MED None against 0,
+    # and pairs that MED decides all occur.
+    assert {(True, True), (False, True), (False, False)} <= {s[:2] for s in seen}
+    assert any(s[2] for s in seen) and any(s[3] for s in seen)
+    with pytest.raises(ValueError, match="prefix mismatch"):
+        compare_routes(route([ISP1, D]), route([ISP1, D], prefix=Prefix.parse("10.2.0.0/16")))

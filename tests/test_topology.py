@@ -416,6 +416,14 @@ RULE_TABLE = [
     ("ad-twice", "advertise 1 10.1.0.0/16 l1\nadvertise 1 10.1.0.0/16 l1 med 5\n", 9, "duplicate advertisement"),
     ("ad-unknown-link", "advertise 1 10.1.0.0/16 l9\n", 8, "unknown link id"),
     ("ad-med-word", "advertise 1 10.1.0.0/16 l1 med x\n", 8, "med keyword needs"),
+    ("ad-community-twice", "advertise 1 10.1.0.0/16 l1 community 9:9 med 3 community 9:9\n", 8,
+     "community 9:9 given twice"),
+    # A link id or region tag must be one word; written with a space, the
+    # record no longer reads as one (Link and PolicyCatalog.validate reject
+    # such values built in Python).
+    ("link-id-with-space", "link a b 1 3 p2p\n", 8, "expected an AS number, got 'b'"),
+    ("region-tag-with-space", "policy 2 region 1 e u\n", 8, "expected 5 fields, got 6"),
+    ("selector-region-tag-empty", "policy 2 suppress 2:1 region:\n", 8, "selector region tag '' is not one word"),
     ("objective-unknown-link", "objective 1 * 10.1.0.0/16 l9\n", 8, "unknown link id"),
 ]
 
@@ -442,6 +450,30 @@ def test_link_id_local_is_reserved_in_api_built_topologies():
         )
 
 
+@pytest.mark.parametrize("link_id", ["a b", "a\tb", "", "l#1", "l\u20281", "l\xa01", 7])
+def test_a_link_id_must_be_one_word(link_id):
+    # Anything else would serialize to a record that reads back differently.
+    with pytest.raises(ValueError, match="is not one word"):
+        Link(link_id, 1, 2, 1)
+
+
+def test_a_region_tag_must_be_one_word():
+    t = parse_topology(RULE_BASE)
+    c = Community(2, 1)
+    cat = PolicyCatalog(2, suppress_rules={c: PeerSelector.for_region("e u")}, region_of={1: "e u", 3: "us"})
+    errors = validate_topology(replace(t, catalogs={2: cat})).errors
+    assert [(f.subject, f.message) for f in errors] == [
+        (("rule", 2, c), "AS 2: selector region tag 'e u' is not one word (no whitespace or '#')"),
+        (("region", 2, 1), "AS 2: region tag 'e u' of AS 1 is not one word (no whitespace or '#')"),
+    ]
+
+
+def test_a_repeated_advertise_community_is_reported_at_its_second_value():
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(RULE_BASE + "advertise 1 10.1.0.0/16 l1 community 9:9 community 9:9\n")
+    assert (err.value.line, err.value.col) == (8, 52)
+
+
 @pytest.mark.parametrize(
     "records",
     ["policy 2 region 1 eu\npolicy 2 region 1 us\n", "lp-override 2 1 300\nlp-override 2 1 40\n"],
@@ -453,10 +485,10 @@ def test_a_repeated_region_or_lp_override_is_rejected(records):
     assert err.value.line == 9 and "given twice" in str(err.value)
 
 
-def _unchecked_link(link_id: str, a: int, b: int, customer: int | None) -> Link:
-    """An up link built without Link's own checks, to serialize as a fault."""
+def _unchecked_link(link_id: str, a: int, b: int, customer: int | None, up: bool = True) -> Link:
+    """A link built without Link's own checks, to serialize as a fault."""
     link = object.__new__(Link)
-    for name, value in zip(("id", "a", "b", "customer", "up"), (link_id, a, b, customer, True)):
+    for name, value in zip(("id", "a", "b", "customer", "up"), (link_id, a, b, customer, up)):
         object.__setattr__(link, name, value)
     return link
 
@@ -510,6 +542,12 @@ def _fault(kind: str, rng: random.Random, s):
         return catalog(transit, suppress_rules={c: PeerSelector.specific(stranger)})
     if kind == "region-non-neighbor":
         return catalog(transit, region_of={stranger: "eu"})
+    if kind == "spaced-region-tag":
+        return catalog(transit, region_of={rng.choice(sorted(neighbors or {stranger})): "e u"})
+    if kind == "spaced-selector-tag":
+        return catalog(transit, suppress_rules={c: PeerSelector.for_region("e u")})
+    if kind == "spaced-link-id":
+        return topo(links=t.links + (_unchecked_link("a b", *rng.sample(ases, 2), None),))
     if kind == "negative-lp":
         return catalog(transit, lp_rules={c: -rng.randint(1, 300)})
     if kind == "bad-role":
@@ -536,7 +574,8 @@ FAULT_KINDS = [
     "duplicate-link-id", "endpoints-differ", "local-link-id", "two-owners", "catalog-on-stub",
     "community-two-kinds", "prepend-count", "selector-non-neighbor", "region-non-neighbor",
     "negative-lp", "bad-role", "unknown-asn", "ad-off-link", "ad-outside-space", "ad-budget",
-    "ad-twice", "ad-unknown-link", "negative-med",
+    "ad-twice", "ad-unknown-link", "negative-med", "spaced-region-tag", "spaced-selector-tag",
+    "spaced-link-id",
 ]
 
 
@@ -581,3 +620,77 @@ def test_the_parser_accepts_exactly_what_the_validators_accept():
         rejected[kind] += reject
     assert rejected.pop("none") == 0
     assert min(rejected.values()) >= 10, rejected
+
+
+# Link ids and region tags are mostly words made of WORD_PIECES, sometimes
+# any text with the whitespace (line breaks included) and '#' that a
+# scenario file splits on.
+WORD_PIECES = ["a", "b", "7", ":", "-", "\xe9"]
+ID_PIECES = WORD_PIECES + ["#", " ", "\t", "\xa0", "\u2028"]
+
+
+def _rename(rng: random.Random, s):
+    """`s` with random link ids and region tags."""
+    t, te = s.topology, s.te_config
+
+    def text() -> str:
+        if rng.random() < 0.9:
+            return "".join(rng.choice(WORD_PIECES) for _ in range(rng.randint(1, 3)))
+        return "".join(rng.choice(ID_PIECES) for _ in range(rng.randint(0, 3)))
+
+    ids = {link.id: text() for link in t.links}
+    links = tuple(_unchecked_link(ids[l.id], l.a, l.b, l.customer, l.up) for l in t.links)
+
+    def retag(sel: PeerSelector) -> PeerSelector:
+        return PeerSelector.for_region(text()) if sel.kind == "region" else sel
+
+    catalogs = {
+        owner: replace(
+            cat,
+            region_of={asn: text() for asn in cat.region_of},
+            suppress_rules={c: retag(sel) for c, sel in cat.suppress_rules.items()},
+            prepend_rules={c: (retag(sel), n) for c, (sel, n) in cat.prepend_rules.items()},
+        )
+        for owner, cat in t.catalogs.items()
+    }
+    ads = tuple(replace(ad, link_id=ids[ad.link_id]) for ad in te.advertisements)
+    return replace(s, topology=replace(t, links=links, catalogs=catalogs), te_config=replace(te, advertisements=ads))
+
+
+def test_what_the_validators_accept_round_trips_through_the_text_form():
+    """Seeded gen scenarios with random link ids and region tags: a scenario
+    that Link and the validators accept serializes to text that parses back
+    to the same scenario; the text of any other does not."""
+    import gen
+    from bgpsteer import Scenario
+
+    accepted = renamed = rejected = 0
+    for n in range(300):
+        rng = random.Random(n)
+        t = gen.with_rule_facts(rng, gen.rand_topology(rng, with_catalogs=True))
+        s = Scenario(t, gen.rand_te(rng, t, with_communities=True, with_lp_overrides=True), ())
+        rename = rng.random() < 0.8
+        if rename:
+            s = _rename(rng, s)
+        text = serialize_scenario(s)
+        if _validators_reject(s):
+            # The text is an error, or (a link id " x" reads back as "x")
+            # another scenario.
+            try:
+                assert serialize_scenario(parse_scenario(text)) != text
+            except ScenarioError:
+                pass
+            rejected += 1
+            continue
+        parsed = parse_scenario(text)
+        t, back = s.topology, parsed.topology
+        assert set(parsed.te_config.advertisements) == set(s.te_config.advertisements)
+        assert parsed.te_config.lp_overrides == s.te_config.lp_overrides
+        assert (back.roles, back.originations) == (t.roles, t.originations)
+        assert sorted(back.links, key=lambda l: l.id) == sorted(t.links, key=lambda l: l.id)
+        # An empty catalog has no record.
+        assert back.catalogs == {o: cat for o, cat in t.catalogs.items() if not cat.is_empty()}
+        assert serialize_scenario(parsed) == text
+        accepted += 1
+        renamed += rename
+    assert renamed >= 30 and accepted - renamed >= 30 and rejected >= 60, (accepted, renamed, rejected)
