@@ -25,7 +25,7 @@ import functools
 import sys
 from pathlib import Path
 
-from .engine import OscillationError, propagate_to_convergence
+from .engine import ConvergedState, OscillationError, propagate_to_convergence
 from .flows import ingress_csv, ingress_map, moved_entries
 from .planner import (
     Budget,
@@ -72,8 +72,8 @@ def cmd_simulate(args) -> int:
     scenario = _load(args.scenario)
     trace = None
     if args.trace:
-        def trace(round_no: int, dump: str) -> None:
-            sys.stderr.write(f"--- round {round_no} ---\n{dump}")
+        def trace(state: ConvergedState) -> None:
+            sys.stderr.write(f"--- round {state.rounds_used} ---\n{state.dump()}")
     t = scenario.topology
     state = propagate_to_convergence(t, scenario.te_config, max_rounds=args.max_rounds, trace=trace)
     entries = {}

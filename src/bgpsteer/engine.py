@@ -24,13 +24,18 @@ are deterministic.
 What never changes between runs is compiled once per topology
 (`Topology.sessions`): per exporter, each up link's neighbor, the LP that
 neighbor assigns by default, its catalog where the exporter is its
-customer, and the valley-free split of the links per learned link.  A run
+customer, the exporter's own catalog and the links its customers reach it
+over, and the valley-free split of the links per learned link.  A run
 resolves its LP-override table into a copy of that table once, and the
-round loop walks the session tuples with no per-message lookups.  Each rule
-keeps one code path: the loop check, `drops_community_updates` and the LP
-installed (override table, else the relationship default) in `_deliver`,
-a catalog LP community in `ingress_transform`, and the prepends and
-suppression of `egress_times`/`egress_apply`.
+round loop walks the session tuples with no per-message lookups.
+
+Every Adj-RIB-In and Loc-RIB entry is a `Route`, and each catalog
+action is evaluated where it acts.  Each rule keeps one code path: the loop
+check, `drops_community_updates` and the LP installed (override table, else
+the relationship default) in `_deliver`, a catalog LP community in
+`ingress_transform`, the prepends and suppression of a route learned from a
+customer in `egress_times` at its owner's export, and the stripping of the
+owner's communities in `egress_apply`.
 
 The decision process never compares routes of different prefixes, so each
 prefix converges on its own.  A run restricted to a set of prefixes (the
@@ -44,15 +49,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Collection, Iterable, Mapping
 
 from .policies import PREPEND_MAX as MAX_PREPEND
-from .policies import (
-    NO_SCHEDULE,
-    NO_SUPPRESSION,
-    AnnotatedRoute,
-    egress_apply,
-    egress_times,
-    ingress_transform,
-    plain,
-)
+from .policies import egress_apply, egress_times, ingress_transform
 from .routes import (
     COMMUNITY_BUDGET,
     Community,
@@ -164,18 +161,17 @@ def _announcement_table(
 @dataclass(frozen=True)
 class ConvergedState:
     """Fixed-point RIBs: per AS, per prefix, all received candidates (by
-    incoming link) and the selected best entry."""
+    incoming link) and the selected best route."""
 
-    adj_rib_in: Mapping[int, Mapping[Prefix, Mapping[str, AnnotatedRoute]]]
-    loc_rib: Mapping[int, Mapping[Prefix, AnnotatedRoute]]
+    adj_rib_in: Mapping[int, Mapping[Prefix, Mapping[str, Route]]]
+    loc_rib: Mapping[int, Mapping[Prefix, Route]]
     rounds_used: int
 
     def candidates(self, asn: int, prefix: Prefix) -> list[Route]:
-        return [ar.route for ar in self.adj_rib_in.get(asn, {}).get(prefix, {}).values()]
+        return list(self.adj_rib_in.get(asn, {}).get(prefix, {}).values())
 
     def selected(self, asn: int, prefix: Prefix) -> Route | None:
-        entry = self.loc_rib.get(asn, {}).get(prefix)
-        return entry.route if entry else None
+        return self.loc_rib.get(asn, {}).get(prefix)
 
     def best_route(self, asn: int, prefix: Prefix) -> Route | None:
         """Longest-prefix-match lookup: the loc_rib entry whose key is the
@@ -186,12 +182,12 @@ class ConvergedState:
             raise KeyError(f"unknown AS: {asn}")
         exact = rib.get(prefix)
         if exact is not None:  # no installed key covering `prefix` is longer
-            return exact.route
+            return exact
         best_key: Prefix | None = None
         for key in rib:
             if key.contains(prefix) and (best_key is None or key.length > best_key.length):
                 best_key = key
-        return rib[best_key].route if best_key is not None else None
+        return rib[best_key] if best_key is not None else None
 
     def dump(self) -> str:
         """Canonical text form, sorted, for golden-file comparison."""
@@ -229,13 +225,13 @@ class ConvergedState:
                 if head is None:
                     head = heads[p] = f" rib {p}"
                 lines.append(head)
-                entry = loc.get(p)
-                if entry is not None:
-                    lines.append(route_line("best", entry.route))
+                best = loc.get(p)
+                if best is not None:
+                    lines.append(route_line("best", best))
                 by_link = adj.get(p)
                 if by_link:
                     for link_id in sorted(by_link):
-                        lines.append(route_line("cand", by_link[link_id].route))
+                        lines.append(route_line("cand", by_link[link_id]))
         lines.append("")
         return "\n".join(lines)
 
@@ -250,12 +246,16 @@ def propagate_to_convergence(
     *,
     prefixes: Collection[Prefix] | None = None,
     max_rounds: int | None = None,
-    trace: Callable[[int, str], None] | None = None,
+    trace: Callable[[ConvergedState], None] | None = None,
 ) -> ConvergedState:
     """Run synchronous rounds to a fixed point.  With `prefixes`, only those
     prefixes' local routes and announcements enter the run; the round bound
     still counts every AS.  Every run rejects an invalid topology or TE
-    config; a topology is checked only once (`Topology.validation`)."""
+    config; a topology is checked only once (`Topology.validation`).
+
+    `trace` is called after each round with that round's state
+    (`rounds_used` is the round number).  Its RIBs are the run's own, which
+    later rounds change: the state is valid only during the call."""
     te = te or TeConfig()
     if max_rounds is not None and max_rounds < 1:
         raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
@@ -272,19 +272,19 @@ def propagate_to_convergence(
 
     # Local routes exist for every prefix the AS originates or explicitly
     # advertises (more-specifics), even when announced nowhere.
-    local_entries: dict[int, dict[Prefix, AnnotatedRoute]] = {asn: {} for asn in t.roles}
+    local_entries: dict[int, dict[Prefix, Route]] = {asn: {} for asn in t.roles}
     for asn, originated in t.originations.items():
         for p in originated:
             if wanted is None or p in wanted:
-                local_entries[asn][p] = plain(local_route(p, asn))
+                local_entries[asn][p] = local_route(p, asn)
     for origin, table in ann.items():
         entries = local_entries[origin]
         for p, _link_id in table:
             if p not in entries:
-                entries[p] = plain(local_route(p, origin))
+                entries[p] = local_route(p, origin)
 
-    adj: dict[int, dict[Prefix, dict[str, AnnotatedRoute]]] = {asn: {} for asn in t.roles}
-    loc: dict[int, dict[Prefix, AnnotatedRoute]] = {
+    adj: dict[int, dict[Prefix, dict[str, Route]]] = {asn: {} for asn in t.roles}
+    loc: dict[int, dict[Prefix, Route]] = {
         asn: dict(entries) for asn, entries in local_entries.items()
     }
     sessions = t.sessions
@@ -292,7 +292,7 @@ def propagate_to_convergence(
         sessions = _with_lp_overrides(sessions, te.lp_overrides)
 
     # Prepend counts are capped, so converged paths stretch at most that far
-    # beyond the plain diameter bound.
+    # beyond the diameter bound.
     bound = max_rounds if max_rounds is not None else 2 * len(t.roles) + MAX_PREPEND + 4
     # (AS, prefix, entry before) for each Loc-RIB entry that changed or
     # vanished last round; round 1 exports every local entry.
@@ -312,7 +312,7 @@ def propagate_to_convergence(
         for receiver, prefix in touched:
             best = local_entries[receiver].get(prefix)
             for cand in adj[receiver].get(prefix, {}).values():
-                if best is None or compare_routes(cand.route, best.route) < 0:
+                if best is None or compare_routes(cand, best) < 0:
                     best = cand
             rib = loc[receiver]
             before = rib.get(prefix)
@@ -324,7 +324,7 @@ def propagate_to_convergence(
                 changed.append((receiver, prefix, before))
 
         if trace is not None:
-            trace(round_no, ConvergedState(adj, loc, round_no).dump())
+            trace(ConvergedState(adj, loc, round_no))
         if not touched:
             return ConvergedState(adj, loc, round_no)
 
@@ -347,36 +347,36 @@ def _with_lp_overrides(
             resolved[sender] = Sessions.build(
                 (s._replace(local_pref=overrides.get((s.neighbor, sender), s.local_pref)) for s in own.all),
                 own.catalog,
+                own.neighbor_rels,
             )
     return resolved
 
 
 def _export(
-    adj: dict[int, dict[Prefix, dict[str, AnnotatedRoute]]],
+    adj: dict[int, dict[Prefix, dict[str, Route]]],
     touched: set[tuple[int, Prefix]],
     ann: Mapping[int, Mapping[tuple[Prefix, str], Advertisement]],
     exporter: int,
     out: Sessions,
     prefix: Prefix,
-    entry: AnnotatedRoute | None,
-    before: AnnotatedRoute | None,
+    route: Route | None,
+    before: Route | None,
 ) -> None:
-    """Send what `exporter` now holds for `prefix` (its Loc-RIB entry
-    `entry`, or None; it held `before` last round) on each of its up links:
-    its announcement there for a local entry, else the egress form where
+    """Send what `exporter` now holds for `prefix` (its Loc-RIB route
+    `route`, or None; it held `before` last round) on each of its up links:
+    its announcement there for a local route, else the egress form where
     valley-free export permits it and the catalog does not suppress it, else
     nothing.  A withdrawal goes only where `before` went out, since a
     neighbor holds a route from this exporter nowhere else."""
     if before is None:
         reached: tuple[Session, ...] = ()
-    elif before.route.learned_on == LOCAL:
+    elif before.learned_on == LOCAL:
         reached = out.all
     else:
-        reached = out.by_learned[before.route.learned_on][0]
-    if entry is None:
+        reached = out.by_learned[before.learned_on][0]
+    if route is None:
         _deliver(adj, touched, reached, prefix, None)
         return
-    route = entry.route
     if route.learned_on == LOCAL:
         own = ann.get(exporter, {})
         for s in out.all:
@@ -393,22 +393,26 @@ def _export(
         _deliver(adj, touched, withhold, prefix, None)
     if not send:
         return
-    # egress_apply's output varies only with egress_times, which is the same
-    # toward every neighbor unless the entry carries catalog actions: one
-    # wire per value serves all neighbors.
-    if entry.suppressed_toward or entry.prepend_schedule:
+    # The exporter's catalog acts on routes its customers sent with
+    # communities; every neighbor it does not single out gets the route
+    # prepended once.  One wire per value serves all the neighbors that get it.
+    catalog = out.catalog
+    schedule = None
+    if catalog is not None and route.communities and route.learned_on in out.customer_links:
+        schedule = egress_times(catalog, route, out.neighbor_rels)
+    if schedule:
         by_times: dict[int | None, list[Session]] = {}
         for s in send:
-            by_times.setdefault(egress_times(entry, s.neighbor), []).append(s)
+            by_times.setdefault(schedule.get(s.neighbor, 1), []).append(s)
     else:
-        by_times = {egress_times(entry, send[0].neighbor): send}
+        by_times = {1: send}
     for times, group in by_times.items():
-        wire = None if times is None else egress_apply(entry, exporter, group[0].neighbor, out.catalog)
+        wire = None if times is None else egress_apply(route, exporter, times, catalog)
         _deliver(adj, touched, group, prefix, wire)
 
 
 def _deliver(
-    adj: dict[int, dict[Prefix, dict[str, AnnotatedRoute]]],
+    adj: dict[int, dict[Prefix, dict[str, Route]]],
     touched: set[tuple[int, Prefix]],
     targets: Iterable[Session],
     prefix: Prefix,
@@ -418,22 +422,20 @@ def _deliver(
     sessions: the receiver's Adj-RIB-In entry for (prefix, link) becomes what
     it installs, nothing when the route loops or its catalog drops the
     update; each changed (receiver, prefix) pair goes into `touched`."""
-    for link_id, receiver, _rel, local_pref, catalog, neighbor_rels in targets:
+    for link_id, receiver, _rel, local_pref, catalog in targets:
         received = None
         if (
             wire is not None
             and receiver not in wire.as_path
             and not (catalog is not None and catalog.drops_community_updates and wire.communities)
         ):
-            # A catalog LP community (ingress_transform) beats `local_pref`,
-            # which already holds any LP override.
-            installed = tuple.__new__(
+            received = tuple.__new__(
                 Route, (prefix, wire.as_path, local_pref, wire.med, wire.communities, link_id, wire.origin_as)
             )
-            if catalog is None:
-                received = tuple.__new__(AnnotatedRoute, (installed, None, NO_SUPPRESSION, NO_SCHEDULE))
-            else:
-                received = ingress_transform(catalog, installed, neighbor_rels)
+            # A catalog LP community (ingress_transform) beats `local_pref`,
+            # which already holds any LP override.
+            if catalog is not None and wire.communities:
+                received = ingress_transform(catalog, received)
         rib = adj[receiver]
         by_link = rib.get(prefix)
         if received == (by_link.get(link_id) if by_link is not None else None):

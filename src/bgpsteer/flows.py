@@ -118,10 +118,11 @@ class ForwardingTable:
                 break
             on_walk.add(current)
             rib = loc_rib.get(current)
-            entry = rib.get(prefix) if rib is not None else None
-            # best_route matches the longest covering prefix, or names an
-            # unknown AS.
-            route = entry.route if entry is not None else self._s.best_route(current, prefix)
+            route = rib.get(prefix) if rib is not None else None
+            if route is None:
+                # best_route matches the longest covering prefix, or names
+                # an unknown AS.
+                route = self._s.best_route(current, prefix)
             if route is None:
                 known[current] = None
                 break

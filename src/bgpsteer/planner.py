@@ -81,9 +81,6 @@ class ActionKind(Enum):
         self.report_name = report_name
 
 
-ACTION_WEIGHT = {kind: kind.weight for kind in ActionKind}
-
-
 @dataclass(frozen=True, slots=True)
 class Action:
     kind: ActionKind
@@ -189,10 +186,9 @@ def validate_objectives(t: Topology, dest: int, objectives: Sequence[Objective])
                 f"objective {o}: source-prefix granularity is unsupported; forwarding "
                 "is destination-based, so source addresses cannot steer ingress"
             )
-        try:
-            link = t.link_by_id(o.required_link)
-        except KeyError as exc:
-            raise PlanningError(str(exc)) from exc
+        link = t.links_by_id.get(o.required_link)
+        if link is None:
+            raise PlanningError(f"unknown link id: {o.required_link}")
         if dest not in link.endpoints():
             raise PlanningError(f"objective {o}: link {o.required_link} is not incident to AS {dest}")
         if not link.up:
@@ -377,7 +373,7 @@ def _prepend_amount(t: Topology, dest: int, action: Action) -> int:
 
 
 def plan_cost(t: Topology, dest: int, actions: Sequence[Action]) -> tuple:
-    weight = sum(ACTION_WEIGHT[a.kind] for a in actions)
+    weight = sum(a.kind.weight for a in actions)
     prepends = sum(_prepend_amount(t, dest, a) for a in actions)
     return (weight, prepends, tuple(a.sort_key() for a in sorted(actions, key=Action.sort_key)))
 
@@ -584,7 +580,7 @@ def plan_inbound_te(
     for o in objectives:
         goals.setdefault(group_of[o.flow.dst_prefix], []).append(o)
     atoms = _build_atoms(t, dest, objectives)
-    weights = [ACTION_WEIGHT[a.kind] for a in atoms]
+    weights = [a.kind.weight for a in atoms]
     prepends = [_prepend_amount(t, dest, a) for a in atoms]
 
     def satisfies(g: int, state: ConvergedState) -> bool:

@@ -1,27 +1,26 @@
-"""Provider-side ingress community policies.
+"""Provider-side community policies.
 
 A transit provider's catalog maps community values to one of three actions
-applied when the provider receives routes from a customer:
+on the routes it learns from its customers:
 
-* LP set inside the provider network,
+* LP set inside the provider network, applied where the route enters
+  (`ingress_transform`);
 * suppression of the route toward selected neighbors (customers are always
-  still served),
-* extra self-prepending when exporting toward selected neighbors.
+  still served), and
+* extra self-prepending toward selected neighbors, both applied where the
+  provider exports the route (`egress_times`).
 
 Communities carrying these instructions are local to the provider and are
-stripped from the route at the provider's egress.
-
-`AnnotatedRoute` is a NamedTuple: it equals and sorts like the tuple of its
-fields, and a changed copy is `ar._replace(...)`.  Its defaults are shared
-immutable empties, so `AnnotatedRoute(route)` is the plain entry.
+stripped from the route at the provider's egress (`egress_apply`).  They stay
+on the installed route until then, so the egress reads the same communities
+the ingress saw.
 """
 
 from __future__ import annotations
 
-from collections import abc
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Mapping, NamedTuple, TYPE_CHECKING
+from typing import Mapping, TYPE_CHECKING
 
 from .routes import Community, Route
 from .topology import Finding, Rel, is_number, is_word
@@ -142,53 +141,6 @@ class PolicyCatalog:
         return chosen
 
 
-class _EmptySchedule(abc.Mapping):
-    """The prepend schedule of a route that triggered none: empty, immutable,
-    and one shared instance, which pickling and copying keep."""
-
-    __slots__ = ()
-
-    def __getitem__(self, neighbor: int) -> int:
-        raise KeyError(neighbor)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(())
-
-    def __len__(self) -> int:
-        return 0
-
-    def get(self, neighbor: int, default: int | None = None) -> int | None:
-        return default
-
-    def __repr__(self) -> str:
-        return "{}"
-
-    def __reduce__(self) -> str:
-        return "NO_SCHEDULE"
-
-
-# A plain entry's suppression set and prepend schedule: one shared instance
-# each, so the engine can build a plain entry as the literal tuple
-# (route, None, NO_SUPPRESSION, NO_SCHEDULE).
-NO_SUPPRESSION: frozenset[int] = frozenset()
-NO_SCHEDULE: Mapping[int, int] = _EmptySchedule()
-
-
-class AnnotatedRoute(NamedTuple):
-    """A received route plus the catalog actions it triggered at ingress."""
-
-    route: Route
-    lp_override: int | None = None
-    suppressed_toward: frozenset[int] = NO_SUPPRESSION
-    prepend_schedule: Mapping[int, int] = NO_SCHEDULE
-
-
-def plain(route: Route) -> AnnotatedRoute:
-    """`route` with no catalog action; every plain entry shares the same
-    empty, immutable suppression set and prepend schedule."""
-    return AnnotatedRoute(route)
-
-
 def parse_community(text: str) -> Community:
     """Parse the "high:low" notation; both parts are 16-bit decimals."""
     high_s, sep, low_s = text.partition(":")
@@ -200,53 +152,40 @@ def parse_community(text: str) -> Community:
     return Community(high, low)
 
 
-def ingress_transform(cat: PolicyCatalog, r: Route, neighbors: Mapping[int, Rel]) -> AnnotatedRoute:
-    """Apply the owner's catalog to a route received from a customer.
+def ingress_transform(cat: PolicyCatalog, r: Route) -> Route:
+    """Apply the owner's catalog to a route received from a customer: the
+    lowest matching LP rule sets the route's LP.  Unknown communities are
+    inert, and the other rules act at the owner's egress (`egress_times`)."""
+    lps = [cat.lp_rules[c] for c in r.communities if c in cat.lp_rules]
+    return r._replace(local_pref=min(lps)) if lps else r
 
-    Unknown communities are inert.  The lowest matching LP rule sets the
-    route's LP; when two prepend rules target the same neighbor, the larger
-    count wins.  Suppression never targets customers.
-    """
-    lp_override: int | None = None
+
+def egress_times(cat: PolicyCatalog, r: Route, neighbors: Mapping[int, Rel]) -> dict[int, int | None]:
+    """How many times the owner adds itself to the AS-path of `r`, a route
+    it learned from a customer, toward each neighbor that the catalog's rules
+    single out: None where a suppression rule withholds the route, else 1 (the
+    normal AS-path addition) plus the largest matching prepend count.  Every
+    other neighbor gets 1.  `neighbors` is the owner's `neighbor_rels`.
+    Suppression never targets customers and outranks a prepend."""
+    times: dict[int, int | None] = {}
     suppressed: set[int] = set()
-    schedule: dict[int, int] = {}
-    for c in sorted(r.communities, key=Community.sort_key):
-        if c in cat.lp_rules:
-            lp = cat.lp_rules[c]
-            lp_override = lp if lp_override is None else min(lp_override, lp)
-        elif c in cat.suppress_rules:
+    for c in r.communities:
+        if c in cat.suppress_rules:
             suppressed |= cat.expand_selector(cat.suppress_rules[c], neighbors, exclude_customers=True)
         elif c in cat.prepend_rules:
             sel, count = cat.prepend_rules[c]
             for asn in cat.expand_selector(sel, neighbors, exclude_customers=False):
-                schedule[asn] = max(schedule.get(asn, 0), count)
-    if lp_override is not None:
-        r = r._replace(local_pref=lp_override)
-    return AnnotatedRoute(r, lp_override, frozenset(suppressed), schedule)
+                times[asn] = max(times.get(asn, 1), 1 + count)
+    for asn in suppressed:
+        times[asn] = None
+    return times
 
 
-def egress_times(ar: AnnotatedRoute, neighbor: int) -> int | None:
-    """How many times the provider adds itself to the AS-path toward
-    `neighbor`: 1 + schedule[neighbor] (the 1 is the normal AS-path
-    addition), or None when the route is suppressed toward the neighbor.
-    egress_apply's output depends on the neighbor only through this value."""
-    if neighbor in ar.suppressed_toward:
-        return None
-    return 1 + ar.prepend_schedule.get(neighbor, 0)
-
-
-def egress_apply(ar: AnnotatedRoute, provider: int, neighbor: int, catalog: PolicyCatalog | None = None) -> Route | None:
-    """Turn an installed route into the wire form sent to `neighbor`.
-
-    None when the neighbor is suppressed.  Otherwise the provider is
-    prepended egress_times(ar, neighbor) times, the provider's own catalog
-    communities are stripped, and LP is zeroed since it never crosses the AS
-    boundary.
-    """
-    times = egress_times(ar, neighbor)
-    if times is None:
-        return None
-    r = ar.route
+def egress_apply(r: Route, provider: int, times: int, catalog: PolicyCatalog | None = None) -> Route:
+    """Turn an installed route into the wire form sent to a neighbor: the
+    provider is prepended `times` times (`egress_times`), the provider's own
+    catalog communities are stripped, and LP is zeroed since it never
+    crosses the AS boundary."""
     communities = r.communities
     if catalog is not None:
         communities = communities - catalog.communities()

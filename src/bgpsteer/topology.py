@@ -55,7 +55,7 @@ class Prefix(tuple):
     """IPv4 prefix as (base address, length); host bits must be zero.
 
     A tuple, so hashing, equality and ordering are the tuple's own: a
-    `Prefix` equals, hashes and sorts like the plain tuple (base, length)."""
+    `Prefix` equals, hashes and sorts like the bare tuple (base, length)."""
 
     __slots__ = ()
 
@@ -197,11 +197,8 @@ class Session(NamedTuple):
     neighbor: int  # the receiving end
     rel: Rel  # the neighbor, as seen from the exporter
     local_pref: int  # the neighbor's default LP for routes over this link
-    # The neighbor's catalog, when the exporter is its customer, and the
-    # neighbor's `neighbor_rels`, which its selectors expand over; both None
-    # where no catalog applies.
+    # The neighbor's catalog when the exporter is its customer, else None.
     catalog: "PolicyCatalog | None"
-    neighbor_rels: Mapping[int, Rel] | None
 
 
 @dataclass(frozen=True, slots=True)
@@ -211,14 +208,25 @@ class Sessions:
     * `all`: a session per up link, sorted by link id;
     * `by_learned`: link id -> (the sessions a route learned over that link
       is exported on, the sessions it is not), the valley-free split;
-    * `catalog`: the AS's own catalog, whose communities its egress strips."""
+    * `catalog`: the AS's own catalog, whose communities its egress strips
+      and whose rules it applies to routes learned over `customer_links`;
+    * `neighbor_rels`: the AS's `Topology.neighbor_rels`, which the
+      catalog's selectors expand over (None without a catalog);
+    * `customer_links`: the ids of the links whose other end is a customer."""
 
     all: tuple[Session, ...]
     by_learned: Mapping[str, tuple[tuple[Session, ...], tuple[Session, ...]]]
     catalog: "PolicyCatalog | None"
+    neighbor_rels: Mapping[int, Rel] | None
+    customer_links: frozenset[str]
 
     @classmethod
-    def build(cls, sessions: Iterable[Session], catalog: "PolicyCatalog | None") -> "Sessions":
+    def build(
+        cls,
+        sessions: Iterable[Session],
+        catalog: "PolicyCatalog | None",
+        neighbor_rels: Mapping[int, Rel] | None,
+    ) -> "Sessions":
         ordered = tuple(sorted(sessions, key=lambda s: s.link_id))
         # One copy of each distinct split, shared by the learned
         # relationships that give it.
@@ -231,7 +239,8 @@ class Sessions:
                 withhold = tuple(s for s, ok in zip(ordered, mask) if not ok)
                 by_mask[mask] = (send if withhold else ordered, withhold)
             split[rel] = by_mask[mask]
-        return cls(ordered, {s.link_id: split[s.rel] for s in ordered}, catalog)
+        customer_links = frozenset(s.link_id for s in ordered if s.rel is Rel.CUSTOMER)
+        return cls(ordered, {s.link_id: split[s.rel] for s in ordered}, catalog, neighbor_rels, customer_links)
 
 
 @dataclass(frozen=True)
@@ -258,8 +267,9 @@ class Topology:
         """ASN -> its up links compiled for propagation (ASes with no up link
         have no entry): what never changes with the TE config.  That is the
         default LP a receiver assigns (`default_local_pref` of the sender's
-        relationship), its catalog and `neighbor_rels` where the sender is
-        its customer, and the valley-free export split."""
+        relationship) and its catalog where the sender is its customer, the
+        sender's own catalog and `neighbor_rels`, and the valley-free export
+        split."""
         owner_rels = {asn: self.neighbor_rels(asn) for asn in self.catalogs}
         per_as: dict[int, list[Session]] = {}
         for link in self.links:
@@ -274,9 +284,8 @@ class Topology:
                     link.rel_from(asn),
                     routes.default_local_pref(sender_rel),
                     self.catalogs[neighbor] if applies else None,
-                    owner_rels[neighbor] if applies else None,
                 ))
-        return {asn: Sessions.build(s, self.catalogs.get(asn)) for asn, s in per_as.items()}
+        return {asn: Sessions.build(s, self.catalogs.get(asn), owner_rels.get(asn)) for asn, s in per_as.items()}
 
     @cached_property
     def validation(self) -> ValidationReport:

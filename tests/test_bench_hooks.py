@@ -41,3 +41,22 @@ def test_topology_validation_looks_up_the_traced_function_at_call_time(monkeypat
     t = topology.Topology({1: "stub"}, (), {}, {})
     assert t.validation.ok()
     assert len(seen) == 1 and seen[0] is t
+
+
+def test_the_traced_policy_functions_are_the_ones_the_engine_calls():
+    # An engine that bypassed the module globals the tracer patches would
+    # read 0 calls in a traced bench run.
+    tracing = load_tracing()
+    engine = importlib.import_module("bgpsteer.engine")
+    scenario = importlib.import_module("bgpsteer.scenario")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for name in ("dualprovider_prepend_p2.scn", "suppress_blackhole.scn"):
+            with open(f"scenarios/{name}", encoding="utf-8") as f:
+                s = scenario.parse_scenario(f.read())
+            engine.propagate_to_convergence(s.topology, s.te_config)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts.get("policies.ingress_transform", 0) > 0
+    assert tracer.counts.get("policies.egress_apply", 0) > 0

@@ -20,7 +20,7 @@ from bgpsteer import (
     propagate_to_convergence,
 )
 from bgpsteer.engine import MAX_PREPEND, ConvergedState, _announcement_table
-from bgpsteer.policies import AnnotatedRoute, egress_apply, ingress_transform, plain
+from bgpsteer.policies import egress_apply, egress_times, ingress_transform
 from bgpsteer.routes import Route, compare_routes, default_local_pref, export_permitted, local_route
 from bgpsteer.topology import LOCAL, Rel
 
@@ -59,16 +59,16 @@ def test_zero_originations_fixed_point_in_one_round():
 
 def test_local_routes_present_at_origin():
     _, state = run("as 1 stub\nas 2 transit\nlink l1 1 2 c2p\noriginate 1 10.1.0.0/16\n")
-    entry = state.loc_rib[1][P1]
-    assert entry.route.learned_on == LOCAL
-    assert entry.route.as_path == ()
+    route = state.loc_rib[1][P1]
+    assert route.learned_on == LOCAL
+    assert route.as_path == ()
 
 
 def test_loop_freedom():
     _, state = run(DUAL)
     for asn, by_prefix in state.loc_rib.items():
-        for entry in by_prefix.values():
-            assert asn not in entry.route.as_path
+        for route in by_prefix.values():
+            assert asn not in route.as_path
 
 
 def test_oscillation_detected_with_changing_pairs():
@@ -103,7 +103,7 @@ def test_fixed_point_stable_under_extra_round():
 def test_trace_callback_sees_each_round():
     s = parse_scenario(DUAL)
     rounds = []
-    propagate_to_convergence(s.topology, s.te_config, trace=lambda n, dump: rounds.append(n))
+    propagate_to_convergence(s.topology, s.te_config, trace=lambda st: rounds.append(st.rounds_used))
     assert rounds == list(range(1, rounds[-1] + 1))
 
 
@@ -112,10 +112,10 @@ def test_selected_is_maximum_of_candidates():
 
     _, state = run(DUAL)
     for asn, by_prefix in state.loc_rib.items():
-        for prefix, entry in by_prefix.items():
+        for prefix, route in by_prefix.items():
             cands = state.candidates(asn, prefix)
-            if entry.route.learned_on != LOCAL and cands:
-                assert entry.route == best_of(cands)
+            if route.learned_on != LOCAL and cands:
+                assert route == best_of(cands)
 
 
 def test_best_route_longest_prefix_match():
@@ -139,8 +139,8 @@ def test_link_id_local_is_reserved():
 
 def test_med_basic_golden():
     _, state = run(open("scenarios/med_basic.scn").read())
-    assert state.loc_rib[100][P1].route.learned_on == "l1"
-    assert state.loc_rib[100][P1].route.med == 10
+    assert state.loc_rib[100][P1].learned_on == "l1"
+    assert state.loc_rib[100][P1].med == 10
 
 
 def test_med_ignored_across_neighbors_golden():
@@ -189,8 +189,7 @@ def test_oracle_equivalence_sample():
         t = gen.rand_topology(rng)
         te = gen.rand_te(rng, t)
         state = propagate_to_convergence(t, te)
-        sim = {a: {p: e.route for p, e in by.items()} for a, by in state.loc_rib.items()}
-        assert sim == gen.oracle_loc_ribs(t, te)
+        assert state.loc_rib == gen.oracle_loc_ribs(t, te)
 
 
 def test_valley_free_sample():
@@ -200,10 +199,10 @@ def test_valley_free_sample():
         te = gen.rand_te(rng, t)
         state = propagate_to_convergence(t, te)
         for asn, by_prefix in state.loc_rib.items():
-            for entry in by_prefix.values():
-                if entry.route.learned_on == LOCAL:
+            for route in by_prefix.values():
+                if route.learned_on == LOCAL:
                     continue
-                assert gen.is_valley_free(t, asn, entry.route.as_path)
+                assert gen.is_valley_free(t, asn, route.as_path)
 
 
 CONVERGING_GOLDENS = sorted(
@@ -225,7 +224,7 @@ def test_oscillation_trace_alternates_between_two_states():
     s = parse_scenario(open("scenarios/oscillate.scn").read())
     dumps = []
     with pytest.raises(OscillationError):
-        propagate_to_convergence(s.topology, s.te_config, trace=lambda n, d: dumps.append((n, d)))
+        propagate_to_convergence(s.topology, s.te_config, trace=lambda st: dumps.append((st.rounds_used, st.dump())))
     assert [n for n, _ in dumps] == list(range(1, 14))
     assert all(d.startswith(f"rounds {n}\n") for n, d in dumps)
     bodies = [d.split("\n", 1)[1] for _, d in dumps]
@@ -241,7 +240,7 @@ def test_oscillation_trace_alternates_between_two_states():
 def test_trace_called_once_per_round_and_ends_at_the_fixed_point(path):
     s = parse_scenario(path.read_text())
     dumps = []
-    state = propagate_to_convergence(s.topology, s.te_config, trace=lambda n, d: dumps.append((n, d)))
+    state = propagate_to_convergence(s.topology, s.te_config, trace=lambda st: dumps.append((st.rounds_used, st.dump())))
     assert [n for n, _ in dumps] == list(range(1, state.rounds_used + 1))
     assert dumps[-1][1] == state.dump()
 
@@ -341,11 +340,11 @@ def _reference_run(t, te, *, prefixes=None, max_rounds=None):
     for asn, originated in t.originations.items():
         for p in originated:
             if prefixes is None or p in prefixes:
-                local[asn][p] = plain(local_route(p, asn))
+                local[asn][p] = local_route(p, asn)
     for origin, table in ann.items():
         for p, _link_id in table:
-            local[origin].setdefault(p, plain(local_route(p, origin)))
-    rank = cmp_to_key(lambda a, b: compare_routes(a.route, b.route))
+            local[origin].setdefault(p, local_route(p, origin))
+    rank = cmp_to_key(compare_routes)
 
     def receive(receiver, link, sender, wire):
         if receiver in wire.as_path:
@@ -359,12 +358,7 @@ def _reference_run(t, te, *, prefixes=None, max_rounds=None):
         installed = Route(
             wire.prefix, wire.as_path, lp, wire.med, wire.communities, link.id, wire.origin_as
         )
-        if not applies:
-            return plain(installed)
-        ar = ingress_transform(catalog, installed, t.neighbor_rels(receiver))
-        if ar.lp_override is not None:
-            ar = ar._replace(route=installed._replace(local_pref=ar.lp_override))
-        return ar
+        return ingress_transform(catalog, installed) if applies else installed
 
     adj = {asn: {} for asn in t.roles}
     loc = {asn: dict(entries) for asn, entries in local.items()}
@@ -375,8 +369,7 @@ def _reference_run(t, te, *, prefixes=None, max_rounds=None):
         for receiver in t.roles:
             for link in t.up_links_of(receiver):
                 sender = link.other(receiver)
-                for prefix, entry in loc[sender].items():
-                    route = entry.route
+                for prefix, route in loc[sender].items():
                     if route.learned_on == LOCAL:
                         ad = ann.get(sender, {}).get((prefix, link.id))
                         if ad is None:
@@ -386,12 +379,16 @@ def _reference_run(t, te, *, prefixes=None, max_rounds=None):
                         learned_rel = t.link_by_id(route.learned_on).rel_from(sender)
                         if not export_permitted(learned_rel, link.rel_from(sender)):
                             continue
-                        wire = egress_apply(entry, sender, receiver, t.catalogs.get(sender))
-                        if wire is None:
+                        catalog = t.catalogs.get(sender)
+                        times = 1
+                        if catalog is not None and learned_rel is Rel.CUSTOMER:
+                            times = egress_times(catalog, route, t.neighbor_rels(sender)).get(receiver, 1)
+                        if times is None:
                             continue
-                    ar = receive(receiver, link, sender, wire)
-                    if ar is not None:
-                        new_adj[receiver].setdefault(prefix, {})[link.id] = ar
+                        wire = egress_apply(route, sender, times, catalog)
+                    installed = receive(receiver, link, sender, wire)
+                    if installed is not None:
+                        new_adj[receiver].setdefault(prefix, {})[link.id] = installed
         new_loc = {}
         for asn in t.roles:
             table = {}
@@ -423,7 +420,7 @@ def _check_against_reference(t, te, *, prefixes=None, max_rounds=None):
     dumps = []
     try:
         got = propagate_to_convergence(
-            t, te, prefixes=prefixes, max_rounds=max_rounds, trace=lambda n, d: dumps.append(d)
+            t, te, prefixes=prefixes, max_rounds=max_rounds, trace=lambda st: dumps.append(st.dump())
         )
     except OscillationError as exc:
         got = exc
@@ -440,15 +437,16 @@ def _check_against_reference(t, te, *, prefixes=None, max_rounds=None):
 
 
 def _check_installed_routes(state):
-    """Every installed route passes the checking constructor unchanged: the
-    engine's trusted `Route._make` path builds only valid routes."""
+    """Every Adj-RIB-In and Loc-RIB entry is a `Route` that passes the
+    checking constructor unchanged: the engine's trusted `tuple.__new__`
+    path builds only valid routes."""
     for rib in state.adj_rib_in.values():
         for by_link in rib.values():
-            for ar in by_link.values():
-                assert type(ar.route) is Route and Route(*ar.route) == ar.route
+            for r in by_link.values():
+                assert type(r) is Route and Route(*r) == r
     for rib in state.loc_rib.values():
-        for ar in rib.values():
-            assert type(ar.route) is Route and Route(*ar.route) == ar.route
+        for r in rib.values():
+            assert type(r) is Route and Route(*r) == r
 
 
 def _with_disagree_gadget(rng, t, te):
@@ -595,16 +593,10 @@ def test_a_displaced_local_entry_is_withdrawn_where_it_was_announced():
 
 def test_value_types_survive_pickle_and_deepcopy():
     r = Route(P1, (100, 65001), 200, 10, frozenset({Community(100, 50)}), "l1", 65001)
-    values = [P1, r, plain(r), AnnotatedRoute(r, 50, frozenset({300}), {300: 2})]
-    for value in values:
+    for value in (P1, r):
         for back in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
             assert back == value and type(back) is type(value)
             assert repr(back) == repr(value)
-    # The shared empty schedule stays the one shared, immutable instance.
-    empty = plain(r).prepend_schedule
-    assert pickle.loads(pickle.dumps(empty)) is empty and copy.deepcopy(empty) is empty
-    with pytest.raises(TypeError):
-        empty[300] = 1
 
 
 def test_converged_states_survive_pickle_and_deepcopy():
@@ -619,4 +611,5 @@ def test_converged_states_survive_pickle_and_deepcopy():
         for back in (pickle.loads(pickle.dumps(state)), copy.deepcopy(state)):
             assert back.dump() == state.dump(), path.name
             assert back.loc_rib == state.loc_rib and back.adj_rib_in == state.adj_rib_in
+            _check_installed_routes(back)
     assert converged >= 19

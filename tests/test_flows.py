@@ -18,7 +18,6 @@ from bgpsteer import (
 )
 from bgpsteer.engine import ConvergedState
 from bgpsteer.flows import UNREACHABLE, ForwardingTable
-from bgpsteer.policies import AnnotatedRoute
 from bgpsteer.routes import Route, local_route
 from bgpsteer.topology import LOCAL, Link, Topology
 
@@ -245,10 +244,9 @@ def test_forwarding_loop_leaves_every_as_on_it_dead():
              Link("l4", 4, 2, None), Link("l5", 5, 2, 5)]
     t = Topology({1: "stub", 2: "transit", 3: "transit", 4: "transit", 5: "stub"}, tuple(links),
                  {1: frozenset({P1})})
-    loc_rib = {1: {P1: AnnotatedRoute(local_route(P1, 1))}}
+    loc_rib = {1: {P1: local_route(P1, 1)}}
     for asn, (link_id, nxt) in hops.items():
-        route = Route(P1, (nxt, 1), 100, None, frozenset(), link_id, 1)
-        loc_rib[asn] = {P1: AnnotatedRoute(route)}
+        loc_rib[asn] = {P1: Route(P1, (nxt, 1), 100, None, frozenset(), link_id, 1)}
     state = ConvergedState({}, loc_rib, 1)
     for order in ([5, 2, 3, 4, 1], [3, 1, 4, 5, 2]):
         table = ForwardingTable(state, t, P1)
@@ -263,9 +261,9 @@ def test_a_hop_over_a_link_that_misses_the_as_raises():
     t = Topology({1: "stub", 2: "transit", 3: "stub"}, (Link("l1", 1, 2, 1), Link("l2", 3, 2, 3)),
                  {1: frozenset({P1})})
     loc_rib = {
-        1: {P1: AnnotatedRoute(local_route(P1, 1))},
-        2: {P1: AnnotatedRoute(Route(P1, (1,), 200, None, frozenset(), "l1", 1))},
-        3: {P1: AnnotatedRoute(Route(P1, (2, 1), 50, None, frozenset(), "l1", 1))},
+        1: {P1: local_route(P1, 1)},
+        2: {P1: Route(P1, (1,), 200, None, frozenset(), "l1", 1)},
+        3: {P1: Route(P1, (2, 1), 50, None, frozenset(), "l1", 1)},
     }
     state = ConvergedState({}, loc_rib, 1)
     assert ForwardingTable(state, t, P1).last_link(2) == "l1"

@@ -32,7 +32,6 @@ from bgpsteer import (
     te_config_from_actions,
 )
 from bgpsteer.planner import (
-    ACTION_WEIGHT,
     _build_atoms,
     _consistent_sets,
     _objective_satisfied,
@@ -158,6 +157,14 @@ def test_objective_on_down_link_rejected():
     with pytest.raises(PlanningError) as err:
         plan_inbound_te(s.topology, 65001, objectives)
     assert "down" in str(err.value)
+
+
+def test_objective_on_unknown_link_rejected():
+    s = load("scenarios/dualprovider_baseline.scn")
+    objectives = (Objective(Flow(None, 65101, P1, 65001), "nope"),)
+    with pytest.raises(PlanningError) as err:
+        plan_inbound_te(s.topology, 65001, objectives)
+    assert str(err.value) == "unknown link id: nope"
 
 
 def test_contradictory_objectives_rejected():
@@ -650,7 +657,7 @@ def test_enumeration_costs_equal_plan_cost(path):
     s = load(path)
     dest = s.objectives[0].flow.dst_asn
     atoms = _build_atoms(s.topology, dest, s.objectives)
-    weights = [ACTION_WEIGHT[a.kind] for a in atoms]
+    weights = [a.kind.weight for a in atoms]
     prepends = [_prepend_amount(s.topology, dest, a) for a in atoms]
     budget = Budget().max_actions
     for group in _prefix_groups(s.topology, s.objectives):

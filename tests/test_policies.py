@@ -1,7 +1,6 @@
 import pytest
 
 from bgpsteer import (
-    AnnotatedRoute,
     Community,
     PeerSelector,
     PolicyCatalog,
@@ -14,6 +13,7 @@ from bgpsteer import (
     parse_scenario,
     propagate_to_convergence,
 )
+from bgpsteer.policies import egress_times
 from bgpsteer.topology import LOCAL
 
 P1 = Prefix.parse("10.1.0.0/16")
@@ -40,38 +40,54 @@ def customer_route(communities, prefix=P2):
 NEIGHBORS = {D: Rel.CUSTOMER, A: Rel.PROVIDER, S1: Rel.CUSTOMER, 500: Rel.PEER}
 
 
+def wires(cat, r):
+    """What ISP1 sends each neighbor when it exports `r`, a route learned
+    from a customer: the wire route, or None where the catalog suppresses it."""
+    times = egress_times(cat, r, NEIGHBORS)
+    return {
+        n: None if times.get(n, 1) is None else egress_apply(r, ISP1, times.get(n, 1), cat)
+        for n in NEIGHBORS
+    }
+
+
 def test_lp_rule_sets_override():
     cat = PolicyCatalog(ISP1, {Community(100, 50): 50, Community(100, 100): 100}, {}, {}, {})
-    ar = ingress_transform(cat, customer_route([Community(100, 100)]), NEIGHBORS)
-    assert ar.lp_override == 100
-    assert ar.suppressed_toward == frozenset()
-    assert not ar.prepend_schedule
+    r = customer_route([Community(100, 100)])
+    assert ingress_transform(cat, r) == r._replace(local_pref=100)
+    # no suppression and no prepend at the egress
+    assert egress_times(cat, r, NEIGHBORS) == {}
+    assert all(w.as_path == (ISP1, D) for w in wires(cat, r).values())
 
 
 def test_conflicting_lp_rules_lowest_wins():
     cat = PolicyCatalog(ISP1, {Community(100, 50): 50, Community(100, 100): 100}, {}, {}, {})
-    ar = ingress_transform(cat, customer_route([Community(100, 100), Community(100, 50)]), NEIGHBORS)
-    assert ar.lp_override == 50
+    r = ingress_transform(cat, customer_route([Community(100, 100), Community(100, 50)]))
+    assert r.local_pref == 50
 
 
 def test_empty_communities_are_identity():
     cat = PolicyCatalog(ISP1, {Community(100, 50): 50}, {}, {}, {})
-    ar = ingress_transform(cat, customer_route([]), NEIGHBORS)
-    assert ar == AnnotatedRoute(ar.route)
+    r = customer_route([])
+    assert ingress_transform(cat, r) is r
+    assert egress_times(cat, r, NEIGHBORS) == {}
 
 
 def test_unknown_communities_inert():
     cat = PolicyCatalog(ISP1, {Community(100, 50): 50}, {}, {}, {})
-    ar = ingress_transform(cat, customer_route([Community(999, 1)]), NEIGHBORS)
-    assert ar.lp_override is None
+    r = customer_route([Community(999, 1)])
+    assert ingress_transform(cat, r) is r
+    assert egress_times(cat, r, NEIGHBORS) == {}
 
 
 def test_prepend_rule_builds_schedule():
     cat = PolicyCatalog(
         ISP1, {}, {}, {Community(100, 2001): (PeerSelector.specific(A), 2)}, {}
     )
-    ar = ingress_transform(cat, customer_route([Community(100, 2001)]), NEIGHBORS)
-    assert ar.prepend_schedule == {A: 2}
+    r = customer_route([Community(100, 2001)])
+    assert egress_times(cat, r, NEIGHBORS) == {A: 3}
+    out = wires(cat, r)
+    assert out[A].as_path == (ISP1, ISP1, ISP1, D)
+    assert out[500].as_path == out[S1].as_path == (ISP1, D)
 
 
 def test_prepend_same_target_larger_count_wins():
@@ -85,20 +101,25 @@ def test_prepend_same_target_larger_count_wins():
         },
         {},
     )
-    ar = ingress_transform(cat, customer_route([Community(100, 1), Community(100, 2)]), NEIGHBORS)
-    assert ar.prepend_schedule == {A: 3}
+    r = customer_route([Community(100, 1), Community(100, 2)])
+    assert egress_times(cat, r, NEIGHBORS) == {A: 4}
+    assert wires(cat, r)[A].as_path == (ISP1,) * 4 + (D,)
 
 
 def test_suppress_expansion_excludes_customers():
     cat = PolicyCatalog(ISP1, {}, {Community(100, 666): PeerSelector.all_upstreams()}, {}, {})
-    ar = ingress_transform(cat, customer_route([Community(100, 666)]), NEIGHBORS)
-    assert ar.suppressed_toward == frozenset({A, 500})  # provider + peer, no customers
+    r = customer_route([Community(100, 666)])
+    assert egress_times(cat, r, NEIGHBORS) == {A: None, 500: None}  # provider + peer, no customers
+    out = wires(cat, r)
+    assert out[A] is None and out[500] is None
+    assert out[S1].as_path == (ISP1, D)
 
 
 def test_suppress_specific_customer_expands_empty():
     cat = PolicyCatalog(ISP1, {}, {Community(100, 666): PeerSelector.specific(S1)}, {}, {})
-    ar = ingress_transform(cat, customer_route([Community(100, 666)]), NEIGHBORS)
-    assert ar.suppressed_toward == frozenset()
+    r = customer_route([Community(100, 666)])
+    assert egress_times(cat, r, NEIGHBORS) == {}
+    assert wires(cat, r)[S1] is not None
 
 
 def test_region_selector_expansion():
@@ -109,14 +130,14 @@ def test_region_selector_expansion():
         {},
         {A: "EU", 500: "US"},
     )
-    ar = ingress_transform(cat, customer_route([Community(100, 7)]), NEIGHBORS)
-    assert ar.suppressed_toward == frozenset({A})
+    r = customer_route([Community(100, 7)])
+    assert egress_times(cat, r, NEIGHBORS) == {A: None}
+    assert wires(cat, r)[500] is not None
 
 
 def test_egress_prepends_schedule_plus_one():
     base = Route(P2, (D,), 200, None, frozenset(), "l1", D)
-    ar = AnnotatedRoute(base, None, frozenset(), {S1: 2})
-    wire = egress_apply(ar, ISP1, S1)
+    wire = egress_apply(base, ISP1, 3)
     assert wire.as_path == (ISP1, ISP1, ISP1, D)
     assert wire.local_pref == 0
 
@@ -124,16 +145,27 @@ def test_egress_prepends_schedule_plus_one():
 def test_egress_plain_export():
     cat = PolicyCatalog(ISP1, {Community(100, 50): 50}, {}, {}, {})
     base = Route(P2, (D,), 200, None, frozenset({Community(100, 50), Community(999, 9)}), "l1", D)
-    wire = egress_apply(AnnotatedRoute(base), ISP1, A, cat)
+    wire = egress_apply(base, ISP1, 1, cat)
     assert wire.as_path == (ISP1, D)
     assert wire.communities == frozenset({Community(999, 9)})  # own catalog value stripped
 
 
 def test_egress_suppressed_returns_none():
-    base = Route(P2, (D,), 200, None, frozenset(), "l1", D)
-    ar = AnnotatedRoute(base, None, frozenset({A}), {})
-    assert egress_apply(ar, ISP1, A) is None
-    assert egress_apply(ar, ISP1, S1) is not None
+    # Suppression outranks a prepend toward the same neighbor.
+    cat = PolicyCatalog(
+        ISP1,
+        {},
+        {Community(100, 666): PeerSelector.specific(A)},
+        {Community(100, 2001): (PeerSelector.all_upstreams(), 2)},
+        {},
+    )
+    r = customer_route([Community(100, 666), Community(100, 2001)])
+    assert egress_times(cat, r, NEIGHBORS) == {A: None, 500: 3}
+    out = wires(cat, r)
+    assert out[A] is None
+    assert out[500].as_path == (ISP1, ISP1, ISP1, D)
+    assert out[S1].as_path == (ISP1, D)
+    assert out[S1].communities == frozenset()  # both catalog values stripped
 
 
 def test_strip_invariant_on_golden():
@@ -141,8 +173,7 @@ def test_strip_invariant_on_golden():
     state = propagate_to_convergence(s.topology, s.te_config)
     owned = {owner: cat.communities() for owner, cat in s.topology.catalogs.items()}
     for asn, by_prefix in state.loc_rib.items():
-        for entry in by_prefix.values():
-            r = entry.route
+        for r in by_prefix.values():
             if r.learned_on == LOCAL:
                 continue
             for transited in set(r.as_path):
@@ -171,8 +202,8 @@ def test_unknown_communities_do_not_change_selection():
     def selection(state):
         return {
             asn: {
-                p: (e.route.as_path, e.route.local_pref, e.route.learned_on, e.route.med)
-                for p, e in by.items()
+                p: (r.as_path, r.local_pref, r.learned_on, r.med)
+                for p, r in by.items()
             }
             for asn, by in state.loc_rib.items()
         }

@@ -38,9 +38,9 @@ def reference_dump(state):
         for p in sorted(loc.keys() | adj.keys()):
             lines.append(f" rib {p}")
             if p in loc:
-                lines.append(line("best", loc[p].route))
+                lines.append(line("best", loc[p]))
             for link_id in sorted(adj.get(p, {})):
-                lines.append(line("cand", adj[p][link_id].route))
+                lines.append(line("cand", adj[p][link_id]))
     return "\n".join(lines) + "\n"
 
 
@@ -67,12 +67,18 @@ def dumps_checked(monkeypatch):
 
 
 def check_run(t, te, rounds):
-    """Propagate with a trace, then check the final dump and every ingress
-    CSV; returns the converged state, or None when the run oscillates."""
+    """Propagate with a trace that dumps each round, then check the final
+    dump and every ingress CSV; returns the converged state, or None when the
+    run oscillates."""
     del rounds[:]
     traced = []
+
+    def trace(st):
+        st.dump()
+        traced.append(st.rounds_used)
+
     try:
-        state = propagate_to_convergence(t, te, trace=lambda n, _dump: traced.append(n))
+        state = propagate_to_convergence(t, te, trace=trace)
     except OscillationError as exc:
         assert rounds == traced == list(range(1, exc.rounds + 1))
         return None
@@ -109,7 +115,7 @@ def test_renderers_match_the_reference_on_random_cases(dumps_checked):
         if state is None:
             continue
         converged += 1
-        routes = [ar.route for rib in state.adj_rib_in.values() for cands in rib.values() for ar in cands.values()]
+        routes = [r for rib in state.adj_rib_in.values() for cands in rib.values() for r in cands.values()]
         communities += any(r.communities for r in routes)
         meds += any(r.med is not None for r in routes)
         more_specifics += any(ad.prefix not in t.originated_by(ad.origin) for ad in te.advertisements)

@@ -200,6 +200,34 @@ def test_roundtrip_canonical_identity_on_goldens():
         assert serialize_scenario(s2) == canon, path.name
 
 
+def test_roundtrip_needs_the_canonical_order_and_no_empty_catalog():
+    """The three conditions of serialize_scenario's round trip besides the
+    objectives' order: each broken case parses back to another scenario,
+    whose text is the same."""
+    from dataclasses import replace
+
+    from bgpsteer import PolicyCatalog
+
+    s = parse_scenario(open("scenarios/failover_morespecific.scn").read())
+    t, te = s.topology, s.te_config
+    stub = min(asn for asn in t.roles if asn not in t.catalogs)
+    cases = {
+        "links not sorted by id": replace(s, topology=replace(t, links=t.links[::-1])),
+        "advertisements out of order": replace(
+            s, te_config=replace(te, advertisements=te.advertisements[::-1])
+        ),
+        "an empty catalog": replace(
+            s, topology=replace(t, catalogs={**t.catalogs, stub: PolicyCatalog(stub)})
+        ),
+    }
+    assert parse_scenario(serialize_scenario(s)) == s
+    for kind, broken in cases.items():
+        text = serialize_scenario(broken)
+        back = parse_scenario(text)
+        assert back != broken, kind
+        assert serialize_scenario(back) == text, kind
+
+
 def test_serialize_rejects_a_prefix_withheld_on_every_link():
     from bgpsteer import Scenario, TeConfig
 
@@ -307,10 +335,12 @@ def _session_cases():
 
 
 def test_sessions_match_the_plain_lookups():
-    """Each compiled session equals what Link.rel_from, default_local_pref,
-    the catalogs and neighbor_rels give for its link (the last two only
-    where the receiver's catalog applies); down links have none, and each
-    learned link's split is export_permitted's."""
+    """Each compiled session equals what Link.rel_from, default_local_pref
+    and the catalogs give for its link (the catalog only where the
+    receiver's catalog applies); down links have none.  Each exporter's
+    `Sessions` carries its own catalog, its neighbor_rels where it has a
+    catalog, and its customer links; each learned link's split is
+    export_permitted's."""
     from bgpsteer.routes import default_local_pref, export_permitted
 
     for t in _session_cases():
@@ -318,6 +348,8 @@ def test_sessions_match_the_plain_lookups():
         assert {(asn, s.link_id) for asn, out in t.sessions.items() for s in out.all} == up_ends
         for asn, out in t.sessions.items():
             assert out.catalog is t.catalogs.get(asn)
+            assert out.neighbor_rels == (None if out.catalog is None else t.neighbor_rels(asn))
+            assert out.customer_links == {s.link_id for s in out.all if t.link_by_id(s.link_id).customer == s.neighbor}
             assert [s.link_id for s in out.all] == sorted(s.link_id for s in out.all)
             for s in out.all:
                 link = t.link_by_id(s.link_id)
@@ -326,7 +358,6 @@ def test_sessions_match_the_plain_lookups():
                 assert s.rel is link.rel_from(asn)
                 assert s.local_pref == default_local_pref(sender_rel)
                 assert s.catalog is (t.catalogs.get(s.neighbor) if sender_rel is Rel.CUSTOMER else None)
-                assert s.neighbor_rels == (None if s.catalog is None else t.neighbor_rels(s.neighbor))
             for learned in out.all:
                 send, withhold = out.by_learned[learned.link_id]
                 assert send == tuple(s for s in out.all if export_permitted(learned.rel, s.rel))
