@@ -7,6 +7,12 @@ own ingress policies, then selects its Loc-RIB.  A new announcement over a
 link replaces what the neighbor sent there before, so a withdrawal is just
 an announcement of nothing.
 
+What an origin announces for a local route is decided where it is
+exported (`_export`): a prefix the TE config does not list goes out plainly
+on every up link; a listed one only on its listed links, each with that
+advertisement's MED and communities; a withheld one nowhere.  A run keeps
+only the listed announcements, keyed by (origin, prefix).
+
 The unit of change is an (AS, prefix) pair.  Round 1 exports every local
 entry; round N exports only the pairs whose Loc-RIB entry changed or
 vanished in round N-1, each to every up-link neighbor it may go to (and
@@ -92,7 +98,8 @@ class TeConfig:
     (origin, prefix) pair switches the prefix to its explicit links too, so
     with none it is announced nowhere.  The scenario format has no record for
     it; the planner sets it when an action set withholds a prefix on every
-    link."""
+    link.  Nothing fills in the default announcements: the engine applies
+    this rule as it exports each local route."""
 
     advertisements: tuple[Advertisement, ...] = ()
     lp_overrides: Mapping[tuple[int, int], int] = field(default_factory=dict)
@@ -133,29 +140,6 @@ def check_advertisement(t: Topology, ad: Advertisement, seen: set[tuple[int, Pre
         raise ValueError(f"more than {COMMUNITY_BUDGET} communities on one advertisement of {ad.prefix}")
     if ad.med is not None and ad.med < 0:
         raise ValueError("MED must be >= 0")
-
-
-def _announcement_table(
-    t: Topology, te: TeConfig
-) -> dict[int, dict[tuple[Prefix, str], Advertisement]]:
-    """origin -> (prefix, link) -> advertisement, after filling defaults."""
-    explicit: dict[int, set[Prefix]] = {}
-    for origin, p in te.withheld:
-        explicit.setdefault(origin, set()).add(p)
-    for ad in te.advertisements:
-        explicit.setdefault(ad.origin, set()).add(ad.prefix)
-    table: dict[int, dict[tuple[Prefix, str], Advertisement]] = {}
-    for asn in t.originations:
-        table[asn] = {}
-        out = t.sessions.get(asn)
-        for p in t.originated_by(asn):
-            if p in explicit.get(asn, set()) or out is None:
-                continue
-            for s in out.all:
-                table[asn][(p, s.link_id)] = Advertisement(asn, p, s.link_id)
-    for ad in te.advertisements:
-        table.setdefault(ad.origin, {})[(ad.prefix, ad.link_id)] = ad
-    return table
 
 
 @dataclass(frozen=True)
@@ -209,7 +193,7 @@ class ConvergedState:
             if tail is None:
                 comms = "-"
                 if communities:
-                    comms = ",".join(str(c) for c in sorted(communities, key=Community.sort_key))
+                    comms = ",".join(str(c) for c in sorted(communities))
                 tail = tails[key] = (
                     f" lp={local_pref} med={'-' if med is None else med} from={learned_on} comms={comms}"
                 )
@@ -236,10 +220,6 @@ class ConvergedState:
         return "\n".join(lines)
 
 
-def best_route(s: ConvergedState, asn: int, prefix: Prefix) -> Route | None:
-    return s.best_route(asn, prefix)
-
-
 def propagate_to_convergence(
     t: Topology,
     te: TeConfig | None = None,
@@ -262,26 +242,25 @@ def propagate_to_convergence(
     require_valid(t)
     te.validate(t)
 
-    ann = _announcement_table(t, te)
-    wanted = None if prefixes is None else frozenset(prefixes)
-    if wanted is not None:
-        ann = {
-            origin: {key: ad for key, ad in table.items() if key[0] in wanted}
-            for origin, table in ann.items()
-        }
+    # The announcements of each (origin, prefix) the TE config lists, by
+    # link; a withheld prefix lists none.  Any other local route goes out
+    # plainly on every up link (`_export`).
+    listed: dict[tuple[int, Prefix], dict[str, Advertisement]] = {pair: {} for pair in te.withheld}
+    for ad in te.advertisements:
+        listed.setdefault((ad.origin, ad.prefix), {})[ad.link_id] = ad
 
     # Local routes exist for every prefix the AS originates or explicitly
     # advertises (more-specifics), even when announced nowhere.
+    wanted = None if prefixes is None else frozenset(prefixes)
     local_entries: dict[int, dict[Prefix, Route]] = {asn: {} for asn in t.roles}
     for asn, originated in t.originations.items():
         for p in originated:
             if wanted is None or p in wanted:
                 local_entries[asn][p] = local_route(p, asn)
-    for origin, table in ann.items():
+    for origin, p in listed:
         entries = local_entries[origin]
-        for p, _link_id in table:
-            if p not in entries:
-                entries[p] = local_route(p, origin)
+        if p not in entries and (wanted is None or p in wanted):
+            entries[p] = local_route(p, origin)
 
     adj: dict[int, dict[Prefix, dict[str, Route]]] = {asn: {} for asn in t.roles}
     loc: dict[int, dict[Prefix, Route]] = {
@@ -305,7 +284,7 @@ def propagate_to_convergence(
         for exporter, prefix, before in changed:
             out = sessions.get(exporter)
             if out is not None:
-                _export(adj, touched, ann, exporter, out, prefix, loc[exporter].get(prefix), before)
+                _export(adj, touched, listed, exporter, out, prefix, loc[exporter].get(prefix), before)
 
         # Decision: only for the prefixes whose Adj-RIB-In changed.
         changed = []
@@ -355,7 +334,7 @@ def _with_lp_overrides(
 def _export(
     adj: dict[int, dict[Prefix, dict[str, Route]]],
     touched: set[tuple[int, Prefix]],
-    ann: Mapping[int, Mapping[tuple[Prefix, str], Advertisement]],
+    listed: Mapping[tuple[int, Prefix], Mapping[str, Advertisement]],
     exporter: int,
     out: Sessions,
     prefix: Prefix,
@@ -363,11 +342,14 @@ def _export(
     before: Route | None,
 ) -> None:
     """Send what `exporter` now holds for `prefix` (its Loc-RIB route
-    `route`, or None; it held `before` last round) on each of its up links:
-    its announcement there for a local route, else the egress form where
-    valley-free export permits it and the catalog does not suppress it, else
-    nothing.  A withdrawal goes only where `before` went out, since a
-    neighbor holds a route from this exporter nowhere else."""
+    `route`, or None; it held `before` last round) on each of its up links.
+    A local route goes out as the TE config announces it: one plain wire on
+    every link when `listed` has no entry for it, else its listed
+    announcement on each listed link and nothing on the others.  A learned
+    route goes out in its egress form where valley-free export permits it
+    and the catalog does not suppress it, else nothing.  A withdrawal goes
+    only where `before` went out, since a neighbor holds a route from this
+    exporter nowhere else."""
     if before is None:
         reached: tuple[Session, ...] = ()
     elif before.learned_on == LOCAL:
@@ -378,9 +360,13 @@ def _export(
         _deliver(adj, touched, reached, prefix, None)
         return
     if route.learned_on == LOCAL:
-        own = ann.get(exporter, {})
+        ads = listed.get((exporter, prefix))
+        if ads is None:
+            wire = tuple.__new__(Route, (prefix, (exporter,), 0, None, frozenset(), LOCAL, exporter))
+            _deliver(adj, touched, out.all, prefix, wire)
+            return
         for s in out.all:
-            ad = own.get((prefix, s.link_id))
+            ad = ads.get(s.link_id)
             wire = None
             if ad is not None:
                 wire = tuple.__new__(Route, (prefix, (exporter,), 0, ad.med, ad.communities, LOCAL, exporter))

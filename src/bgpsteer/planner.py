@@ -298,7 +298,7 @@ def _build_atoms(
             atoms.append(Action.withhold(p, l.id))
             cat = t.catalogs.get(l.other(dest))
             if cat is not None:
-                for c in sorted(cat.communities(), key=Community.sort_key):
+                for c in sorted(cat.communities()):
                     atoms.append(Action.attach(p, l.id, c))
             if l.id in med_capable:
                 for v in (10, 20):

@@ -95,18 +95,15 @@ class PolicyCatalog:
             findings.append(Finding("error", f"AS {self.owner}: {msg}", subject))
 
         seen: set[Community] = set()
-        for c in sorted(
-            list(self.lp_rules) + list(self.suppress_rules) + list(self.prepend_rules),
-            key=Community.sort_key,
-        ):
+        for c in sorted([*self.lp_rules, *self.suppress_rules, *self.prepend_rules]):
             if c in seen:
                 err(f"community {c} already mapped by another rule", "rule", self.owner, c)
             seen.add(c)
         # ingress_transform installs a catalog LP unchecked (Route._replace).
-        for c, lp in sorted(self.lp_rules.items(), key=lambda kv: kv[0].sort_key()):
+        for c, lp in sorted(self.lp_rules.items()):
             if lp < 0:
                 err(f"LP {lp} for {c} is negative", "rule", self.owner, c)
-        for c, (_, count) in sorted(self.prepend_rules.items(), key=lambda kv: kv[0].sort_key()):
+        for c, (_, count) in sorted(self.prepend_rules.items()):
             if not PREPEND_MIN <= count <= PREPEND_MAX:
                 err(f"prepend count {count} for {c} outside {PREPEND_MIN}..{PREPEND_MAX}", "rule", self.owner, c)
         # Neighbor-ness counts down links too; a selector over a failed link

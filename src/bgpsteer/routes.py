@@ -16,7 +16,6 @@ could never fail there, and its call is skipped).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .topology import LOCAL, Prefix, Rel
@@ -34,24 +33,29 @@ COMMUNITY_BUDGET = 64
 COMMUNITY_BYTES = 4
 
 
-@dataclass(frozen=True, slots=True)
-class Community:
-    """Classic community value, rendered "high:low" (e.g. "100:50")."""
-
+class _CommunityFields(NamedTuple):
     high: int
     low: int
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.high <= 0xFFFF:
-            raise ValueError(f"community high part out of range: {self.high}")
-        if not 0 <= self.low <= 0xFFFF:
-            raise ValueError(f"community low part out of range: {self.low}")
+
+class Community(_CommunityFields):
+    """Classic community value, rendered "high:low" (e.g. "100:50").  A
+    tuple: it equals, hashes and sorts like (high, low)."""
+
+    __slots__ = ()
+
+    def __new__(cls, high: int, low: int) -> "Community":
+        if not 0 <= high <= 0xFFFF:
+            raise ValueError(f"community high part out of range: {high}")
+        if not 0 <= low <= 0xFFFF:
+            raise ValueError(f"community low part out of range: {low}")
+        return tuple.__new__(cls, (high, low))
 
     def __str__(self) -> str:
-        return f"{self.high}:{self.low}"
+        return f"{self[0]}:{self[1]}"
 
     def sort_key(self) -> tuple[int, int]:
-        return (self.high, self.low)
+        return (self[0], self[1])
 
 
 class _RouteFields(NamedTuple):

@@ -350,12 +350,12 @@ def serialize_scenario(s: Scenario) -> str:
             lines.append(f"originate {asn} {p}")
     for owner in sorted(t.catalogs):
         cat = t.catalogs[owner]
-        for c in sorted(cat.lp_rules, key=Community.sort_key):
+        for c in sorted(cat.lp_rules):
             lines.append(f"policy {owner} lp {c} {cat.lp_rules[c]}")
-        for c in sorted(cat.prepend_rules, key=Community.sort_key):
+        for c in sorted(cat.prepend_rules):
             sel, count = cat.prepend_rules[c]
             lines.append(f"policy {owner} prepend {c} {sel} {count}")
-        for c in sorted(cat.suppress_rules, key=Community.sort_key):
+        for c in sorted(cat.suppress_rules):
             lines.append(f"policy {owner} suppress {c} {cat.suppress_rules[c]}")
         for asn in sorted(cat.region_of):
             lines.append(f"policy {owner} region {asn} {cat.region_of[asn]}")
@@ -363,7 +363,7 @@ def serialize_scenario(s: Scenario) -> str:
             lines.append(f"policy {owner} drops-community-updates")
     for ad in sorted(s.te_config.advertisements, key=lambda ad: (ad.origin, ad.prefix, ad.link_id)):
         parts = [f"advertise {ad.origin} {ad.prefix} {ad.link_id}"]
-        for c in sorted(ad.communities, key=Community.sort_key):
+        for c in sorted(ad.communities):
             parts.append(f"community {c}")
         if ad.med is not None:
             parts.append(f"med {ad.med}")

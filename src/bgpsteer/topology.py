@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from graphlib import CycleError, TopologicalSorter
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, TYPE_CHECKING
 
@@ -342,38 +343,21 @@ def relationship_between(t: Topology, a: int, b: int) -> set[tuple[str, Rel]]:
 
 
 def _provider_cycle(t: Topology) -> list[int] | None:
-    """Cycle in the customer->provider digraph, if any (iterative DFS)."""
-    edges: dict[int, set[int]] = {asn: set() for asn in t.roles}
+    """A cycle in the customer->provider digraph, if any, running from
+    customer to provider and closing on its first AS."""
+    customers: dict[int, set[int]] = {asn: set() for asn in t.roles}
     for link in t.links:
         if link.customer is None:
             continue
         provider = link.other(link.customer)
-        if link.customer in edges and provider in edges:
-            edges[link.customer].add(provider)
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {asn: WHITE for asn in t.roles}
-    for start in sorted(edges):
-        if color[start] != WHITE:
-            continue
-        stack: list[tuple[int, Iterable[int]]] = [(start, iter(sorted(edges[start])))]
-        color[start] = GREY
-        path = [start]
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == GREY:
-                    return path[path.index(nxt):] + [nxt]
-                if color[nxt] == WHITE:
-                    color[nxt] = GREY
-                    path.append(nxt)
-                    stack.append((nxt, iter(sorted(edges[nxt]))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                path.pop()
-                stack.pop()
+        if link.customer in customers and provider in customers:
+            customers[provider].add(link.customer)
+    # Each AS's predecessors are its customers, so a reported cycle runs
+    # from each AS to its provider.
+    try:
+        TopologicalSorter(customers).prepare()
+    except CycleError as exc:
+        return exc.args[1]
     return None
 
 

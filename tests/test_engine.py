@@ -19,7 +19,7 @@ from bgpsteer import (
     parse_scenario,
     propagate_to_convergence,
 )
-from bgpsteer.engine import MAX_PREPEND, ConvergedState, _announcement_table
+from bgpsteer.engine import MAX_PREPEND, ConvergedState
 from bgpsteer.policies import egress_apply, egress_times, ingress_transform
 from bgpsteer.routes import Route, compare_routes, default_local_pref, export_permitted, local_route
 from bgpsteer.topology import LOCAL, Rel
@@ -333,16 +333,15 @@ def _reference_run(t, te, *, prefixes=None, max_rounds=None):
     out of its previous-round Loc-RIB, then re-selects every prefix.  Returns
     the per-round dumps and the converged state or the OscillationError the
     engine must raise."""
-    ann = _announcement_table(t, te)
-    if prefixes is not None:
-        ann = {o: {k: ad for k, ad in tab.items() if k[0] in prefixes} for o, tab in ann.items()}
+    # The scenario format's rule: a prefix with no `advertise` line goes out
+    # plainly on every up link of its origin; one with any (or withheld)
+    # goes out on exactly its listed links, with their MED and communities.
+    # Each originated or advertised prefix has a local route at its origin.
+    advertised = {(ad.origin, ad.prefix, ad.link_id): ad for ad in te.advertisements}
+    explicit = {key[:2] for key in advertised} | set(te.withheld)
     local = {asn: {} for asn in t.roles}
-    for asn, originated in t.originations.items():
-        for p in originated:
-            if prefixes is None or p in prefixes:
-                local[asn][p] = local_route(p, asn)
-    for origin, table in ann.items():
-        for p, _link_id in table:
+    for origin, p in [*((o, p) for o, ps in t.originations.items() for p in ps), *explicit]:
+        if prefixes is None or p in prefixes:
             local[origin].setdefault(p, local_route(p, origin))
     rank = cmp_to_key(compare_routes)
 
@@ -371,10 +370,11 @@ def _reference_run(t, te, *, prefixes=None, max_rounds=None):
                 sender = link.other(receiver)
                 for prefix, route in loc[sender].items():
                     if route.learned_on == LOCAL:
-                        ad = ann.get(sender, {}).get((prefix, link.id))
-                        if ad is None:
+                        ad = advertised.get((sender, prefix, link.id))
+                        if ad is None and (sender, prefix) in explicit:
                             continue
-                        wire = Route(prefix, (sender,), 0, ad.med, ad.communities, LOCAL, sender)
+                        med, communities = (None, frozenset()) if ad is None else (ad.med, ad.communities)
+                        wire = Route(prefix, (sender,), 0, med, communities, LOCAL, sender)
                     else:
                         learned_rel = t.link_by_id(route.learned_on).rel_from(sender)
                         if not export_permitted(learned_rel, link.rel_from(sender)):
@@ -525,6 +525,29 @@ def test_engine_matches_the_reference_loop_on_compiled_rule_facts():
         )
         _check_against_reference(t, te)
     assert parallel >= 120 and dropping >= 20 and regional >= 50
+
+
+def test_engine_matches_the_reference_loop_with_withheld_prefixes():
+    """Random cases that withhold some originated prefixes, as the planner
+    does when an action set withholds a prefix on every link: one with no
+    `advertise` line is announced nowhere, one with some only on those."""
+    rng = random.Random(503)
+    silenced = listed = restricted = 0
+    for _ in range(150):
+        t = gen.rand_topology(rng, with_catalogs=rng.random() < 0.5)
+        te = gen.rand_te(rng, t, with_communities=True, with_lp_overrides=True)
+        pairs = [(o, p) for o, ps in t.originations.items() for p in sorted(ps)]
+        withheld = frozenset(pair for pair in pairs if rng.random() < 0.4)
+        te = TeConfig(te.advertisements, te.lp_overrides, withheld)
+        ads = {(ad.origin, ad.prefix) for ad in te.advertisements}
+        silenced += any(pair not in ads and t.up_links_of(pair[0]) for pair in withheld)
+        listed += any(pair in ads for pair in withheld)
+        _check_against_reference(t, te)
+        if withheld and rng.random() < 0.5:
+            prefixes = sorted({p for _o, p in withheld} | {p for _o, p in ads}, key=Prefix.sort_key)
+            _check_against_reference(t, te, prefixes=rng.sample(prefixes, rng.randint(1, len(prefixes))))
+            restricted += 1
+    assert silenced >= 50 and listed >= 30 and restricted >= 30
 
 
 def _outcome(t, te):

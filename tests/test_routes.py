@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -153,6 +155,19 @@ def test_route_is_the_tuple_of_its_fields():
     changed = r._replace(local_pref=50)
     assert type(changed) is Route and changed.local_pref == 50 and r.local_pref == 200
     assert repr(r).startswith("Route(prefix=Prefix(base=167837696, length=16), as_path=(100, 65001)")
+
+
+def test_community_is_the_tuple_high_low():
+    c = Community(100, 50)
+    assert c == (100, 50) and hash(c) == hash((100, 50)) and (c.high, c.low) == (100, 50)
+    assert str(c) == "100:50" and repr(c) == "Community(high=100, low=50)"
+    assert Community(high=0, low=0xFFFF) == (0, 0xFFFF)
+    assert sorted([Community(2, 1), Community(1, 9), Community(1, 2)]) == [(1, 2), (1, 9), (2, 1)]
+    for value in (c, copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+        assert type(value) is Community and value == c
+    for high, low, part in ((0x10000, 0, "high"), (-1, 0, "high"), (0, 0x10000, "low"), (0, -1, "low")):
+        with pytest.raises(ValueError, match=f"community {part} part out of range"):
+            Community(high, low)
 
 
 def test_lp_dominance_argmax():

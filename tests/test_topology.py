@@ -149,6 +149,30 @@ def test_provider_cycle_is_warning():
     assert any("cycle" in f.message for f in report.warnings)
 
 
+def test_provider_cycle_warning_names_a_customer_to_provider_chain():
+    # Random graphs where each AS buys only from higher ASNs, plus peer
+    # links and one cycle: a c2p chain from a low AS up to a high one, closed
+    # by the high AS buying from the low one.  The warned chain closes on its
+    # first AS, and each step is a c2p link (up or down) from a customer to
+    # its provider.
+    rng = random.Random(5)
+    for _ in range(200):
+        roles = {asn: "transit" for asn in range(1, rng.randint(3, 7) + 1)}
+        pairs = [(a, b) for a in roles for b in roles if a < b and rng.random() < 0.4]
+        links = [Link(f"c{i}", a, b, a, up=rng.random() < 0.8) for i, (a, b) in enumerate(pairs)]
+        links += [Link(f"p{i}", a, b, None) for i, (a, b) in enumerate(pairs) if rng.random() < 0.3]
+        low, high = sorted(rng.sample(sorted(roles), 2))
+        links += [Link(f"k{a}", a, a + 1, a) for a in range(low, high)]
+        links.append(Link("back", high, low, high))
+        t = Topology(roles, tuple(links), {}, {})
+        [warning] = [f.message for f in validate_topology(t).warnings if "cycle" in f.message]
+        chain = warning.split(": ", 1)[1].split(" (", 1)[0].split(" -> ")
+        cycle = [int(a) for a in chain]
+        assert len(cycle) >= 3 and cycle[0] == cycle[-1] and len(set(cycle)) == len(cycle) - 1
+        for customer, provider in zip(cycle, cycle[1:]):
+            assert any(l.customer == customer and l.other(customer) == provider for l in links), warning
+
+
 def test_acyclic_random_topologies_have_no_cycle_warning():
     import gen
 
