@@ -47,10 +47,22 @@ The decision process never compares routes of different prefixes, so each
 prefix converges on its own.  A run restricted to a set of prefixes (the
 `prefixes` argument) yields exactly the full run's RIB entries for those
 prefixes, and the full run takes as many rounds as the slowest prefix.
+
+A run pauses the cyclic garbage collector from its first round until it
+returns or raises, then restores the caller's setting; a `trace` callback
+runs under the caller's setting.  `Route` and `Prefix` are tuple
+subclasses, which the collector tracks, so every full collection the run's
+allocations trigger would walk every live RIB: the run's own and those of
+any state the caller still holds.  The pause holds back no garbage: RIB
+values are tuples, frozensets and dicts of ints and strings, and a run
+makes no reference cycles, so reference counting frees all it drops.  The
+setting is process-wide: with runs in several threads at once, a run can
+find the collector paused by another and leave it off.
 """
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from typing import Callable, Collection, Iterable, Mapping
 
@@ -175,19 +187,21 @@ class ConvergedState:
 
     def dump(self) -> str:
         """Canonical text form, sorted, for golden-file comparison."""
-        # A route line is "  KIND path=PATH" plus a tail of its other fields.
-        # Every receiver of one wire route shares its AS-path tuple, and few
-        # (LP, MED, communities, link) combinations recur across many routes,
-        # so each distinct path, tail and prefix header is formatted once.
+        # A route line is "  KIND" plus its body, " path=PATH" and a tail of
+        # its other fields.  Every receiver of one wire route shares its
+        # AS-path tuple, and few (LP, MED, communities, link) combinations
+        # recur across many routes, so each distinct path, tail and prefix
+        # header is formatted once.  A best route learned from a neighbor is
+        # the very object of its candidate, whose line reuses its body.
         paths: dict[tuple[int, ...], str] = {}
         tails: dict[tuple, str] = {}
         heads: dict[Prefix, str] = {}
 
-        def route_line(kind: str, r: Route) -> str:
+        def body(r: Route) -> str:
             _, as_path, local_pref, med, communities, learned_on, _ = r
             path = paths.get(as_path)
             if path is None:
-                path = paths[as_path] = r.path_str()
+                path = paths[as_path] = " path=" + r.path_str()
             key = (local_pref, med, communities, learned_on)
             tail = tails.get(key)
             if tail is None:
@@ -197,7 +211,7 @@ class ConvergedState:
                 tail = tails[key] = (
                     f" lp={local_pref} med={'-' if med is None else med} from={learned_on} comms={comms}"
                 )
-            return f"  {kind} path={path}{tail}"
+            return path + tail
 
         lines = [f"rounds {self.rounds_used}"]
         for asn in sorted(self.loc_rib):
@@ -210,12 +224,15 @@ class ConvergedState:
                     head = heads[p] = f" rib {p}"
                 lines.append(head)
                 best = loc.get(p)
+                best_body = None
                 if best is not None:
-                    lines.append(route_line("best", best))
+                    best_body = body(best)
+                    lines.append("  best" + best_body)
                 by_link = adj.get(p)
                 if by_link:
                     for link_id in sorted(by_link):
-                        lines.append(route_line("cand", by_link[link_id]))
+                        r = by_link[link_id]
+                        lines.append("  cand" + (best_body if r is best else body(r)))
         lines.append("")
         return "\n".join(lines)
 
@@ -235,7 +252,10 @@ def propagate_to_convergence(
 
     `trace` is called after each round with that round's state
     (`rounds_used` is the round number).  Its RIBs are the run's own, which
-    later rounds change: the state is valid only during the call."""
+    later rounds change: the state is valid only during the call.
+
+    The rounds run with the cyclic GC paused (see the module docstring);
+    the caller's setting is back in force during `trace` and on every exit."""
     te = te or TeConfig()
     if max_rounds is not None and max_rounds < 1:
         raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
@@ -277,40 +297,51 @@ def propagate_to_convergence(
     # vanished last round; round 1 exports every local entry.
     changed = [(asn, p, None) for asn, entries in local_entries.items() for p in entries]
 
-    for round_no in range(1, bound + 1):
-        # Export: round N's updates all come from round N-1's Loc-RIBs; they
-        # patch only Adj-RIB-Ins, which no export reads.
-        touched: set[tuple[int, Prefix]] = set()
-        for exporter, prefix, before in changed:
-            out = sessions.get(exporter)
-            if out is not None:
-                _export(adj, touched, listed, exporter, out, prefix, loc[exporter].get(prefix), before)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for round_no in range(1, bound + 1):
+            # Export: round N's updates all come from round N-1's Loc-RIBs; they
+            # patch only Adj-RIB-Ins, which no export reads.
+            touched: set[tuple[int, Prefix]] = set()
+            for exporter, prefix, before in changed:
+                out = sessions.get(exporter)
+                if out is not None:
+                    _export(adj, touched, listed, exporter, out, prefix, loc[exporter].get(prefix), before)
 
-        # Decision: only for the prefixes whose Adj-RIB-In changed.
-        changed = []
-        for receiver, prefix in touched:
-            best = local_entries[receiver].get(prefix)
-            for cand in adj[receiver].get(prefix, {}).values():
-                if best is None or compare_routes(cand, best) < 0:
-                    best = cand
-            rib = loc[receiver]
-            before = rib.get(prefix)
-            if best != before:
-                if best is None:
-                    del rib[prefix]
-                else:
-                    rib[prefix] = best
-                changed.append((receiver, prefix, before))
+            # Decision: only for the prefixes whose Adj-RIB-In changed.
+            changed = []
+            for receiver, prefix in touched:
+                best = local_entries[receiver].get(prefix)
+                by_link = adj[receiver].get(prefix)
+                if by_link:
+                    for cand in by_link.values():
+                        if best is None or compare_routes(cand, best) < 0:
+                            best = cand
+                rib = loc[receiver]
+                before = rib.get(prefix)
+                if best != before:
+                    if best is None:
+                        del rib[prefix]
+                    else:
+                        rib[prefix] = best
+                    changed.append((receiver, prefix, before))
 
-        if trace is not None:
-            trace(ConvergedState(adj, loc, round_no))
-        if not touched:
-            return ConvergedState(adj, loc, round_no)
+            if trace is not None:
+                # The callback runs under the caller's GC setting.
+                if gc_was_enabled:
+                    gc.enable()
+                trace(ConvergedState(adj, loc, round_no))
+                gc.disable()
+            if not touched:
+                return ConvergedState(adj, loc, round_no)
 
-    # A Loc-RIB entry changes only where its Adj-RIB-In did, so the pairs
-    # still changing are those whose Adj-RIB-In changed in the last round.
-    changing = sorted(touched)
-    raise OscillationError(tuple(changing), bound)
+        # A Loc-RIB entry changes only where its Adj-RIB-In did, so the pairs
+        # still changing are those whose Adj-RIB-In changed in the last round.
+        raise OscillationError(tuple(sorted(touched)), bound)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def _with_lp_overrides(
@@ -386,12 +417,12 @@ def _export(
     schedule = None
     if catalog is not None and route.communities and route.learned_on in out.customer_links:
         schedule = egress_times(catalog, route, out.neighbor_rels)
-    if schedule:
-        by_times: dict[int | None, list[Session]] = {}
-        for s in send:
-            by_times.setdefault(schedule.get(s.neighbor, 1), []).append(s)
-    else:
-        by_times = {1: send}
+    if not schedule:
+        _deliver(adj, touched, send, prefix, egress_apply(route, exporter, 1, catalog))
+        return
+    by_times: dict[int | None, list[Session]] = {}
+    for s in send:
+        by_times.setdefault(schedule.get(s.neighbor, 1), []).append(s)
     for times, group in by_times.items():
         wire = None if times is None else egress_apply(route, exporter, times, catalog)
         _deliver(adj, touched, group, prefix, wire)
@@ -408,28 +439,30 @@ def _deliver(
     sessions: the receiver's Adj-RIB-In entry for (prefix, link) becomes what
     it installs, nothing when the route loops or its catalog drops the
     update; each changed (receiver, prefix) pair goes into `touched`."""
+    if wire is not None:
+        _, as_path, _, med, communities, _, origin_as = wire
     for link_id, receiver, _rel, local_pref, catalog in targets:
         received = None
         if (
             wire is not None
-            and receiver not in wire.as_path
-            and not (catalog is not None and catalog.drops_community_updates and wire.communities)
+            and receiver not in as_path
+            and not (catalog is not None and catalog.drops_community_updates and communities)
         ):
-            received = tuple.__new__(
-                Route, (prefix, wire.as_path, local_pref, wire.med, wire.communities, link_id, wire.origin_as)
-            )
+            received = tuple.__new__(Route, (prefix, as_path, local_pref, med, communities, link_id, origin_as))
             # A catalog LP community (ingress_transform) beats `local_pref`,
             # which already holds any LP override.
-            if catalog is not None and wire.communities:
+            if catalog is not None and communities:
                 received = ingress_transform(catalog, received)
         rib = adj[receiver]
         by_link = rib.get(prefix)
         if received == (by_link.get(link_id) if by_link is not None else None):
             continue
         touched.add((receiver, prefix))
-        if received is not None:
-            rib.setdefault(prefix, {})[link_id] = received
-        else:
+        if received is None:
             del by_link[link_id]
             if not by_link:
                 del rib[prefix]
+        elif by_link is None:
+            rib[prefix] = {link_id: received}
+        else:
+            by_link[link_id] = received

@@ -184,7 +184,7 @@ def egress_apply(r: Route, provider: int, times: int, catalog: PolicyCatalog | N
     catalog communities are stripped, and LP is zeroed since it never
     crosses the AS boundary."""
     communities = r.communities
-    if catalog is not None:
+    if catalog is not None and communities:
         communities = communities - catalog.communities()
     return tuple.__new__(
         Route, (r.prefix, (provider,) * times + r.as_path, 0, r.med, communities, r.learned_on, r.origin_as)

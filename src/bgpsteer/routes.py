@@ -106,7 +106,10 @@ class Route(_RouteFields):
         return self.as_path[0] if self.as_path else 0
 
     def path_str(self) -> str:
-        return ",".join(str(a) for a in self.as_path) if self.as_path else "-"
+        # One %-format for the whole path: the dump formats every distinct
+        # path, and this costs half of a str() per ASN.
+        path = self.as_path
+        return ("%d," * len(path))[:-1] % path if path else "-"
 
 
 def local_route(prefix: Prefix, origin: int) -> Route:

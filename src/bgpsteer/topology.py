@@ -343,11 +343,12 @@ def relationship_between(t: Topology, a: int, b: int) -> set[tuple[str, Rel]]:
 
 
 def _provider_cycle(t: Topology) -> list[int] | None:
-    """A cycle in the customer->provider digraph, if any, running from
-    customer to provider and closing on its first AS."""
+    """A cycle in the customer->provider digraph of the up links, if any,
+    running from customer to provider and closing on its first AS.  A down
+    link carries no route, so it closes no cycle."""
     customers: dict[int, set[int]] = {asn: set() for asn in t.roles}
     for link in t.links:
-        if link.customer is None:
+        if link.customer is None or not link.up:
             continue
         provider = link.other(link.customer)
         if link.customer in customers and provider in customers:

@@ -1,4 +1,5 @@
 import copy
+import gc
 import pickle
 import random
 from dataclasses import replace
@@ -82,6 +83,83 @@ def test_max_rounds_override():
     s = parse_scenario(DUAL)
     with pytest.raises(OscillationError):
         propagate_to_convergence(s.topology, s.te_config, max_rounds=1)
+
+
+@pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+def caller_gc(request):
+    """The caller's cyclic-GC setting for one test; the suite's is restored."""
+    was_enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was_enabled else gc.disable)()
+
+
+def test_a_run_pauses_the_gc_and_restores_the_callers_setting(caller_gc, monkeypatch):
+    s = parse_scenario(DUAL)
+    during, traced = [], []
+
+    def ranking(a, b):
+        during.append(gc.isenabled())
+        return compare_routes(a, b)
+
+    monkeypatch.setattr("bgpsteer.engine.compare_routes", ranking)
+    state = propagate_to_convergence(s.topology, s.te_config, trace=lambda st: traced.append(gc.isenabled()))
+    assert gc.isenabled() is caller_gc
+    assert during and not any(during)
+    assert traced == [caller_gc] * state.rounds_used
+
+
+def test_an_oscillating_run_restores_the_callers_gc_setting(caller_gc):
+    s = parse_scenario(open("scenarios/oscillate.scn").read())
+    traced = []
+    with pytest.raises(OscillationError):
+        propagate_to_convergence(s.topology, s.te_config, trace=lambda st: traced.append(gc.isenabled()))
+    assert gc.isenabled() is caller_gc
+    assert traced == [caller_gc] * 13
+
+
+def test_a_raising_trace_restores_the_callers_gc_setting(caller_gc):
+    s = parse_scenario(DUAL)
+    traced = []
+
+    class Stop(Exception):
+        pass
+
+    def trace(state):
+        traced.append(gc.isenabled())
+        raise Stop
+
+    with pytest.raises(Stop):
+        propagate_to_convergence(s.topology, s.te_config, trace=trace)
+    assert gc.isenabled() is caller_gc
+    assert traced == [caller_gc]
+
+
+def test_a_run_leaves_no_reference_cycles():
+    # The pause is safe only because a run's objects form no cycles, so
+    # nothing it drops waits for the cyclic GC.
+    rng = random.Random(16)
+    cases = [parse_scenario(p.read_text()) for p in CONVERGING_GOLDENS]
+    cases = [(s.topology, s.te_config) for s in cases]
+    for _ in range(40):
+        t = gen.with_rule_facts(rng, gen.rand_topology(rng, with_catalogs=True))
+        cases.append((t, gen.rand_te(rng, t, with_communities=True, with_lp_overrides=True)))
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        # With the GC off, everything a run allocates stays in the youngest
+        # generation, so collecting that one finds any cycle the run dropped.
+        gc.collect()
+        for t, te in cases:
+            t.validation, t.sessions  # cached on the topology, which outlives the run
+            gc.collect(0)
+            state = propagate_to_convergence(t, te, trace=lambda st: st.dump())
+            state.dump()
+            del state
+            assert gc.collect(0) == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_determinism_bit_identical():

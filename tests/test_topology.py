@@ -153,8 +153,8 @@ def test_provider_cycle_warning_names_a_customer_to_provider_chain():
     # Random graphs where each AS buys only from higher ASNs, plus peer
     # links and one cycle: a c2p chain from a low AS up to a high one, closed
     # by the high AS buying from the low one.  The warned chain closes on its
-    # first AS, and each step is a c2p link (up or down) from a customer to
-    # its provider.
+    # first AS, and each step is an up c2p link from a customer to its
+    # provider.
     rng = random.Random(5)
     for _ in range(200):
         roles = {asn: "transit" for asn in range(1, rng.randint(3, 7) + 1)}
@@ -170,7 +170,15 @@ def test_provider_cycle_warning_names_a_customer_to_provider_chain():
         cycle = [int(a) for a in chain]
         assert len(cycle) >= 3 and cycle[0] == cycle[-1] and len(set(cycle)) == len(cycle) - 1
         for customer, provider in zip(cycle, cycle[1:]):
-            assert any(l.customer == customer and l.other(customer) == provider for l in links), warning
+            assert any(l.up and l.customer == customer and l.other(customer) == provider for l in links), warning
+
+
+def test_a_down_link_closes_no_provider_cycle():
+    text = "as 1 transit\nas 2 transit\nas 3 transit\nlink l1 1 2 c2p\nlink l2 2 3 c2p\nlink l3 3 1 c2p"
+    [warning] = parse_topology(text + "\n").validation.warnings
+    assert warning.message.startswith("customer->provider cycle: 1 -> 2 -> 3 -> 1")
+    report = parse_topology(text + " down\n").validation
+    assert report.ok() and not report.warnings
 
 
 def test_acyclic_random_topologies_have_no_cycle_warning():
