@@ -447,47 +447,73 @@ def test_origin_of_matches_a_scan_of_the_originations():
 
 
 # One bad scenario per rule the parser reports: the base is valid, each case
-# appends records to it and names the line and a message fragment.
+# appends records to it and names the line, the column and the whole message.
 RULE_BASE = (
     "as 1 stub\nas 2 transit\nas 3 stub\nas 4 stub\n"
     "link l1 1 2 c2p\nlink l2 3 2 c2p\noriginate 1 10.1.0.0/16\n"
 )
 TOO_MANY_COMMUNITIES = "".join(f" community 65000:{i}" for i in range(COMMUNITY_BUDGET + 1))
 RULE_TABLE = [
-    ("as-twice", "as 1 stub\n", 8, "declared twice"),
-    ("bad-role", "as 5 hub\n", 8, "role must be stub or transit"),
-    ("unknown-asn", "link l3 1 9 p2p\n", 8, "unknown ASN reference"),
-    ("duplicate-link-id", "link l1 3 2 c2p\n", 8, "duplicate link id"),
-    ("endpoints-differ", "link l3 1 1 p2p\n", 8, "endpoints must differ"),
-    ("local-link-id", "link local 1 3 p2p\n", 8, "'local' is reserved"),
-    ("two-owners", "originate 3 10.1.0.0/16\n", 8, "already originated"),
-    ("originated-twice", "originate 1 10.1.0.0/16\n", 8, "duplicate origination"),
-    ("catalog-on-stub", "policy 1 lp 1:1 50\npolicy 1 lp 1:2 60\n", 8, "non-transit"),
-    ("community-two-kinds", "policy 2 lp 2:1 50\npolicy 2 suppress 2:1 all\n", 9, "already mapped"),
-    ("community-one-kind-twice", "policy 2 lp 2:1 50\npolicy 2 lp 2:1 60\n", 9, "already mapped"),
-    ("prepend-count-high", "policy 2 prepend 2:1 all 4\n", 8, "prepend count"),
-    ("prepend-count-zero", "policy 2 prepend 2:1 all 0\n", 8, "prepend count"),
-    ("prepend-count-word", "policy 2 prepend 2:1 all x\n", 8, "prepend count"),
-    ("suppress-non-neighbor", "policy 2 suppress 2:1 4\n", 8, "neighbor"),
-    ("prepend-non-neighbor", "policy 2 prepend 2:1 4 2\n", 8, "neighbor"),
-    ("region-non-neighbor", "policy 2 region 4 eu\n", 8, "neighbor"),
-    ("lp-word", "policy 2 lp 2:1 x\n", 8, "LP value must be"),
-    ("lp-override-negative", "lp-override 2 1 -5\n", 8, "LP value must be"),
-    ("ad-off-link", "advertise 1 10.1.0.0/16 l2\n", 8, "AS 1 is not on link l2"),
-    ("ad-outside-space", "advertise 1 10.2.0.0/16 l1\n", 8, "originated space"),
-    ("ad-budget", f"advertise 1 10.1.0.0/16 l1{TOO_MANY_COMMUNITIES}\n", 8, f"more than {COMMUNITY_BUDGET} communities"),
-    ("ad-twice", "advertise 1 10.1.0.0/16 l1\nadvertise 1 10.1.0.0/16 l1 med 5\n", 9, "duplicate advertisement"),
-    ("ad-unknown-link", "advertise 1 10.1.0.0/16 l9\n", 8, "unknown link id"),
-    ("ad-med-word", "advertise 1 10.1.0.0/16 l1 med x\n", 8, "med keyword needs"),
-    ("ad-community-twice", "advertise 1 10.1.0.0/16 l1 community 9:9 med 3 community 9:9\n", 8,
+    ("as-twice", "as 1 stub\n", 8, 4, "AS 1 declared twice"),
+    ("bad-role", "as 5 hub\n", 8, 6, "role must be stub or transit, got 'hub'"),
+    ("as-field-count", "as 5\n", 8, 4, "as record: expected 3 fields, got 2"),
+    ("asn-out-of-range", "as 4294967296 stub\n", 8, 4, "ASN 4294967296 out of range"),
+    ("unknown-asn", "link l3 1 9 p2p\n", 8, 11, "unknown ASN reference 9"),
+    ("duplicate-link-id", "link l1 3 2 c2p\n", 8, 6, "duplicate link id 'l1'"),
+    ("endpoints-differ", "link l3 1 1 p2p\n", 8, 6, "link l3: endpoints must differ"),
+    ("local-link-id", "link local 1 3 p2p\n", 8, 6, "'local' is reserved and cannot name a link"),
+    ("bad-relationship", "link l3 1 3 x2y\n", 8, 13, "relationship must be c2p or p2p, got 'x2y'"),
+    ("link-field-count", "link l3 1 3\n", 8, 1, "link record: expected 5 or 6 fields"),
+    ("link-not-down", "link l3 1 3 p2p up\n", 8, 17, "expected 'down', got 'up'"),
+    ("two-owners", "originate 3 10.1.0.0/16\n", 8, 13, "prefix 10.1.0.0/16 of AS 3 already originated by AS 1"),
+    ("originated-twice", "originate 1 10.1.0.0/16\n", 8, 13, "duplicate origination of 10.1.0.0/16"),
+    ("malformed-prefix", "originate 3 10.3.0.0/33\n", 8, 13, "prefix length out of range: 33"),
+    ("catalog-on-stub", "policy 1 lp 1:1 50\npolicy 1 lp 1:2 60\n", 8, 8, "catalog on non-transit AS 1"),
+    ("community-two-kinds", "policy 2 lp 2:1 50\npolicy 2 suppress 2:1 all\n", 9, 19,
+     "AS 2: community 2:1 already mapped by another rule"),
+    ("community-one-kind-twice", "policy 2 lp 2:1 50\npolicy 2 lp 2:1 60\n", 9, 13,
+     "community 2:1 already mapped in AS 2's catalog"),
+    ("malformed-community", "policy 2 lp 2:x 50\n", 8, 13, "malformed community: '2:x'"),
+    ("policy-too-few", "policy 2\n", 8, 1, "policy record: too few fields"),
+    ("policy-unknown-kind", "policy 2 med 2:1 5\n", 8, 10, "unknown policy kind 'med'"),
+    ("policy-drops-field-count", "policy 2 drops-community-updates 1\n", 8, 34,
+     "policy drops record: expected 3 fields, got 4"),
+    ("prepend-count-high", "policy 2 prepend 2:1 all 4\n", 8, 18, "AS 2: prepend count 4 for 2:1 outside 1..3"),
+    ("prepend-count-zero", "policy 2 prepend 2:1 all 0\n", 8, 18, "AS 2: prepend count 0 for 2:1 outside 1..3"),
+    ("prepend-count-word", "policy 2 prepend 2:1 all x\n", 8, 26, "prepend count must be a number"),
+    ("suppress-non-neighbor", "policy 2 suppress 2:1 4\n", 8, 19, "AS 2: selector names non-neighbor AS 4"),
+    ("prepend-non-neighbor", "policy 2 prepend 2:1 4 2\n", 8, 18, "AS 2: selector names non-neighbor AS 4"),
+    ("region-non-neighbor", "policy 2 region 4 eu\n", 8, 17, "AS 2: region tag on non-neighbor AS 4"),
+    ("lp-word", "policy 2 lp 2:1 x\n", 8, 17, "LP value must be a non-negative integer"),
+    ("lp-override-negative", "lp-override 2 1 -5\n", 8, 17, "LP value must be a non-negative integer"),
+    ("ad-off-link", "advertise 1 10.1.0.0/16 l2\n", 8, 13, "AS 1 is not on link l2"),
+    ("ad-outside-space", "advertise 1 10.2.0.0/16 l1\n", 8, 13,
+     "AS 1 advertises 10.2.0.0/16 outside its originated space"),
+    ("ad-budget", f"advertise 1 10.1.0.0/16 l1{TOO_MANY_COMMUNITIES}\n", 8, 13,
+     f"more than {COMMUNITY_BUDGET} communities on one advertisement of 10.1.0.0/16"),
+    ("ad-twice", "advertise 1 10.1.0.0/16 l1\nadvertise 1 10.1.0.0/16 l1 med 5\n", 9, 13,
+     "duplicate advertisement of 10.1.0.0/16 on l1"),
+    ("ad-unknown-link", "advertise 1 10.1.0.0/16 l9\n", 8, 13, "unknown link id: l9"),
+    ("ad-too-few", "advertise 1 10.1.0.0/16\n", 8, 1, "advertise record: too few fields"),
+    ("ad-unknown-keyword", "advertise 1 10.1.0.0/16 l1 lp 5\n", 8, 28, "expected 'community' or 'med', got 'lp'"),
+    ("ad-community-no-value", "advertise 1 10.1.0.0/16 l1 community\n", 8, 28, "community keyword needs a value"),
+    ("ad-med-word", "advertise 1 10.1.0.0/16 l1 med x\n", 8, 28, "med keyword needs a non-negative integer"),
+    ("ad-med-twice", "advertise 1 10.1.0.0/16 l1 med 1 med 2\n", 8, 34, "med given twice"),
+    ("ad-community-twice", "advertise 1 10.1.0.0/16 l1 community 9:9 med 3 community 9:9\n", 8, 58,
      "community 9:9 given twice"),
     # A link id or region tag must be one word; written with a space, the
     # record no longer reads as one (Link and PolicyCatalog.validate reject
     # such values built in Python).
-    ("link-id-with-space", "link a b 1 3 p2p\n", 8, "expected an AS number, got 'b'"),
-    ("region-tag-with-space", "policy 2 region 1 e u\n", 8, "expected 5 fields, got 6"),
-    ("selector-region-tag-empty", "policy 2 suppress 2:1 region:\n", 8, "selector region tag '' is not one word"),
-    ("objective-unknown-link", "objective 1 * 10.1.0.0/16 l9\n", 8, "unknown link id"),
+    ("link-id-with-space", "link a b 1 3 p2p\n", 8, 8, "expected an AS number, got 'b'"),
+    ("region-tag-with-space", "policy 2 region 1 e u\n", 8, 21, "policy region record: expected 5 fields, got 6"),
+    ("selector-region-tag-empty", "policy 2 suppress 2:1 region:\n", 8, 19,
+     "AS 2: selector region tag '' is not one word (no whitespace or '#')"),
+    ("objective-unknown-link", "objective 1 * 10.1.0.0/16 l9\n", 8, 27, "unknown link id 'l9'"),
+    ("objective-field-count", "objective 1 * 10.1.0.0/16\n", 8, 1,
+     "objective record: expected 5 fields (plus optional src-prefix)"),
+    ("objective-not-src-prefix", "objective 1 * 10.1.0.0/16 l1 dst-prefix 10.2.0.0/16\n", 8, 30,
+     "expected 'src-prefix', got 'dst-prefix'"),
+    ("unknown-record-kind", "route 1 10.1.0.0/16\n", 8, 1, "unknown record kind 'route'"),
 ]
 
 
@@ -495,11 +521,11 @@ def test_rule_base_is_valid():
     parse_scenario(RULE_BASE)
 
 
-@pytest.mark.parametrize("extra, line, message", [c[1:] for c in RULE_TABLE], ids=[c[0] for c in RULE_TABLE])
-def test_rule_table(extra, line, message):
+@pytest.mark.parametrize("extra, line, col, message", [c[1:] for c in RULE_TABLE], ids=[c[0] for c in RULE_TABLE])
+def test_rule_table(extra, line, col, message):
     with pytest.raises(ScenarioError) as err:
         parse_scenario(RULE_BASE + extra)
-    assert err.value.line == line and message in str(err.value), str(err.value)
+    assert (err.value.line, err.value.col, str(err.value)) == (line, col, f"line {line}, col {col}: {message}")
 
 
 def test_link_id_local_is_reserved_in_api_built_topologies():
