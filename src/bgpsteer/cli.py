@@ -12,7 +12,10 @@ Exit codes:
 Each command returns 0, 3, 4 or 5, or raises; `main` alone turns an
 `OscillationError` into exit 2 and a `ValueError` (which `ScenarioError`,
 `PlanningError` and `TopologyError` are) into exit 1, each with one `error:`
-line on stderr.  Any other exception is a bug and propagates.
+line on stderr.  Any other exception is a bug and propagates.  `simulate`
+and `plan` print each warning of the scenario's topology (say, a
+customer->provider cycle) as one `warning:` line on stderr; a warning
+changes no exit code and no report.
 
 All reports are sorted and timestamp-free, so repeated runs on identical
 inputs are byte-identical.
@@ -50,7 +53,10 @@ def _load(path: str) -> Scenario:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario: {exc}", 0, 0) from exc
-    return parse_scenario(text)
+    scenario = parse_scenario(text)
+    for finding in scenario.topology.validation.warnings:
+        print(f"warning: {finding.message}", file=sys.stderr)
+    return scenario
 
 
 def _write_reports(args, reports: dict[str, str]) -> Path:

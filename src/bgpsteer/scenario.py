@@ -5,30 +5,33 @@ Grammar (UTF-8, `#` starts a comment, blank lines ignored):
     as <asn> <stub|transit>
     link <id> <asn1> <asn2> <c2p|p2p> [down]        # c2p: asn1 is the customer
     originate <asn> <prefix>
-    policy <asn> lp <community> <value>
+    policy <asn> lp <community> <value>             # community sets LP inside <asn>
     policy <asn> prepend <community> <peer-asn|all|region:TAG> <1|2|3>
     policy <asn> suppress <community> <peer-asn|all|region:TAG>
     policy <asn> region <peer-asn> <TAG>
     policy <asn> drops-community-updates
     advertise <asn> <prefix> <link-id> [community <h:l>]... [med <n>]
-    lp-override <asn> <neighbor-asn> <lp>
+    lp-override <asn> <neighbor-asn> <lp>           # an AS's own import policy
     objective <dest-asn> <src-asn|*> <dst-prefix> <link-id> [src-prefix <prefix>]
 
 A prefix with no `advertise` line is announced plainly on every up link of
 its origin; one `advertise` line switches the prefix to exactly the listed
-links.  The parser checks each record's syntax (fields, keywords, numbers,
-prefixes, communities), resolves its ASN and link references, and rejects a
-record repeated under one key (an AS, an origination, a community in one
-rule kind, a region tag, an LP override, a community or MED within one
-advertisement).  Every other rule is the validators' (`validate_topology`,
-`PolicyCatalog.validate`, `check_advertisement`): their first error, in file
-order, is reported at the record that breaks it.  Every `ScenarioError`
-carries a line and column.
+links.  The parser reads the `as` records, then the others in file order.
+It checks each record's syntax (fields, keywords, numbers, prefixes,
+communities) and ASN references, and rejects a record repeated under one key
+(an AS, an origination, a community in one rule kind, a region tag, an LP
+override, a community or MED within one advertisement); the first such error
+is raised.  Then link ids and every other rule are checked, the latter by the
+validators (`validate_topology`, `PolicyCatalog.validate`,
+`check_advertisement`), and the first error in file order is reported at the
+record that breaks it.  Every `ScenarioError` carries a line and column.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, replace
+from typing import Callable, TypeVar
 
 from .engine import Advertisement, TeConfig, check_advertisement
 from .flows import Flow
@@ -36,6 +39,10 @@ from .planner import Objective
 from .policies import ALL_UPSTREAMS, PeerSelector, PolicyCatalog, parse_community
 from .routes import Community
 from .topology import MAX_ASN, MIN_ASN, Link, Prefix, Topology, is_number
+
+_T = TypeVar("_T")
+_Word = tuple[str, int, int]  # (text, line, column)
+_WORD_RE = re.compile(r"\S+")  # the words str.split() returns: \s is its whitespace
 
 
 class ScenarioError(ValueError):
@@ -52,272 +59,225 @@ class Scenario:
     objectives: tuple[Objective, ...] = ()
 
 
-@dataclass(frozen=True)
-class _Token:
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str) -> list[list[_Token]]:
-    records: list[list[_Token]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        tokens: list[_Token] = []
-        col = 0
-        for word in line.split():
-            col = line.index(word, col)
-            tokens.append(_Token(word, line_no, col + 1))
-            col += len(word)
-        if tokens:
-            records.append(tokens)
+def _tokenize(text: str) -> list[list[_Word]]:
+    records: list[list[_Word]] = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        words = [(m[0], line_no, m.start() + 1) for m in _WORD_RE.finditer(line.split("#", 1)[0])]
+        if words:
+            records.append(words)
     return records
 
 
-def _fail(tok: _Token, msg: str) -> ScenarioError:
-    return ScenarioError(msg, tok.line, tok.col)
+def _fail(word: _Word, msg: str) -> ScenarioError:
+    return ScenarioError(msg, word[1], word[2])
 
 
-def _parse_asn(tok: _Token) -> int:
-    if not is_number(tok.text):
-        raise _fail(tok, f"expected an AS number, got {tok.text!r}")
-    value = int(tok.text)
+def _field(word: _Word, parse: Callable[[str], _T]) -> _T:
+    """`parse` applied to the word's text; its ValueError is reported at the word."""
+    try:
+        return parse(word[0])
+    except ValueError as exc:
+        raise _fail(word, str(exc)) from exc
+
+
+def _asn(text: str) -> int:
+    if not is_number(text):
+        raise ValueError(f"expected an AS number, got {text!r}")
+    value = int(text)
     if not MIN_ASN <= value <= MAX_ASN:
-        raise _fail(tok, f"ASN {value} out of range")
+        raise ValueError(f"ASN {value} out of range")
     return value
 
 
-def _parse_prefix(tok: _Token) -> Prefix:
-    try:
-        return Prefix.parse(tok.text)
-    except ValueError as exc:
-        raise _fail(tok, str(exc)) from exc
+def _number(msg: str) -> Callable[[str], int]:
+    def parse(text: str) -> int:
+        if not is_number(text):
+            raise ValueError(msg)
+        return int(text)
+    return parse
 
 
-def _parse_comm(tok: _Token) -> Community:
-    try:
-        return parse_community(tok.text)
-    except ValueError as exc:
-        raise _fail(tok, str(exc)) from exc
+_lp_value = _number("LP value must be a non-negative integer")
+_prepend_count = _number("prepend count must be a number")
 
 
-def _parse_number(tok: _Token, msg: str) -> int:
-    if not is_number(tok.text):
-        raise _fail(tok, msg)
-    return int(tok.text)
-
-
-def _expect(tokens: list[_Token], n: int, what: str) -> None:
-    if len(tokens) != n:
-        tok = tokens[min(n, len(tokens) - 1)]
-        raise _fail(tok, f"{what}: expected {n} fields, got {len(tokens)}")
-
-
-class _CatalogDraft:
-    def __init__(self, owner: int):
-        self.owner = owner
-        self.lp: dict[Community, int] = {}
-        self.suppress: dict[Community, PeerSelector] = {}
-        self.prepend: dict[Community, tuple[PeerSelector, int]] = {}
-        self.region: dict[int, str] = {}
-        self.drops = False
-
-    def build(self) -> PolicyCatalog:
-        return PolicyCatalog(self.owner, self.lp, self.suppress, self.prepend, self.region, self.drops)
+def _expect(words: list[_Word], n: int, what: str) -> None:
+    if len(words) != n:
+        raise _fail(words[min(n, len(words) - 1)], f"{what}: expected {n} fields, got {len(words)}")
 
 
 def parse_scenario(text: str) -> Scenario:
     records = _tokenize(text)
 
     roles: dict[int, str] = {}
-    for tokens in records:
-        if tokens[0].text != "as":
+    for words in records:
+        if words[0][0] != "as":
             continue
-        _expect(tokens, 3, "as record")
-        asn = _parse_asn(tokens[1])
+        _expect(words, 3, "as record")
+        asn = _field(words[1], _asn)
         if asn in roles:
-            raise _fail(tokens[1], f"AS {asn} declared twice")
-        role = tokens[2].text
+            raise _fail(words[1], f"AS {asn} declared twice")
+        role = words[2][0]
         if role not in ("stub", "transit"):
-            raise _fail(tokens[2], f"role must be stub or transit, got {role!r}")
+            raise _fail(words[2], f"role must be stub or transit, got {role!r}")
         roles[asn] = role
 
-    def known(tok: _Token) -> int:
-        asn = _parse_asn(tok)
+    def known(text: str) -> int:
+        asn = _asn(text)
         if asn not in roles:
-            raise _fail(tok, f"unknown ASN reference {asn}")
+            raise ValueError(f"unknown ASN reference {asn}")
         return asn
 
-    # The token of the record that introduced each `Finding.subject`; a later
+    def selector(text: str) -> PeerSelector:
+        if text == ALL_UPSTREAMS:
+            return PeerSelector.all_upstreams()
+        if text.startswith("region:"):
+            return PeerSelector.for_region(text.split(":", 1)[1])
+        return PeerSelector.specific(known(text))
+
+    # The word of the record that introduced each `Finding.subject`; a later
     # record naming the same subject (a repeated link id, a prefix that a
     # second AS originates) replaces it.
-    where: dict[tuple, _Token] = {}
+    where: dict[tuple, _Word] = {}
     links: list[Link] = []
     originations: dict[int, set[Prefix]] = {}
-    for tokens in records:
-        kind = tokens[0].text
-        if kind == "link":
-            if len(tokens) not in (5, 6):
-                raise _fail(tokens[0], "link record: expected 5 or 6 fields")
-            a = known(tokens[2])
-            b = known(tokens[3])
-            rel = tokens[4].text
-            if rel not in ("c2p", "p2p"):
-                raise _fail(tokens[4], f"relationship must be c2p or p2p, got {rel!r}")
-            up = True
-            if len(tokens) == 6:
-                if tokens[5].text != "down":
-                    raise _fail(tokens[5], f"expected 'down', got {tokens[5].text!r}")
-                up = False
-            try:
-                links.append(Link(tokens[1].text, a, b, a if rel == "c2p" else None, up))
-            except ValueError as exc:
-                raise _fail(tokens[1], str(exc)) from exc
-            where["link", tokens[1].text] = tokens[1]
-        elif kind == "originate":
-            _expect(tokens, 3, "originate record")
-            prefixes = originations.setdefault(known(tokens[1]), set())
-            prefix = _parse_prefix(tokens[2])
-            if prefix in prefixes:
-                raise _fail(tokens[2], f"duplicate origination of {prefix}")
-            prefixes.add(prefix)
-            where["prefix", prefix] = tokens[2]
-    links.sort(key=lambda l: l.id)
-    link_ids = {link.id for link in links}
-
-    drafts: dict[int, _CatalogDraft] = {}
-    advertisements: list[tuple[Advertisement, _Token]] = []
+    catalogs: dict[int, PolicyCatalog] = {}
+    advertisements: list[tuple[Advertisement, _Word]] = []
     lp_overrides: dict[tuple[int, int], int] = {}
-    objectives: list[Objective] = []
+    objectives: list[tuple[Objective, _Word]] = []
 
-    def parse_selector(tok: _Token) -> PeerSelector:
-        if tok.text == ALL_UPSTREAMS:
-            return PeerSelector.all_upstreams()
-        if tok.text.startswith("region:"):
-            return PeerSelector.for_region(tok.text.split(":", 1)[1])
-        return PeerSelector.specific(known(tok))
-
-    def claim(rules: dict, owner: int, tok: _Token) -> Community:
-        c = _parse_comm(tok)
+    def claim(rules: dict, owner: int, word: _Word) -> Community:
+        c = _field(word, parse_community)
         if c in rules:
-            raise _fail(tok, f"community {c} already mapped in AS {owner}'s catalog")
-        where["rule", owner, c] = tok
+            raise _fail(word, f"community {c} already mapped in AS {owner}'s catalog")
+        where["rule", owner, c] = word
         return c
 
-    for tokens in records:
-        kind = tokens[0].text
-        if kind in ("as", "link", "originate"):
-            continue
-        if kind == "policy":
-            if len(tokens) < 3:
-                raise _fail(tokens[0], "policy record: too few fields")
-            owner = known(tokens[1])
-            if owner not in drafts:
-                drafts[owner] = _CatalogDraft(owner)
-                where["catalog", owner] = tokens[1]
-            draft = drafts[owner]
-            what = tokens[2].text
+    for words in records:
+        kind = words[0][0]
+        if kind == "link":
+            if len(words) not in (5, 6):
+                raise _fail(words[0], "link record: expected 5 or 6 fields")
+            a = _field(words[2], known)
+            b = _field(words[3], known)
+            rel = words[4][0]
+            if rel not in ("c2p", "p2p"):
+                raise _fail(words[4], f"relationship must be c2p or p2p, got {rel!r}")
+            if len(words) == 6 and words[5][0] != "down":
+                raise _fail(words[5], f"expected 'down', got {words[5][0]!r}")
+            customer = a if rel == "c2p" else None
+            links.append(_field(words[1], lambda name: Link(name, a, b, customer, len(words) == 5)))
+            where["link", words[1][0]] = words[1]
+        elif kind == "originate":
+            _expect(words, 3, "originate record")
+            prefixes = originations.setdefault(_field(words[1], known), set())
+            prefix = _field(words[2], Prefix.parse)
+            if prefix in prefixes:
+                raise _fail(words[2], f"duplicate origination of {prefix}")
+            prefixes.add(prefix)
+            where["prefix", prefix] = words[2]
+        elif kind == "policy":
+            if len(words) < 3:
+                raise _fail(words[0], "policy record: too few fields")
+            owner = _field(words[1], known)
+            if owner not in catalogs:
+                catalogs[owner] = PolicyCatalog(owner, {}, {}, {}, {})
+                where["catalog", owner] = words[1]
+            cat = catalogs[owner]
+            what = words[2][0]
             if what == "lp":
-                _expect(tokens, 5, "policy lp record")
-                c = claim(draft.lp, owner, tokens[3])
-                draft.lp[c] = _parse_number(tokens[4], "LP value must be a non-negative integer")
+                _expect(words, 5, "policy lp record")
+                c = claim(cat.lp_rules, owner, words[3])
+                cat.lp_rules[c] = _field(words[4], _lp_value)
             elif what == "prepend":
-                _expect(tokens, 6, "policy prepend record")
-                c = claim(draft.prepend, owner, tokens[3])
-                sel = parse_selector(tokens[4])
-                draft.prepend[c] = (sel, _parse_number(tokens[5], "prepend count must be a number"))
+                _expect(words, 6, "policy prepend record")
+                c = claim(cat.prepend_rules, owner, words[3])
+                cat.prepend_rules[c] = (_field(words[4], selector), _field(words[5], _prepend_count))
             elif what == "suppress":
-                _expect(tokens, 5, "policy suppress record")
-                c = claim(draft.suppress, owner, tokens[3])
-                draft.suppress[c] = parse_selector(tokens[4])
+                _expect(words, 5, "policy suppress record")
+                c = claim(cat.suppress_rules, owner, words[3])
+                cat.suppress_rules[c] = _field(words[4], selector)
             elif what == "region":
-                _expect(tokens, 5, "policy region record")
-                peer = known(tokens[3])
-                if peer in draft.region:
-                    raise _fail(tokens[3], f"region of AS {peer} given twice in AS {owner}'s catalog")
-                draft.region[peer] = tokens[4].text
-                where["region", owner, peer] = tokens[3]
+                _expect(words, 5, "policy region record")
+                peer = _field(words[3], known)
+                if peer in cat.region_of:
+                    raise _fail(words[3], f"region of AS {peer} given twice in AS {owner}'s catalog")
+                cat.region_of[peer] = words[4][0]
+                where["region", owner, peer] = words[3]
             elif what == "drops-community-updates":
-                _expect(tokens, 3, "policy drops record")
-                draft.drops = True
+                _expect(words, 3, "policy drops record")
+                catalogs[owner] = replace(cat, drops_community_updates=True)
             else:
-                raise _fail(tokens[2], f"unknown policy kind {what!r}")
+                raise _fail(words[2], f"unknown policy kind {what!r}")
         elif kind == "advertise":
-            if len(tokens) < 4:
-                raise _fail(tokens[0], "advertise record: too few fields")
-            origin = known(tokens[1])
-            prefix = _parse_prefix(tokens[2])
+            if len(words) < 4:
+                raise _fail(words[0], "advertise record: too few fields")
+            origin = _field(words[1], known)
+            prefix = _field(words[2], Prefix.parse)
             communities: set[Community] = set()
             med: int | None = None
-            i = 4
-            while i < len(tokens):
-                word = tokens[i].text
+            for i in range(4, len(words), 2):
+                word = words[i][0]
                 if word == "community":
-                    if i + 1 >= len(tokens):
-                        raise _fail(tokens[i], "community keyword needs a value")
-                    c = _parse_comm(tokens[i + 1])
+                    if i + 1 >= len(words):
+                        raise _fail(words[i], "community keyword needs a value")
+                    c = _field(words[i + 1], parse_community)
                     if c in communities:
-                        raise _fail(tokens[i + 1], f"community {c} given twice")
+                        raise _fail(words[i + 1], f"community {c} given twice")
                     communities.add(c)
-                    i += 2
                 elif word == "med":
-                    if i + 1 >= len(tokens) or not is_number(tokens[i + 1].text):
-                        raise _fail(tokens[i], "med keyword needs a non-negative integer")
+                    if i + 1 >= len(words) or not is_number(words[i + 1][0]):
+                        raise _fail(words[i], "med keyword needs a non-negative integer")
                     if med is not None:
-                        raise _fail(tokens[i], "med given twice")
-                    med = int(tokens[i + 1].text)
-                    i += 2
+                        raise _fail(words[i], "med given twice")
+                    med = int(words[i + 1][0])
                 else:
-                    raise _fail(tokens[i], f"expected 'community' or 'med', got {word!r}")
-            ad = Advertisement(origin, prefix, tokens[3].text, frozenset(communities), med)
-            advertisements.append((ad, tokens[2]))
+                    raise _fail(words[i], f"expected 'community' or 'med', got {word!r}")
+            ad = Advertisement(origin, prefix, words[3][0], frozenset(communities), med)
+            advertisements.append((ad, words[2]))
         elif kind == "lp-override":
-            _expect(tokens, 4, "lp-override record")
-            key = (known(tokens[1]), known(tokens[2]))
+            _expect(words, 4, "lp-override record")
+            key = (_field(words[1], known), _field(words[2], known))
             if key in lp_overrides:
-                raise _fail(tokens[1], f"lp-override {key[0]} {key[1]} given twice")
-            lp_overrides[key] = _parse_number(tokens[3], "LP value must be a non-negative integer")
+                raise _fail(words[1], f"lp-override {key[0]} {key[1]} given twice")
+            lp_overrides[key] = _field(words[3], _lp_value)
         elif kind == "objective":
-            if len(tokens) not in (5, 7):
-                raise _fail(tokens[0], "objective record: expected 5 fields (plus optional src-prefix)")
-            dest = known(tokens[1])
-            src: int | None = None
-            if tokens[2].text != "*":
-                src = known(tokens[2])
-            dst_prefix = _parse_prefix(tokens[3])
-            link_id = tokens[4].text
-            if link_id not in link_ids:
-                raise _fail(tokens[4], f"unknown link id {link_id!r}")
-            src_prefix: Prefix | None = None
-            if len(tokens) == 7:
-                if tokens[5].text != "src-prefix":
-                    raise _fail(tokens[5], f"expected 'src-prefix', got {tokens[5].text!r}")
-                src_prefix = _parse_prefix(tokens[6])
+            if len(words) not in (5, 7):
+                raise _fail(words[0], "objective record: expected 5 fields (plus optional src-prefix)")
+            dest = _field(words[1], known)
+            src = None if words[2][0] == "*" else _field(words[2], known)
+            dst_prefix = _field(words[3], Prefix.parse)
+            if len(words) == 7 and words[5][0] != "src-prefix":
+                raise _fail(words[5], f"expected 'src-prefix', got {words[5][0]!r}")
+            src_prefix = _field(words[6], Prefix.parse) if len(words) == 7 else None
             flow = Flow(src_prefix, src, dst_prefix, dest)
-            objectives.append(Objective(flow, link_id))
-        else:
-            raise _fail(tokens[0], f"unknown record kind {kind!r}")
+            objectives.append((Objective(flow, words[4][0]), words[4]))
+        elif kind != "as":
+            raise _fail(words[0], f"unknown record kind {kind!r}")
 
+    links.sort(key=lambda l: l.id)
     topology = Topology(
         roles=roles,
         links=tuple(links),
         originations={asn: frozenset(ps) for asn, ps in originations.items()},
-        catalogs={owner: draft.build() for owner, draft in drafts.items()},
+        catalogs=catalogs,
     )
     # The validators state every semantic rule; report the first error they
-    # find, in file order, at the record that breaks the rule.
+    # find, or the first unknown link id, in file order, at the record that
+    # breaks the rule.
     errors = [(where[f.subject], f.message) for f in topology.validation.errors]
+    link_ids = {link.id for link in links}
+    errors += [(w, f"unknown link id {w[0]!r}") for _, w in objectives if w[0] not in link_ids]
     seen: set[tuple[int, Prefix, str]] = set()
-    for ad, tok in advertisements:
+    for ad, word in advertisements:
         try:
             check_advertisement(topology, ad, seen)
         except ValueError as exc:
-            errors.append((tok, str(exc)))
+            errors.append((word, str(exc)))
     if errors:
-        tok, message = min(errors, key=lambda e: (e[0].line, e[0].col))
-        raise _fail(tok, message)
+        raise _fail(*min(errors, key=lambda e: e[0][1:]))
     ads = sorted((ad for ad, _ in advertisements), key=lambda ad: (ad.origin, ad.prefix, ad.link_id))
-    return Scenario(topology, TeConfig(tuple(ads), lp_overrides), tuple(objectives))
+    return Scenario(topology, TeConfig(tuple(ads), lp_overrides), tuple(o for o, _ in objectives))
 
 
 def parse_topology(text: str) -> Topology:

@@ -5,7 +5,7 @@ import pytest
 
 from bgpsteer.cli import main
 from bgpsteer.engine import OscillationError
-from bgpsteer.scenario import ScenarioError
+from bgpsteer.scenario import ScenarioError, parse_scenario
 from bgpsteer.topology import Prefix, TopologyError
 
 SCN = Path("scenarios")
@@ -482,3 +482,34 @@ def test_simulate_ingress_csv_covers_every_origin(tmp_path, capsys):
         "100,10.0.0.0/8,l2",
         "100,10.2.0.0/16,l2",
     ]
+
+
+PROVIDER_CYCLE = (
+    "as 1 transit\nas 2 transit\nas 3 transit\nas 4 stub\n"
+    "link l1 1 2 c2p\nlink l2 2 3 c2p\nlink l3 3 1 c2p\nlink l4 4 1 c2p\n"
+    "originate 4 10.4.0.0/16\n"
+)
+CYCLE_WARNING = "warning: customer->provider cycle: 1 -> 2 -> 3 -> 1 (convergence not guaranteed)\n"
+
+
+def test_simulate_and_plan_print_the_topology_warnings(tmp_path, capsys):
+    scn = tmp_path / "cycle.scn"
+    scn.write_text(PROVIDER_CYCLE)
+    assert main(["simulate", "--scenario", str(scn), "--out", str(tmp_path / "sim")]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == CYCLE_WARNING and captured.out.startswith("converged in ")
+    plain = tmp_path / "plain.scn"
+    plain.write_text(PROVIDER_CYCLE.replace("link l3 3 1 c2p\n", "link l3 3 1 c2p down\n"))
+    assert main(["simulate", "--scenario", str(plain), "--out", str(tmp_path / "plain")]) == 0
+    assert capsys.readouterr().err == ""
+    # No stub but the destination sends traffic, so the search ends exhausted;
+    # the warning leaves that exit code as it is.
+    scn.write_text(PROVIDER_CYCLE + "objective 4 * 10.4.0.0/16 l4\n")
+    assert main(["plan", "--scenario", str(scn), "--out", str(tmp_path / "plan")]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == CYCLE_WARNING and captured.out == "status exhausted tried=2 max-actions=3\n"
+
+
+def test_no_golden_scenario_has_a_topology_warning():
+    for path in sorted(SCN.glob("*.scn")):
+        assert parse_scenario(path.read_text()).topology.validation.warnings == (), path.name

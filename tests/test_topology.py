@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import bgpsteer.scenario
 from bgpsteer import (
     Advertisement,
     Finding,
@@ -514,7 +515,24 @@ RULE_TABLE = [
     ("objective-not-src-prefix", "objective 1 * 10.1.0.0/16 l1 dst-prefix 10.2.0.0/16\n", 8, 30,
      "expected 'src-prefix', got 'dst-prefix'"),
     ("unknown-record-kind", "route 1 10.1.0.0/16\n", 8, 1, "unknown record kind 'route'"),
+    # The `as` records are read first and every other record in file order,
+    # so the first syntax or ASN-reference error after them is the one raised.
+    ("errors-in-file-order", "policy 2 lp 2:1 x\nlink l3 1 9 p2p\n", 8, 17,
+     "LP value must be a non-negative integer"),
 ]
+
+
+def _record_lines(lines):
+    return [line.split("#", 1)[0].strip() for line in lines]
+
+
+def test_the_readme_states_the_grammar_of_the_scenario_docstring():
+    docstring = bgpsteer.scenario.__doc__.splitlines()
+    grammar = [line for line in docstring if line.startswith("    ")]
+    readme = Path("README.md").read_text(encoding="utf-8")
+    block = readme.split("## Scenario files", 1)[1].split("```\n")[1]
+    assert _record_lines(block.splitlines()) == _record_lines(grammar)
+    assert len(grammar) == 11
 
 
 def test_rule_base_is_valid():
@@ -526,6 +544,24 @@ def test_rule_table(extra, line, col, message):
     with pytest.raises(ScenarioError) as err:
         parse_scenario(RULE_BASE + extra)
     assert (err.value.line, err.value.col, str(err.value)) == (line, col, f"line {line}, col {col}: {message}")
+
+
+def test_link_ids_are_checked_after_every_syntax_error():
+    # An objective may name a link that a later record declares. An unknown
+    # one is reported after every syntax error (in an `as` record, which is
+    # read first, or in any later record), and in file order among the
+    # validators' errors.
+    later_link = "objective 1 * 10.1.0.0/16 l3\nlink l3 1 3 p2p\n"
+    assert [o.required_link for o in parse_scenario(RULE_BASE + later_link).objectives] == ["l3"]
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(RULE_BASE + "objective 1 * 10.1.0.0/16 l9\nas 5 hub\n")
+    assert (err.value.line, err.value.col) == (9, 6)
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(RULE_BASE + "objective 1 * 10.1.0.0/16 l9\nlp-override 2 1 x\n")
+    assert (err.value.line, err.value.col) == (9, 17)
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(RULE_BASE + "objective 1 * 10.1.0.0/16 l9\npolicy 2 suppress 2:1 4\n")
+    assert (err.value.line, err.value.col) == (8, 27)
 
 
 def test_link_id_local_is_reserved_in_api_built_topologies():
