@@ -64,7 +64,7 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass, field
-from typing import Callable, Collection, Iterable, Mapping
+from typing import Callable, Collection, Iterable, Mapping, NamedTuple
 
 from .policies import PREPEND_MAX as MAX_PREPEND
 from .policies import egress_apply, egress_times, ingress_transform
@@ -88,9 +88,10 @@ class OscillationError(RuntimeError):
         self.rounds = rounds
 
 
-@dataclass(frozen=True, slots=True)
-class Advertisement:
-    """One announcement by an origin on one of its links."""
+class Advertisement(NamedTuple):
+    """One announcement by an origin on one of its links.  A tuple: it equals
+    and hashes like the tuple of its fields, and a changed copy is
+    `ad._replace(field=value)`, not `dataclasses.replace`."""
 
     origin: int
     prefix: Prefix
@@ -134,23 +135,24 @@ class TeConfig:
 def check_advertisement(t: Topology, ad: Advertisement, seen: set[tuple[int, Prefix, str]]) -> None:
     """ValueError when `ad` breaks a rule of `TeConfig.validate`, or repeats
     an (origin, prefix, link) key in `seen`, which it then joins."""
-    key = (ad.origin, ad.prefix, ad.link_id)
+    origin, prefix, link_id, communities, med = ad
+    key = (origin, prefix, link_id)
     if key in seen:
-        raise ValueError(f"duplicate advertisement of {ad.prefix} on {ad.link_id}")
+        raise ValueError(f"duplicate advertisement of {prefix} on {link_id}")
     seen.add(key)
-    if ad.origin not in t.roles:
-        raise ValueError(f"advertisement by undeclared AS {ad.origin}")
-    link = t.links_by_id.get(ad.link_id)
+    if origin not in t.roles:
+        raise ValueError(f"advertisement by undeclared AS {origin}")
+    link = t.links_by_id.get(link_id)
     if link is None:
-        raise ValueError(f"unknown link id: {ad.link_id}")
-    if ad.origin != link.a and ad.origin != link.b:
-        raise ValueError(f"AS {ad.origin} is not on link {ad.link_id}")
-    originated = t.originated_by(ad.origin)
-    if ad.prefix not in originated and not any(p.contains(ad.prefix) for p in originated):
-        raise ValueError(f"AS {ad.origin} advertises {ad.prefix} outside its originated space")
-    if len(ad.communities) > COMMUNITY_BUDGET:
-        raise ValueError(f"more than {COMMUNITY_BUDGET} communities on one advertisement of {ad.prefix}")
-    if ad.med is not None and ad.med < 0:
+        raise ValueError(f"unknown link id: {link_id}")
+    if origin != link.a and origin != link.b:
+        raise ValueError(f"AS {origin} is not on link {link_id}")
+    originated = t.originated_by(origin)
+    if prefix not in originated and not any(p.contains(prefix) for p in originated):
+        raise ValueError(f"AS {origin} advertises {prefix} outside its originated space")
+    if len(communities) > COMMUNITY_BUDGET:
+        raise ValueError(f"more than {COMMUNITY_BUDGET} communities on one advertisement of {prefix}")
+    if med is not None and med < 0:
         raise ValueError("MED must be >= 0")
 
 
@@ -269,23 +271,21 @@ def propagate_to_convergence(
     for ad in te.advertisements:
         listed.setdefault((ad.origin, ad.prefix), {})[ad.link_id] = ad
 
-    # Local routes exist for every prefix the AS originates or explicitly
-    # advertises (more-specifics), even when announced nowhere.
+    # Local routes, by (AS, prefix), exist for every prefix the AS originates
+    # or explicitly advertises (more-specifics), even when announced nowhere.
     wanted = None if prefixes is None else frozenset(prefixes)
-    local_entries: dict[int, dict[Prefix, Route]] = {asn: {} for asn in t.roles}
+    local: dict[tuple[int, Prefix], Route] = {}
     for asn, originated in t.originations.items():
-        for p in originated:
-            if wanted is None or p in wanted:
-                local_entries[asn][p] = local_route(p, asn)
+        for p in originated if wanted is None else originated & wanted:
+            local[asn, p] = local_route(p, asn)
     for origin, p in listed:
-        entries = local_entries[origin]
-        if p not in entries and (wanted is None or p in wanted):
-            entries[p] = local_route(p, origin)
+        if (origin, p) not in local and (wanted is None or p in wanted):
+            local[origin, p] = local_route(p, origin)
 
     adj: dict[int, dict[Prefix, dict[str, Route]]] = {asn: {} for asn in t.roles}
-    loc: dict[int, dict[Prefix, Route]] = {
-        asn: dict(entries) for asn, entries in local_entries.items()
-    }
+    loc: dict[int, dict[Prefix, Route]] = {asn: {} for asn in t.roles}
+    for (asn, p), route in local.items():
+        loc[asn][p] = route
     sessions = t.sessions
     if te.lp_overrides:
         sessions = _with_lp_overrides(sessions, te.lp_overrides)
@@ -295,7 +295,7 @@ def propagate_to_convergence(
     bound = max_rounds if max_rounds is not None else 2 * len(t.roles) + MAX_PREPEND + 4
     # (AS, prefix, entry before) for each Loc-RIB entry that changed or
     # vanished last round; round 1 exports every local entry.
-    changed = [(asn, p, None) for asn, entries in local_entries.items() for p in entries]
+    changed = [(asn, p, None) for asn, p in local]
 
     gc_was_enabled = gc.isenabled()
     gc.disable()
@@ -311,8 +311,9 @@ def propagate_to_convergence(
 
             # Decision: only for the prefixes whose Adj-RIB-In changed.
             changed = []
-            for receiver, prefix in touched:
-                best = local_entries[receiver].get(prefix)
+            for pair in touched:
+                receiver, prefix = pair
+                best = local.get(pair)
                 by_link = adj[receiver].get(prefix)
                 if by_link:
                     for cand in by_link.values():

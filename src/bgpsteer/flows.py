@@ -109,19 +109,17 @@ class ForwardingTable:
         if asn in known:
             return known[asn]
         loc_rib, links, prefix = self._loc_rib, self._links, self._prefix
-        walk: list[tuple[int, str]] = []  # (AS, link it forwards on), in walk order
-        on_walk: set[int] = set()
-        current = asn
+        # Walk to an AS whose answer is known.  Until the walk ends, each AS
+        # passed holds its next hop (an int, never an answer) in `known`, so a
+        # walk that meets itself finds one.
+        current, last = asn, None
         while current not in known:
-            if current in on_walk:  # a loop: cannot happen at a fixed point; guard anyway
-                known[current] = None
-                break
-            on_walk.add(current)
             rib = loc_rib.get(current)
             route = rib.get(prefix) if rib is not None else None
             if route is None:
                 # best_route matches the longest covering prefix, or names
-                # an unknown AS.
+                # an unknown AS (only `asn` can be one: every later hop is a
+                # link's endpoint).
                 route = self._s.best_route(current, prefix)
             if route is None:
                 known[current] = None
@@ -131,12 +129,16 @@ class ForwardingTable:
                 known[current] = LOCAL
                 break
             link = links.get(link_id) or self._t.link_by_id(link_id)
-            walk.append((current, link_id))
-            current = link.other(current)
+            known[current] = nxt = link.other(current)
+            current, last = nxt, link_id
         answer = known[current]
-        for hop, link_id in reversed(walk):
-            answer = link_id if answer == LOCAL else answer
-            known[hop] = answer
+        if type(answer) is int:  # a loop: cannot happen at a fixed point; guard anyway
+            answer = None
+        elif answer == LOCAL and last is not None:
+            answer = last  # the walk enters the holder of the route over its last link
+        hop = asn
+        while type(nxt := known[hop]) is int:
+            known[hop], hop = answer, nxt
         return answer
 
 

@@ -17,16 +17,20 @@ prefixes.  Groups without objectives keep their baseline routes.  The
 cheapest combination of the groups' satisfying sets that fits the action
 budget is the plan that simulating every candidate in full, in ascending
 cost, would find.
+
+One judged candidate costs one expansion (`te_config_from_actions`), one
+restricted run, which checks the topology and the TE config as every run
+does, and one forwarding check per objective of its group.  The atoms,
+their costs and each objective's sources are built once per plan.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .engine import (
     Advertisement,
@@ -81,8 +85,10 @@ class ActionKind(Enum):
         self.report_name = report_name
 
 
-@dataclass(frozen=True, slots=True)
-class Action:
+class Action(NamedTuple):
+    """One TE action on one (prefix, link) key.  A tuple: it equals and
+    hashes like the tuple of its fields."""
+
     kind: ActionKind
     prefix: Prefix
     link_id: str
@@ -197,6 +203,8 @@ def validate_objectives(t: Topology, dest: int, objectives: Sequence[Objective])
             raise PlanningError(f"objective {o}: unknown source AS {o.flow.src_asn}")
         if o.flow.src_asn == dest:
             raise PlanningError(f"objective {o}: source equals destination")
+        if not _objective_sources(t, dest, o):
+            raise PlanningError(f"objective {o}: no stub AS other than AS {dest} sources its traffic")
         if not any(p.contains(o.flow.dst_prefix) for p in t.originated_by(dest)):
             raise PlanningError(
                 f"objective {o}: {o.flow.dst_prefix} is outside AS {dest}'s originated space"
@@ -288,26 +296,39 @@ def common_upstream_check(
 def _build_atoms(
     t: Topology, dest: int, objectives: Sequence[Objective]
 ) -> list[Action]:
-    links = sorted(t.up_links_of(dest), key=lambda l: l.id)
+    """Every single action on dest's up links, in Action.sort_key order: by
+    rank, then prefix, link id, community text and MED, the order in which
+    the loops below nest."""
+    sessions = _sessions_of(t, dest)
+    links = [s.link_id for s in sessions]
     origs = sorted(t.originated_by(dest))
-    provider_links = Counter(l.other(dest) for l in links)
-    med_capable = {l.id for l in links if provider_links[l.other(dest)] >= 2}
-    atoms: list[Action] = []
-    for p in origs:
-        for l in links:
-            atoms.append(Action.withhold(p, l.id))
-            cat = t.catalogs.get(l.other(dest))
-            if cat is not None:
-                for c in sorted(cat.communities()):
-                    atoms.append(Action.attach(p, l.id, c))
-            if l.id in med_capable:
-                for v in (10, 20):
-                    atoms.append(Action.set_med(p, l.id, v))
-    subs = sorted({o.flow.dst_prefix for o in objectives if o.flow.dst_prefix not in set(origs)})
-    for sp in subs:
-        for l in links:
-            atoms.append(Action.advertise_more_specific(sp, l.id))
-    return sorted(atoms, key=Action.sort_key)
+    offered = [(s.link_id, t.catalogs.get(s.neighbor)) for s in sessions]
+    offered = [(l, sorted(cat.communities(), key=str)) for l, cat in offered if cat is not None]
+    neighbors = [s.neighbor for s in sessions]
+    med_capable = [s.link_id for s in sessions if neighbors.count(s.neighbor) >= 2]
+    subs = sorted({o.flow.dst_prefix for o in objectives}.difference(origs))
+    atoms = [
+        Action(ActionKind.ATTACH_COMMUNITY, p, l, c)
+        for p in origs for l, communities in offered for c in communities
+    ]
+    atoms += [Action(ActionKind.SET_MED, p, l, None, v) for p in origs for l in med_capable for v in (10, 20)]
+    atoms += [Action(ActionKind.ADVERTISE_MORE_SPECIFIC, sp, l) for sp in subs for l in links]
+    atoms += [Action(ActionKind.WITHHOLD, p, l) for p in origs for l in links]
+    return atoms
+
+
+def _sessions_of(t: Topology, asn: int) -> tuple[Session, ...]:
+    """`asn`'s up links as sessions, sorted by link id."""
+    own = t.sessions.get(asn)
+    return own.all if own is not None else ()
+
+
+# An announcement with no community and no MED.
+_PLAIN: tuple[frozenset[Community], int | None] = (frozenset(), None)
+
+
+def _phase(action: Action) -> int:
+    return action.kind.phase
 
 
 def te_config_from_actions(
@@ -324,42 +345,44 @@ def te_config_from_actions(
     (prefix, link) key, so a set is consistent exactly when each key's
     actions are: it repeats nothing, names only communities in the provider's
     catalog, and finds each announcement present or absent as its kind needs.
-    An originated prefix withheld on every link goes into `withheld`, so it
-    is announced nowhere (traffic for it falls back to a covering prefix,
-    if dest announces one, else it is unreachable)."""
-    catalogs = {l.id: t.catalogs.get(l.other(dest)) for l in t.up_links_of(dest)}
+    So the order of the actions within a phase changes nothing.  An
+    originated prefix withheld on every link goes into `withheld`, so it is
+    announced nowhere (traffic for it falls back to a covering prefix, if
+    dest announces one, else it is unreachable)."""
+    neighbor_of = {s.link_id: s.neighbor for s in _sessions_of(t, dest)}
     origs = t.originated_by(dest)
-    # (prefix, link id) -> [communities, MED] of each announcement.
-    present = {(p, link_id): [set(), None] for p in origs for link_id in catalogs}
-    for a in sorted(actions, key=lambda a: (a.kind.phase, a.sort_key())):
+    # (prefix, link id) -> (communities, MED) of each announcement.
+    present = dict.fromkeys([(p, link_id) for p in origs for link_id in neighbor_of], _PLAIN)
+    for a in sorted(actions, key=_phase):
         key = (a.prefix, a.link_id)
-        if a.kind is ActionKind.WITHHOLD:
+        kind = a.kind
+        if kind is ActionKind.WITHHOLD:
             if present.pop(key, None) is None:
                 return None
-        elif a.kind is ActionKind.ADVERTISE_MORE_SPECIFIC:
-            if a.link_id not in catalogs or key in present:
+        elif kind is ActionKind.ADVERTISE_MORE_SPECIFIC:
+            if a.link_id not in neighbor_of or key in present:
                 return None
             if not any(a.prefix.is_strict_subprefix_of(p) for p in origs):
                 return None
-            present[key] = [set(), None]
-        elif key not in present:
+            present[key] = _PLAIN
+        elif (entry := present.get(key)) is None:
             return None
-        elif a.kind is ActionKind.ATTACH_COMMUNITY:
-            cat, communities = catalogs[a.link_id], present[key][0]
+        elif kind is ActionKind.ATTACH_COMMUNITY:
+            communities, med = entry
+            cat = t.catalogs.get(neighbor_of[a.link_id])
             if cat is None or a.community not in cat.communities() or a.community in communities:
                 return None
-            communities.add(a.community)
+            present[key] = (communities | {a.community}, med)
         else:
-            if present[key][1] is not None:
+            if entry[1] is not None:
                 return None
-            present[key][1] = a.med
-    ads = tuple(
-        Advertisement(dest, p, link_id, frozenset(communities), med)
+            present[key] = (entry[0], a.med)
+    ads = [
+        Advertisement(dest, p, link_id, communities, med)
         for (p, link_id), (communities, med) in sorted(present.items())
-    )
-    announced = {p for p, _link_id in present}
-    withheld = frozenset((dest, p) for p in origs if p not in announced)
-    return TeConfig(ads, dict(lp_overrides or {}), withheld)
+    ]
+    withheld = frozenset((dest, p) for p in origs.difference([p for p, _link_id in present]))
+    return TeConfig(tuple(ads), dict(lp_overrides or {}), withheld)
 
 
 def _prepend_amount(t: Topology, dest: int, action: Action) -> int:
@@ -379,12 +402,14 @@ def plan_cost(t: Topology, dest: int, actions: Sequence[Action]) -> tuple:
 
 
 def _objective_satisfied(
-    state: ConvergedState, t: Topology, dest: int, o: Objective
+    state: ConvergedState, t: Topology, dest: int, o: Objective, sources: Sequence[int]
 ) -> bool:
-    table = ForwardingTable(state, t, o.flow.dst_prefix)
+    """True when the traffic of each of `sources` (`_objective_sources` of
+    `o`) that reaches dest enters it over `o.required_link`, and some does."""
+    last_link = ForwardingTable(state, t, o.flow.dst_prefix).last_link
     any_reachable = False
-    for src in _objective_sources(t, dest, o):
-        link = entry_link(t, dest, table.last_link(src))
+    for src in sources:
+        link = entry_link(t, dest, last_link(src))
         if link is None:
             continue
         any_reachable = True
@@ -461,13 +486,13 @@ class _Parts:
             self._push((0,))
 
     def _push(self, chosen: tuple[int, ...]) -> None:
-        indices = tuple(sorted(self._order[j] for j in chosen))
-        cost = (
-            sum(self._weights[i] for i in indices),
-            sum(self._prepends[i] for i in indices),
-            indices,
-        )
-        heapq.heappush(self._heap, (cost, chosen))
+        weights, prepends = self._weights, self._prepends
+        indices = sorted([self._order[j] for j in chosen])
+        weight = prepend = 0
+        for i in indices:
+            weight += weights[i]
+            prepend += prepends[i]
+        heapq.heappush(self._heap, ((weight, prepend, tuple(indices)), chosen))
 
     def peek(self) -> tuple | None:
         """The next part's cost, or None when no part is left."""
@@ -490,7 +515,9 @@ class _Parts:
 def _combined(costs: Sequence[tuple]) -> tuple:
     """The cost of the union of parts from different groups.  Weights and
     prepends add up; the atom indices interleave, since Action.sort_key
-    starts with the action kind."""
+    starts with the action kind.  One part's cost is its own."""
+    if len(costs) == 1:
+        return costs[0]
     return (
         sum(c[0] for c in costs),
         sum(c[1] for c in costs),
@@ -576,15 +603,16 @@ def plan_inbound_te(
 
     groups = _prefix_groups(t, objectives)
     group_of = {p: g for g, prefixes in enumerate(groups) for p in prefixes}
-    goals: dict[int, list[Objective]] = {}
+    # Per group with objectives, each objective with its sources.
+    goals: dict[int, list[tuple[Objective, list[int]]]] = {}
     for o in objectives:
-        goals.setdefault(group_of[o.flow.dst_prefix], []).append(o)
+        goals.setdefault(group_of[o.flow.dst_prefix], []).append((o, _objective_sources(t, dest, o)))
     atoms = _build_atoms(t, dest, objectives)
     weights = [a.kind.weight for a in atoms]
     prepends = [_prepend_amount(t, dest, a) for a in atoms]
 
     def satisfies(g: int, state: ConvergedState) -> bool:
-        return all(_objective_satisfied(state, t, dest, o) for o in goals[g])
+        return all(_objective_satisfied(state, t, dest, o, sources) for o, sources in goals[g])
 
     def judge(g: int, indices: tuple[int, ...]) -> ConvergedState | None:
         """The group's state when the part is consistent, converges and
@@ -612,19 +640,25 @@ def plan_inbound_te(
     }
     best = _cheapest_fit(list(fronts.values()), budget.max_actions)
     while True:
-        upcoming = {g: cost for g, q in queues.items() if (cost := q.peek()) is not None}
-        if not upcoming or any(not fronts[g] and g not in upcoming for g in unmet):
-            break  # nothing left to judge, or a group that can no longer be met
-        # The cheapest cost each group can still contribute.
-        lower = {g: front[0][0] if front else upcoming[g] for g, front in fronts.items()}
-        bounds = {
-            g: _combined([cost] + [lower[h] for h in goals if h != g])
-            for g, cost in upcoming.items()
-        }
-        # Groups with no satisfying part yet go first: each must find one.
-        g = min(upcoming, key=lambda g: (bool(fronts[g]), bounds[g]))
-        if best is not None and bounds[g] >= best[0]:
-            break
+        waiting = [g for g in unmet if not fronts[g]]
+        if waiting:
+            # Each group with no satisfying part yet must find one, in turn,
+            # and until then no combination exists to beat.
+            if any(queues[g].peek() is None for g in waiting):
+                break  # a group that can no longer be met
+            g = waiting[0]
+        else:
+            # The group whose next part, with the other groups' cheapest,
+            # costs least, if that can still beat the best combination.
+            bound = None
+            for h, q in queues.items():
+                cost = q.peek()
+                if cost is not None:
+                    b = _combined([cost, *(front[0][0] for k, front in fronts.items() if k != h)])
+                    if bound is None or b < bound:
+                        g, bound = h, b
+            if bound is None or (best is not None and bound >= best[0]):
+                break
         cost = queues[g].pop()
         state = judge(g, cost[2])
         if state is not None:
@@ -664,7 +698,9 @@ def evaluate_plan(
     if te is None:
         raise PlanningError("plan contains invalid action references")
     state = propagate_to_convergence(t, te)
-    satisfied = tuple(_objective_satisfied(state, t, dest, o) for o in objectives)
+    satisfied = tuple(
+        _objective_satisfied(state, t, dest, o, _objective_sources(t, dest, o)) for o in objectives
+    )
     baseline_te = te_config_from_actions(t, dest, [], lp_overrides)
     baseline_map = ingress_map(propagate_to_convergence(t, baseline_te), t, dest)
     new_map = ingress_map(state, t, dest)

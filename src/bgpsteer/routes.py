@@ -9,9 +9,10 @@ announcement already carries the origin ASN.
 hashes and sorts like the tuple of its fields, and a changed copy is
 `r._replace(field=value)`, not `dataclasses.replace`.  `Route(...)` checks
 every invariant; `tuple.__new__(Route, fields)` checks none and is the
-engine's trusted path, used only for routes built from already-checked routes
-and advertisements, always on a literal 7-tuple (so `_make`'s length check
-could never fail there, and its call is skipped).
+trusted path, used only for routes built from already-checked routes and
+advertisements and for `local_route`, whose constant fields need no check,
+always on a literal 7-tuple (so `_make`'s length check could never fail
+there, and its call is skipped).
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ class Route(_RouteFields):
 
 
 def local_route(prefix: Prefix, origin: int) -> Route:
-    return Route(prefix, (), LP_LOCAL, None, frozenset(), LOCAL, origin)
+    return tuple.__new__(Route, (prefix, (), LP_LOCAL, None, frozenset(), LOCAL, origin))
 
 
 def default_local_pref(rel: Rel) -> int:

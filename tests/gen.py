@@ -16,7 +16,8 @@ from dataclasses import replace
 
 from bgpsteer.engine import Advertisement, TeConfig
 from bgpsteer.planner import Budget, Objective, PlanningError, plan_cost, validate_objectives
-from bgpsteer.planner import _build_atoms, _objective_satisfied  # noqa: the suites drive planner internals on purpose
+# The suites drive planner internals on purpose.
+from bgpsteer.planner import _build_atoms, _objective_satisfied, _objective_sources  # noqa
 from bgpsteer.planner import te_config_from_actions
 from bgpsteer.engine import OscillationError, propagate_to_convergence
 from bgpsteer.flows import Flow
@@ -463,7 +464,9 @@ def exhaustive_plan_search(
                 state = propagate_to_convergence(t, te)
             except OscillationError:
                 continue
-            if all(_objective_satisfied(state, t, dest, o) for o in objectives):
+            if all(
+                _objective_satisfied(state, t, dest, o, _objective_sources(t, dest, o)) for o in objectives
+            ):
                 found = True
                 cost = plan_cost(t, dest, combo)
                 if best_cost is None or cost < best_cost:

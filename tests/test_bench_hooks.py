@@ -7,6 +7,8 @@ import importlib.util
 
 
 def load_tracing():
+    # Tracer.install patches every module SPANS names, cli included.
+    importlib.import_module("bgpsteer.cli")
     spec = importlib.util.spec_from_file_location("bench_tracing", "bench/tracing.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -60,3 +62,29 @@ def test_the_traced_policy_functions_are_the_ones_the_engine_calls():
         tracer.uninstall()
     assert tracer.counts.get("policies.ingress_transform", 0) > 0
     assert tracer.counts.get("policies.egress_apply", 0) > 0
+
+
+def test_a_traced_plan_counts_its_expansions_and_simulations():
+    # A planner that bound te_config_from_actions or propagate_to_convergence
+    # to another name would read too few expansions or simulations in a
+    # traced bench run.  The propagation counts are the README's figures;
+    # every candidate here is consistent, so each run has its expansion.
+    tracing = load_tracing()
+    planner = importlib.import_module("bgpsteer.planner")
+    scenario = importlib.import_module("bgpsteer.scenario")
+    for name, propagations in (
+        ("dualprovider_destprefix_objectives.scn", 48),
+        ("dualprovider_sourceasn_objectives.scn", 101),
+    ):
+        with open(f"scenarios/{name}", encoding="utf-8") as f:
+            s = scenario.parse_scenario(f.read())
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            planner.plan_inbound_te(s.topology, s.objectives[0].flow.dst_asn, s.objectives)
+        finally:
+            tracer.uninstall()
+        metrics = tracer.layer_metrics()
+        assert metrics["engine.propagate_calls"] == propagations, name
+        assert metrics["planner.simulations"] == propagations, name
+        assert metrics["planner.candidates_expanded"] == propagations, name

@@ -191,7 +191,7 @@ def test_plan_oscillating_baseline_exit_2(tmp_path, capsys):
         "link l1 65001 100 c2p\nlink l2 65001 200 c2p\nlink l3 100 200 p2p\n"
         "originate 65001 10.1.0.0/16\n"
         "lp-override 100 200 300\nlp-override 200 100 300\n"
-        "objective 65001 * 10.1.0.0/16 l1\n"
+        "objective 65001 100 10.1.0.0/16 l1\n"
     )
     scn = tmp_path / "osc.scn"
     scn.write_text(text)
@@ -502,12 +502,14 @@ def test_simulate_and_plan_print_the_topology_warnings(tmp_path, capsys):
     plain.write_text(PROVIDER_CYCLE.replace("link l3 3 1 c2p\n", "link l3 3 1 c2p down\n"))
     assert main(["simulate", "--scenario", str(plain), "--out", str(tmp_path / "plain")]) == 0
     assert capsys.readouterr().err == ""
-    # No stub but the destination sends traffic, so the search ends exhausted;
-    # the warning leaves that exit code as it is.
+    # No stub but the destination sends traffic, so the objective is an
+    # input error, reported after the warning.
     scn.write_text(PROVIDER_CYCLE + "objective 4 * 10.4.0.0/16 l4\n")
-    assert main(["plan", "--scenario", str(scn), "--out", str(tmp_path / "plan")]) == 4
+    assert main(["plan", "--scenario", str(scn), "--out", str(tmp_path / "plan")]) == 1
     captured = capsys.readouterr()
-    assert captured.err == CYCLE_WARNING and captured.out == "status exhausted tried=2 max-actions=3\n"
+    assert captured.out == "" and captured.err == CYCLE_WARNING + (
+        "error: objective {*, *, 10.4.0.0/16, 4} -> l4: no stub AS other than AS 4 sources its traffic\n"
+    )
 
 
 def test_no_golden_scenario_has_a_topology_warning():

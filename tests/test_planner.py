@@ -35,11 +35,13 @@ from bgpsteer.planner import (
     _build_atoms,
     _consistent_sets,
     _objective_satisfied,
+    _objective_sources,
     _Parts,
     _prefix_groups,
     _prepend_amount,
     _side_effects,
     plan_cost,
+    validate_objectives,
 )
 
 P1 = Prefix.parse("10.1.0.0/16")
@@ -165,6 +167,28 @@ def test_objective_on_unknown_link_rejected():
     with pytest.raises(PlanningError) as err:
         plan_inbound_te(s.topology, 65001, objectives)
     assert str(err.value) == "unknown link id: nope"
+
+
+def test_a_wildcard_objective_with_no_source_is_rejected():
+    # `*` stands for every stub but the destination.  With no other stub it
+    # covers no flow, so no plan could show it met: an input error.
+    t = load("scenarios/dualprovider_baseline.scn").topology
+    roles = {a: "stub" if a == 65001 else "transit" for a in t.roles}
+    t = Topology(roles, t.links, t.originations, t.catalogs)
+    objectives = (Objective(Flow(None, None, P1, 65001), "l1"),)
+    message = "objective {*, *, 10.1.0.0/16, 65001} -> l1: no stub AS other than AS 65001 sources its traffic"
+    empty_plan = Plan((), None, ())
+    for call in (
+        lambda: validate_objectives(t, 65001, objectives),
+        lambda: plan_inbound_te(t, 65001, objectives),
+        lambda: evaluate_plan(t, 65001, empty_plan, objectives),
+    ):
+        with pytest.raises(PlanningError) as err:
+            call()
+        assert str(err.value) == message
+    # A named source still makes the objective plannable.
+    named = (Objective(Flow(None, 100, P1, 65001), "l1"),)
+    assert isinstance(plan_inbound_te(t, 65001, named), Plan)
 
 
 def test_contradictory_objectives_rejected():
@@ -403,6 +427,7 @@ def reference_plan(t, dest, objectives, budget, lp_overrides):
     baseline_te = te_config_from_actions(t, dest, [], lp_overrides)
     baseline_map = ingress_map(propagate_to_convergence(t, baseline_te), t, dest)
     atoms = _build_atoms(t, dest, objectives)
+    sources = [_objective_sources(t, dest, o) for o in objectives]
     candidates = []
     for size in range(0, budget.max_actions + 1):
         for combo in itertools.combinations(atoms, size):
@@ -419,7 +444,7 @@ def reference_plan(t, dest, objectives, budget, lp_overrides):
         except OscillationError:
             oscillating += 1
             continue
-        if not all(_objective_satisfied(state, t, dest, o) for o in objectives):
+        if not all(_objective_satisfied(state, t, dest, o, s) for o, s in zip(objectives, sources)):
             continue
         predicted = ingress_map(state, t, dest)
         actions = tuple(sorted(combo, key=Action.sort_key))
@@ -714,20 +739,80 @@ def per_key_advertisements(t, dest, actions):
     return tuple(ads[key] for key in sorted(ads, key=lambda k: (k[0].sort_key(), k[1])))
 
 
-def test_te_config_from_actions_checks_each_key_on_its_own():
-    # _consistent_sets counts consistent sets key by key, and the planner's
-    # per-group search relies on the same per-key rule.
-    rng = random.Random(4099)
+def reference_atoms(t, dest, objectives):
+    """Every single action on dest's up links, built one (prefix, link) key
+    at a time and then sorted by Action.sort_key."""
+    links = sorted(t.up_links_of(dest), key=lambda l: l.id)
+    providers = [l.other(dest) for l in links]
+    origs = sorted(t.originated_by(dest))
+    atoms = []
+    for p in origs:
+        for l in links:
+            atoms.append(Action.withhold(p, l.id))
+            cat = t.catalogs.get(l.other(dest))
+            atoms += [Action.attach(p, l.id, c) for c in (cat.communities() if cat else ())]
+            if providers.count(l.other(dest)) >= 2:
+                atoms += [Action.set_med(p, l.id, 10), Action.set_med(p, l.id, 20)]
+    for sp in sorted({o.flow.dst_prefix for o in objectives} - set(origs)):
+        atoms += [Action.advertise_more_specific(sp, l.id) for l in links]
+    return sorted(atoms, key=Action.sort_key)
+
+
+def grouped_instances(rng, n):
+    """The objective goldens, then seeded grouped instances with a down link
+    at the destination, up to n in all."""
     instances = []
     for path in OBJECTIVE_GOLDENS:
         s = load(path)
         instances.append((s.topology, s.objectives[0].flow.dst_asn, s.objectives))
-    while len(instances) < 40:
+    while len(instances) < n:
         t, dest, objectives, _budget, _lp = rand_grouped_instance(rng)
         provider = t.link_by_id("l1").other(dest)
         down = Link(f"l{len(t.links) + 1}", dest, provider, dest, up=False)
         t = Topology(t.roles, t.links + (down,), t.originations, t.catalogs)
         instances.append((t, dest, objectives))
+    return instances
+
+
+def test_build_atoms_lists_every_single_action_in_sort_key_order():
+    # The search's costs compare atom indices, so the order is load-bearing.
+    for t, dest, objectives in grouped_instances(random.Random(8081), 40):
+        atoms = _build_atoms(t, dest, objectives)
+        assert atoms == reference_atoms(t, dest, objectives)
+        assert all(type(a) is Action for a in atoms)
+
+
+def test_te_config_from_actions_ignores_the_order_of_its_actions():
+    # It expands in phase order only: within a phase each action reads its
+    # own (prefix, link) key, so no order of one action list may change the
+    # result, and the advertisements always come out sorted by key.
+    rng = random.Random(6007)
+    outcomes = {True: 0, False: 0}
+    for t, dest, objectives in grouped_instances(rng, 40):
+        by_key = {}
+        for a in _build_atoms(t, dest, objectives) + off_atom_actions(t, dest):
+            by_key.setdefault((a.prefix, a.link_id), []).append(a)
+        keys = sorted(by_key)
+        for _ in range(30):
+            actions = [
+                a
+                for key in rng.sample(keys, rng.randint(1, min(2, len(keys))))
+                for a in rng.sample(by_key[key], rng.randint(1, min(3, len(by_key[key]))))
+            ][:5]
+            te, *others = [te_config_from_actions(t, dest, order) for order in itertools.permutations(actions)]
+            assert all(other == te for other in others), actions
+            outcomes[te is None] += 1
+            if te is not None:
+                keys_out = [(ad.prefix, ad.link_id) for ad in te.advertisements]
+                assert keys_out == sorted(set(keys_out)), actions
+    assert min(outcomes.values()) >= 200, outcomes
+
+
+def test_te_config_from_actions_checks_each_key_on_its_own():
+    # _consistent_sets counts consistent sets key by key, and the planner's
+    # per-group search relies on the same per-key rule.
+    rng = random.Random(4099)
+    instances = grouped_instances(rng, 40)
     outcomes = {True: 0, False: 0}
     for t, dest, objectives in instances:
         atoms = _build_atoms(t, dest, objectives)

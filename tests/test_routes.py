@@ -6,6 +6,9 @@ import random
 import pytest
 
 from bgpsteer import (
+    Action,
+    ActionKind,
+    Advertisement,
     Community,
     Prefix,
     Rel,
@@ -155,6 +158,21 @@ def test_route_is_the_tuple_of_its_fields():
     changed = r._replace(local_pref=50)
     assert type(changed) is Route and changed.local_pref == 50 and r.local_pref == 200
     assert repr(r).startswith("Route(prefix=Prefix(base=167837696, length=16), as_path=(100, 65001)")
+
+
+def test_advertisement_and_action_are_the_tuples_of_their_fields():
+    ad = Advertisement(D, P1, "l1", frozenset({Community(100, 50)}), 10)
+    fields = (D, P1, "l1", frozenset({(100, 50)}), 10)
+    assert ad == fields and hash(ad) == hash(fields) and tuple(ad) == fields
+    assert Advertisement(D, P1, "l1") == (D, P1, "l1", frozenset(), None)
+    changed = ad._replace(link_id="l2")
+    assert type(changed) is Advertisement and changed.link_id == "l2" and ad.link_id == "l1"
+    action = Action.attach(P1, "l1", Community(100, 50))
+    fields = (ActionKind.ATTACH_COMMUNITY, P1, "l1", (100, 50), None)
+    assert action == fields and hash(action) == hash(fields) and tuple(action) == fields
+    for value in (ad, action):
+        for copied in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(copied) is type(value) and copied == value
 
 
 def test_community_is_the_tuple_high_low():

@@ -778,7 +778,7 @@ def _rename(rng: random.Random, s):
         )
         for owner, cat in t.catalogs.items()
     }
-    ads = tuple(replace(ad, link_id=ids[ad.link_id]) for ad in te.advertisements)
+    ads = tuple(ad._replace(link_id=ids[ad.link_id]) for ad in te.advertisements)
     return replace(s, topology=replace(t, links=links, catalogs=catalogs), te_config=replace(te, advertisements=ads))
 
 
