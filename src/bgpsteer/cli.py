@@ -91,7 +91,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _plan_report(scenario: Scenario, dest: int, plan: Plan, report) -> str:
+def _plan_report(scenario: Scenario, plan: Plan, report) -> str:
     lines = ["status found"]
     if plan.lp_constraint_violated:
         lines.append("warning LP-constraint violated - outcome not guaranteed")
@@ -128,7 +128,7 @@ def cmd_plan(args) -> int:
         reports, code = {PLAN_FILE: text}, 4
     else:
         report = evaluate_plan(scenario.topology, dest, result, scenario.objectives, lp_overrides)
-        text = _plan_report(scenario, dest, result, report)
+        text = _plan_report(scenario, result, report)
         reports, code = {PLAN_FILE: text, PREDICTED_FILE: result.predicted_map.to_csv()}, 0
     _write_reports(args, reports)
     print(text, end="")

@@ -28,10 +28,11 @@ candidates, so the order updates arrive in never changes a result.  Runs
 are deterministic.
 
 What never changes between runs is compiled once per topology
-(`Topology.sessions`): per exporter, each up link's neighbor, the LP that
-neighbor assigns by default, its catalog where the exporter is its
-customer, the exporter's own catalog and the links its customers reach it
-over, and the valley-free split of the links per learned link.  A run
+(`Topology.sessions`, one entry per AS): per exporter, each up link's
+neighbor, the LP that neighbor assigns by default, its catalog where the
+exporter is its customer, the exporter's own catalog, neighbor table and
+the links its customers reach it over, and the valley-free split of the
+links per learned link.  A run
 resolves its LP-override table into a copy of that table once, and the
 round loop walks the session tuples with no per-message lookups.
 
@@ -305,9 +306,8 @@ def propagate_to_convergence(
             # patch only Adj-RIB-Ins, which no export reads.
             touched: set[tuple[int, Prefix]] = set()
             for exporter, prefix, before in changed:
-                out = sessions.get(exporter)
-                if out is not None:
-                    _export(adj, touched, listed, exporter, out, prefix, loc[exporter].get(prefix), before)
+                route = loc[exporter].get(prefix)
+                _export(adj, touched, listed, exporter, sessions[exporter], prefix, route, before)
 
             # Decision: only for the prefixes whose Adj-RIB-In changed.
             changed = []
@@ -353,13 +353,11 @@ def _with_lp_overrides(
     the sender."""
     resolved = dict(sessions)
     for sender in {sender for _receiver, sender in overrides}:
-        own = sessions.get(sender)
-        if own is not None:
-            resolved[sender] = Sessions.build(
-                (s._replace(local_pref=overrides.get((s.neighbor, sender), s.local_pref)) for s in own.all),
-                own.catalog,
-                own.neighbor_rels,
-            )
+        own = sessions[sender]
+        resolved[sender] = Sessions.build(
+            (s._replace(local_pref=overrides.get((s.neighbor, sender), s.local_pref)) for s in own.all),
+            own.catalog,
+        )
     return resolved
 
 

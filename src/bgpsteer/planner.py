@@ -246,9 +246,8 @@ def _legal_announcement_paths(
             else:
                 walk(sessions[nxt].by_learned[s.link_id][0], path)
 
-    own = sessions.get(start)
     # The route starts out customer-learned: it may go up any link.
-    walk(own.all if own is not None else (), (start,))
+    walk(sessions[start].all, (start,))
     return paths
 
 
@@ -299,7 +298,7 @@ def _build_atoms(
     """Every single action on dest's up links, in Action.sort_key order: by
     rank, then prefix, link id, community text and MED, the order in which
     the loops below nest."""
-    sessions = _sessions_of(t, dest)
+    sessions = t.sessions[dest].all
     links = [s.link_id for s in sessions]
     origs = sorted(t.originated_by(dest))
     offered = [(s.link_id, t.catalogs.get(s.neighbor)) for s in sessions]
@@ -315,12 +314,6 @@ def _build_atoms(
     atoms += [Action(ActionKind.ADVERTISE_MORE_SPECIFIC, sp, l) for sp in subs for l in links]
     atoms += [Action(ActionKind.WITHHOLD, p, l) for p in origs for l in links]
     return atoms
-
-
-def _sessions_of(t: Topology, asn: int) -> tuple[Session, ...]:
-    """`asn`'s up links as sessions, sorted by link id."""
-    own = t.sessions.get(asn)
-    return own.all if own is not None else ()
 
 
 # An announcement with no community and no MED.
@@ -349,7 +342,7 @@ def te_config_from_actions(
     originated prefix withheld on every link goes into `withheld`, so it is
     announced nowhere (traffic for it falls back to a covering prefix, if
     dest announces one, else it is unreachable)."""
-    neighbor_of = {s.link_id: s.neighbor for s in _sessions_of(t, dest)}
+    neighbor_of = {s.link_id: s.neighbor for s in t.sessions[dest].all}
     origs = t.originated_by(dest)
     # (prefix, link id) -> (communities, MED) of each announcement.
     present = dict.fromkeys([(p, link_id) for p in origs for link_id in neighbor_of], _PLAIN)
@@ -419,11 +412,7 @@ def _objective_satisfied(
 
 
 def _side_effects(
-    t: Topology,
-    dest: int,
-    objectives: Sequence[Objective],
-    base: IngressMap,
-    new: IngressMap,
+    t: Topology, objectives: Sequence[Objective], base: IngressMap, new: IngressMap
 ) -> tuple[tuple[int, Prefix, str, str], ...]:
     """Moves of stub-source traffic not demanded by any objective.  A move
     is demanded by an objective on its prefix that requires its new link, for
@@ -544,16 +533,17 @@ def _cheapest_fit(
 def _consistent_sets(t: Topology, dest: int, atoms: Sequence[Action], max_actions: int) -> int:
     """How many sets of at most `max_actions` atoms te_config_from_actions
     accepts.  It checks each (prefix, link) key on its own, so this is the
-    convolution, by size, of each key's counts."""
+    convolution, by size, of each key's counts.  The empty set is consistent,
+    so only non-empty combinations are expanded."""
     by_key: dict[tuple[Prefix, str], list[Action]] = {}
     for a in atoms:
         by_key.setdefault((a.prefix, a.link_id), []).append(a)
     total = [1]  # total[n]: consistent sets of n atoms over the keys so far
     for key_atoms in by_key.values():
-        counts = [
+        counts = [1] + [
             sum(te_config_from_actions(t, dest, combo) is not None
                 for combo in itertools.combinations(key_atoms, n))
-            for n in range(min(len(key_atoms), max_actions) + 1)
+            for n in range(1, min(len(key_atoms), max_actions) + 1)
         ]
         merged = [0] * min(len(total) + len(counts) - 1, max_actions + 1)
         for i, x in enumerate(total):
@@ -679,7 +669,7 @@ def plan_inbound_te(
         dest,
         {key: maps.get(group_of[key[1]], baseline_map).entries[key] for key in baseline_map.entries},
     )
-    side = _side_effects(t, dest, objectives, baseline_map, predicted)
+    side = _side_effects(t, objectives, baseline_map, predicted)
     return Plan(tuple(atoms[i] for i in cost[2]), predicted, side, bool(lp_overrides))
 
 
@@ -704,5 +694,5 @@ def evaluate_plan(
     baseline_te = te_config_from_actions(t, dest, [], lp_overrides)
     baseline_map = ingress_map(propagate_to_convergence(t, baseline_te), t, dest)
     new_map = ingress_map(state, t, dest)
-    side = _side_effects(t, dest, objectives, baseline_map, new_map)
+    side = _side_effects(t, objectives, baseline_map, new_map)
     return EvaluationReport(satisfied, side, state.rounds_used)

@@ -173,13 +173,16 @@ class Finding:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """A topology's findings; `errors` and `warnings` are computed on first
+    read, once."""
+
     findings: tuple[Finding, ...]
 
-    @property
+    @cached_property
     def errors(self) -> tuple[Finding, ...]:
         return tuple(f for f in self.findings if f.severity == "error")
 
-    @property
+    @cached_property
     def warnings(self) -> tuple[Finding, ...]:
         return tuple(f for f in self.findings if f.severity == "warning")
 
@@ -211,24 +214,25 @@ class Sessions:
       is exported on, the sessions it is not), the valley-free split;
     * `catalog`: the AS's own catalog, whose communities its egress strips
       and whose rules it applies to routes learned over `customer_links`;
-    * `neighbor_rels`: the AS's `Topology.neighbor_rels`, which the
-      catalog's selectors expand over (None without a catalog);
+    * `neighbor_rels`: neighbor ASN -> relationship over the up links, which
+      the catalog's selectors expand over.  A neighbor reached over both a
+      c2p and a p2p link counts as a customer if any link says so;
     * `customer_links`: the ids of the links whose other end is a customer."""
 
     all: tuple[Session, ...]
     by_learned: Mapping[str, tuple[tuple[Session, ...], tuple[Session, ...]]]
     catalog: "PolicyCatalog | None"
-    neighbor_rels: Mapping[int, Rel] | None
+    neighbor_rels: Mapping[int, Rel]
     customer_links: frozenset[str]
 
     @classmethod
-    def build(
-        cls,
-        sessions: Iterable[Session],
-        catalog: "PolicyCatalog | None",
-        neighbor_rels: Mapping[int, Rel] | None,
-    ) -> "Sessions":
+    def build(cls, sessions: Iterable[Session], catalog: "PolicyCatalog | None") -> "Sessions":
         ordered = tuple(sorted(sessions, key=lambda s: s.link_id))
+        neighbor_rels: dict[int, Rel] = {}
+        for s in ordered:
+            known = neighbor_rels.get(s.neighbor)
+            if known is None or _REL_RANK[s.rel] < _REL_RANK[known]:
+                neighbor_rels[s.neighbor] = s.rel
         # One copy of each distinct split, shared by the learned
         # relationships that give it.
         by_mask: dict[tuple[bool, ...], tuple[tuple[Session, ...], tuple[Session, ...]]] = {}
@@ -265,14 +269,14 @@ class Topology:
 
     @cached_property
     def sessions(self) -> Mapping[int, Sessions]:
-        """ASN -> its up links compiled for propagation (ASes with no up link
-        have no entry): what never changes with the TE config.  That is the
-        default LP a receiver assigns (`default_local_pref` of the sender's
-        relationship) and its catalog where the sender is its customer, the
-        sender's own catalog and `neighbor_rels`, and the valley-free export
-        split."""
-        owner_rels = {asn: self.neighbor_rels(asn) for asn in self.catalogs}
-        per_as: dict[int, list[Session]] = {}
+        """ASN -> its up links compiled for propagation, for every declared AS
+        (empty `Sessions` for an AS with no up link): what never changes with
+        the TE config.  That is the default LP a receiver assigns
+        (`default_local_pref` of the sender's relationship) and its catalog
+        where the sender is its customer, the sender's own catalog and
+        neighbor table, and the valley-free export split.  The neighbor and
+        relationship lookups read it."""
+        per_as: dict[int, list[Session]] = {asn: [] for asn in self.roles}
         for link in self.links:
             if not link.up:
                 continue
@@ -286,7 +290,7 @@ class Topology:
                     routes.default_local_pref(sender_rel),
                     self.catalogs[neighbor] if applies else None,
                 ))
-        return {asn: Sessions.build(s, self.catalogs.get(asn), owner_rels.get(asn)) for asn, s in per_as.items()}
+        return {asn: Sessions.build(s, self.catalogs.get(asn)) for asn, s in per_as.items()}
 
     @cached_property
     def validation(self) -> ValidationReport:
@@ -307,14 +311,10 @@ class Topology:
         return [link for link in self.links if link.up and asn in link.endpoints()]
 
     def neighbor_rels(self, asn: int) -> dict[int, Rel]:
-        """Neighbor ASN -> relationship over up links.  A neighbor reached over
-        both a c2p and a p2p link counts as a customer if any link says so."""
-        rels: dict[int, Rel] = {}
-        for link in self.up_links_of(asn):
-            other, rel = link.other(asn), link.rel_from(asn)
-            if other not in rels or _REL_RANK[rel] < _REL_RANK[rels[other]]:
-                rels[other] = rel
-        return rels
+        """Neighbor ASN -> relationship over up links (`Sessions.neighbor_rels`),
+        a fresh dict; empty for an unknown ASN."""
+        own = self.sessions.get(asn)
+        return {} if own is None else dict(own.neighbor_rels)
 
     def originated_by(self, asn: int) -> frozenset[Prefix]:
         return self.originations.get(asn, frozenset())
@@ -339,7 +339,7 @@ def relationship_between(t: Topology, a: int, b: int) -> set[tuple[str, Rel]]:
         raise KeyError(f"unknown AS: {b}")
     if a == b:
         raise ValueError("relationship_between: the two ASes must differ")
-    return {(link.id, link.rel_from(a)) for link in t.up_links_of(a) if link.other(a) == b}
+    return {(s.link_id, s.rel) for s in t.sessions[a].all if s.neighbor == b}
 
 
 def _provider_cycle(t: Topology) -> list[int] | None:

@@ -448,7 +448,7 @@ def reference_plan(t, dest, objectives, budget, lp_overrides):
             continue
         predicted = ingress_map(state, t, dest)
         actions = tuple(sorted(combo, key=Action.sort_key))
-        side = _side_effects(t, dest, objectives, baseline_map, predicted)
+        side = _side_effects(t, objectives, baseline_map, predicted)
         return Plan(actions, predicted, side, bool(lp_overrides)), oscillating
     return Exhausted(tried, budget.max_actions), oscillating
 

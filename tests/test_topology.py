@@ -319,6 +319,14 @@ def test_an_invalid_topology_fails_every_check():
             require_valid(t)
 
 
+def test_a_report_computes_its_errors_and_warnings_once():
+    t = Topology({1: "stub", 2: "sideways"}, (Link("l1", 1, 3, 1),), {}, {})
+    report = t.validation
+    assert [f.message for f in report.errors] == ["AS 2: unknown role 'sideways'", "link l1: undeclared AS 3"]
+    assert report.errors is report.errors and report.warnings is report.warnings
+    assert report.warnings == () and not report.ok()
+
+
 def test_finding_is_data():
     f = Finding("warning", "x")
     assert f.severity == "warning"
@@ -338,19 +346,25 @@ def test_link_and_neighbor_lookups_match_a_scan_on_random_topologies():
         _check_lookups(t)
 
 
-def _check_lookups(t):
-    for link_id in {l.id for l in t.links}:
-        assert t.link_by_id(link_id) == next(l for l in t.links if l.id == link_id)
+def _rels_by_scan(t, asn):
+    """Reference for `neighbor_rels`: each neighbor over the up links, a
+    customer if any link says so, else a peer if any link says so."""
     rank = {Rel.CUSTOMER: 0, Rel.PEER: 1, Rel.PROVIDER: 2}
-    for asn in list(t.roles) + [4_000_000]:
-        up = [l for l in t.links if l.up and asn in l.endpoints()]
-        assert t.up_links_of(asn) == up
-        expected: dict[int, Rel] = {}
-        for l in up:
+    expected: dict[int, Rel] = {}
+    for l in t.links:
+        if l.up and asn in l.endpoints():
             other, rel = l.other(asn), l.rel_from(asn)
             if other not in expected or rank[rel] < rank[expected[other]]:
                 expected[other] = rel
-        assert t.neighbor_rels(asn) == expected
+    return expected
+
+
+def _check_lookups(t):
+    for link_id in {l.id for l in t.links}:
+        assert t.link_by_id(link_id) == next(l for l in t.links if l.id == link_id)
+    for asn in list(t.roles) + [4_000_000]:
+        assert t.up_links_of(asn) == [l for l in t.links if l.up and asn in l.endpoints()]
+        assert t.neighbor_rels(asn) == _rels_by_scan(t, asn)
     with pytest.raises(KeyError) as err:
         t.link_by_id("no-such-link")
     assert err.value.args == ("unknown link id: no-such-link",)
@@ -370,10 +384,11 @@ def _session_cases():
 def test_sessions_match_the_plain_lookups():
     """Each compiled session equals what Link.rel_from, default_local_pref
     and the catalogs give for its link (the catalog only where the
-    receiver's catalog applies); down links have none.  Each exporter's
-    `Sessions` carries its own catalog, its neighbor_rels where it has a
-    catalog, and its customer links; each learned link's split is
-    export_permitted's."""
+    receiver's catalog applies); down links have none.  Every declared AS
+    has `Sessions`, which carry its own catalog, its neighbor table as a scan
+    of the links gives it, and its customer links; each learned link's split
+    is export_permitted's.  `relationship_between` agrees with a scan of the
+    links for every pair of ASes."""
     from bgpsteer.routes import default_local_pref, export_permitted
 
     for t in _session_cases():
@@ -381,7 +396,7 @@ def test_sessions_match_the_plain_lookups():
         assert {(asn, s.link_id) for asn, out in t.sessions.items() for s in out.all} == up_ends
         for asn, out in t.sessions.items():
             assert out.catalog is t.catalogs.get(asn)
-            assert out.neighbor_rels == (None if out.catalog is None else t.neighbor_rels(asn))
+            assert out.neighbor_rels == _rels_by_scan(t, asn)
             assert out.customer_links == {s.link_id for s in out.all if t.link_by_id(s.link_id).customer == s.neighbor}
             assert [s.link_id for s in out.all] == sorted(s.link_id for s in out.all)
             for s in out.all:
@@ -395,7 +410,31 @@ def test_sessions_match_the_plain_lookups():
                 send, withhold = out.by_learned[learned.link_id]
                 assert send == tuple(s for s in out.all if export_permitted(learned.rel, s.rel))
                 assert withhold == tuple(s for s in out.all if s not in send)
-        assert set(t.sessions) == {asn for asn, _ in up_ends}
+        assert set(t.sessions) == set(t.roles)
+        for a in t.roles:
+            for b in t.roles:
+                if a != b:
+                    expected = {(l.id, l.rel_from(a)) for l in t.links if l.up and {a, b} == {l.a, l.b}}
+                    assert relationship_between(t, a, b) == expected
+
+
+def test_an_as_with_no_up_link_has_empty_sessions():
+    """AS 3 is declared, originates a prefix and has only a down link: its
+    `Sessions` are empty, it has no neighbor, and a run still converges
+    with its prefix in its own Loc-RIB alone."""
+    t = parse_topology(
+        "as 1 stub\nas 2 transit\nas 3 stub\nlink l1 1 2 c2p\nlink l2 3 2 c2p down\n"
+        "originate 1 10.1.0.0/16\noriginate 3 10.3.0.0/16\n"
+    )
+    own = t.sessions[3]
+    assert (own.all, dict(own.by_learned), own.catalog) == ((), {}, None)
+    assert (dict(own.neighbor_rels), own.customer_links) == ({}, frozenset())
+    assert t.neighbor_rels(3) == {}
+    assert relationship_between(t, 3, 2) == relationship_between(t, 2, 3) == set()
+    state = propagate_to_convergence(t)
+    p3 = Prefix.parse("10.3.0.0/16")
+    assert [asn for asn in t.roles if state.selected(asn, p3) is not None] == [3]
+    assert state.selected(2, Prefix.parse("10.1.0.0/16")).learned_on == "l1"
 
 
 def origin_by_scan(t: Topology, prefix: Prefix) -> int | None:
@@ -533,6 +572,19 @@ def test_the_readme_states_the_grammar_of_the_scenario_docstring():
     block = readme.split("## Scenario files", 1)[1].split("```\n")[1]
     assert _record_lines(block.splitlines()) == _record_lines(grammar)
     assert len(grammar) == 11
+
+
+def test_the_readme_library_snippet_runs():
+    """The README's `Library surface` block, run as written from the repo
+    root, plans every objective of its scenario."""
+    from bgpsteer import Plan
+
+    readme = Path("README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library surface", 1)[1].split("```python\n", 1)[1].split("```\n", 1)[0]
+    names: dict = {}
+    exec(compile(block, "README.md", "exec"), names)
+    assert isinstance(names["plan"], Plan)
+    assert names["report"].satisfied and all(names["report"].satisfied)
 
 
 def test_rule_base_is_valid():
