@@ -32,9 +32,10 @@ What never changes between runs is compiled once per topology
 neighbor, the LP that neighbor assigns by default, its catalog where the
 exporter is its customer, the exporter's own catalog, neighbor table and
 the links its customers reach it over, and the valley-free split of the
-links per learned link.  A run
-resolves its LP-override table into a copy of that table once, and the
-round loop walks the session tuples with no per-message lookups.
+links per learned link and for its own routes (LOCAL), the one statement of
+valley-free export a run reads.  A run resolves its LP-override table into
+a copy of that table once, and the round loop walks the session tuples
+with no per-message lookups.
 
 Every Adj-RIB-In and Loc-RIB entry is a `Route`, and each catalog
 action is evaluated where it acts.  Each rule keeps one code path: the loop
@@ -372,37 +373,32 @@ def _export(
     before: Route | None,
 ) -> None:
     """Send what `exporter` now holds for `prefix` (its Loc-RIB route
-    `route`, or None; it held `before` last round) on each of its up links.
-    A local route goes out as the TE config announces it: one plain wire on
-    every link when `listed` has no entry for it, else its listed
+    `route`, or None; it held `before` last round) on each up link that
+    valley-free export allows (`out.by_learned`: every link for a local
+    route).  A local route goes out as the TE config announces it: one plain
+    wire on each link when `listed` has no entry for it, else its listed
     announcement on each listed link and nothing on the others.  A learned
-    route goes out in its egress form where valley-free export permits it
-    and the catalog does not suppress it, else nothing.  A withdrawal goes
-    only where `before` went out, since a neighbor holds a route from this
-    exporter nowhere else."""
-    if before is None:
-        reached: tuple[Session, ...] = ()
-    elif before.learned_on == LOCAL:
-        reached = out.all
-    else:
-        reached = out.by_learned[before.learned_on][0]
+    route goes out in its egress form where the catalog does not suppress
+    it, else nothing.  A withdrawal goes only where `before` went out, since
+    a neighbor holds a route from this exporter nowhere else."""
+    reached: tuple[Session, ...] = () if before is None else out.by_learned[before.learned_on][0]
     if route is None:
         _deliver(adj, touched, reached, prefix, None)
         return
+    send, withhold = out.by_learned[route.learned_on]
     if route.learned_on == LOCAL:
         ads = listed.get((exporter, prefix))
         if ads is None:
             wire = tuple.__new__(Route, (prefix, (exporter,), 0, None, frozenset(), LOCAL, exporter))
-            _deliver(adj, touched, out.all, prefix, wire)
+            _deliver(adj, touched, send, prefix, wire)
             return
-        for s in out.all:
+        for s in send:
             ad = ads.get(s.link_id)
             wire = None
             if ad is not None:
                 wire = tuple.__new__(Route, (prefix, (exporter,), 0, ad.med, ad.communities, LOCAL, exporter))
             _deliver(adj, touched, (s,), prefix, wire)
         return
-    send, withhold = out.by_learned[route.learned_on]
     # Every split sends on all links or on the customer links alone, so
     # `reached` has a link outside `send` exactly when it is the longer.
     if len(reached) > len(send):

@@ -67,7 +67,7 @@ def resolve_forwarding(
     (empty when src is the owner), or None when some hop has no route."""
     if src not in t.roles:
         raise KeyError(f"unknown AS: {src}")
-    if t.origin_of(dst_prefix) is None:
+    if not any(p.contains(dst_prefix) for prefixes in t.originations.values() for p in prefixes):
         raise ValueError(f"{dst_prefix} is not covered by any originated prefix")
     hops: list[str] = []
     current = src

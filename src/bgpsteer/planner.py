@@ -226,19 +226,19 @@ def validate_objectives(t: Topology, dest: int, objectives: Sequence[Objective])
 
 
 def _legal_announcement_paths(
-    t: Topology, start: int, target: int, banned: frozenset[int]
+    t: Topology, dest: int, link_id: str, target: int
 ) -> list[tuple[int, ...]]:
-    """Simple valley-free paths a customer-learned route can take from `start`
-    to `target` (announcement direction), never crossing `banned` ASes."""
-    if start == target:
-        return [(start,)]
+    """Simple paths, origin first, on which `dest`'s announcement over
+    `link_id` reaches `target` past the provider at the link's other end, as
+    valley-free export passes it on (`Sessions.by_learned`); none when the
+    link is down."""
     paths: list[tuple[int, ...]] = []
     sessions = t.sessions
 
     def walk(exported_on: Sequence[Session], visited: tuple[int, ...]) -> None:
         for s in exported_on:
             nxt = s.neighbor
-            if nxt in visited or nxt in banned:
+            if nxt in visited:
                 continue
             path = visited + (nxt,)
             if nxt == target:
@@ -246,8 +246,8 @@ def _legal_announcement_paths(
             else:
                 walk(sessions[nxt].by_learned[s.link_id][0], path)
 
-    # The route starts out customer-learned: it may go up any link.
-    walk(sessions[start].all, (start,))
+    start = t.link_by_id(link_id).other(dest)
+    walk(sessions[start].by_learned.get(link_id, ((), ()))[0], (dest, start))
     return paths
 
 
@@ -272,9 +272,8 @@ def common_upstream_check(
         if p1 == p2:
             witnesses.append(InfeasibilityWitness(o1, o2, SAME_PROVIDER))
             continue
-        banned = frozenset({dest})
-        paths1 = _legal_announcement_paths(t, p1, o1.flow.src_asn, banned)
-        paths2 = _legal_announcement_paths(t, p2, o2.flow.src_asn, banned)
+        paths1 = _legal_announcement_paths(t, dest, o1.required_link, o1.flow.src_asn)
+        paths2 = _legal_announcement_paths(t, dest, o2.required_link, o2.flow.src_asn)
         if not paths1 or not paths2:
             continue
         on_all1 = set.intersection(*(set(p) for p in paths1))
@@ -342,6 +341,8 @@ def te_config_from_actions(
     originated prefix withheld on every link goes into `withheld`, so it is
     announced nowhere (traffic for it falls back to a covering prefix, if
     dest announces one, else it is unreachable)."""
+    if dest not in t.roles:
+        raise PlanningError(f"unknown destination AS {dest}")
     neighbor_of = {s.link_id: s.neighbor for s in t.sessions[dest].all}
     origs = t.originated_by(dest)
     # (prefix, link id) -> (communities, MED) of each announcement.

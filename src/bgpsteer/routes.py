@@ -19,14 +19,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .topology import LOCAL, Prefix, Rel
+from .topology import LOCAL, Prefix
 
-# Default LP values.  Only the ordering is load-bearing (customer routes
-# above peers above providers); the numbers themselves are conventions.
-LP_CUSTOMER = 200
-LP_PEER = 100
-LP_PROVIDER = 50
-LP_LOCAL = 1000
+LP_LOCAL = 1000  # above every default LP (`topology.default_local_pref`)
 
 # A route may carry at most this many communities; the classic 4-byte
 # encoding keeps 64 of them far below the 4096-byte message limit.
@@ -117,15 +112,6 @@ def local_route(prefix: Prefix, origin: int) -> Route:
     return tuple.__new__(Route, (prefix, (), LP_LOCAL, None, frozenset(), LOCAL, origin))
 
 
-def default_local_pref(rel: Rel) -> int:
-    """LP assigned to a route by who it was learned from."""
-    if rel is Rel.CUSTOMER:
-        return LP_CUSTOMER
-    if rel is Rel.PEER:
-        return LP_PEER
-    return LP_PROVIDER
-
-
 def compare_routes(r1: Route, r2: Route) -> int:
     """Rank two candidates for the same prefix.
 
@@ -167,15 +153,6 @@ def best_of(candidates: list[Route]) -> Route | None:
         if best is None or compare_routes(r, best) < 0:
             best = r
     return best
-
-
-def export_permitted(learned_rel: Rel | None, to_rel: Rel) -> bool:
-    """Valley-free export rule.  learned_rel is None for local originations;
-    customer routes and own prefixes go to everyone, peer and provider routes
-    only down to customers."""
-    if learned_rel is None or learned_rel is Rel.CUSTOMER:
-        return True
-    return to_rel is Rel.CUSTOMER
 
 
 def prepend_path(r: Route, who: int, n: int) -> Route:

@@ -120,6 +120,31 @@ class Rel(Enum):
     PROVIDER = "provider"
 
 
+# Default LP values.  Only the ordering is load-bearing (customer routes
+# above peers above providers); the numbers themselves are conventions.
+LP_CUSTOMER = 200
+LP_PEER = 100
+LP_PROVIDER = 50
+
+
+def default_local_pref(rel: Rel) -> int:
+    """LP assigned to a route by who it was learned from."""
+    if rel is Rel.CUSTOMER:
+        return LP_CUSTOMER
+    if rel is Rel.PEER:
+        return LP_PEER
+    return LP_PROVIDER
+
+
+def export_permitted(learned_rel: Rel | None, to_rel: Rel) -> bool:
+    """Valley-free export rule.  learned_rel is None for local originations;
+    customer routes and own prefixes go to everyone, peer and provider routes
+    only down to customers."""
+    if learned_rel is None or learned_rel is Rel.CUSTOMER:
+        return True
+    return to_rel is Rel.CUSTOMER
+
+
 @dataclass(frozen=True, slots=True)
 class Link:
     """A physical inter-domain link.  For c2p links, `customer` names the
@@ -191,6 +216,7 @@ class ValidationReport:
 
 
 _REL_RANK = {Rel.CUSTOMER: 0, Rel.PEER: 1, Rel.PROVIDER: 2}
+_LEARNED_RELS = (None, *Rel)  # what a route was learned from; None: a local route
 
 
 class Session(NamedTuple):
@@ -210,8 +236,9 @@ class Sessions:
     """One AS's up links as sessions, compiled for export.
 
     * `all`: a session per up link, sorted by link id;
-    * `by_learned`: link id -> (the sessions a route learned over that link
-      is exported on, the sessions it is not), the valley-free split;
+    * `by_learned`: link id, or LOCAL for the AS's own routes -> (the
+      sessions a route learned there is exported on, the sessions it is
+      not): the valley-free split, and the one place export reads it;
     * `catalog`: the AS's own catalog, whose communities its egress strips
       and whose rules it applies to routes learned over `customer_links`;
     * `neighbor_rels`: neighbor ASN -> relationship over the up links, which
@@ -237,15 +264,17 @@ class Sessions:
         # relationships that give it.
         by_mask: dict[tuple[bool, ...], tuple[tuple[Session, ...], tuple[Session, ...]]] = {}
         split = {}
-        for rel in Rel:
-            mask = tuple(routes.export_permitted(rel, s.rel) for s in ordered)
+        for rel in _LEARNED_RELS:
+            mask = tuple(export_permitted(rel, s.rel) for s in ordered)
             if mask not in by_mask:
                 send = tuple(s for s, ok in zip(ordered, mask) if ok)
                 withhold = tuple(s for s, ok in zip(ordered, mask) if not ok)
                 by_mask[mask] = (send if withhold else ordered, withhold)
             split[rel] = by_mask[mask]
         customer_links = frozenset(s.link_id for s in ordered if s.rel is Rel.CUSTOMER)
-        return cls(ordered, {s.link_id: split[s.rel] for s in ordered}, catalog, neighbor_rels, customer_links)
+        by_learned = {s.link_id: split[s.rel] for s in ordered}
+        by_learned[LOCAL] = split[None]
+        return cls(ordered, by_learned, catalog, neighbor_rels, customer_links)
 
 
 @dataclass(frozen=True)
@@ -287,7 +316,7 @@ class Topology:
                     link.id,
                     neighbor,
                     link.rel_from(asn),
-                    routes.default_local_pref(sender_rel),
+                    default_local_pref(sender_rel),
                     self.catalogs[neighbor] if applies else None,
                 ))
         return {asn: Sessions.build(s, self.catalogs.get(asn)) for asn, s in per_as.items()}
@@ -318,17 +347,6 @@ class Topology:
 
     def originated_by(self, asn: int) -> frozenset[Prefix]:
         return self.originations.get(asn, frozenset())
-
-    def origin_of(self, prefix: Prefix) -> int | None:
-        """AS originating a prefix that covers `prefix`, preferring the longest
-        covering origination (the first origin listed when two claim it).
-        None when nothing covers it."""
-        best: tuple[int, int] | None = None
-        for asn, prefixes in self.originations.items():
-            for p in prefixes:
-                if p.contains(prefix) and (best is None or p.length > best[0]):
-                    best = (p.length, asn)
-        return None if best is None else best[1]
 
 
 def relationship_between(t: Topology, a: int, b: int) -> set[tuple[str, Rel]]:
@@ -431,8 +449,3 @@ def require_valid(t: Topology) -> None:
     if not report.ok():
         msgs = "; ".join(f.message for f in report.errors)
         raise TopologyError(f"invalid topology: {msgs}")
-
-
-# routes imports this module's names, so it is bound last: either module can
-# be imported first, and each import of the package gets its own pair.
-from . import routes  # noqa: E402

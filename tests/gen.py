@@ -17,21 +17,13 @@ from dataclasses import replace
 from bgpsteer.engine import Advertisement, TeConfig
 from bgpsteer.planner import Budget, Objective, PlanningError, plan_cost, validate_objectives
 # The suites drive planner internals on purpose.
-from bgpsteer.planner import _build_atoms, _objective_satisfied, _objective_sources  # noqa
+from bgpsteer.planner import _build_atoms  # noqa
 from bgpsteer.planner import te_config_from_actions
-from bgpsteer.engine import OscillationError, propagate_to_convergence
-from bgpsteer.flows import Flow
+from bgpsteer.engine import ConvergedState, OscillationError, propagate_to_convergence
+from bgpsteer.flows import Flow, resolve_forwarding
 from bgpsteer.policies import PeerSelector, PolicyCatalog
-from bgpsteer.routes import (
-    LP_CUSTOMER,
-    LP_PEER,
-    LP_PROVIDER,
-    Community,
-    Route,
-    best_of,
-    local_route,
-)
-from bgpsteer.topology import Link, Prefix, Rel, Topology
+from bgpsteer.routes import Community, Route, best_of, local_route
+from bgpsteer.topology import LP_CUSTOMER, LP_PEER, LP_PROVIDER, Link, Prefix, Rel, Topology
 
 PREFIX_POOL = [
     Prefix.parse("10.1.0.0/16"),
@@ -447,11 +439,30 @@ def rand_planning_instance(
     return t, dest, objectives, Budget(max_actions=2)
 
 
+def objective_holds(state: ConvergedState, t: Topology, dest: int, o: Objective) -> bool:
+    """An objective's rule, stated over single-flow walks
+    (`resolve_forwarding`) and not with the planner's own check: the
+    traffic of each of its sources (the named AS, or every stub but `dest`
+    for `*`) whose walk ends at `dest` enters it over `o.required_link`, and
+    some traffic does."""
+    src_asn = o.flow.src_asn
+    sources = [src_asn] if src_asn is not None else [a for a, role in t.roles.items() if role == "stub" and a != dest]
+    entries = set()
+    for src in sources:
+        hops = resolve_forwarding(state, t, src, o.flow.dst_prefix) or []
+        here = src
+        for link_id in hops:
+            here = t.link_by_id(link_id).other(here)
+        if hops and here == dest:
+            entries.add(hops[-1])
+    return entries == {o.required_link}
+
+
 def exhaustive_plan_search(
     t: Topology, dest: int, objectives: list[Objective], budget: Budget
 ) -> tuple[bool, tuple | None]:
     """Try every action set in the bounded space; return (satisfiable,
-    minimum cost)."""
+    minimum cost).  Objectives are judged by `objective_holds`."""
     atoms = _build_atoms(t, dest, objectives)
     best_cost: tuple | None = None
     found = False
@@ -464,9 +475,7 @@ def exhaustive_plan_search(
                 state = propagate_to_convergence(t, te)
             except OscillationError:
                 continue
-            if all(
-                _objective_satisfied(state, t, dest, o, _objective_sources(t, dest, o)) for o in objectives
-            ):
+            if all(objective_holds(state, t, dest, o) for o in objectives):
                 found = True
                 cost = plan_cost(t, dest, combo)
                 if best_cost is None or cost < best_cost:

@@ -22,8 +22,8 @@ from bgpsteer import (
 )
 from bgpsteer.engine import MAX_PREPEND, ConvergedState
 from bgpsteer.policies import egress_apply, egress_times, ingress_transform
-from bgpsteer.routes import Route, compare_routes, default_local_pref, export_permitted, local_route
-from bgpsteer.topology import LOCAL, Rel
+from bgpsteer.routes import Route, compare_routes, local_route
+from bgpsteer.topology import LOCAL, Rel, default_local_pref, export_permitted
 
 P1 = Prefix.parse("10.1.0.0/16")
 P2 = Prefix.parse("10.2.0.0/16")

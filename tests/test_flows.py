@@ -54,11 +54,17 @@ def test_resolve_at_origin_is_empty():
 
 
 def test_resolve_errors():
+    """An unknown source is a KeyError.  A prefix outside every origination,
+    or one that only contains an origination, is a ValueError that names
+    it; a prefix inside an origination resolves by longest-prefix match."""
     s, state = run("scenarios/dualprovider_baseline.scn")
     with pytest.raises(KeyError):
         resolve_forwarding(state, s.topology, 4242, P1)
-    with pytest.raises(ValueError):
-        resolve_forwarding(state, s.topology, 65101, Prefix.parse("192.168.0.0/16"))
+    for text in ("192.168.0.0/16", "10.0.0.0/8", "0.0.0.0/0", "10.3.0.0/16"):
+        with pytest.raises(ValueError) as err:
+            resolve_forwarding(state, s.topology, 65101, Prefix.parse(text))
+        assert err.value.args == (f"{text} is not covered by any originated prefix",)
+    assert resolve_forwarding(state, s.topology, 65101, Prefix.parse("10.1.7.0/24")) == ["l5", "l1"]
 
 
 def test_more_specific_steers_and_fails_over():
@@ -175,8 +181,6 @@ def assert_table_matches_walks(state, t):
             assert ingress_map(state, t, dest).entries == reference_ingress_entries(state, t, dest)
     installed = {p for rib in state.loc_rib.values() for p in rib}
     for prefix in installed:
-        if t.origin_of(prefix) is None:
-            continue
         table = ForwardingTable(state, t, prefix)
         for src in t.ases():
             hops = resolve_forwarding(state, t, src, prefix)

@@ -1,12 +1,14 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import gen
 from bgpsteer import planner
+from bgpsteer.cli import main
 from bgpsteer import (
     Action,
     ActionKind,
@@ -68,6 +70,69 @@ def test_tier1_pivot_witness():
     s = load("scenarios/tier1_pivot.scn")
     witnesses = common_upstream_check(s.topology, s.objectives)
     assert [w.pivot for w in witnesses] == [600]
+
+
+P2P_OBJECTIVE_SCENARIO = """\
+as 1 stub
+as 10 transit
+as 20 transit
+as 99 transit
+as 5 stub
+as 6 stub
+link l1 1 10 p2p
+link l2 1 20 c2p
+link l3 10 99 c2p
+link l4 20 99 c2p
+link l5 5 99 c2p
+link l6 6 99 c2p
+originate 1 10.1.0.0/16
+objective 1 5 10.1.0.0/16 l1
+objective 1 6 10.1.0.0/16 l2
+"""
+
+
+def test_a_route_over_a_p2p_objective_link_does_not_go_up(tmp_path, capsys):
+    """AS 10 learns AS 1's route over the peering l1, so it passes it only to
+    customers: AS 99 never holds it, no route from AS 5 crosses AS 99 over
+    l1, and there is no pivot.  The search runs and exhausts its budget."""
+    s = parse_scenario(P2P_OBJECTIVE_SCENARIO)
+    t = s.topology
+    assert planner._legal_announcement_paths(t, 1, "l1", 5) == []
+    assert planner._legal_announcement_paths(t, 1, "l2", 6) == [(1, 20, 99, 6)]
+    assert common_upstream_check(t, s.objectives) == []
+    state = propagate_to_convergence(t, s.te_config)
+    assert [r.learned_on for r in state.candidates(99, P1)] == ["l4"]
+    path = tmp_path / "p2p.scn"
+    path.write_text(P2P_OBJECTIVE_SCENARIO)
+    assert main(["plan", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 4
+    assert capsys.readouterr().out == "status exhausted tried=4 max-actions=3\n"
+
+
+def test_legal_announcement_paths_are_valley_free_over_p2p_objective_links():
+    """Every path the screen walks, from the destination over l1 or l2 to
+    any other AS, is valley-free by `gen.is_valley_free`, which states the
+    rule on its own; among the cases, l1 and/or l2 are made peerings."""
+    rng = random.Random(2020)
+    p2p_cases = paths_checked = peered_paths = 0
+    for _ in range(300):
+        t, dest, _objectives, _budget = gen.rand_planning_instance(rng)
+        peered = rng.choice([(), ("l1",), ("l2",), ("l1", "l2")])
+        links = tuple(replace(l, customer=None) if l.id in peered else l for l in t.links)
+        t = Topology(t.roles, links, t.originations, t.catalogs)
+        p2p_cases += bool(peered)
+        for link_id in ("l1", "l2"):
+            provider = t.link_by_id(link_id).other(dest)
+            for target in t.roles:
+                if target in (dest, provider):
+                    continue
+                for path in planner._legal_announcement_paths(t, dest, link_id, target):
+                    assert path[:2] == (dest, provider) and path[-1] == target
+                    assert len(set(path)) == len(path)
+                    assert gen.is_valley_free(t, target, tuple(reversed(path[:-1]))), (peered, path)
+                    paths_checked += 1
+                    peered_paths += link_id in peered
+    assert p2p_cases >= 200 and paths_checked >= 1000 and peered_paths >= 400, (
+        p2p_cases, paths_checked, peered_paths)
 
 
 def test_plan_dualprovider_sourceasn_objectives_two_prepend_attachments():
@@ -224,6 +289,13 @@ def test_exhausted_when_budget_too_small():
     result = plan_inbound_te(s.topology, 65001, s.objectives, Budget(max_actions=1))
     assert isinstance(result, Exhausted)
     assert result.max_actions == 1
+
+
+def test_te_config_from_actions_rejects_an_undeclared_destination():
+    s = load("scenarios/dualprovider_baseline.scn")
+    with pytest.raises(PlanningError) as err:
+        te_config_from_actions(s.topology, 4242, [])
+    assert err.value.args == ("unknown destination AS 4242",)
 
 
 def test_te_config_from_actions_rejects_dangling_attachment():

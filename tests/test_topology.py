@@ -25,7 +25,7 @@ from bgpsteer import (
 )
 from bgpsteer.policies import PeerSelector, PolicyCatalog
 from bgpsteer.routes import COMMUNITY_BUDGET, Community
-from bgpsteer.topology import require_valid
+from bgpsteer.topology import LOCAL, require_valid
 
 DUAL = open("scenarios/dualprovider_baseline.scn").read()
 
@@ -387,9 +387,10 @@ def test_sessions_match_the_plain_lookups():
     receiver's catalog applies); down links have none.  Every declared AS
     has `Sessions`, which carry its own catalog, its neighbor table as a scan
     of the links gives it, and its customer links; each learned link's split
-    is export_permitted's.  `relationship_between` agrees with a scan of the
-    links for every pair of ASes."""
-    from bgpsteer.routes import default_local_pref, export_permitted
+    is export_permitted's, and a local route goes out on every link.
+    `relationship_between` agrees with a scan of the links for every pair
+    of ASes."""
+    from bgpsteer.topology import default_local_pref, export_permitted
 
     for t in _session_cases():
         up_ends = {(asn, l.id) for l in t.links if l.up for asn in l.endpoints()}
@@ -410,6 +411,7 @@ def test_sessions_match_the_plain_lookups():
                 send, withhold = out.by_learned[learned.link_id]
                 assert send == tuple(s for s in out.all if export_permitted(learned.rel, s.rel))
                 assert withhold == tuple(s for s in out.all if s not in send)
+            assert out.by_learned[LOCAL] == (out.all, ())
         assert set(t.sessions) == set(t.roles)
         for a in t.roles:
             for b in t.roles:
@@ -427,7 +429,7 @@ def test_an_as_with_no_up_link_has_empty_sessions():
         "originate 1 10.1.0.0/16\noriginate 3 10.3.0.0/16\n"
     )
     own = t.sessions[3]
-    assert (own.all, dict(own.by_learned), own.catalog) == ((), {}, None)
+    assert (own.all, dict(own.by_learned), own.catalog) == ((), {LOCAL: ((), ())}, None)
     assert (dict(own.neighbor_rels), own.customer_links) == ({}, frozenset())
     assert t.neighbor_rels(3) == {}
     assert relationship_between(t, 3, 2) == relationship_between(t, 2, 3) == set()
@@ -435,55 +437,6 @@ def test_an_as_with_no_up_link_has_empty_sessions():
     p3 = Prefix.parse("10.3.0.0/16")
     assert [asn for asn in t.roles if state.selected(asn, p3) is not None] == [3]
     assert state.selected(2, Prefix.parse("10.1.0.0/16")).learned_on == "l1"
-
-
-def origin_by_scan(t: Topology, prefix: Prefix) -> int | None:
-    """Reference for `Topology.origin_of`: scan every origination for the
-    longest one covering `prefix`."""
-    best: tuple[int, int] | None = None
-    for asn, prefixes in t.originations.items():
-        for p in prefixes:
-            if p.contains(prefix) and (best is None or p.length > best[0]):
-                best = (p.length, asn)
-    return None if best is None else best[1]
-
-
-def origin_queries(t: Topology, extra: list[Prefix]) -> list[Prefix]:
-    """Every originated prefix, its two halves and a /28 inside it, the given
-    extra prefixes, and two prefixes outside any origination in the tests."""
-    queries = list(extra) + [Prefix.parse("192.168.0.0/16"), Prefix.parse("0.0.0.0/0")]
-    for prefixes in t.originations.values():
-        for p in prefixes:
-            queries.append(p)
-            if p.length < 32:
-                queries += [Prefix(p.base, p.length + 1), Prefix(p.base | 1 << (31 - p.length), p.length + 1)]
-            if p.length < 28:
-                queries.append(Prefix(p.base, 28))
-    return queries
-
-
-def test_origin_of_matches_a_scan_of_the_originations():
-    import gen
-
-    cases = []
-    for path in GOLDENS:
-        s = parse_scenario(path.read_text())
-        cases.append((s.topology, [o.flow.dst_prefix for o in s.objectives]))
-    rng = random.Random(11)
-    for _ in range(5):
-        cases.append((gen.rand_topology(rng), []))
-        t, _dest, objectives, _budget = gen.rand_planning_instance(rng)
-        cases.append((t, [o.flow.dst_prefix for o in objectives]))
-    nested = {1: "10.0.0.0/8", 2: "10.1.0.0/16", 3: "10.1.128.0/17", 4: "10.1.128.0/24"}
-    t = Topology({asn: "stub" for asn in nested}, (),
-                 {asn: frozenset({Prefix.parse(p)}) for asn, p in nested.items()})
-    expected = {"10.1.128.0/25": 4, "10.1.129.0/24": 3, "10.1.0.0/17": 2, "10.200.0.0/16": 1, "11.0.0.0/8": None}
-    assert {p: t.origin_of(Prefix.parse(p)) for p in expected} == expected
-    cases.append((t, [Prefix.parse(p) for p in expected]))
-    cases.append((Topology({1: "stub"}, (), {}), []))
-    for t, extra in cases:
-        for prefix in origin_queries(t, extra):
-            assert t.origin_of(prefix) == origin_by_scan(t, prefix), (prefix, dict(t.originations))
 
 
 # One bad scenario per rule the parser reports: the base is valid, each case
