@@ -120,10 +120,15 @@ class TeConfig:
     lp_overrides: Mapping[tuple[int, int], int] = field(default_factory=dict)
     withheld: frozenset[tuple[int, Prefix]] = frozenset()
 
-    def validate(self, t: Topology) -> None:
+    def validate(self, t: Topology) -> dict[tuple[int, Prefix], dict[str, Advertisement]]:
+        """ValueError when the config breaks a rule over `t`; else the
+        announcements it lists, by (origin, prefix) and then link id, with an
+        empty entry for each withheld pair."""
         seen: set[tuple[int, Prefix, str]] = set()
+        listed: dict[tuple[int, Prefix], dict[str, Advertisement]] = {pair: {} for pair in self.withheld}
         for ad in self.advertisements:
             check_advertisement(t, ad, seen)
+            listed.setdefault((ad.origin, ad.prefix), {})[ad.link_id] = ad
         for origin, prefix in self.withheld:
             if prefix not in t.originated_by(origin):
                 raise ValueError(f"AS {origin} withholds {prefix}, which it does not originate")
@@ -132,6 +137,7 @@ class TeConfig:
                 raise ValueError(f"LP override references undeclared AS ({asn}, {neighbor})")
             if lp < 0:
                 raise ValueError("LP override must be >= 0")
+        return listed
 
 
 def check_advertisement(t: Topology, ad: Advertisement, seen: set[tuple[int, Prefix, str]]) -> None:
@@ -149,7 +155,7 @@ def check_advertisement(t: Topology, ad: Advertisement, seen: set[tuple[int, Pre
         raise ValueError(f"unknown link id: {link_id}")
     if origin != link.a and origin != link.b:
         raise ValueError(f"AS {origin} is not on link {link_id}")
-    originated = t.originated_by(origin)
+    originated = t.originations.get(origin, ())
     if prefix not in originated and not any(p.contains(prefix) for p in originated):
         raise ValueError(f"AS {origin} advertises {prefix} outside its originated space")
     if len(communities) > COMMUNITY_BUDGET:
@@ -264,14 +270,10 @@ def propagate_to_convergence(
     if max_rounds is not None and max_rounds < 1:
         raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
     require_valid(t)
-    te.validate(t)
-
     # The announcements of each (origin, prefix) the TE config lists, by
     # link; a withheld prefix lists none.  Any other local route goes out
     # plainly on every up link (`_export`).
-    listed: dict[tuple[int, Prefix], dict[str, Advertisement]] = {pair: {} for pair in te.withheld}
-    for ad in te.advertisements:
-        listed.setdefault((ad.origin, ad.prefix), {})[ad.link_id] = ad
+    listed = te.validate(t)
 
     # Local routes, by (AS, prefix), exist for every prefix the AS originates
     # or explicitly advertises (more-specifics), even when announced nowhere.
@@ -284,8 +286,11 @@ def propagate_to_convergence(
         if (origin, p) not in local and (wanted is None or p in wanted):
             local[origin, p] = local_route(p, origin)
 
-    adj: dict[int, dict[Prefix, dict[str, Route]]] = {asn: {} for asn in t.roles}
-    loc: dict[int, dict[Prefix, Route]] = {asn: {} for asn in t.roles}
+    adj: dict[int, dict[Prefix, dict[str, Route]]] = {}
+    loc: dict[int, dict[Prefix, Route]] = {}
+    for asn in t.roles:
+        adj[asn] = {}
+        loc[asn] = {}
     for (asn, p), route in local.items():
         loc[asn][p] = route
     sessions = t.sessions

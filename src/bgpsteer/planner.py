@@ -20,8 +20,10 @@ cost, would find.
 
 One judged candidate costs one expansion (`te_config_from_actions`), one
 restricted run, which checks the topology and the TE config as every run
-does, and one forwarding check per objective of its group.  The atoms,
-their costs and each objective's sources are built once per plan.
+does, and one forwarding table per objective prefix of its group.  The
+atoms, their costs and each objective's sources are built once per plan;
+the destination's plain announcement table, which an expansion copies
+all but the keys its actions name from, once per topology (`_origin`).
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, NamedTuple, Sequence
+from operator import attrgetter
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .engine import (
     Advertisement,
@@ -291,36 +294,104 @@ def common_upstream_check(
     return witnesses
 
 
+class _Origin(NamedTuple):
+    """What an action set is expanded against, for one destination AS."""
+
+    originated: tuple[Prefix, ...]  # in order
+    # Up link id -> the communities of its provider's catalog (none without
+    # one), in text order, for each up link in link id order.
+    offered: Mapping[str, tuple[Community, ...]]
+    # (prefix, link id) -> the plain announcement of each originated prefix
+    # on each up link, in key order: the table with no action applied.
+    plain: Mapping[tuple[Prefix, str], Advertisement]
+
+
+def _origin(t: Topology, dest: int) -> _Origin:
+    """dest's `_Origin`, compiled on first use and kept in `t.compiled`;
+    PlanningError when dest is not declared."""
+    key = ("planner.origin", dest)
+    origin = t.compiled.get(key)
+    if origin is None:
+        if dest not in t.roles:
+            raise PlanningError(f"unknown destination AS {dest}")
+        originated = tuple(sorted(t.originated_by(dest)))
+        offered = {}
+        for s in t.sessions[dest].all:
+            cat = t.catalogs.get(s.neighbor)
+            offered[s.link_id] = () if cat is None else tuple(sorted(cat.communities(), key=str))
+        plain = {(p, l): Advertisement(dest, p, l) for p in originated for l in offered}
+        origin = t.compiled.setdefault(key, _Origin(originated, offered, plain))
+    return origin
+
+
 def _build_atoms(
     t: Topology, dest: int, objectives: Sequence[Objective]
 ) -> list[Action]:
     """Every single action on dest's up links, in Action.sort_key order: by
     rank, then prefix, link id, community text and MED, the order in which
     the loops below nest."""
+    origin = _origin(t, dest)
     sessions = t.sessions[dest].all
-    links = [s.link_id for s in sessions]
-    origs = sorted(t.originated_by(dest))
-    offered = [(s.link_id, t.catalogs.get(s.neighbor)) for s in sessions]
-    offered = [(l, sorted(cat.communities(), key=str)) for l, cat in offered if cat is not None]
     neighbors = [s.neighbor for s in sessions]
     med_capable = [s.link_id for s in sessions if neighbors.count(s.neighbor) >= 2]
+    origs = origin.originated
     subs = sorted({o.flow.dst_prefix for o in objectives}.difference(origs))
     atoms = [
         Action(ActionKind.ATTACH_COMMUNITY, p, l, c)
-        for p in origs for l, communities in offered for c in communities
+        for p in origs for l, communities in origin.offered.items() for c in communities
     ]
     atoms += [Action(ActionKind.SET_MED, p, l, None, v) for p in origs for l in med_capable for v in (10, 20)]
-    atoms += [Action(ActionKind.ADVERTISE_MORE_SPECIFIC, sp, l) for sp in subs for l in links]
-    atoms += [Action(ActionKind.WITHHOLD, p, l) for p in origs for l in links]
+    atoms += [Action(ActionKind.ADVERTISE_MORE_SPECIFIC, sp, l) for sp in subs for l in origin.offered]
+    atoms += [Action(ActionKind.WITHHOLD, p, l) for p in origs for l in origin.offered]
     return atoms
 
 
-# An announcement with no community and no MED.
+# The announcement of a (prefix, link) key as (communities, MED), and the
+# answer of _announcement for a key whose actions are inconsistent.
 _PLAIN: tuple[frozenset[Community], int | None] = (frozenset(), None)
+_CLASH = "inconsistent"
+
+_phase = attrgetter("kind.phase")
 
 
-def _phase(action: Action) -> int:
-    return action.kind.phase
+def _announcement(
+    origin: _Origin, key: tuple[Prefix, str], actions: Sequence[Action]
+) -> tuple[frozenset[Community], int | None] | None | str:
+    """The per-key rule: one (prefix, link) key's announcement, as
+    (communities, MED), once its `actions` have acted on it in ActionKind
+    phase order; None when they leave it unannounced, _CLASH when they are
+    inconsistent.  The key starts announced plainly when it is an originated
+    prefix on an up link.  A withhold needs the announcement present; a
+    more-specific needs it absent, an up link and a strict subprefix of an
+    originated prefix; a community needs it present and the community in the
+    provider's catalog and not yet attached; a MED needs it present with no
+    MED yet."""
+    entry = _PLAIN if key in origin.plain else None
+    prefix, link_id = key
+    for a in sorted(actions, key=_phase) if len(actions) > 1 else actions:
+        kind = a.kind
+        if kind is ActionKind.WITHHOLD:
+            if entry is None:
+                return _CLASH
+            entry = None
+        elif kind is ActionKind.ADVERTISE_MORE_SPECIFIC:
+            if entry is not None or link_id not in origin.offered:
+                return _CLASH
+            if not any(prefix.is_strict_subprefix_of(p) for p in origin.originated):
+                return _CLASH
+            entry = _PLAIN
+        elif entry is None:
+            return _CLASH
+        elif kind is ActionKind.ATTACH_COMMUNITY:
+            communities, med = entry
+            if a.community not in origin.offered[link_id] or a.community in communities:
+                return _CLASH
+            entry = (communities | {a.community}, med)
+        else:
+            if entry[1] is not None:
+                return _CLASH
+            entry = (entry[0], a.med)
+    return entry
 
 
 def te_config_from_actions(
@@ -331,52 +402,37 @@ def te_config_from_actions(
 ) -> TeConfig | None:
     """Expand an action set into an explicit advertisement table, or None when
     the set is internally inconsistent.  Each originated prefix starts
-    announced plainly on each of dest's up links; then, in ActionKind phase
-    order, withholds remove announcements, more-specifics inside dest's space
-    add them, and communities and MEDs decorate them.  Each action reads one
-    (prefix, link) key, so a set is consistent exactly when each key's
-    actions are: it repeats nothing, names only communities in the provider's
-    catalog, and finds each announcement present or absent as its kind needs.
-    So the order of the actions within a phase changes nothing.  An
-    originated prefix withheld on every link goes into `withheld`, so it is
-    announced nowhere (traffic for it falls back to a covering prefix, if
-    dest announces one, else it is unreachable)."""
-    if dest not in t.roles:
-        raise PlanningError(f"unknown destination AS {dest}")
-    neighbor_of = {s.link_id: s.neighbor for s in t.sessions[dest].all}
-    origs = t.originated_by(dest)
-    # (prefix, link id) -> (communities, MED) of each announcement.
-    present = dict.fromkeys([(p, link_id) for p in origs for link_id in neighbor_of], _PLAIN)
-    for a in sorted(actions, key=_phase):
-        key = (a.prefix, a.link_id)
-        kind = a.kind
-        if kind is ActionKind.WITHHOLD:
-            if present.pop(key, None) is None:
-                return None
-        elif kind is ActionKind.ADVERTISE_MORE_SPECIFIC:
-            if a.link_id not in neighbor_of or key in present:
-                return None
-            if not any(a.prefix.is_strict_subprefix_of(p) for p in origs):
-                return None
-            present[key] = _PLAIN
-        elif (entry := present.get(key)) is None:
+    announced plainly on each of dest's up links (`_origin`'s table, compiled
+    once per topology); each (prefix, link) key the actions name then takes
+    the announcement the per-key rule (`_announcement`) gives it.  So a set
+    is consistent exactly when each key's actions are, and the order of the
+    actions changes nothing.  An originated prefix withheld on every link
+    goes into `withheld`, so it is announced nowhere (traffic for it falls
+    back to a covering prefix, if dest announces one, else it is
+    unreachable)."""
+    origin = _origin(t, dest)
+    plain = origin.plain
+    by_key: dict[tuple[Prefix, str], list[Action]] = {}
+    for a in actions:
+        by_key.setdefault((a.prefix, a.link_id), []).append(a)
+    ads = dict(plain)
+    reshaped = not plain  # a key gained or lost its announcement, or none has one
+    for key, key_actions in by_key.items():
+        entry = _announcement(origin, key, key_actions)
+        if entry is _CLASH:
             return None
-        elif kind is ActionKind.ATTACH_COMMUNITY:
-            communities, med = entry
-            cat = t.catalogs.get(neighbor_of[a.link_id])
-            if cat is None or a.community not in cat.communities() or a.community in communities:
-                return None
-            present[key] = (communities | {a.community}, med)
+        if entry is None:
+            del ads[key]
+            reshaped = True
         else:
-            if entry[1] is not None:
-                return None
-            present[key] = (entry[0], a.med)
-    ads = [
-        Advertisement(dest, p, link_id, communities, med)
-        for (p, link_id), (communities, med) in sorted(present.items())
-    ]
-    withheld = frozenset((dest, p) for p in origs.difference([p for p, _link_id in present]))
-    return TeConfig(tuple(ads), dict(lp_overrides or {}), withheld)
+            reshaped = reshaped or key not in plain
+            ads[key] = Advertisement(dest, key[0], key[1], entry[0], entry[1])
+    withheld: frozenset[tuple[int, Prefix]] = frozenset()
+    if reshaped:
+        ads = dict(sorted(ads.items()))
+        announced = {p for p, _link_id in ads}
+        withheld = frozenset((dest, p) for p in origin.originated if p not in announced)
+    return TeConfig(tuple(ads.values()), dict(lp_overrides or {}), withheld)
 
 
 def _prepend_amount(t: Topology, dest: int, action: Action) -> int:
@@ -396,20 +452,33 @@ def plan_cost(t: Topology, dest: int, actions: Sequence[Action]) -> tuple:
 
 
 def _objective_satisfied(
-    state: ConvergedState, t: Topology, dest: int, o: Objective, sources: Sequence[int]
+    table: ForwardingTable, t: Topology, dest: int, o: Objective, sources: Sequence[int]
 ) -> bool:
     """True when the traffic of each of `sources` (`_objective_sources` of
-    `o`) that reaches dest enters it over `o.required_link`, and some does."""
-    last_link = ForwardingTable(state, t, o.flow.dst_prefix).last_link
+    `o`) that reaches dest enters it over `o.required_link`, and some does;
+    `table` is the state's ForwardingTable for `o`'s destination prefix."""
     any_reachable = False
     for src in sources:
-        link = entry_link(t, dest, last_link(src))
+        link = entry_link(t, dest, table.last_link(src))
         if link is None:
             continue
         any_reachable = True
         if link != o.required_link:
             return False
     return any_reachable
+
+
+def _verdicts(
+    state: ConvergedState, t: Topology, dest: int, goals: Sequence[tuple[Objective, Sequence[int]]]
+) -> Iterator[bool]:
+    """_objective_satisfied of each (objective, its sources) in `goals`, in
+    turn, with one ForwardingTable per destination prefix."""
+    tables: dict[Prefix, ForwardingTable] = {}
+    for o, sources in goals:
+        table = tables.get(o.flow.dst_prefix)
+        if table is None:
+            table = tables[o.flow.dst_prefix] = ForwardingTable(state, t, o.flow.dst_prefix)
+        yield _objective_satisfied(table, t, dest, o, sources)
 
 
 def _side_effects(
@@ -533,16 +602,18 @@ def _cheapest_fit(
 
 def _consistent_sets(t: Topology, dest: int, atoms: Sequence[Action], max_actions: int) -> int:
     """How many sets of at most `max_actions` atoms te_config_from_actions
-    accepts.  It checks each (prefix, link) key on its own, so this is the
-    convolution, by size, of each key's counts.  The empty set is consistent,
-    so only non-empty combinations are expanded."""
+    accepts.  It applies the per-key rule (`_announcement`) to each (prefix,
+    link) key on its own, so this is the convolution, by size, of each key's
+    counts, and each key's count applies that rule to every combination of
+    the key's atoms; nothing is expanded."""
+    origin = _origin(t, dest)
     by_key: dict[tuple[Prefix, str], list[Action]] = {}
     for a in atoms:
         by_key.setdefault((a.prefix, a.link_id), []).append(a)
     total = [1]  # total[n]: consistent sets of n atoms over the keys so far
-    for key_atoms in by_key.values():
+    for key, key_atoms in by_key.items():
         counts = [1] + [
-            sum(te_config_from_actions(t, dest, combo) is not None
+            sum(_announcement(origin, key, combo) is not _CLASH
                 for combo in itertools.combinations(key_atoms, n))
             for n in range(1, min(len(key_atoms), max_actions) + 1)
         ]
@@ -603,7 +674,7 @@ def plan_inbound_te(
     prepends = [_prepend_amount(t, dest, a) for a in atoms]
 
     def satisfies(g: int, state: ConvergedState) -> bool:
-        return all(_objective_satisfied(state, t, dest, o, sources) for o, sources in goals[g])
+        return all(_verdicts(state, t, dest, goals[g]))
 
     def judge(g: int, indices: tuple[int, ...]) -> ConvergedState | None:
         """The group's state when the part is consistent, converges and
@@ -689,9 +760,8 @@ def evaluate_plan(
     if te is None:
         raise PlanningError("plan contains invalid action references")
     state = propagate_to_convergence(t, te)
-    satisfied = tuple(
-        _objective_satisfied(state, t, dest, o, _objective_sources(t, dest, o)) for o in objectives
-    )
+    goals = [(o, _objective_sources(t, dest, o)) for o in objectives]
+    satisfied = tuple(_verdicts(state, t, dest, goals))
     baseline_te = te_config_from_actions(t, dest, [], lp_overrides)
     baseline_map = ingress_map(propagate_to_convergence(t, baseline_te), t, dest)
     new_map = ingress_map(state, t, dest)

@@ -280,8 +280,8 @@ class Sessions:
 @dataclass(frozen=True)
 class Topology:
     """AS graph.  `roles` maps ASN -> "stub" | "transit".  Immutability is
-    load-bearing: `links_by_id`, `sessions` and `validation` are computed
-    once, on first use, and cached."""
+    load-bearing: `links_by_id`, `sessions`, `validation` and the tables in
+    `compiled` are computed once, on first use, and cached."""
 
     roles: Mapping[int, str]
     links: tuple[Link, ...]
@@ -325,6 +325,13 @@ class Topology:
     def validation(self) -> ValidationReport:
         """validate_topology's report, computed once; `require_valid` reads it."""
         return validate_topology(self)
+
+    @cached_property
+    def compiled(self) -> dict:
+        """Tables that modules above this one derive from the topology alone,
+        each under a key of its own and built when it is first asked for;
+        the topology is immutable, so none goes stale."""
+        return {}
 
     def ases(self) -> list[int]:
         return sorted(self.roles)

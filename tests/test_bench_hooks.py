@@ -67,23 +67,27 @@ def test_the_traced_policy_functions_are_the_ones_the_engine_calls():
 def test_a_traced_plan_counts_its_expansions_and_simulations():
     # A planner that bound te_config_from_actions or propagate_to_convergence
     # to another name would read too few expansions or simulations in a
-    # traced bench run.  The propagation counts are the README's figures;
-    # every candidate here is consistent, so each run has its expansion.
+    # traced bench run.  The propagation counts at the default budget are the
+    # README's figures.  Every part judged here is consistent, so each run
+    # has its expansion and nothing else expands: an Exhausted answer counts
+    # its consistent sets without expanding any.
     tracing = load_tracing()
     planner = importlib.import_module("bgpsteer.planner")
     scenario = importlib.import_module("bgpsteer.scenario")
-    for name, propagations in (
-        ("dualprovider_destprefix_objectives.scn", 48),
-        ("dualprovider_sourceasn_objectives.scn", 101),
+    for name, budget, propagations in (
+        ("dualprovider_destprefix_objectives.scn", planner.Budget(), 48),
+        ("dualprovider_sourceasn_objectives.scn", planner.Budget(), 101),
+        ("dualprovider_sourceasn_objectives.scn", planner.Budget(max_actions=1), 19),
     ):
         with open(f"scenarios/{name}", encoding="utf-8") as f:
             s = scenario.parse_scenario(f.read())
         tracer = tracing.Tracer()
         tracer.install()
         try:
-            planner.plan_inbound_te(s.topology, s.objectives[0].flow.dst_asn, s.objectives)
+            result = planner.plan_inbound_te(s.topology, s.objectives[0].flow.dst_asn, s.objectives, budget)
         finally:
             tracer.uninstall()
+        assert isinstance(result, planner.Exhausted) == (budget.max_actions == 1), name
         metrics = tracer.layer_metrics()
         assert metrics["engine.propagate_calls"] == propagations, name
         assert metrics["planner.simulations"] == propagations, name

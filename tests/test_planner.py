@@ -9,6 +9,7 @@ import pytest
 import gen
 from bgpsteer import planner
 from bgpsteer.cli import main
+from bgpsteer.flows import ForwardingTable
 from bgpsteer import (
     Action,
     ActionKind,
@@ -516,7 +517,10 @@ def reference_plan(t, dest, objectives, budget, lp_overrides):
         except OscillationError:
             oscillating += 1
             continue
-        if not all(_objective_satisfied(state, t, dest, o, s) for o, s in zip(objectives, sources)):
+        if not all(
+            _objective_satisfied(ForwardingTable(state, t, o.flow.dst_prefix), t, dest, o, s)
+            for o, s in zip(objectives, sources)
+        ):
             continue
         predicted = ingress_map(state, t, dest)
         actions = tuple(sorted(combo, key=Action.sort_key))
@@ -724,6 +728,10 @@ def brute_force_consistent_counts(t, dest, atoms, max_actions):
 
 
 def test_candidates_tried_counts_every_consistent_action_set():
+    # _consistent_sets applies the per-key rule to each key's combinations;
+    # the reference expands every whole action set.  Keys with MED atoms
+    # (two links to one provider) and with more-specific atoms put the rule
+    # to work on every kind of atom.
     cases = [load(p) for p in OBJECTIVE_GOLDENS if "dualprovider" not in p.stem]
     cases = [(s.topology, s.objectives[0].flow.dst_asn, s.objectives) for s in cases]
     rng = random.Random(77)
@@ -731,10 +739,15 @@ def test_candidates_tried_counts_every_consistent_action_set():
         t, dest, objectives, _budget, _lp = rand_grouped_instance(rng)
         if gen.instance_is_plannable(t, dest, objectives):
             cases.append((t, dest, objectives))
-    for t, dest, objectives in cases:
+    keys_with = {kind: set() for kind in ActionKind}
+    for case, (t, dest, objectives) in enumerate(cases):
         atoms = _build_atoms(t, dest, objectives)
-        expected = brute_force_consistent_counts(t, dest, atoms, 3)
-        assert [_consistent_sets(t, dest, atoms, n) for n in range(4)] == expected
+        for a in atoms:
+            keys_with[a.kind].add((case, a.prefix, a.link_id))
+        expected = brute_force_consistent_counts(t, dest, atoms, 4)
+        assert [_consistent_sets(t, dest, atoms, n) for n in range(5)] == expected
+    assert len(keys_with[ActionKind.SET_MED]) >= 10, keys_with
+    assert len(keys_with[ActionKind.ADVERTISE_MORE_SPECIFIC]) >= 5, keys_with
     # ... and through the planner: a budget of 1 is too small here.
     s = load("scenarios/dualprovider_sourceasn_objectives.scn")
     result = plan_inbound_te(s.topology, 65001, s.objectives, Budget(max_actions=1))
