@@ -34,8 +34,12 @@ exporter is its customer, the exporter's own catalog, neighbor table and
 the links its customers reach it over, and the valley-free split of the
 links per learned link and for its own routes (LOCAL), the one statement of
 valley-free export a run reads.  A run resolves its LP-override table into
-a copy of that table once, and the round loop walks the session tuples
-with no per-message lookups.
+a copy of that table once, mapping each overridden sender's session tuples
+through one old -> new table, and the round loop walks the session tuples
+with no per-message lookups.  Each origination's local route is compiled
+on a run's first use too, by prefix (`_local_routes`), so a run restricted
+to a few prefixes reads only theirs.  `TeConfig` and `ConvergedState` are
+`NamedTuple`s, like `Route` and `Advertisement`.
 
 Every Adj-RIB-In and Loc-RIB entry is a `Route`, and each catalog
 action is evaluated where it acts.  Each rule keeps one code path: the loop
@@ -65,8 +69,8 @@ find the collector paused by another and leave it off.
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass, field
-from typing import Callable, Collection, Iterable, Mapping, NamedTuple
+from collections.abc import Mapping
+from typing import Callable, Collection, Iterable, NamedTuple
 
 from .policies import PREPEND_MAX as MAX_PREPEND
 from .policies import egress_apply, egress_times, ingress_transform
@@ -102,10 +106,31 @@ class Advertisement(NamedTuple):
     med: int | None = None
 
 
-@dataclass(frozen=True)
-class TeConfig:
+class _NoOverrides(dict):
+    """The empty LP-override table: a dict that refuses every change, so
+    every `TeConfig()` shares the one instance, `NO_LP_OVERRIDES`, which
+    pickles and copies as itself."""
+
+    __slots__ = ()
+
+    def _immutable(self, *args, **kwargs):
+        raise TypeError("NO_LP_OVERRIDES is immutable")
+
+    __setitem__ = __delitem__ = __ior__ = _immutable
+    clear = pop = popitem = setdefault = update = _immutable
+
+    def __reduce__(self) -> str:
+        return "NO_LP_OVERRIDES"
+
+
+NO_LP_OVERRIDES: Mapping[tuple[int, int], int] = _NoOverrides()
+
+
+class TeConfig(NamedTuple):
     """Traffic-engineering inputs: explicit per-link advertisements plus the
     per-AS LP-override table (an AS's own policy for routes from a neighbor).
+    A tuple: it equals the tuple of its fields, and a changed copy is
+    `te._replace(field=value)`, not `dataclasses.replace`.
 
     An originated prefix with no explicit advertisement is announced plainly
     on every up link of its origin; one explicit line switches that prefix to
@@ -117,22 +142,23 @@ class TeConfig:
     this rule as it exports each local route."""
 
     advertisements: tuple[Advertisement, ...] = ()
-    lp_overrides: Mapping[tuple[int, int], int] = field(default_factory=dict)
+    lp_overrides: Mapping[tuple[int, int], int] = NO_LP_OVERRIDES
     withheld: frozenset[tuple[int, Prefix]] = frozenset()
 
     def validate(self, t: Topology) -> dict[tuple[int, Prefix], dict[str, Advertisement]]:
         """ValueError when the config breaks a rule over `t`; else the
         announcements it lists, by (origin, prefix) and then link id, with an
         empty entry for each withheld pair."""
-        seen: set[tuple[int, Prefix, str]] = set()
-        listed: dict[tuple[int, Prefix], dict[str, Advertisement]] = {pair: {} for pair in self.withheld}
-        for ad in self.advertisements:
-            check_advertisement(t, ad, seen)
-            listed.setdefault((ad.origin, ad.prefix), {})[ad.link_id] = ad
-        for origin, prefix in self.withheld:
+        advertisements, lp_overrides, withheld = self
+        listed: dict[tuple[int, Prefix], dict[str, Advertisement]] = {}
+        for pair in withheld:
+            listed[pair] = {}
+        for ad in advertisements:
+            check_advertisement(t, ad, listed)
+        for origin, prefix in withheld:
             if prefix not in t.originated_by(origin):
                 raise ValueError(f"AS {origin} withholds {prefix}, which it does not originate")
-        for (asn, neighbor), lp in self.lp_overrides.items():
+        for (asn, neighbor), lp in lp_overrides.items():
             if asn not in t.roles or neighbor not in t.roles:
                 raise ValueError(f"LP override references undeclared AS ({asn}, {neighbor})")
             if lp < 0:
@@ -140,14 +166,20 @@ class TeConfig:
         return listed
 
 
-def check_advertisement(t: Topology, ad: Advertisement, seen: set[tuple[int, Prefix, str]]) -> None:
+def check_advertisement(
+    t: Topology, ad: Advertisement, listed: dict[tuple[int, Prefix], dict[str, Advertisement]]
+) -> None:
     """ValueError when `ad` breaks a rule of `TeConfig.validate`, or repeats
-    an (origin, prefix, link) key in `seen`, which it then joins."""
+    an (origin, prefix, link) key in `listed` (announcements by (origin,
+    prefix) and then link id), which it then joins."""
     origin, prefix, link_id, communities, med = ad
-    key = (origin, prefix, link_id)
-    if key in seen:
+    by_link = listed.get((origin, prefix))
+    if by_link is None:
+        listed[origin, prefix] = {link_id: ad}
+    elif link_id in by_link:
         raise ValueError(f"duplicate advertisement of {prefix} on {link_id}")
-    seen.add(key)
+    else:
+        by_link[link_id] = ad
     if origin not in t.roles:
         raise ValueError(f"advertisement by undeclared AS {origin}")
     link = t.links_by_id.get(link_id)
@@ -164,10 +196,10 @@ def check_advertisement(t: Topology, ad: Advertisement, seen: set[tuple[int, Pre
         raise ValueError("MED must be >= 0")
 
 
-@dataclass(frozen=True)
-class ConvergedState:
+class ConvergedState(NamedTuple):
     """Fixed-point RIBs: per AS, per prefix, all received candidates (by
-    incoming link) and the selected best route."""
+    incoming link) and the selected best route.  A tuple of its three
+    fields, like `TeConfig`."""
 
     adj_rib_in: Mapping[int, Mapping[Prefix, Mapping[str, Route]]]
     loc_rib: Mapping[int, Mapping[Prefix, Route]]
@@ -277,11 +309,13 @@ def propagate_to_convergence(
 
     # Local routes, by (AS, prefix), exist for every prefix the AS originates
     # or explicitly advertises (more-specifics), even when announced nowhere.
+    originations = _local_routes(t)
     wanted = None if prefixes is None else frozenset(prefixes)
     local: dict[tuple[int, Prefix], Route] = {}
-    for asn, originated in t.originations.items():
-        for p in originated if wanted is None else originated & wanted:
-            local[asn, p] = local_route(p, asn)
+    for p in originations if wanted is None else wanted:
+        routes = originations.get(p)
+        if routes is not None:
+            local.update(routes)
     for origin, p in listed:
         if (origin, p) not in local and (wanted is None or p in wanted):
             local[origin, p] = local_route(p, origin)
@@ -291,8 +325,12 @@ def propagate_to_convergence(
     for asn in t.roles:
         adj[asn] = {}
         loc[asn] = {}
+    # (AS, prefix, entry before) for each Loc-RIB entry that changed or
+    # vanished last round; round 1 exports every local entry.
+    changed: list[tuple[int, Prefix, Route | None]] = []
     for (asn, p), route in local.items():
         loc[asn][p] = route
+        changed.append((asn, p, None))
     sessions = t.sessions
     if te.lp_overrides:
         sessions = _with_lp_overrides(sessions, te.lp_overrides)
@@ -300,9 +338,6 @@ def propagate_to_convergence(
     # Prepend counts are capped, so converged paths stretch at most that far
     # beyond the diameter bound.
     bound = max_rounds if max_rounds is not None else 2 * len(t.roles) + MAX_PREPEND + 4
-    # (AS, prefix, entry before) for each Loc-RIB entry that changed or
-    # vanished last round; round 1 exports every local entry.
-    changed = [(asn, p, None) for asn, p in local]
 
     gc_was_enabled = gc.isenabled()
     gc.disable()
@@ -338,10 +373,10 @@ def propagate_to_convergence(
                 # The callback runs under the caller's GC setting.
                 if gc_was_enabled:
                     gc.enable()
-                trace(ConvergedState(adj, loc, round_no))
+                trace(tuple.__new__(ConvergedState, (adj, loc, round_no)))
                 gc.disable()
             if not touched:
-                return ConvergedState(adj, loc, round_no)
+                return tuple.__new__(ConvergedState, (adj, loc, round_no))
 
         # A Loc-RIB entry changes only where its Adj-RIB-In did, so the pairs
         # still changing are those whose Adj-RIB-In changed in the last round.
@@ -351,18 +386,45 @@ def propagate_to_convergence(
             gc.enable()
 
 
+def _local_routes(t: Topology) -> Mapping[Prefix, Mapping[tuple[int, Prefix], Route]]:
+    """Prefix -> the local route of each AS that originates it, by (AS,
+    prefix): a fact of the topology, compiled on a run's first use and kept
+    in `t.compiled`."""
+    table = t.compiled.get("engine.local_routes")
+    if table is None:
+        table = {}
+        for asn, originated in t.originations.items():
+            for p in originated:
+                table.setdefault(p, {})[asn, p] = local_route(p, asn)
+        table = t.compiled.setdefault("engine.local_routes", table)
+    return table
+
+
 def _with_lp_overrides(
     sessions: Mapping[int, Sessions], overrides: Mapping[tuple[int, int], int]
 ) -> dict[int, Sessions]:
     """`sessions` with the LP-override table resolved: an override for
     (receiver, sender) replaces the receiver's default LP on every link from
-    the sender."""
+    the sender.  Only `Session.local_pref` changes, so each overridden
+    sender's compiled tuples are mapped through one old -> new session
+    table."""
     resolved = dict(sessions)
     for sender in {sender for _receiver, sender in overrides}:
         own = sessions[sender]
-        resolved[sender] = Sessions.build(
-            (s._replace(local_pref=overrides.get((s.neighbor, sender), s.local_pref)) for s in own.all),
+        new = {}
+        for s in own.all:
+            link_id, neighbor, rel, _default, catalog = s
+            lp = overrides.get((neighbor, sender))
+            new[id(s)] = s if lp is None else Session(link_id, neighbor, rel, lp, catalog)
+        resolved[sender] = Sessions(
+            tuple([new[id(s)] for s in own.all]),
+            {
+                link_id: (tuple([new[id(s)] for s in send]), tuple([new[id(s)] for s in withhold]))
+                for link_id, (send, withhold) in own.by_learned.items()
+            },
             own.catalog,
+            own.neighbor_rels,
+            own.customer_links,
         )
     return resolved
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .engine import ConvergedState
 from .topology import LOCAL, Prefix, Topology
@@ -99,6 +99,8 @@ class ForwardingTable:
     `ConvergedState.best_route`'s longest-prefix match only when there is
     none."""
 
+    __slots__ = ("_s", "_t", "_prefix", "_loc_rib", "_links", "_known")
+
     def __init__(self, s: ConvergedState, t: Topology, prefix: Prefix) -> None:
         self._s, self._t, self._prefix = s, t, prefix
         self._loc_rib, self._links = s.loc_rib, t.links_by_id
@@ -150,11 +152,10 @@ def entry_link(t: Topology, dest: int, last: str | None) -> str | None:
     return last if dest in t.link_by_id(last).endpoints() else None
 
 
-@dataclass(frozen=True)
-class IngressMap:
+class IngressMap(NamedTuple):
     """dest plus (src ASN, destination prefix) -> entry link id or
     "unreachable".  Keys cover every non-destination AS and every prefix the
-    destination originates."""
+    destination originates.  A tuple of its two fields, like `TeConfig`."""
 
     dest: int
     entries: Mapping[tuple[int, Prefix], str]
@@ -176,10 +177,9 @@ def moved_entries(
 ) -> list[tuple[int, Prefix, str, str]]:
     """(src, prefix, old link, new link) for each entry whose link changed, in
     `ingress_csv` row order."""
-    if set(base) != set(new):
+    if base.keys() != new.keys():
         raise ValueError("ingress maps cover different key sets")
-    keys = sorted(base)
-    return [(*key, base[key], new[key]) for key in keys if base[key] != new[key]]
+    return sorted((*key, old, new[key]) for key, old in base.items() if old != new[key])
 
 
 def ingress_map(s: ConvergedState, t: Topology, dest: int) -> IngressMap:

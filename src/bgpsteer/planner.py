@@ -20,10 +20,13 @@ cost, would find.
 
 One judged candidate costs one expansion (`te_config_from_actions`), one
 restricted run, which checks the topology and the TE config as every run
-does, and one forwarding table per objective prefix of its group.  The
-atoms, their costs and each objective's sources are built once per plan;
-the destination's plain announcement table, which an expansion copies
-all but the keys its actions name from, once per topology (`_origin`).
+does, and one forwarding table per objective prefix of its group.  What
+depends only on the topology and the destination is compiled once, on the
+planner's first request (`_origin`): the plain announcement table, which an
+expansion copies all but the keys its actions name from, the community,
+MED and withhold atoms with their prepend counts, and the stub sources of a
+`*` objective.  Only the more-specific atoms, on the objectives' prefixes,
+are built per plan, and the baseline's ingress map only for a Plan answer.
 """
 
 from __future__ import annotations
@@ -33,9 +36,10 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .engine import (
+    NO_LP_OVERRIDES,
     Advertisement,
     ConvergedState,
     OscillationError,
@@ -172,10 +176,12 @@ class EvaluationReport:
     rounds_used: int
 
 
-def _objective_sources(t: Topology, dest: int, o: Objective) -> list[int]:
+def _objective_sources(t: Topology, dest: int, o: Objective) -> tuple[int, ...]:
+    """The ASes whose traffic `o` steers: its source, or for `*` every stub
+    AS other than dest (`_origin`), in ASN order."""
     if o.flow.src_asn is not None:
-        return [o.flow.src_asn]
-    return [a for a in t.ases() if a != dest and t.roles[a] == "stub"]
+        return (o.flow.src_asn,)
+    return _origin(t, dest).stubs
 
 
 def validate_objectives(t: Topology, dest: int, objectives: Sequence[Objective]) -> None:
@@ -183,14 +189,16 @@ def validate_objectives(t: Topology, dest: int, objectives: Sequence[Objective])
         raise PlanningError(f"unknown destination AS {dest}")
     if t.roles[dest] != "stub":
         raise PlanningError(f"destination AS {dest} is not a stub")
-    if not t.originated_by(dest):
+    originated = t.originated_by(dest)
+    if not originated:
         raise PlanningError(f"destination AS {dest} originates nothing")
     if not objectives:
         raise PlanningError("no objectives given")
     for o in objectives:
-        if o.flow.dst_asn != dest:
+        flow = o.flow
+        if flow.dst_asn != dest:
             raise PlanningError(f"objective {o} does not target AS {dest}")
-        if classify(o.flow) is FlowClass.SOURCE_PREFIX:
+        if classify(flow) is FlowClass.SOURCE_PREFIX:
             raise PlanningError(
                 f"objective {o}: source-prefix granularity is unsupported; forwarding "
                 "is destination-based, so source addresses cannot steer ingress"
@@ -198,20 +206,19 @@ def validate_objectives(t: Topology, dest: int, objectives: Sequence[Objective])
         link = t.links_by_id.get(o.required_link)
         if link is None:
             raise PlanningError(f"unknown link id: {o.required_link}")
-        if dest not in link.endpoints():
+        if dest != link.a and dest != link.b:
             raise PlanningError(f"objective {o}: link {o.required_link} is not incident to AS {dest}")
         if not link.up:
             raise PlanningError(f"objective {o}: link {o.required_link} is down")
-        if o.flow.src_asn is not None and o.flow.src_asn not in t.roles:
-            raise PlanningError(f"objective {o}: unknown source AS {o.flow.src_asn}")
-        if o.flow.src_asn == dest:
+        src, prefix = flow.src_asn, flow.dst_prefix
+        if src is not None and src not in t.roles:
+            raise PlanningError(f"objective {o}: unknown source AS {src}")
+        if src == dest:
             raise PlanningError(f"objective {o}: source equals destination")
         if not _objective_sources(t, dest, o):
             raise PlanningError(f"objective {o}: no stub AS other than AS {dest} sources its traffic")
-        if not any(p.contains(o.flow.dst_prefix) for p in t.originated_by(dest)):
-            raise PlanningError(
-                f"objective {o}: {o.flow.dst_prefix} is outside AS {dest}'s originated space"
-            )
+        if prefix not in originated and not any(p.contains(prefix) for p in originated):
+            raise PlanningError(f"objective {o}: {prefix} is outside AS {dest}'s originated space")
     for o1, o2 in itertools.combinations(objectives, 2):
         if o1.flow.dst_prefix != o2.flow.dst_prefix:
             continue
@@ -304,6 +311,18 @@ class _Origin(NamedTuple):
     # (prefix, link id) -> the plain announcement of each originated prefix
     # on each up link, in key order: the table with no action applied.
     plain: Mapping[tuple[Prefix, str], Advertisement]
+    # The empty action set's expansion: the plain announcements in key
+    # order, and the withheld pairs (every originated prefix when dest has
+    # no up link).
+    baseline: tuple[Advertisement, ...]
+    unannounced: frozenset[tuple[int, Prefix]]
+    # The atoms no objective adds, each in Action.sort_key order: the
+    # community and MED atoms, which sort before every more-specific, with
+    # their prepend counts, and the withholds, which sort after.
+    head: tuple[Action, ...]
+    head_prepends: tuple[int, ...]
+    withholds: tuple[Action, ...]
+    stubs: tuple[int, ...]  # every stub AS but dest, in ASN order
 
 
 def _origin(t: Topology, dest: int) -> _Origin:
@@ -315,12 +334,31 @@ def _origin(t: Topology, dest: int) -> _Origin:
         if dest not in t.roles:
             raise PlanningError(f"unknown destination AS {dest}")
         originated = tuple(sorted(t.originated_by(dest)))
+        sessions = t.sessions[dest].all
         offered = {}
-        for s in t.sessions[dest].all:
+        for s in sessions:
             cat = t.catalogs.get(s.neighbor)
             offered[s.link_id] = () if cat is None else tuple(sorted(cat.communities(), key=str))
         plain = {(p, l): Advertisement(dest, p, l) for p in originated for l in offered}
-        origin = t.compiled.setdefault(key, _Origin(originated, offered, plain))
+        # MED values discriminate only among links to one neighbor.
+        neighbors = [s.neighbor for s in sessions]
+        med_capable = [s.link_id for s in sessions if neighbors.count(s.neighbor) >= 2]
+        head = [
+            Action(ActionKind.ATTACH_COMMUNITY, p, l, c)
+            for p in originated for l, communities in offered.items() for c in communities
+        ]
+        head += [Action(ActionKind.SET_MED, p, l, None, v) for p in originated for l in med_capable for v in (10, 20)]
+        origin = t.compiled.setdefault(key, _Origin(
+            originated,
+            offered,
+            plain,
+            tuple(plain.values()),
+            frozenset() if plain else frozenset((dest, p) for p in originated),
+            tuple(head),
+            tuple(_prepend_amount(t, dest, a) for a in head),
+            tuple(Action(ActionKind.WITHHOLD, p, l) for p in originated for l in offered),
+            tuple(a for a in sorted(t.roles) if a != dest and t.roles[a] == "stub"),
+        ))
     return origin
 
 
@@ -328,22 +366,21 @@ def _build_atoms(
     t: Topology, dest: int, objectives: Sequence[Objective]
 ) -> list[Action]:
     """Every single action on dest's up links, in Action.sort_key order: by
-    rank, then prefix, link id, community text and MED, the order in which
-    the loops below nest."""
+    rank, then prefix, link id, community text and MED.  Only the
+    more-specific atoms, on the objectives' prefixes that dest does not
+    originate, are built per plan; `_origin` holds the others."""
     origin = _origin(t, dest)
-    sessions = t.sessions[dest].all
-    neighbors = [s.neighbor for s in sessions]
-    med_capable = [s.link_id for s in sessions if neighbors.count(s.neighbor) >= 2]
-    origs = origin.originated
-    subs = sorted({o.flow.dst_prefix for o in objectives}.difference(origs))
-    atoms = [
-        Action(ActionKind.ATTACH_COMMUNITY, p, l, c)
-        for p in origs for l, communities in origin.offered.items() for c in communities
-    ]
-    atoms += [Action(ActionKind.SET_MED, p, l, None, v) for p in origs for l in med_capable for v in (10, 20)]
-    atoms += [Action(ActionKind.ADVERTISE_MORE_SPECIFIC, sp, l) for sp in subs for l in origin.offered]
-    atoms += [Action(ActionKind.WITHHOLD, p, l) for p in origs for l in origin.offered]
-    return atoms
+    subs = sorted({o.flow.dst_prefix for o in objectives}.difference(origin.originated))
+    more_specific = [Action(ActionKind.ADVERTISE_MORE_SPECIFIC, sp, l) for sp in subs for l in origin.offered]
+    return [*origin.head, *more_specific, *origin.withholds]
+
+
+def _prepend_counts(t: Topology, dest: int, atoms: Sequence[Action]) -> list[int]:
+    """The prepend count of each of `atoms` (`_build_atoms`): the community
+    atoms' counts come compiled with them (`_origin`), and no other atom
+    prepends."""
+    head = _origin(t, dest).head_prepends
+    return [*head, *[0] * (len(atoms) - len(head))]
 
 
 # The announcement of a (prefix, link) key as (communities, MED), and the
@@ -352,6 +389,10 @@ _PLAIN: tuple[frozenset[Community], int | None] = (frozenset(), None)
 _CLASH = "inconsistent"
 
 _phase = attrgetter("kind.phase")
+# An enum member read through its class costs a descriptor call each time.
+_WITHHOLD, _MORE_SPECIFIC, _ATTACH = (
+    ActionKind.WITHHOLD, ActionKind.ADVERTISE_MORE_SPECIFIC, ActionKind.ATTACH_COMMUNITY
+)
 
 
 def _announcement(
@@ -370,11 +411,11 @@ def _announcement(
     prefix, link_id = key
     for a in sorted(actions, key=_phase) if len(actions) > 1 else actions:
         kind = a.kind
-        if kind is ActionKind.WITHHOLD:
+        if kind is _WITHHOLD:
             if entry is None:
                 return _CLASH
             entry = None
-        elif kind is ActionKind.ADVERTISE_MORE_SPECIFIC:
+        elif kind is _MORE_SPECIFIC:
             if entry is not None or link_id not in origin.offered:
                 return _CLASH
             if not any(prefix.is_strict_subprefix_of(p) for p in origin.originated):
@@ -382,7 +423,7 @@ def _announcement(
             entry = _PLAIN
         elif entry is None:
             return _CLASH
-        elif kind is ActionKind.ATTACH_COMMUNITY:
+        elif kind is _ATTACH:
             communities, med = entry
             if a.community not in origin.offered[link_id] or a.community in communities:
                 return _CLASH
@@ -411,28 +452,33 @@ def te_config_from_actions(
     back to a covering prefix, if dest announces one, else it is
     unreachable)."""
     origin = _origin(t, dest)
+    overrides = dict(lp_overrides) if lp_overrides else NO_LP_OVERRIDES
+    if not actions:
+        return tuple.__new__(TeConfig, (origin.baseline, overrides, origin.unannounced))
     plain = origin.plain
     by_key: dict[tuple[Prefix, str], list[Action]] = {}
     for a in actions:
         by_key.setdefault((a.prefix, a.link_id), []).append(a)
     ads = dict(plain)
-    reshaped = not plain  # a key gained or lost its announcement, or none has one
+    added = False  # a key outside the plain table, which is in key order
+    dropped = []  # the prefixes of the keys left unannounced
     for key, key_actions in by_key.items():
         entry = _announcement(origin, key, key_actions)
         if entry is _CLASH:
             return None
         if entry is None:
             del ads[key]
-            reshaped = True
+            dropped.append(key[0])
         else:
-            reshaped = reshaped or key not in plain
-            ads[key] = Advertisement(dest, key[0], key[1], entry[0], entry[1])
-    withheld: frozenset[tuple[int, Prefix]] = frozenset()
-    if reshaped:
+            added = added or key not in plain
+            ads[key] = tuple.__new__(Advertisement, (dest, *key, *entry))
+    if added:
         ads = dict(sorted(ads.items()))
+    withheld: frozenset[tuple[int, Prefix]] = frozenset()
+    if dropped:
         announced = {p for p, _link_id in ads}
-        withheld = frozenset((dest, p) for p in origin.originated if p not in announced)
-    return TeConfig(tuple(ads.values()), dict(lp_overrides or {}), withheld)
+        withheld = frozenset((dest, p) for p in dropped if p not in announced)
+    return tuple.__new__(TeConfig, (tuple(ads.values()), overrides, withheld))
 
 
 def _prepend_amount(t: Topology, dest: int, action: Action) -> int:
@@ -457,28 +503,32 @@ def _objective_satisfied(
     """True when the traffic of each of `sources` (`_objective_sources` of
     `o`) that reaches dest enters it over `o.required_link`, and some does;
     `table` is the state's ForwardingTable for `o`'s destination prefix."""
+    required = o.required_link
     any_reachable = False
     for src in sources:
-        link = entry_link(t, dest, table.last_link(src))
-        if link is None:
-            continue
-        any_reachable = True
-        if link != o.required_link:
+        last = table.last_link(src)
+        # The required link is incident to dest, so it is its own entry link.
+        if last == required:
+            any_reachable = True
+        elif entry_link(t, dest, last) is not None:
             return False
     return any_reachable
 
 
 def _verdicts(
     state: ConvergedState, t: Topology, dest: int, goals: Sequence[tuple[Objective, Sequence[int]]]
-) -> Iterator[bool]:
+) -> list[bool]:
     """_objective_satisfied of each (objective, its sources) in `goals`, in
-    turn, with one ForwardingTable per destination prefix."""
+    order, with one ForwardingTable per destination prefix."""
     tables: dict[Prefix, ForwardingTable] = {}
+    verdicts = []
     for o, sources in goals:
-        table = tables.get(o.flow.dst_prefix)
+        prefix = o.flow.dst_prefix
+        table = tables.get(prefix)
         if table is None:
-            table = tables[o.flow.dst_prefix] = ForwardingTable(state, t, o.flow.dst_prefix)
-        yield _objective_satisfied(table, t, dest, o, sources)
+            table = tables[prefix] = ForwardingTable(state, t, prefix)
+        verdicts.append(_objective_satisfied(table, t, dest, o, sources))
+    return verdicts
 
 
 def _side_effects(
@@ -546,6 +596,10 @@ class _Parts:
 
     def _push(self, chosen: tuple[int, ...]) -> None:
         weights, prepends = self._weights, self._prepends
+        if len(chosen) == 1:
+            i = self._order[chosen[0]]
+            heapq.heappush(self._heap, ((weights[i], prepends[i], (i,)), chosen))
+            return
         indices = sorted([self._order[j] for j in chosen])
         weight = prepend = 0
         for i in indices:
@@ -661,17 +715,16 @@ def plan_inbound_te(
     lp_overrides = dict(lp_overrides or {})
     baseline_te = te_config_from_actions(t, dest, [], lp_overrides)
     baseline_state = propagate_to_convergence(t, baseline_te)
-    baseline_map = ingress_map(baseline_state, t, dest)
 
     groups = _prefix_groups(t, objectives)
     group_of = {p: g for g, prefixes in enumerate(groups) for p in prefixes}
     # Per group with objectives, each objective with its sources.
-    goals: dict[int, list[tuple[Objective, list[int]]]] = {}
+    goals: dict[int, list[tuple[Objective, tuple[int, ...]]]] = {}
     for o in objectives:
         goals.setdefault(group_of[o.flow.dst_prefix], []).append((o, _objective_sources(t, dest, o)))
     atoms = _build_atoms(t, dest, objectives)
     weights = [a.kind.weight for a in atoms]
-    prepends = [_prepend_amount(t, dest, a) for a in atoms]
+    prepends = _prepend_counts(t, dest, atoms)
 
     def satisfies(g: int, state: ConvergedState) -> bool:
         return all(_verdicts(state, t, dest, goals[g]))
@@ -701,12 +754,12 @@ def plan_inbound_te(
         for g in unmet
     }
     best = _cheapest_fit(list(fronts.values()), budget.max_actions)
+    waiting = list(unmet)  # the unmet groups with no satisfying part yet
     while True:
-        waiting = [g for g in unmet if not fronts[g]]
         if waiting:
             # Each group with no satisfying part yet must find one, in turn,
             # and until then no combination exists to beat.
-            if any(queues[g].peek() is None for g in waiting):
+            if None in [queues[h].peek() for h in waiting]:
                 break  # a group that can no longer be met
             g = waiting[0]
         else:
@@ -724,6 +777,8 @@ def plan_inbound_te(
         cost = queues[g].pop()
         state = judge(g, cost[2])
         if state is not None:
+            if not fronts[g]:
+                waiting.remove(g)
             fronts[g].append((cost, state))
             queues[g].cap = len(cost[2]) - 1
             best = _cheapest_fit(list(fronts.values()), budget.max_actions)
@@ -731,16 +786,17 @@ def plan_inbound_te(
     if best is None:
         return Exhausted(_consistent_sets(t, dest, atoms, budget.max_actions), budget.max_actions)
     cost, states = best
+    baseline_map = ingress_map(baseline_state, t, dest)
     # Each destination prefix's entries come from its own group's run; a
     # prefix's forwarding reads only its group's routes.
     maps = {
-        g: baseline_map if state is baseline_state else ingress_map(state, t, dest)
+        g: ingress_map(state, t, dest).entries
         for g, state in zip(fronts, states)
+        if state is not baseline_state
     }
-    predicted = IngressMap(
-        dest,
-        {key: maps.get(group_of[key[1]], baseline_map).entries[key] for key in baseline_map.entries},
-    )
+    base = baseline_map.entries
+    source = {p: maps.get(group_of[p], base) for p in _origin(t, dest).originated}
+    predicted = IngressMap(dest, {key: source[key[1]][key] for key in base})
     side = _side_effects(t, objectives, baseline_map, predicted)
     return Plan(tuple(atoms[i] for i in cost[2]), predicted, side, bool(lp_overrides))
 

@@ -268,10 +268,10 @@ def parse_scenario(text: str) -> Scenario:
     errors = [(where[f.subject], f.message) for f in topology.validation.errors]
     link_ids = {link.id for link in links}
     errors += [(w, f"unknown link id {w[0]!r}") for _, w in objectives if w[0] not in link_ids]
-    seen: set[tuple[int, Prefix, str]] = set()
+    listed: dict[tuple[int, Prefix], dict[str, Advertisement]] = {}
     for ad, word in advertisements:
         try:
-            check_advertisement(topology, ad, seen)
+            check_advertisement(topology, ad, listed)
         except ValueError as exc:
             errors.append((word, str(exc)))
     if errors:

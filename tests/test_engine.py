@@ -20,10 +20,10 @@ from bgpsteer import (
     parse_scenario,
     propagate_to_convergence,
 )
-from bgpsteer.engine import MAX_PREPEND, ConvergedState
+from bgpsteer.engine import MAX_PREPEND, ConvergedState, _with_lp_overrides
 from bgpsteer.policies import egress_apply, egress_times, ingress_transform
 from bgpsteer.routes import Route, compare_routes, local_route
-from bgpsteer.topology import LOCAL, Rel, default_local_pref, export_permitted
+from bgpsteer.topology import LOCAL, Rel, Session, Sessions, default_local_pref, export_permitted
 
 P1 = Prefix.parse("10.1.0.0/16")
 P2 = Prefix.parse("10.2.0.0/16")
@@ -674,6 +674,32 @@ def test_compiled_sessions_are_per_topology_and_lp_overrides_per_call():
             assert _outcome(t, tes[step]) == _outcome(_fresh(t), tes[step])
             overridden += step == 0 and _outcome(_fresh(t), tes[0]) != _outcome(_fresh(t), tes[1])
     assert overridden >= 30
+
+
+def test_lp_overrides_resolve_to_what_sessions_build_compiles():
+    """Each sender's sessions under an LP-override table equal Sessions.build
+    over its up links with each overridden receiver's LP put in, and the
+    compiled table of the topology is left as it was."""
+    rng = random.Random(2207)
+    overridden = 0
+    for _ in range(300):
+        t = gen.rand_topology(rng, with_catalogs=rng.random() < 0.5)
+        compiled = dict(t.sessions)
+        overrides = _random_overrides(rng, t)
+        resolved = _with_lp_overrides(t.sessions, overrides)
+        assert resolved.keys() == t.sessions.keys()
+        for sender, own in t.sessions.items():
+            expected = Sessions.build(
+                [
+                    Session(s.link_id, s.neighbor, s.rel, overrides.get((s.neighbor, sender), s.local_pref), s.catalog)
+                    for s in own.all
+                ],
+                own.catalog,
+            )
+            assert resolved[sender] == expected
+            overridden += resolved[sender] != own
+        assert t.sessions == compiled and all(t.sessions[a] is s for a, s in compiled.items())
+    assert overridden >= 400
 
 
 def test_a_displaced_local_entry_is_withdrawn_where_it_was_announced():

@@ -42,6 +42,7 @@ from bgpsteer.planner import (
     _Parts,
     _prefix_groups,
     _prepend_amount,
+    _prepend_counts,
     _side_effects,
     plan_cost,
     validate_objectives,
@@ -865,6 +866,63 @@ def test_build_atoms_lists_every_single_action_in_sort_key_order():
         atoms = _build_atoms(t, dest, objectives)
         assert atoms == reference_atoms(t, dest, objectives)
         assert all(type(a) is Action for a in atoms)
+
+
+def test_compiled_atoms_prepends_costs_and_sources_match_a_reference():
+    # `_origin` compiles the community, MED and withhold atoms, their
+    # prepend counts and the stub sources once per (topology, destination);
+    # only the more-specific atoms come from each plan's objectives.  The
+    # reference derives them here from the sessions and catalogs alone.
+    rng = random.Random(6271)
+    instances = [(s.topology, s.objectives[0].flow.dst_asn, s.objectives) for s in map(load, OBJECTIVE_GOLDENS)]
+    while len(instances) < len(OBJECTIVE_GOLDENS) + 300:
+        t, dest, objectives, _budget = gen.rand_planning_instance(rng)
+        if rng.random() < 0.3:  # one more objective, on a more-specific
+            o = objectives[0]
+            half = Prefix(o.flow.dst_prefix.base, o.flow.dst_prefix.length + 1)
+            objectives = [*objectives, Objective(Flow(None, o.flow.src_asn, half, dest), o.required_link)]
+        instances.append((t, dest, objectives))
+    with_med = with_prepend = with_more_specific = 0
+    for t, dest, objectives in instances:
+        sessions = t.sessions[dest].all
+        neighbors = [s.neighbor for s in sessions]
+        originated = t.originated_by(dest)
+        prepend_of = {}
+        for p in originated:
+            for s in sessions:
+                prepend_of[Action.withhold(p, s.link_id)] = 0
+                cat = t.catalogs.get(s.neighbor)
+                for c in cat.communities() if cat else ():
+                    rule = cat.prepend_rules.get(c)
+                    prepend_of[Action.attach(p, s.link_id, c)] = rule[1] if rule else 0
+                if neighbors.count(s.neighbor) > 1:
+                    for med in (10, 20):
+                        prepend_of[Action.set_med(p, s.link_id, med)] = 0
+        for o in objectives:
+            if o.flow.dst_prefix not in originated:
+                for s in sessions:
+                    prepend_of[Action.advertise_more_specific(o.flow.dst_prefix, s.link_id)] = 0
+        expected = sorted(prepend_of, key=Action.sort_key)
+        atoms = _build_atoms(t, dest, objectives)
+        assert atoms == expected
+        assert _prepend_counts(t, dest, atoms) == [prepend_of[a] for a in atoms]
+        with_med += any(a.kind is ActionKind.SET_MED for a in atoms)
+        with_prepend += any(prepend_of.values())
+        with_more_specific += any(a.kind is ActionKind.ADVERTISE_MORE_SPECIFIC for a in atoms)
+        for _ in range(5):
+            chosen = rng.sample(atoms, min(len(atoms), rng.randint(1, 3)))
+            assert plan_cost(t, dest, chosen) == (
+                sum(a.kind.weight for a in chosen),
+                sum(prepend_of[a] for a in chosen),
+                tuple(sorted(a.sort_key() for a in chosen)),
+            )
+        stubs = tuple(sorted(a for a, role in t.roles.items() if role == "stub" and a != dest))
+        for o in objectives:
+            src = o.flow.src_asn
+            assert _objective_sources(t, dest, o) == (stubs if src is None else (src,))
+    assert with_med >= 50 and with_prepend >= 200 and with_more_specific >= 50, (
+        with_med, with_prepend, with_more_specific
+    )
 
 
 def test_te_config_from_actions_ignores_the_order_of_its_actions():

@@ -10,14 +10,18 @@ from bgpsteer import (
     ActionKind,
     Advertisement,
     Community,
+    ConvergedState,
+    IngressMap,
     Prefix,
     Rel,
     Route,
+    TeConfig,
     compare_routes,
     default_local_pref,
     export_permitted,
     prepend_path,
 )
+from bgpsteer.engine import NO_LP_OVERRIDES
 from bgpsteer.routes import best_of
 from bgpsteer.topology import LOCAL
 
@@ -173,6 +177,55 @@ def test_advertisement_and_action_are_the_tuples_of_their_fields():
     for value in (ad, action):
         for copied in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
             assert type(copied) is type(value) and copied == value
+
+
+def test_te_config_converged_state_and_ingress_map_are_the_tuples_of_their_fields():
+    ad = Advertisement(D, P1, "l1", frozenset({Community(100, 50)}), 10)
+    withheld = frozenset({(D, P1)})
+    te = TeConfig((ad,), {(ISP1, D): 300}, withheld)
+    fields = ((ad,), {(ISP1, D): 300}, withheld)
+    assert te == fields and tuple(te) == fields
+    changed = te._replace(advertisements=())
+    assert type(changed) is TeConfig and changed.advertisements == () and te.advertisements == (ad,)
+    # The default override table is one immutable empty mapping, shared by
+    # every TeConfig() without being open to change through any of them.
+    default = TeConfig()
+    assert default == ((), {}, frozenset()) and default.lp_overrides is TeConfig().lp_overrides
+    assert default.lp_overrides is NO_LP_OVERRIDES and not NO_LP_OVERRIDES
+    for mutate in (
+        lambda m: m.__setitem__((ISP1, D), 1),
+        lambda m: m.update({(ISP1, D): 1}),
+        lambda m: m.setdefault((ISP1, D), 1),
+        lambda m: m.pop((ISP1, D)),
+        lambda m: m.clear(),
+    ):
+        with pytest.raises(TypeError):
+            mutate(default.lp_overrides)
+    assert NO_LP_OVERRIDES == {} and TeConfig().lp_overrides == {}
+    for value in (te, default):
+        for copied in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(copied) is TeConfig and copied == value
+    assert copy.deepcopy(default).lp_overrides is NO_LP_OVERRIDES
+
+    best = Route(P1, (ISP1, D), 200, None, frozenset(), "l1", D)
+    adj = {ISP1: {}, A: {P1: {"l1": best}}}
+    loc = {ISP1: {P1: best}, A: {P1: best}}
+    state = ConvergedState(adj, loc, 3)
+    assert state == (adj, loc, 3) and tuple(state) == (adj, loc, 3)
+    changed = state._replace(rounds_used=4)
+    assert type(changed) is ConvergedState and changed.rounds_used == 4 and state.rounds_used == 3
+    assert changed.loc_rib is loc and changed.best_route(A, P1) == best
+    for copied in (copy.deepcopy(state), pickle.loads(pickle.dumps(state))):
+        assert type(copied) is ConvergedState and copied == state and copied.dump() == state.dump()
+        assert copied.loc_rib is not loc
+
+    entries = {(A, P1): "l1", (B, P1): "unreachable"}
+    m = IngressMap(D, entries)
+    assert m == (D, entries) and tuple(m) == (D, entries)
+    changed = m._replace(entries={(A, P1): "l2"})
+    assert type(changed) is IngressMap and changed.dest == D and m.entries is entries
+    for copied in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert type(copied) is IngressMap and copied == m and copied.to_csv() == m.to_csv()
 
 
 def test_community_is_the_tuple_high_low():

@@ -247,7 +247,7 @@ def test_roundtrip_needs_the_canonical_order_and_no_empty_catalog():
     cases = {
         "links not sorted by id": replace(s, topology=replace(t, links=t.links[::-1])),
         "advertisements out of order": replace(
-            s, te_config=replace(te, advertisements=te.advertisements[::-1])
+            s, te_config=te._replace(advertisements=te.advertisements[::-1])
         ),
         "an empty catalog": replace(
             s, topology=replace(t, catalogs={**t.catalogs, stub: PolicyCatalog(stub)})
@@ -646,7 +646,7 @@ def _fault(kind: str, rng: random.Random, s):
         return topo(roles=roles, catalogs={**t.catalogs, asn: rules})
 
     def ads(*extra):
-        return replace(s, te_config=replace(te, advertisements=te.advertisements + extra))
+        return replace(s, te_config=te._replace(advertisements=te.advertisements + extra))
 
     def ad(**fields):
         link = rng.choice(near)
@@ -784,7 +784,7 @@ def _rename(rng: random.Random, s):
         for owner, cat in t.catalogs.items()
     }
     ads = tuple(ad._replace(link_id=ids[ad.link_id]) for ad in te.advertisements)
-    return replace(s, topology=replace(t, links=links, catalogs=catalogs), te_config=replace(te, advertisements=ads))
+    return replace(s, topology=replace(t, links=links, catalogs=catalogs), te_config=te._replace(advertisements=ads))
 
 
 def test_what_the_validators_accept_round_trips_through_the_text_form():
