@@ -117,9 +117,8 @@ def cmd_plan(args) -> int:
     if len(dests) != 1:
         raise PlanningError("objectives target more than one destination AS")
     dest = dests.pop()
-    lp_overrides = scenario.te_config.lp_overrides
     budget = Budget(max_actions=args.budget_actions)
-    result = plan_inbound_te(scenario.topology, dest, scenario.objectives, budget, lp_overrides)
+    result = plan_inbound_te(scenario.topology, dest, scenario.objectives, budget)
     if isinstance(result, Infeasible):
         text = "\n".join(["status infeasible", *map(str, result.witnesses)]) + "\n"
         reports, code = {PLAN_FILE: text}, 3
@@ -127,7 +126,7 @@ def cmd_plan(args) -> int:
         text = f"status exhausted tried={result.candidates_tried} max-actions={result.max_actions}\n"
         reports, code = {PLAN_FILE: text}, 4
     else:
-        report = evaluate_plan(scenario.topology, dest, result, scenario.objectives, lp_overrides)
+        report = evaluate_plan(scenario.topology, dest, result, scenario.objectives)
         text = _plan_report(scenario, result, report)
         reports, code = {PLAN_FILE: text, PREDICTED_FILE: result.predicted_map.to_csv()}, 0
     _write_reports(args, reports)

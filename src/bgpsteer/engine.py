@@ -29,22 +29,21 @@ are deterministic.
 
 What never changes between runs is compiled once per topology
 (`Topology.sessions`, one entry per AS): per exporter, each up link's
-neighbor, the LP that neighbor assigns by default, its catalog where the
-exporter is its customer, the exporter's own catalog, neighbor table and
-the links its customers reach it over, and the valley-free split of the
-links per learned link and for its own routes (LOCAL), the one statement of
-valley-free export a run reads.  A run resolves its LP-override table into
-a copy of that table once, mapping each overridden sender's session tuples
-through one old -> new table, and the round loop walks the session tuples
-with no per-message lookups.  Each origination's local route is compiled
+neighbor, the LP that neighbor assigns (its LP override for the exporter,
+else the relationship default), its catalog where the exporter is its
+customer, the exporter's own catalog, neighbor table and the links its
+customers reach it over, and the valley-free split of the links per learned
+link and for its own routes (LOCAL), the one statement of valley-free
+export a run reads.  The round loop walks those session tuples with no
+per-message lookups.  Each origination's local route is compiled
 on a run's first use too, by prefix (`_local_routes`), so a run restricted
 to a few prefixes reads only theirs.  `TeConfig` and `ConvergedState` are
 `NamedTuple`s, like `Route` and `Advertisement`.
 
 Every Adj-RIB-In and Loc-RIB entry is a `Route`, and each catalog
 action is evaluated where it acts.  Each rule keeps one code path: the loop
-check, `drops_community_updates` and the LP installed (override table, else
-the relationship default) in `_deliver`, a catalog LP community in
+check, `drops_community_updates` and the LP installed (the session's, which
+`Topology.sessions` resolved) in `_deliver`, a catalog LP community in
 `ingress_transform`, the prepends and suppression of a route learned from a
 customer in `egress_times` at its owner's export, and the stripping of the
 owner's communities in `egress_apply`.
@@ -106,29 +105,10 @@ class Advertisement(NamedTuple):
     med: int | None = None
 
 
-class _NoOverrides(dict):
-    """The empty LP-override table: a dict that refuses every change, so
-    every `TeConfig()` shares the one instance, `NO_LP_OVERRIDES`, which
-    pickles and copies as itself."""
-
-    __slots__ = ()
-
-    def _immutable(self, *args, **kwargs):
-        raise TypeError("NO_LP_OVERRIDES is immutable")
-
-    __setitem__ = __delitem__ = __ior__ = _immutable
-    clear = pop = popitem = setdefault = update = _immutable
-
-    def __reduce__(self) -> str:
-        return "NO_LP_OVERRIDES"
-
-
-NO_LP_OVERRIDES: Mapping[tuple[int, int], int] = _NoOverrides()
-
-
 class TeConfig(NamedTuple):
-    """Traffic-engineering inputs: explicit per-link advertisements plus the
-    per-AS LP-override table (an AS's own policy for routes from a neighbor).
+    """Traffic-engineering inputs: the origins' explicit per-link
+    advertisements and withheld prefixes.  What remote ASes do to the routes
+    (catalogs, LP overrides) is their standing policy, held by `Topology`.
     A tuple: it equals the tuple of its fields, and a changed copy is
     `te._replace(field=value)`, not `dataclasses.replace`.
 
@@ -142,14 +122,13 @@ class TeConfig(NamedTuple):
     this rule as it exports each local route."""
 
     advertisements: tuple[Advertisement, ...] = ()
-    lp_overrides: Mapping[tuple[int, int], int] = NO_LP_OVERRIDES
     withheld: frozenset[tuple[int, Prefix]] = frozenset()
 
     def validate(self, t: Topology) -> dict[tuple[int, Prefix], dict[str, Advertisement]]:
         """ValueError when the config breaks a rule over `t`; else the
         announcements it lists, by (origin, prefix) and then link id, with an
         empty entry for each withheld pair."""
-        advertisements, lp_overrides, withheld = self
+        advertisements, withheld = self
         listed: dict[tuple[int, Prefix], dict[str, Advertisement]] = {}
         for pair in withheld:
             listed[pair] = {}
@@ -158,11 +137,6 @@ class TeConfig(NamedTuple):
         for origin, prefix in withheld:
             if prefix not in t.originated_by(origin):
                 raise ValueError(f"AS {origin} withholds {prefix}, which it does not originate")
-        for (asn, neighbor), lp in lp_overrides.items():
-            if asn not in t.roles or neighbor not in t.roles:
-                raise ValueError(f"LP override references undeclared AS ({asn}, {neighbor})")
-            if lp < 0:
-                raise ValueError("LP override must be >= 0")
         return listed
 
 
@@ -332,8 +306,6 @@ def propagate_to_convergence(
         loc[asn][p] = route
         changed.append((asn, p, None))
     sessions = t.sessions
-    if te.lp_overrides:
-        sessions = _with_lp_overrides(sessions, te.lp_overrides)
 
     # Prepend counts are capped, so converged paths stretch at most that far
     # beyond the diameter bound.
@@ -398,35 +370,6 @@ def _local_routes(t: Topology) -> Mapping[Prefix, Mapping[tuple[int, Prefix], Ro
                 table.setdefault(p, {})[asn, p] = local_route(p, asn)
         table = t.compiled.setdefault("engine.local_routes", table)
     return table
-
-
-def _with_lp_overrides(
-    sessions: Mapping[int, Sessions], overrides: Mapping[tuple[int, int], int]
-) -> dict[int, Sessions]:
-    """`sessions` with the LP-override table resolved: an override for
-    (receiver, sender) replaces the receiver's default LP on every link from
-    the sender.  Only `Session.local_pref` changes, so each overridden
-    sender's compiled tuples are mapped through one old -> new session
-    table."""
-    resolved = dict(sessions)
-    for sender in {sender for _receiver, sender in overrides}:
-        own = sessions[sender]
-        new = {}
-        for s in own.all:
-            link_id, neighbor, rel, _default, catalog = s
-            lp = overrides.get((neighbor, sender))
-            new[id(s)] = s if lp is None else Session(link_id, neighbor, rel, lp, catalog)
-        resolved[sender] = Sessions(
-            tuple([new[id(s)] for s in own.all]),
-            {
-                link_id: (tuple([new[id(s)] for s in send]), tuple([new[id(s)] for s in withhold]))
-                for link_id, (send, withhold) in own.by_learned.items()
-            },
-            own.catalog,
-            own.neighbor_rels,
-            own.customer_links,
-        )
-    return resolved
 
 
 def _export(
@@ -512,7 +455,7 @@ def _deliver(
         ):
             received = tuple.__new__(Route, (prefix, as_path, local_pref, med, communities, link_id, origin_as))
             # A catalog LP community (ingress_transform) beats `local_pref`,
-            # which already holds any LP override.
+            # which already holds any LP override (`Topology.sessions`).
             if catalog is not None and communities:
                 received = ingress_transform(catalog, received)
         rib = adj[receiver]

@@ -39,7 +39,6 @@ from operator import attrgetter
 from typing import Mapping, NamedTuple, Sequence
 
 from .engine import (
-    NO_LP_OVERRIDES,
     Advertisement,
     ConvergedState,
     OscillationError,
@@ -150,6 +149,8 @@ class Plan:
     actions: tuple[Action, ...]
     predicted_map: IngressMap
     side_effects: tuple[tuple[int, Prefix, str, str], ...]
+    # The topology holds LP overrides, which may outrank the path lengths
+    # the plan acts on.
     lp_constraint_violated: bool = False
 
 
@@ -435,12 +436,7 @@ def _announcement(
     return entry
 
 
-def te_config_from_actions(
-    t: Topology,
-    dest: int,
-    actions: Sequence[Action],
-    lp_overrides: Mapping[tuple[int, int], int] | None = None,
-) -> TeConfig | None:
+def te_config_from_actions(t: Topology, dest: int, actions: Sequence[Action]) -> TeConfig | None:
     """Expand an action set into an explicit advertisement table, or None when
     the set is internally inconsistent.  Each originated prefix starts
     announced plainly on each of dest's up links (`_origin`'s table, compiled
@@ -452,9 +448,8 @@ def te_config_from_actions(
     back to a covering prefix, if dest announces one, else it is
     unreachable)."""
     origin = _origin(t, dest)
-    overrides = dict(lp_overrides) if lp_overrides else NO_LP_OVERRIDES
     if not actions:
-        return tuple.__new__(TeConfig, (origin.baseline, overrides, origin.unannounced))
+        return tuple.__new__(TeConfig, (origin.baseline, origin.unannounced))
     plain = origin.plain
     by_key: dict[tuple[Prefix, str], list[Action]] = {}
     for a in actions:
@@ -478,7 +473,7 @@ def te_config_from_actions(
     if dropped:
         announced = {p for p, _link_id in ads}
         withheld = frozenset((dest, p) for p in dropped if p not in announced)
-    return tuple.__new__(TeConfig, (tuple(ads.values()), overrides, withheld))
+    return tuple.__new__(TeConfig, (tuple(ads.values()), withheld))
 
 
 def _prepend_amount(t: Topology, dest: int, action: Action) -> int:
@@ -684,7 +679,6 @@ def plan_inbound_te(
     dest: int,
     objectives: Sequence[Objective],
     budget: Budget = Budget(),
-    lp_overrides: Mapping[tuple[int, int], int] | None = None,
 ) -> Plan | Infeasible | Exhausted:
     """The action set of least plan_cost, among those of at most
     `budget.max_actions` actions, whose simulation converges and meets every
@@ -712,8 +706,7 @@ def plan_inbound_te(
     if witnesses:
         return Infeasible(tuple(witnesses))
 
-    lp_overrides = dict(lp_overrides or {})
-    baseline_te = te_config_from_actions(t, dest, [], lp_overrides)
+    baseline_te = te_config_from_actions(t, dest, [])
     baseline_state = propagate_to_convergence(t, baseline_te)
 
     groups = _prefix_groups(t, objectives)
@@ -732,7 +725,7 @@ def plan_inbound_te(
     def judge(g: int, indices: tuple[int, ...]) -> ConvergedState | None:
         """The group's state when the part is consistent, converges and
         meets the group's objectives, else None."""
-        te = te_config_from_actions(t, dest, [atoms[i] for i in indices], lp_overrides)
+        te = te_config_from_actions(t, dest, [atoms[i] for i in indices])
         if te is None:
             return None
         try:
@@ -798,27 +791,21 @@ def plan_inbound_te(
     source = {p: maps.get(group_of[p], base) for p in _origin(t, dest).originated}
     predicted = IngressMap(dest, {key: source[key[1]][key] for key in base})
     side = _side_effects(t, objectives, baseline_map, predicted)
-    return Plan(tuple(atoms[i] for i in cost[2]), predicted, side, bool(lp_overrides))
+    return Plan(tuple(atoms[i] for i in cost[2]), predicted, side, bool(t.lp_overrides))
 
 
-def evaluate_plan(
-    t: Topology,
-    dest: int,
-    plan: Plan,
-    objectives: Sequence[Objective],
-    lp_overrides: Mapping[tuple[int, int], int] | None = None,
-) -> EvaluationReport:
+def evaluate_plan(t: Topology, dest: int, plan: Plan, objectives: Sequence[Objective]) -> EvaluationReport:
     """Independent re-simulation of a plan; nothing is copied from the plan
     except its action list."""
     require_valid(t)
     validate_objectives(t, dest, objectives)
-    te = te_config_from_actions(t, dest, plan.actions, lp_overrides)
+    te = te_config_from_actions(t, dest, plan.actions)
     if te is None:
         raise PlanningError("plan contains invalid action references")
     state = propagate_to_convergence(t, te)
     goals = [(o, _objective_sources(t, dest, o)) for o in objectives]
     satisfied = tuple(_verdicts(state, t, dest, goals))
-    baseline_te = te_config_from_actions(t, dest, [], lp_overrides)
+    baseline_te = te_config_from_actions(t, dest, [])
     baseline_map = ingress_map(propagate_to_convergence(t, baseline_te), t, dest)
     new_map = ingress_map(state, t, dest)
     side = _side_effects(t, objectives, baseline_map, new_map)

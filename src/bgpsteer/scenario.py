@@ -16,15 +16,18 @@ Grammar (UTF-8, `#` starts a comment, blank lines ignored):
 
 A prefix with no `advertise` line is announced plainly on every up link of
 its origin; one `advertise` line switches the prefix to exactly the listed
-links.  The parser reads the `as` records, then the others in file order.
-It checks each record's syntax (fields, keywords, numbers, prefixes,
-communities) and ASN references, and rejects a record repeated under one key
-(an AS, an origination, a community in one rule kind, a region tag, an LP
-override, a community or MED within one advertisement); the first such error
-is raised.  Then link ids and every other rule are checked, the latter by the
-validators (`validate_topology`, `PolicyCatalog.validate`,
-`check_advertisement`), and the first error in file order is reported at the
-record that breaks it.  Every `ScenarioError` carries a line and column.
+links.  `policy` and `lp-override` records are the ASes' standing policy,
+so they go into the `Topology` (`catalogs`, `lp_overrides`); `advertise`
+records alone make up the TE config.  The parser reads the `as` records,
+then the others in file order.  It checks each record's syntax (fields,
+keywords, numbers, prefixes, communities) and ASN references, and rejects a
+record repeated under one key (an AS, an origination, a community in one
+rule kind, a region tag, an LP override, a community or MED within one
+advertisement); the first such error is raised.  Then link ids and every
+other rule are checked, the latter by the validators (`validate_topology`,
+`PolicyCatalog.validate`, `check_advertisement`), and the first error in
+file order is reported at the record that breaks it.  Every `ScenarioError`
+carries a line and column.
 """
 
 from __future__ import annotations
@@ -241,6 +244,7 @@ def parse_scenario(text: str) -> Scenario:
             if key in lp_overrides:
                 raise _fail(words[1], f"lp-override {key[0]} {key[1]} given twice")
             lp_overrides[key] = _field(words[3], _lp_value)
+            where[("lp-override", *key)] = words[1]
         elif kind == "objective":
             if len(words) not in (5, 7):
                 raise _fail(words[0], "objective record: expected 5 fields (plus optional src-prefix)")
@@ -261,6 +265,7 @@ def parse_scenario(text: str) -> Scenario:
         links=tuple(links),
         originations={asn: frozenset(ps) for asn, ps in originations.items()},
         catalogs=catalogs,
+        lp_overrides=lp_overrides,
     )
     # The validators state every semantic rule; report the first error they
     # find, or the first unknown link id, in file order, at the record that
@@ -277,7 +282,7 @@ def parse_scenario(text: str) -> Scenario:
     if errors:
         raise _fail(*min(errors, key=lambda e: e[0][1:]))
     ads = sorted((ad for ad, _ in advertisements), key=lambda ad: (ad.origin, ad.prefix, ad.link_id))
-    return Scenario(topology, TeConfig(tuple(ads), lp_overrides), tuple(o for o, _ in objectives))
+    return Scenario(topology, TeConfig(tuple(ads)), tuple(o for o, _ in objectives))
 
 
 def parse_topology(text: str) -> Topology:
@@ -328,8 +333,8 @@ def serialize_scenario(s: Scenario) -> str:
         if ad.med is not None:
             parts.append(f"med {ad.med}")
         lines.append(" ".join(parts))
-    for (asn, neighbor) in sorted(s.te_config.lp_overrides):
-        lines.append(f"lp-override {asn} {neighbor} {s.te_config.lp_overrides[(asn, neighbor)]}")
+    for (asn, neighbor) in sorted(t.lp_overrides):
+        lines.append(f"lp-override {asn} {neighbor} {t.lp_overrides[(asn, neighbor)]}")
     for o in s.objectives:
         src = "*" if o.flow.src_asn is None else str(o.flow.src_asn)
         line = f"objective {o.flow.dst_asn} {src} {o.flow.dst_prefix} {o.required_link}"

@@ -189,7 +189,8 @@ class Finding:
     """One validation result.  `subject` names what it is about, so that a
     reader of a scenario file can point at the record that introduced it:
     ("link", id), ("prefix", prefix), ("catalog", owner),
-    ("rule", owner, community) or ("region", owner, peer)."""
+    ("rule", owner, community), ("region", owner, peer) or
+    ("lp-override", receiver, sender)."""
 
     severity: str  # "error" | "warning"
     message: str
@@ -226,7 +227,7 @@ class Session(NamedTuple):
     link_id: str
     neighbor: int  # the receiving end
     rel: Rel  # the neighbor, as seen from the exporter
-    local_pref: int  # the neighbor's default LP for routes over this link
+    local_pref: int  # the neighbor's LP for routes over this link
     # The neighbor's catalog when the exporter is its customer, else None.
     catalog: "PolicyCatalog | None"
 
@@ -279,14 +280,18 @@ class Sessions:
 
 @dataclass(frozen=True)
 class Topology:
-    """AS graph.  `roles` maps ASN -> "stub" | "transit".  Immutability is
-    load-bearing: `links_by_id`, `sessions`, `validation` and the tables in
-    `compiled` are computed once, on first use, and cached."""
+    """AS graph.  `roles` maps ASN -> "stub" | "transit".  Besides the
+    providers' catalogs it holds each AS's standing import policy that
+    overrides path length: `lp_overrides` maps (receiver, sender) -> the LP
+    the receiver assigns to every route the sender sends it.  Immutability
+    is load-bearing: `links_by_id`, `sessions`, `validation` and the tables
+    in `compiled` are computed once, on first use, and cached."""
 
     roles: Mapping[int, str]
     links: tuple[Link, ...]
     originations: Mapping[int, frozenset[Prefix]]
     catalogs: Mapping[int, "PolicyCatalog"] = field(default_factory=dict)
+    lp_overrides: Mapping[tuple[int, int], int] = field(default_factory=dict)
 
     @cached_property
     def links_by_id(self) -> Mapping[str, Link]:
@@ -300,11 +305,11 @@ class Topology:
     def sessions(self) -> Mapping[int, Sessions]:
         """ASN -> its up links compiled for propagation, for every declared AS
         (empty `Sessions` for an AS with no up link): what never changes with
-        the TE config.  That is the default LP a receiver assigns
-        (`default_local_pref` of the sender's relationship) and its catalog
-        where the sender is its customer, the sender's own catalog and
-        neighbor table, and the valley-free export split.  The neighbor and
-        relationship lookups read it."""
+        the TE config.  That is the LP a receiver assigns (its LP override
+        for the sender, else `default_local_pref` of the sender's
+        relationship) and its catalog where the sender is its customer, the
+        sender's own catalog and neighbor table, and the valley-free export
+        split.  The neighbor and relationship lookups read it."""
         per_as: dict[int, list[Session]] = {asn: [] for asn in self.roles}
         for link in self.links:
             if not link.up:
@@ -316,7 +321,7 @@ class Topology:
                     link.id,
                     neighbor,
                     link.rel_from(asn),
-                    default_local_pref(sender_rel),
+                    self.lp_overrides.get((neighbor, asn), default_local_pref(sender_rel)),
                     self.catalogs[neighbor] if applies else None,
                 ))
         return {asn: Sessions.build(s, self.catalogs.get(asn)) for asn, s in per_as.items()}
@@ -442,6 +447,13 @@ def validate_topology(t: Topology) -> ValidationReport:
         if not cat.is_empty() and t.roles[asn] != "transit":
             err(f"catalog on non-transit AS {asn}", "catalog", asn)
         findings.extend(cat.validate(t))
+
+    for (receiver, sender), lp in t.lp_overrides.items():
+        subject = ("lp-override", receiver, sender)
+        if receiver not in t.roles or sender not in t.roles:
+            err(f"LP override references undeclared AS ({receiver}, {sender})", *subject)
+        elif lp < 0:
+            err("LP override must be >= 0", *subject)
 
     cycle = _provider_cycle(t)
     if cycle is not None:

@@ -166,7 +166,9 @@ def rand_te(
     *,
     with_communities: bool = False,
     with_lp_overrides: bool = False,
-) -> TeConfig:
+) -> tuple[Topology, TeConfig]:
+    """`t` with the LP-override table drawn (empty unless
+    `with_lp_overrides`), and a TE config over it."""
     ads: list[Advertisement] = []
     for origin in sorted(t.originations):
         up = sorted(t.up_links_of(origin), key=lambda l: l.id)
@@ -206,7 +208,9 @@ def rand_te(
             if neighbors:
                 lp_overrides[(asn, rng.choice(neighbors))] = rng.choice([20, 80, 150, 400])
     ads.sort(key=lambda ad: (ad.origin, ad.prefix.sort_key(), ad.link_id))
-    return TeConfig(tuple(ads), lp_overrides)
+    if lp_overrides:
+        t = replace(t, lp_overrides=lp_overrides)
+    return t, TeConfig(tuple(ads))
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +244,7 @@ def topo_order_customers_first(t: Topology) -> list[int]:
 
 
 def oracle_loc_ribs(t: Topology, te: TeConfig) -> dict[int, dict[Prefix, Route]]:
-    assert not t.catalogs and not te.lp_overrides, "oracle covers policy-free runs"
+    assert not t.catalogs and not t.lp_overrides, "oracle covers policy-free runs"
     order = topo_order_customers_first(t)
     up_links = [l for l in t.links if l.up]
 

@@ -177,7 +177,7 @@ def pool_plain():
     with timed("gen-plain"):
         while len(pool) < CASES:
             t = gen.rand_topology(rng)
-            te = gen.rand_te(rng, t)
+            t, te = gen.rand_te(rng, t)
             state = propagate_to_convergence(t, te)
             pool.append((t, te, state))
     return pool
@@ -194,7 +194,7 @@ def pool_policy():
         while len(pool) < CASES and attempts < CASES * 2:
             attempts += 1
             t = gen.rand_topology(rng, with_catalogs=True)
-            te = gen.rand_te(rng, t, with_communities=True, with_lp_overrides=True)
+            t, te = gen.rand_te(rng, t, with_communities=True, with_lp_overrides=True)
             try:
                 state = propagate_to_convergence(t, te)
             except OscillationError:

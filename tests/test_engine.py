@@ -20,7 +20,7 @@ from bgpsteer import (
     parse_scenario,
     propagate_to_convergence,
 )
-from bgpsteer.engine import MAX_PREPEND, ConvergedState, _with_lp_overrides
+from bgpsteer.engine import MAX_PREPEND, ConvergedState
 from bgpsteer.policies import egress_apply, egress_times, ingress_transform
 from bgpsteer.routes import Route, compare_routes, local_route
 from bgpsteer.topology import LOCAL, Rel, Session, Sessions, default_local_pref, export_permitted
@@ -143,7 +143,7 @@ def test_a_run_leaves_no_reference_cycles():
     cases = [(s.topology, s.te_config) for s in cases]
     for _ in range(40):
         t = gen.with_rule_facts(rng, gen.rand_topology(rng, with_catalogs=True))
-        cases.append((t, gen.rand_te(rng, t, with_communities=True, with_lp_overrides=True)))
+        cases.append(gen.rand_te(rng, t, with_communities=True, with_lp_overrides=True))
     was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -248,7 +248,7 @@ def test_te_config_validation_errors():
     s = parse_scenario(DUAL)
     from bgpsteer import Advertisement
 
-    bad = TeConfig((Advertisement(65001, Prefix.parse("192.168.0.0/16"), "l1"),), {})
+    bad = TeConfig((Advertisement(65001, Prefix.parse("192.168.0.0/16"), "l1"),))
     with pytest.raises(ValueError):
         propagate_to_convergence(s.topology, bad)
 
@@ -265,7 +265,7 @@ def test_oracle_equivalence_sample():
     rng = random.Random(101)
     for _ in range(200):
         t = gen.rand_topology(rng)
-        te = gen.rand_te(rng, t)
+        t, te = gen.rand_te(rng, t)
         state = propagate_to_convergence(t, te)
         assert state.loc_rib == gen.oracle_loc_ribs(t, te)
 
@@ -274,7 +274,7 @@ def test_valley_free_sample():
     rng = random.Random(103)
     for _ in range(150):
         t = gen.rand_topology(rng)
-        te = gen.rand_te(rng, t)
+        t, te = gen.rand_te(rng, t)
         state = propagate_to_convergence(t, te)
         for asn, by_prefix in state.loc_rib.items():
             for route in by_prefix.values():
@@ -392,10 +392,10 @@ def test_restricted_runs_match_the_full_run_on_random_cases():
     more_specific = lp_overrides = oscillating = 0
     for _ in range(300):
         t = gen.rand_topology(rng, with_catalogs=rng.random() < 0.5)
-        te = gen.rand_te(rng, t, with_communities=True, with_lp_overrides=True)
+        t, te = gen.rand_te(rng, t, with_communities=True, with_lp_overrides=True)
         originated = {p for ps in t.originations.values() for p in ps}
         more_specific += any(ad.prefix not in originated for ad in te.advertisements)
-        lp_overrides += bool(te.lp_overrides)
+        lp_overrides += bool(t.lp_overrides)
         oscillating += _check_restricted_runs(t, te)
     assert more_specific >= 10 and lp_overrides >= 50 and oscillating >= 1
 
@@ -431,7 +431,7 @@ def _reference_run(t, te, *, prefixes=None, max_rounds=None):
         applies = catalog is not None and sender_rel is Rel.CUSTOMER
         if applies and catalog.drops_community_updates and wire.communities:
             return None
-        lp = te.lp_overrides.get((receiver, sender), default_local_pref(sender_rel))
+        lp = t.lp_overrides.get((receiver, sender), default_local_pref(sender_rel))
         installed = Route(
             wire.prefix, wire.as_path, lp, wire.med, wire.communities, link.id, wire.origin_as
         )
@@ -538,8 +538,8 @@ def _with_disagree_gadget(rng, t, te):
         return t, te
     a, b = rng.choice(candidates)
     links = t.links + (Link(f"l{len(t.links) + 1}", a, b, None),)
-    overrides = {**te.lp_overrides, (a, b): 300, (b, a): 300}
-    return replace(t, links=links), TeConfig(te.advertisements, overrides)
+    overrides = {**t.lp_overrides, (a, b): 300, (b, a): 300}
+    return replace(t, links=links, lp_overrides=overrides), te
 
 
 @pytest.mark.parametrize("path", sorted(Path("scenarios").glob("*.scn")), ids=lambda p: p.stem)
@@ -553,7 +553,7 @@ def test_engine_matches_the_reference_loop_on_random_cases():
     oscillating = truncated = restricted = more_specific = 0
     for _ in range(250):
         t = gen.rand_topology(rng, with_catalogs=rng.random() < 0.6)
-        te = gen.rand_te(rng, t, with_communities=True, with_lp_overrides=True)
+        t, te = gen.rand_te(rng, t, with_communities=True, with_lp_overrides=True)
         if rng.random() < 0.3:
             t, te = _with_disagree_gadget(rng, t, te)
         originated = {p for ps in t.originations.values() for p in ps}
@@ -579,7 +579,7 @@ def test_engine_matches_the_reference_loop_on_compiled_rule_facts():
     parallel = dropping = regional = 0
     for _ in range(300):
         t = gen.with_rule_facts(rng, gen.rand_topology(rng, with_catalogs=rng.random() < 0.5))
-        te = gen.rand_te(rng, t, with_communities=True, with_lp_overrides=True)
+        t, te = gen.rand_te(rng, t, with_communities=True, with_lp_overrides=True)
         up = [l for l in t.links if l.up]
         parallel += any(
             p.customer is None and c.customer is not None and {p.a, p.b} == {c.a, c.b}
@@ -613,10 +613,10 @@ def test_engine_matches_the_reference_loop_with_withheld_prefixes():
     silenced = listed = restricted = 0
     for _ in range(150):
         t = gen.rand_topology(rng, with_catalogs=rng.random() < 0.5)
-        te = gen.rand_te(rng, t, with_communities=True, with_lp_overrides=True)
+        t, te = gen.rand_te(rng, t, with_communities=True, with_lp_overrides=True)
         pairs = [(o, p) for o, ps in t.originations.items() for p in sorted(ps)]
         withheld = frozenset(pair for pair in pairs if rng.random() < 0.4)
-        te = TeConfig(te.advertisements, te.lp_overrides, withheld)
+        te = TeConfig(te.advertisements, withheld)
         ads = {(ad.origin, ad.prefix) for ad in te.advertisements}
         silenced += any(pair not in ads and t.up_links_of(pair[0]) for pair in withheld)
         listed += any(pair in ads for pair in withheld)
@@ -638,7 +638,7 @@ def _outcome(t, te):
 
 def _fresh(t):
     """An equal topology with nothing compiled yet."""
-    return Topology(dict(t.roles), t.links, dict(t.originations), dict(t.catalogs))
+    return Topology(dict(t.roles), t.links, dict(t.originations), dict(t.catalogs), dict(t.lp_overrides))
 
 
 def _random_overrides(rng, t):
@@ -647,18 +647,20 @@ def _random_overrides(rng, t):
     return {pair: rng.choice([20, 80, 150, 400]) for pair in chosen}
 
 
-def test_compiled_sessions_are_per_topology_and_lp_overrides_per_call():
-    """One topology object runs with LP overrides, without, with others and
-    with the first again; every run equals a run on a fresh, equal topology.
-    Random topologies all name their links l1, l2, ..., so running them
-    interleaved also shows that no compiled entry crosses topologies."""
+def test_compiled_sessions_are_per_topology():
+    """Topologies that differ only in their LP-override tables run
+    interleaved, the first of them twice; every run equals a run on a
+    fresh, equal topology.  Random topologies all name their links l1, l2,
+    ..., so running them interleaved also shows that no compiled entry
+    crosses topologies."""
     rng = random.Random(419)
     cases = []
     for _ in range(60):
         t = gen.rand_topology(rng, with_catalogs=rng.random() < 0.5)
-        te = gen.rand_te(rng, t, with_communities=True)
+        t, te = gen.rand_te(rng, t, with_communities=True)
         sequence = [_random_overrides(rng, t), {}, _random_overrides(rng, t)]
-        cases.append((t, [TeConfig(te.advertisements, o) for o in sequence + sequence[:1]]))
+        topologies = [replace(t, lp_overrides=o) for o in sequence]
+        cases.append((topologies + topologies[:1], te))
     # Two topologies whose l1 and l2 join different ASes.
     roles = {1: "stub", 2: "transit", 3: "transit"}
     p1 = {1: frozenset({P1})}
@@ -666,27 +668,27 @@ def test_compiled_sessions_are_per_topology_and_lp_overrides_per_call():
         (Link("l1", 1, 2, 1), Link("l2", 1, 3, 1), Link("l3", 2, 3, None)),
         (Link("l1", 1, 3, 1), Link("l2", 2, 3, None), Link("l3", 1, 2, 1)),
     ):
-        t = Topology(roles, links, p1)
-        cases.append((t, [TeConfig((), o) for o in ({(2, 1): 20}, {}, {(3, 1): 20}, {(2, 1): 20})]))
+        topologies = [Topology(roles, links, p1, lp_overrides=o) for o in ({(2, 1): 20}, {}, {(3, 1): 20})]
+        cases.append((topologies + topologies[:1], TeConfig()))
     overridden = 0
     for step in range(4):
-        for t, tes in cases:
-            assert _outcome(t, tes[step]) == _outcome(_fresh(t), tes[step])
-            overridden += step == 0 and _outcome(_fresh(t), tes[0]) != _outcome(_fresh(t), tes[1])
+        for topologies, te in cases:
+            t = topologies[step]
+            assert _outcome(t, te) == _outcome(_fresh(t), te)
+            overridden += step == 0 and _outcome(t, te) != _outcome(topologies[1], te)
     assert overridden >= 30
 
 
 def test_lp_overrides_resolve_to_what_sessions_build_compiles():
-    """Each sender's sessions under an LP-override table equal Sessions.build
-    over its up links with each overridden receiver's LP put in, and the
-    compiled table of the topology is left as it was."""
+    """Each sender's sessions on a topology with an LP-override table equal
+    Sessions.build over its sessions on the same topology without one, with
+    each overridden receiver's LP put in."""
     rng = random.Random(2207)
     overridden = 0
     for _ in range(300):
         t = gen.rand_topology(rng, with_catalogs=rng.random() < 0.5)
-        compiled = dict(t.sessions)
         overrides = _random_overrides(rng, t)
-        resolved = _with_lp_overrides(t.sessions, overrides)
+        resolved = replace(t, lp_overrides=overrides).sessions
         assert resolved.keys() == t.sessions.keys()
         for sender, own in t.sessions.items():
             expected = Sessions.build(
@@ -698,7 +700,6 @@ def test_lp_overrides_resolve_to_what_sessions_build_compiles():
             )
             assert resolved[sender] == expected
             overridden += resolved[sender] != own
-        assert t.sessions == compiled and all(t.sessions[a] is s for a, s in compiled.items())
     assert overridden >= 400
 
 
@@ -711,8 +712,9 @@ def test_a_displaced_local_entry_is_withdrawn_where_it_was_announced():
         {1: "stub", 2: "stub", 3: "transit"},
         (Link("l1", 1, 3, 1), Link("l2", 2, 3, 2), Link("l3", 1, 2, None)),
         {1: frozenset({P1}), 2: frozenset({sub})},
+        lp_overrides={(1, 2): 2000},
     )
-    te = TeConfig((Advertisement(1, sub, "l1"),), {(1, 2): 2000})
+    te = TeConfig((Advertisement(1, sub, "l1"),))
     state = _check_against_reference(t, te)
     assert state.selected(1, sub).learned_on == "l3"
     assert set(state.adj_rib_in[3][sub]) == {"l2"}

@@ -204,7 +204,7 @@ def test_ingress_table_matches_hop_by_hop_walks_on_random_cases():
     for case in range(200):
         policies = case % 2 == 1
         t = gen.rand_topology(rng, with_catalogs=policies)
-        te = gen.rand_te(rng, t, with_communities=policies, with_lp_overrides=policies)
+        t, te = gen.rand_te(rng, t, with_communities=policies, with_lp_overrides=policies)
         try:
             state = propagate_to_convergence(t, te)
         except OscillationError:

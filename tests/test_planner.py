@@ -26,6 +26,7 @@ from bgpsteer import (
     Prefix,
     SAME_PROVIDER,
     Topology,
+    TopologyError,
     common_upstream_check,
     evaluate_plan,
     ingress_map,
@@ -403,23 +404,25 @@ def test_te_config_from_actions_explicit_everything():
 
 def test_lp_override_flag_tags_plan():
     s = load("scenarios/dualprovider_baseline.scn")
+    t = replace(s.topology, lp_overrides={(65101, 400): 300})
     objectives = (Objective(Flow(None, 65101, P1, 65001), "l1"),)
-    result = plan_inbound_te(
-        s.topology, 65001, objectives, lp_overrides={(65101, 400): 300}
-    )
+    result = plan_inbound_te(t, 65001, objectives)
     assert isinstance(result, Plan)
     assert result.lp_constraint_violated
+    # The plan is judged under the overrides it was found under.
+    assert evaluate_plan(t, 65001, result, objectives).satisfied == (True,)
+    assert not plan_inbound_te(s.topology, 65001, objectives).lp_constraint_violated
 
 
 def test_planner_and_evaluate_plan_reject_an_lp_override_on_an_undeclared_as():
     s = load("scenarios/dualprovider_sourceasn_objectives.scn")
-    bad = {(65001, 4242): 300}
-    message = r"LP override references undeclared AS \(65001, 4242\)"
-    with pytest.raises(ValueError, match=message):
-        plan_inbound_te(s.topology, 65001, s.objectives, lp_overrides=bad)
     plan = plan_inbound_te(s.topology, 65001, s.objectives)
-    with pytest.raises(ValueError, match=message):
-        evaluate_plan(s.topology, 65001, plan, s.objectives, bad)
+    bad = replace(s.topology, lp_overrides={(65001, 4242): 300})
+    message = r"LP override references undeclared AS \(65001, 4242\)"
+    with pytest.raises(TopologyError, match=message):
+        plan_inbound_te(bad, 65001, s.objectives)
+    with pytest.raises(TopologyError, match=message):
+        evaluate_plan(bad, 65001, plan, s.objectives)
 
 
 def test_evaluate_plan_reports_unsatisfied():
@@ -490,15 +493,14 @@ ELSEWHERE = Prefix.parse("192.168.0.0/16")
 P1_HALF = Prefix.parse("10.1.128.0/17")
 
 
-def reference_plan(t, dest, objectives, budget, lp_overrides):
+def reference_plan(t, dest, objectives, budget):
     """Enumerate every action set, sort by plan_cost, and simulate each
     candidate over the whole topology until one meets every objective.
     Returns the result and how many candidates oscillated."""
     witnesses = common_upstream_check(t, objectives)
     if witnesses:
         return Infeasible(tuple(witnesses)), 0
-    lp_overrides = dict(lp_overrides or {})
-    baseline_te = te_config_from_actions(t, dest, [], lp_overrides)
+    baseline_te = te_config_from_actions(t, dest, [])
     baseline_map = ingress_map(propagate_to_convergence(t, baseline_te), t, dest)
     atoms = _build_atoms(t, dest, objectives)
     sources = [_objective_sources(t, dest, o) for o in objectives]
@@ -509,7 +511,7 @@ def reference_plan(t, dest, objectives, budget, lp_overrides):
     candidates.sort(key=lambda cv: cv[0])
     tried = oscillating = 0
     for _cost, combo in candidates:
-        te = te_config_from_actions(t, dest, combo, lp_overrides)
+        te = te_config_from_actions(t, dest, combo)
         if te is None:
             continue
         tried += 1
@@ -526,7 +528,7 @@ def reference_plan(t, dest, objectives, budget, lp_overrides):
         predicted = ingress_map(state, t, dest)
         actions = tuple(sorted(combo, key=Action.sort_key))
         side = _side_effects(t, objectives, baseline_map, predicted)
-        return Plan(actions, predicted, side, bool(lp_overrides)), oscillating
+        return Plan(actions, predicted, side, bool(t.lp_overrides)), oscillating
     return Exhausted(tried, budget.max_actions), oscillating
 
 
@@ -557,31 +559,34 @@ def rand_grouped_instance(rng):
     if rng.random() < 0.4:
         src = rng.choice([a for a in others if t.roles[a] == "stub"] + [None])
         objectives.append(Objective(Flow(None, src, P1_HALF, dest), rng.choice(["l1", "l2"])))
-    t = Topology(t.roles, tuple(links), originations, t.catalogs)
-    return t, dest, objectives, budget, lp_overrides
+    t = Topology(t.roles, tuple(links), originations, t.catalogs, lp_overrides)
+    return t, dest, objectives, budget
 
 
 def test_planner_matches_full_resimulation_of_every_candidate():
     rng = random.Random(4242)
     kinds = dict.fromkeys(
-        ["plan", "exhausted", "oscillating", "more-specific", "own cover", "other cover"], 0
+        ["plan", "overridden plan", "exhausted", "oscillating", "more-specific", "own cover", "other cover"],
+        0,
     )
     for _ in range(70):
-        t, dest, objectives, budget, lp_overrides = rand_grouped_instance(rng)
+        t, dest, objectives, budget = rand_grouped_instance(rng)
         if not gen.instance_is_plannable(t, dest, objectives):
             continue
         try:
-            expected, oscillating = reference_plan(t, dest, objectives, budget, lp_overrides)
+            expected, oscillating = reference_plan(t, dest, objectives, budget)
         except OscillationError as exc:
             with pytest.raises(OscillationError) as err:
-                plan_inbound_te(t, dest, objectives, budget, lp_overrides)
+                plan_inbound_te(t, dest, objectives, budget)
             assert str(err.value) == str(exc)
             continue
-        got = plan_inbound_te(t, dest, objectives, budget, lp_overrides)
+        got = plan_inbound_te(t, dest, objectives, budget)
         assert got == expected
         if isinstance(expected, Plan):
             assert got.predicted_map.to_csv() == expected.predicted_map.to_csv()
+            assert all(evaluate_plan(t, dest, got, objectives).satisfied)
             kinds["plan"] += 1
+            kinds["overridden plan"] += bool(t.lp_overrides)
         elif isinstance(expected, Exhausted):
             assert got.candidates_tried == expected.candidates_tried
             kinds["exhausted"] += 1
@@ -589,7 +594,7 @@ def test_planner_matches_full_resimulation_of_every_candidate():
         kinds["own cover"] += COVER in t.originated_by(dest)
         kinds["other cover"] += any(COVER in ps for a, ps in t.originations.items() if a != dest)
         kinds["more-specific"] += any(o.flow.dst_prefix == P1_HALF for o in objectives)
-    assert all(n >= 3 for n in kinds.values()), kinds
+    assert all(n >= 3 for n in kinds.values()) and kinds["overridden plan"] >= 10, kinds
 
 
 def test_withheld_prefix_falls_back_to_the_destination_cover():
@@ -605,7 +610,7 @@ def test_withheld_prefix_falls_back_to_the_destination_cover():
         "objective 65001 * 10.2.0.0/16 l1\n"
     )
     budget = Budget(max_actions=2)
-    expected, _ = reference_plan(s.topology, 65001, s.objectives, budget, {})
+    expected, _ = reference_plan(s.topology, 65001, s.objectives, budget)
     got = plan_inbound_te(s.topology, 65001, s.objectives, budget)
     assert got == expected
     assert [str(a) for a in got.actions] == ["withhold 10.0.0.0/8 l2", "withhold 10.2.0.0/16 l2"]
@@ -670,7 +675,7 @@ def test_three_groups_under_tight_budgets_match_full_resimulation():
         t, dest, objectives, budget, split = rand_three_group_instance(rng)
         if not gen.instance_is_plannable(t, dest, objectives):
             continue
-        expected, _oscillating = reference_plan(t, dest, objectives, budget, {})
+        expected, _oscillating = reference_plan(t, dest, objectives, budget)
         got = plan_inbound_te(t, dest, objectives, budget)
         assert got == expected
         if isinstance(expected, Plan):
@@ -699,7 +704,7 @@ def test_tight_budget_trades_a_cheaper_part_for_a_smaller_one():
     )
     results = {}
     for n in (2, 3, 4):
-        expected, _ = reference_plan(s.topology, 65001, s.objectives, Budget(n), {})
+        expected, _ = reference_plan(s.topology, 65001, s.objectives, Budget(n))
         got = results[n] = plan_inbound_te(s.topology, 65001, s.objectives, Budget(n))
         assert got == expected
     assert isinstance(results[2], Exhausted)
@@ -737,7 +742,7 @@ def test_candidates_tried_counts_every_consistent_action_set():
     cases = [(s.topology, s.objectives[0].flow.dst_asn, s.objectives) for s in cases]
     rng = random.Random(77)
     while len(cases) < 15:
-        t, dest, objectives, _budget, _lp = rand_grouped_instance(rng)
+        t, dest, objectives, _budget = rand_grouped_instance(rng)
         if gen.instance_is_plannable(t, dest, objectives):
             cases.append((t, dest, objectives))
     keys_with = {kind: set() for kind in ActionKind}
@@ -852,7 +857,7 @@ def grouped_instances(rng, n):
         s = load(path)
         instances.append((s.topology, s.objectives[0].flow.dst_asn, s.objectives))
     while len(instances) < n:
-        t, dest, objectives, _budget, _lp = rand_grouped_instance(rng)
+        t, dest, objectives, _budget = rand_grouped_instance(rng)
         provider = t.link_by_id("l1").other(dest)
         down = Link(f"l{len(t.links) + 1}", dest, provider, dest, up=False)
         t = Topology(t.roles, t.links + (down,), t.originations, t.catalogs)

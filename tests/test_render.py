@@ -110,7 +110,7 @@ def test_renderers_match_the_reference_on_random_cases(dumps_checked):
         t = gen.rand_topology(rng, with_catalogs=True)
         if rng.random() < 0.5:
             t = gen.with_rule_facts(rng, t)
-        te = gen.rand_te(rng, t, with_communities=True, with_lp_overrides=True)
+        t, te = gen.rand_te(rng, t, with_communities=True, with_lp_overrides=True)
         state = check_run(t, te, dumps_checked)
         if state is None:
             continue

@@ -21,7 +21,6 @@ from bgpsteer import (
     export_permitted,
     prepend_path,
 )
-from bgpsteer.engine import NO_LP_OVERRIDES
 from bgpsteer.routes import best_of
 from bgpsteer.topology import LOCAL
 
@@ -182,30 +181,16 @@ def test_advertisement_and_action_are_the_tuples_of_their_fields():
 def test_te_config_converged_state_and_ingress_map_are_the_tuples_of_their_fields():
     ad = Advertisement(D, P1, "l1", frozenset({Community(100, 50)}), 10)
     withheld = frozenset({(D, P1)})
-    te = TeConfig((ad,), {(ISP1, D): 300}, withheld)
-    fields = ((ad,), {(ISP1, D): 300}, withheld)
+    te = TeConfig((ad,), withheld)
+    fields = ((ad,), withheld)
     assert te == fields and tuple(te) == fields
     changed = te._replace(advertisements=())
     assert type(changed) is TeConfig and changed.advertisements == () and te.advertisements == (ad,)
-    # The default override table is one immutable empty mapping, shared by
-    # every TeConfig() without being open to change through any of them.
     default = TeConfig()
-    assert default == ((), {}, frozenset()) and default.lp_overrides is TeConfig().lp_overrides
-    assert default.lp_overrides is NO_LP_OVERRIDES and not NO_LP_OVERRIDES
-    for mutate in (
-        lambda m: m.__setitem__((ISP1, D), 1),
-        lambda m: m.update({(ISP1, D): 1}),
-        lambda m: m.setdefault((ISP1, D), 1),
-        lambda m: m.pop((ISP1, D)),
-        lambda m: m.clear(),
-    ):
-        with pytest.raises(TypeError):
-            mutate(default.lp_overrides)
-    assert NO_LP_OVERRIDES == {} and TeConfig().lp_overrides == {}
+    assert default == ((), frozenset())
     for value in (te, default):
         for copied in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
             assert type(copied) is TeConfig and copied == value
-    assert copy.deepcopy(default).lp_overrides is NO_LP_OVERRIDES
 
     best = Route(P1, (ISP1, D), 200, None, frozenset(), "l1", D)
     adj = {ISP1: {}, A: {P1: {"l1": best}}}

@@ -276,7 +276,7 @@ def test_roundtrip_random_scenarios():
     rng = random.Random(9)
     for _ in range(60):
         t = gen.rand_topology(rng, with_catalogs=True)
-        te = gen.rand_te(rng, t, with_communities=True, with_lp_overrides=True)
+        t, te = gen.rand_te(rng, t, with_communities=True, with_lp_overrides=True)
         from bgpsteer import Scenario
 
         s = parse_scenario(serialize_scenario(Scenario(t, te, ())))
@@ -291,7 +291,7 @@ def test_parsed_topologies_validate_clean():
 
     for _ in range(40):
         t = gen.rand_topology(rng, with_catalogs=True)
-        te = gen.rand_te(rng, t)
+        t, te = gen.rand_te(rng, t)
         text = serialize_scenario(Scenario(t, te, ()))
         assert not validate_topology(parse_topology(text)).errors
 
@@ -598,6 +598,16 @@ def test_a_region_tag_must_be_one_word():
     ]
 
 
+def test_lp_override_rules_are_topology_findings():
+    t = parse_topology(RULE_BASE + "lp-override 2 1 300\n")
+    assert t.lp_overrides == {(2, 1): 300} and not t.validation.errors
+    errors = validate_topology(replace(t, lp_overrides={(2, 1): -1, (2, 4242): 300, (1, 2): 80})).errors
+    assert [(f.subject, f.message) for f in errors] == [
+        (("lp-override", 2, 1), "LP override must be >= 0"),
+        (("lp-override", 2, 4242), "LP override references undeclared AS (2, 4242)"),
+    ]
+
+
 def test_a_repeated_advertise_community_is_reported_at_its_second_value():
     with pytest.raises(ScenarioError) as err:
         parse_scenario(RULE_BASE + "advertise 1 10.1.0.0/16 l1 community 9:9 community 9:9\n")
@@ -736,7 +746,7 @@ def test_the_parser_accepts_exactly_what_the_validators_accept():
         t = gen.rand_topology(rng, with_catalogs=True)
         if rng.random() < 0.5:
             t = gen.with_rule_facts(rng, t)
-        te = gen.rand_te(rng, t, with_communities=True, with_lp_overrides=True)
+        t, te = gen.rand_te(rng, t, with_communities=True, with_lp_overrides=True)
         s = _fault(kind, rng, Scenario(t, te, ()))
         text = serialize_scenario(s)
         reject = _validators_reject(s)
@@ -798,7 +808,7 @@ def test_what_the_validators_accept_round_trips_through_the_text_form():
     for n in range(300):
         rng = random.Random(n)
         t = gen.with_rule_facts(rng, gen.rand_topology(rng, with_catalogs=True))
-        s = Scenario(t, gen.rand_te(rng, t, with_communities=True, with_lp_overrides=True), ())
+        s = Scenario(*gen.rand_te(rng, t, with_communities=True, with_lp_overrides=True), ())
         rename = rng.random() < 0.8
         if rename:
             s = _rename(rng, s)
@@ -815,8 +825,7 @@ def test_what_the_validators_accept_round_trips_through_the_text_form():
         parsed = parse_scenario(text)
         t, back = s.topology, parsed.topology
         assert set(parsed.te_config.advertisements) == set(s.te_config.advertisements)
-        assert parsed.te_config.lp_overrides == s.te_config.lp_overrides
-        assert (back.roles, back.originations) == (t.roles, t.originations)
+        assert (back.roles, back.originations, back.lp_overrides) == (t.roles, t.originations, t.lp_overrides)
         assert sorted(back.links, key=lambda l: l.id) == sorted(t.links, key=lambda l: l.id)
         # An empty catalog has no record.
         assert back.catalogs == {o: cat for o, cat in t.catalogs.items() if not cat.is_empty()}
