@@ -9,12 +9,13 @@ destination-based: source prefixes never influence resolution.
 Traffic for a prefix leaves an AS on the link of the route that AS selects
 for the prefix by longest-prefix match, and every hop matches the same
 queried prefix.  So an AS's next hop depends only on the AS and the prefix,
-and the walk from an AS is its first link followed by its next hop's walk:
-the last link, through which the traffic enters its owner, is the next
-hop's last link, or the AS's own link when the next hop holds the route
-locally.  A `ForwardingTable` holds these answers for one state and one
-prefix, resolving each AS at most once; `ingress_map` reads one table per
-originated prefix, so it costs one lookup per AS and prefix.
+and every AS on a walk shares the walk's end: the link into the AS that
+holds the route locally.  The traffic enters the destination over that link
+when it is incident to the destination, and enters it over no link
+otherwise.  A `ForwardingTable` states this entry rule for one state, one
+prefix and one destination, resolving each AS at most once; `ingress_map`
+reads one table per originated prefix, so it costs one lookup per AS and
+prefix.
 """
 
 from __future__ import annotations
@@ -88,33 +89,37 @@ def resolve_forwarding(
 
 
 class ForwardingTable:
-    """Where each AS's traffic for one prefix ends up, in one converged state.
+    """Where each AS's traffic for one prefix enters one destination AS, in
+    one converged state.
 
-    `last_link(asn)` is the last link of the hop-by-hop walk that
-    `resolve_forwarding` would take from `asn`: LOCAL when `asn` holds the
-    route locally (an empty walk), None when some hop has no route or the walk
-    revisits an AS.  Answers are resolved on demand and memoised along the
-    forwarding tree, so each AS is looked up at most once per table.  A hop
-    reads the Loc-RIB entry for the prefix itself and falls back to
-    `ConvergedState.best_route`'s longest-prefix match only when there is
-    none."""
+    `entry_link(asn)` is the link through which the hop-by-hop walk that
+    `resolve_forwarding` would take from `asn` enters `dest`: the walk's last
+    link when it is incident to `dest`.  It is None when some hop has no
+    route, the walk revisits an AS, the walk ends at another AS, or `asn`
+    holds the route itself (an empty walk).  Answers are resolved on demand
+    and memoised along the forwarding tree, so each AS is looked up at most
+    once per table.  A hop reads the Loc-RIB entry for the prefix itself and
+    falls back to `ConvergedState.best_route`'s longest-prefix match only
+    when there is none."""
 
-    __slots__ = ("_s", "_t", "_prefix", "_loc_rib", "_links", "_known")
+    __slots__ = ("_s", "_t", "_prefix", "_dest", "_loc_rib", "_links", "_known")
 
-    def __init__(self, s: ConvergedState, t: Topology, prefix: Prefix) -> None:
-        self._s, self._t, self._prefix = s, t, prefix
+    def __init__(self, s: ConvergedState, t: Topology, prefix: Prefix, dest: int) -> None:
+        self._s, self._t, self._prefix, self._dest = s, t, prefix, dest
         self._loc_rib, self._links = s.loc_rib, t.links_by_id
+        # AS -> its entry link, or LOCAL for an AS that holds the route.
         self._known: dict[int, str | None] = {}
 
-    def last_link(self, asn: int) -> str | None:
+    def entry_link(self, asn: int) -> str | None:
         known = self._known
         if asn in known:
-            return known[asn]
+            answer = known[asn]
+            return None if answer == LOCAL else answer
         loc_rib, links, prefix = self._loc_rib, self._links, self._prefix
         # Walk to an AS whose answer is known.  Until the walk ends, each AS
         # passed holds its next hop (an int, never an answer) in `known`, so a
         # walk that meets itself finds one.
-        current, last = asn, None
+        current, link = asn, None
         while current not in known:
             rib = loc_rib.get(current)
             route = rib.get(prefix) if rib is not None else None
@@ -132,24 +137,19 @@ class ForwardingTable:
                 break
             link = links.get(link_id) or self._t.link_by_id(link_id)
             known[current] = nxt = link.other(current)
-            current, last = nxt, link_id
+            current = nxt
         answer = known[current]
-        if type(answer) is int:  # a loop: cannot happen at a fixed point; guard anyway
+        if answer == LOCAL:
+            # The walk ends over its last link, which enters dest only when
+            # dest is on it; an AS that holds the route enters no link.
+            dest = self._dest
+            answer = link.id if link is not None and (dest == link.a or dest == link.b) else None
+        elif type(answer) is int:  # a loop: cannot happen at a fixed point; guard anyway
             answer = None
-        elif answer == LOCAL and last is not None:
-            answer = last  # the walk enters the holder of the route over its last link
         hop = asn
         while type(nxt := known[hop]) is int:
             known[hop], hop = answer, nxt
         return answer
-
-
-def entry_link(t: Topology, dest: int, last: str | None) -> str | None:
-    """The link through which a walk whose last link is `last` enters `dest`:
-    `last` itself when it is a link incident to `dest`, else None."""
-    if last is None or last == LOCAL:
-        return None
-    return last if dest in t.link_by_id(last).endpoints() else None
 
 
 class IngressMap(NamedTuple):
@@ -186,19 +186,13 @@ def ingress_map(s: ConvergedState, t: Topology, dest: int) -> IngressMap:
     prefixes = sorted(t.originated_by(dest))
     if not prefixes:
         raise ValueError(f"AS {dest} originates nothing")
-    last_links = [(prefix, ForwardingTable(s, t, prefix).last_link) for prefix in prefixes]
-    # Few distinct last links occur, so entry_link runs once per distinct one.
-    entry_of: dict[str | None, str] = {}
+    tables = [(prefix, ForwardingTable(s, t, prefix, dest).entry_link) for prefix in prefixes]
     entries: dict[tuple[int, Prefix], str] = {}
     for src in t.ases():
         if src == dest:
             continue
-        for prefix, last_link in last_links:
-            last = last_link(src)
-            entry = entry_of.get(last)
-            if entry is None:
-                entry = entry_of[last] = entry_link(t, dest, last) or UNREACHABLE
-            entries[src, prefix] = entry
+        for prefix, entry_link in tables:
+            entries[src, prefix] = entry_link(src) or UNREACHABLE
     return IngressMap(dest, entries)
 
 

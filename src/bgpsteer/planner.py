@@ -20,7 +20,9 @@ cost, would find.
 
 One judged candidate costs one expansion (`te_config_from_actions`), one
 restricted run, which checks the topology and the TE config as every run
-does, and one forwarding table per objective prefix of its group.  What
+does, and one forwarding table per objective prefix of its group, whose
+entry links (`ForwardingTable.entry_link`) decide each objective.  The
+empty action set expands like any other, to the plain table.  What
 depends only on the topology and the destination is compiled once, on the
 planner's first request (`_origin`): the plain announcement table, which an
 expansion copies all but the keys its actions name from, the community,
@@ -52,7 +54,6 @@ from .flows import (
     IngressMap,
     classify,
     diff_ingress,
-    entry_link,
     ingress_map,
 )
 from .routes import Community
@@ -312,11 +313,6 @@ class _Origin(NamedTuple):
     # (prefix, link id) -> the plain announcement of each originated prefix
     # on each up link, in key order: the table with no action applied.
     plain: Mapping[tuple[Prefix, str], Advertisement]
-    # The empty action set's expansion: the plain announcements in key
-    # order, and the withheld pairs (every originated prefix when dest has
-    # no up link).
-    baseline: tuple[Advertisement, ...]
-    unannounced: frozenset[tuple[int, Prefix]]
     # The atoms no objective adds, each in Action.sort_key order: the
     # community and MED atoms, which sort before every more-specific, with
     # their prepend counts, and the withholds, which sort after.
@@ -353,8 +349,6 @@ def _origin(t: Topology, dest: int) -> _Origin:
             originated,
             offered,
             plain,
-            tuple(plain.values()),
-            frozenset() if plain else frozenset((dest, p) for p in originated),
             tuple(head),
             tuple(_prepend_amount(t, dest, a) for a in head),
             tuple(Action(ActionKind.WITHHOLD, p, l) for p in originated for l in offered),
@@ -448,8 +442,6 @@ def te_config_from_actions(t: Topology, dest: int, actions: Sequence[Action]) ->
     back to a covering prefix, if dest announces one, else it is
     unreachable)."""
     origin = _origin(t, dest)
-    if not actions:
-        return tuple.__new__(TeConfig, (origin.baseline, origin.unannounced))
     plain = origin.plain
     by_key: dict[tuple[Prefix, str], list[Action]] = {}
     for a in actions:
@@ -492,20 +484,18 @@ def plan_cost(t: Topology, dest: int, actions: Sequence[Action]) -> tuple:
     return (weight, prepends, tuple(a.sort_key() for a in sorted(actions, key=Action.sort_key)))
 
 
-def _objective_satisfied(
-    table: ForwardingTable, t: Topology, dest: int, o: Objective, sources: Sequence[int]
-) -> bool:
+def _objective_satisfied(table: ForwardingTable, o: Objective, sources: Sequence[int]) -> bool:
     """True when the traffic of each of `sources` (`_objective_sources` of
     `o`) that reaches dest enters it over `o.required_link`, and some does;
-    `table` is the state's ForwardingTable for `o`'s destination prefix."""
+    `table` is the state's ForwardingTable for `o`'s destination prefix and
+    dest."""
     required = o.required_link
     any_reachable = False
     for src in sources:
-        last = table.last_link(src)
-        # The required link is incident to dest, so it is its own entry link.
-        if last == required:
+        entry = table.entry_link(src)
+        if entry == required:
             any_reachable = True
-        elif entry_link(t, dest, last) is not None:
+        elif entry is not None:
             return False
     return any_reachable
 
@@ -521,8 +511,8 @@ def _verdicts(
         prefix = o.flow.dst_prefix
         table = tables.get(prefix)
         if table is None:
-            table = tables[prefix] = ForwardingTable(state, t, prefix)
-        verdicts.append(_objective_satisfied(table, t, dest, o, sources))
+            table = tables[prefix] = ForwardingTable(state, t, prefix, dest)
+        verdicts.append(_objective_satisfied(table, o, sources))
     return verdicts
 
 

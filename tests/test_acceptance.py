@@ -8,6 +8,7 @@ Run `pytest tests/test_acceptance.py -s` to see the verdict lines.
 
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -43,7 +44,7 @@ def verdict(n: str, name: str, ok: bool, extra: str = "") -> None:
 
 
 def run_scenario(path: str):
-    s = parse_scenario(open(path).read())
+    s = parse_scenario(Path(path).read_text(encoding="utf-8"))
     return s, propagate_to_convergence(s.topology, s.te_config)
 
 
@@ -105,7 +106,7 @@ def test_criterion_3_lp_communities_split_and_flip():
 
 
 def test_criterion_4_source_asn_plan():
-    s = parse_scenario(open("scenarios/dualprovider_sourceasn_objectives.scn").read())
+    s = parse_scenario(Path("scenarios/dualprovider_sourceasn_objectives.scn").read_text(encoding="utf-8"))
     result = plan_inbound_te(s.topology, 65001, s.objectives)
     ok = isinstance(result, Plan)
     if ok:
@@ -122,7 +123,7 @@ def test_criterion_4_source_asn_plan():
 
 
 def test_criterion_5_deep_topology_side_effects():
-    s = parse_scenario(open("scenarios/deep_objectives.scn").read())
+    s = parse_scenario(Path("scenarios/deep_objectives.scn").read_text(encoding="utf-8"))
     result = plan_inbound_te(s.topology, 65001, s.objectives)
     ok = isinstance(result, Plan)
     if ok:
@@ -135,10 +136,10 @@ def test_criterion_5_deep_topology_side_effects():
 
 
 def test_criterion_6_infeasibility_witnesses():
-    s3 = parse_scenario(open("scenarios/singleprovider_split_objectives.scn").read())
+    s3 = parse_scenario(Path("scenarios/singleprovider_split_objectives.scn").read_text(encoding="utf-8"))
     r3 = plan_inbound_te(s3.topology, 65001, s3.objectives)
     same = isinstance(r3, Infeasible) and [w.pivot for w in r3.witnesses] == [SAME_PROVIDER]
-    st = parse_scenario(open("scenarios/tier1_pivot.scn").read())
+    st = parse_scenario(Path("scenarios/tier1_pivot.scn").read_text(encoding="utf-8"))
     rt = plan_inbound_te(st.topology, 65001, st.objectives)
     pivot = isinstance(rt, Infeasible) and [w.pivot for w in rt.witnesses] == [600]
     verdict("6", "same-provider and tier-1 pivot witnesses", same and pivot)

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -49,6 +52,32 @@ def test_simulate_oscillation_exit_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "AS 100" in err and "AS 200" in err
+
+
+def test_the_module_entry_point_exits_with_mains_code(tmp_path):
+    """`python -m bgpsteer.cli` carries main's return value out of the
+    process: 0 with the same reports main writes, 1 with one error line for a
+    missing scenario, 2 for an oscillation."""
+    env = {**os.environ, "PYTHONPATH": "src"}
+
+    def module(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "bgpsteer.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+
+    golden = str(SCN / "dualprovider_baseline.scn")
+    done = module("simulate", "--scenario", golden, "--out", str(tmp_path / "sub"))
+    assert done.returncode == 0, done.stderr
+    assert main(["simulate", "--scenario", golden, "--out", str(tmp_path / "lib")]) == 0
+    for name in ("state.txt", "ingress.csv"):
+        assert (tmp_path / "sub" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
+
+    done = module("simulate", "--scenario", str(tmp_path / "nope.scn"), "--out", str(tmp_path / "o"))
+    assert done.returncode == 1
+    single_error_line(done.stderr)
+
+    done = module("simulate", "--scenario", str(SCN / "oscillate.scn"), "--out", str(tmp_path / "o"))
+    assert done.returncode == 2, done.stderr
 
 
 def test_simulate_trace(tmp_path, capsys):

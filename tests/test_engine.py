@@ -28,7 +28,7 @@ from bgpsteer.topology import LOCAL, Rel, Session, Sessions, default_local_pref,
 P1 = Prefix.parse("10.1.0.0/16")
 P2 = Prefix.parse("10.2.0.0/16")
 
-DUAL = open("scenarios/dualprovider_baseline.scn").read()
+DUAL = Path("scenarios/dualprovider_baseline.scn").read_text(encoding="utf-8")
 
 
 def run(text):
@@ -45,7 +45,7 @@ def test_dualprovider_baseline_paths():
 
 
 def test_dualprovider_prepend_flips_s1_to_the_other_provider():
-    s, state = run(open("scenarios/dualprovider_prepend_p2.scn").read())
+    s, state = run(Path("scenarios/dualprovider_prepend_p2.scn").read_text(encoding="utf-8"))
     assert state.selected(65101, P2).as_path == (400, 200, 65001)
     assert state.selected(65101, P1).as_path == (100, 65001)
     candidates = {r.as_path for r in state.candidates(65101, P2)}
@@ -73,7 +73,7 @@ def test_loop_freedom():
 
 
 def test_oscillation_detected_with_changing_pairs():
-    s = parse_scenario(open("scenarios/oscillate.scn").read())
+    s = parse_scenario(Path("scenarios/oscillate.scn").read_text(encoding="utf-8"))
     with pytest.raises(OscillationError) as err:
         propagate_to_convergence(s.topology, s.te_config)
     assert err.value.changing == ((100, P1), (200, P1))
@@ -110,7 +110,7 @@ def test_a_run_pauses_the_gc_and_restores_the_callers_setting(caller_gc, monkeyp
 
 
 def test_an_oscillating_run_restores_the_callers_gc_setting(caller_gc):
-    s = parse_scenario(open("scenarios/oscillate.scn").read())
+    s = parse_scenario(Path("scenarios/oscillate.scn").read_text(encoding="utf-8"))
     traced = []
     with pytest.raises(OscillationError):
         propagate_to_convergence(s.topology, s.te_config, trace=lambda st: traced.append(gc.isenabled()))
@@ -197,7 +197,7 @@ def test_selected_is_maximum_of_candidates():
 
 
 def test_best_route_longest_prefix_match():
-    s, state = run(open("scenarios/failover_morespecific.scn").read())
+    s, state = run(Path("scenarios/failover_morespecific.scn").read_text(encoding="utf-8"))
     sub = Prefix.parse("10.1.128.0/17")
     inner = Prefix.parse("10.1.129.0/24")
     assert state.best_route(65101, inner).prefix == sub
@@ -216,13 +216,13 @@ def test_link_id_local_is_reserved():
 
 
 def test_med_basic_golden():
-    _, state = run(open("scenarios/med_basic.scn").read())
+    _, state = run(Path("scenarios/med_basic.scn").read_text(encoding="utf-8"))
     assert state.loc_rib[100][P1].learned_on == "l1"
     assert state.loc_rib[100][P1].med == 10
 
 
 def test_med_ignored_across_neighbors_golden():
-    _, state = run(open("scenarios/med_scope.scn").read())
+    _, state = run(Path("scenarios/med_scope.scn").read_text(encoding="utf-8"))
     chosen = state.selected(65101, P1)
     assert chosen.as_path == (100, 65001)  # lower first-hop ASN, despite med 20
     assert chosen.med == 20
@@ -290,7 +290,7 @@ CONVERGING_GOLDENS = sorted(
 
 @pytest.mark.parametrize("max_rounds", [None, 1, 2, 3, 4, 7, 12, 13])
 def test_oscillation_rounds_and_changing_pairs_pinned(max_rounds):
-    s = parse_scenario(open("scenarios/oscillate.scn").read())
+    s = parse_scenario(Path("scenarios/oscillate.scn").read_text(encoding="utf-8"))
     with pytest.raises(OscillationError) as err:
         propagate_to_convergence(s.topology, s.te_config, max_rounds=max_rounds)
     # default bound: 2 * |ASes| + MAX_PREPEND + 4 = 13 for three ASes
@@ -299,7 +299,7 @@ def test_oscillation_rounds_and_changing_pairs_pinned(max_rounds):
 
 
 def test_oscillation_trace_alternates_between_two_states():
-    s = parse_scenario(open("scenarios/oscillate.scn").read())
+    s = parse_scenario(Path("scenarios/oscillate.scn").read_text(encoding="utf-8"))
     dumps = []
     with pytest.raises(OscillationError):
         propagate_to_convergence(s.topology, s.te_config, trace=lambda st: dumps.append((st.rounds_used, st.dump())))
@@ -377,7 +377,7 @@ def test_restricted_runs_match_the_full_run_on_goldens(path):
 
 
 def test_restricted_run_of_the_oscillating_group_reports_its_pairs():
-    s = parse_scenario(open("scenarios/oscillate.scn").read())
+    s = parse_scenario(Path("scenarios/oscillate.scn").read_text(encoding="utf-8"))
     assert _check_restricted_runs(s.topology, s.te_config)
     with pytest.raises(OscillationError) as err:
         propagate_to_convergence(s.topology, s.te_config, prefixes=[P1])

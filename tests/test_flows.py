@@ -19,7 +19,7 @@ from bgpsteer import (
 from bgpsteer.engine import ConvergedState
 from bgpsteer.flows import UNREACHABLE, ForwardingTable
 from bgpsteer.routes import Route, local_route
-from bgpsteer.topology import LOCAL, Link, Topology
+from bgpsteer.topology import Link, Topology
 
 P1 = Prefix.parse("10.1.0.0/16")
 P2 = Prefix.parse("10.2.0.0/16")
@@ -27,7 +27,7 @@ P1SUB = Prefix.parse("10.1.128.0/17")
 
 
 def run(path):
-    s = parse_scenario(open(path).read())
+    s = parse_scenario(Path(path).read_text(encoding="utf-8"))
     return s, propagate_to_convergence(s.topology, s.te_config)
 
 
@@ -175,16 +175,23 @@ def reference_ingress_entries(state, t, dest):
 
 def assert_table_matches_walks(state, t):
     """Every originated prefix's ingress map, and the forwarding table of
-    every prefix a route is installed for, against single-flow walks."""
+    every prefix a route is installed for, against single-flow walks.  A
+    table's dest is each AS that originates the prefix or a prefix covering
+    it; the entry link it should give is the walk's last hop when that hop
+    is incident to dest, else None."""
     for dest in t.originations:
         if t.originated_by(dest):
             assert ingress_map(state, t, dest).entries == reference_ingress_entries(state, t, dest)
     installed = {p for rib in state.loc_rib.values() for p in rib}
     for prefix in installed:
-        table = ForwardingTable(state, t, prefix)
-        for src in t.ases():
-            hops = resolve_forwarding(state, t, src, prefix)
-            assert table.last_link(src) == (None if hops is None else hops[-1] if hops else LOCAL)
+        dests = [d for d, prefixes in t.originations.items() if any(p.contains(prefix) for p in prefixes)]
+        assert dests
+        walks = {src: resolve_forwarding(state, t, src, prefix) for src in t.ases()}
+        for dest in dests:
+            table = ForwardingTable(state, t, prefix, dest)
+            for src, hops in walks.items():
+                entered = hops and dest in t.link_by_id(hops[-1]).endpoints()
+                assert table.entry_link(src) == (hops[-1] if entered else None)
 
 
 CONVERGING_GOLDENS = sorted(p for p in Path("scenarios").glob("*.scn") if p.name != "oscillate.scn")
@@ -253,8 +260,8 @@ def test_forwarding_loop_leaves_every_as_on_it_dead():
         loc_rib[asn] = {P1: Route(P1, (nxt, 1), 100, None, frozenset(), link_id, 1)}
     state = ConvergedState({}, loc_rib, 1)
     for order in ([5, 2, 3, 4, 1], [3, 1, 4, 5, 2]):
-        table = ForwardingTable(state, t, P1)
-        assert [table.last_link(asn) for asn in order] == [None if asn != 1 else LOCAL for asn in order]
+        table = ForwardingTable(state, t, P1, 1)
+        assert [table.entry_link(asn) for asn in order] == [None] * len(order)
     assert all(resolve_forwarding(state, t, asn, P1) is None for asn in hops)
     assert ingress_map(state, t, 1).entries == {(asn, P1): UNREACHABLE for asn in hops}
 
@@ -270,9 +277,9 @@ def test_a_hop_over_a_link_that_misses_the_as_raises():
         3: {P1: Route(P1, (2, 1), 50, None, frozenset(), "l1", 1)},
     }
     state = ConvergedState({}, loc_rib, 1)
-    assert ForwardingTable(state, t, P1).last_link(2) == "l1"
+    assert ForwardingTable(state, t, P1, 1).entry_link(2) == "l1"
     with pytest.raises(ValueError, match="AS 3 is not on link l1"):
-        ForwardingTable(state, t, P1).last_link(3)
+        ForwardingTable(state, t, P1, 1).entry_link(3)
     with pytest.raises(ValueError, match="AS 3 is not on link l1"):
         resolve_forwarding(state, t, 3, P1)
     with pytest.raises(ValueError, match="AS 3 is not on link l1"):

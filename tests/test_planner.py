@@ -54,7 +54,7 @@ P2 = Prefix.parse("10.2.0.0/16")
 
 
 def load(path):
-    return parse_scenario(open(path).read())
+    return parse_scenario(Path(path).read_text(encoding="utf-8"))
 
 
 def test_dualprovider_objective_pairs_are_clear():
@@ -521,7 +521,7 @@ def reference_plan(t, dest, objectives, budget):
             oscillating += 1
             continue
         if not all(
-            _objective_satisfied(ForwardingTable(state, t, o.flow.dst_prefix), t, dest, o, s)
+            _objective_satisfied(ForwardingTable(state, t, o.flow.dst_prefix, dest), o, s)
             for o, s in zip(objectives, sources)
         ):
             continue

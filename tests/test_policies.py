@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from bgpsteer import (
@@ -169,7 +171,7 @@ def test_egress_suppressed_returns_none():
 
 
 def test_strip_invariant_on_golden():
-    s = parse_scenario(open("scenarios/singleprovider_lp_pair.scn").read())
+    s = parse_scenario(Path("scenarios/singleprovider_lp_pair.scn").read_text(encoding="utf-8"))
     state = propagate_to_convergence(s.topology, s.te_config)
     owned = {owner: cat.communities() for owner, cat in s.topology.catalogs.items()}
     for asn, by_prefix in state.loc_rib.items():
@@ -181,7 +183,7 @@ def test_strip_invariant_on_golden():
 
 
 def test_suppression_blackholes_beyond_selected_neighbors():
-    s = parse_scenario(open("scenarios/suppress_blackhole.scn").read())
+    s = parse_scenario(Path("scenarios/suppress_blackhole.scn").read_text(encoding="utf-8"))
     state = propagate_to_convergence(s.topology, s.te_config)
     # the suppressed peer and the stub behind it have no route to 10.2/16
     assert state.best_route(400, P2) is None
@@ -192,7 +194,7 @@ def test_suppression_blackholes_beyond_selected_neighbors():
 
 
 def test_unknown_communities_do_not_change_selection():
-    base = open("scenarios/dualprovider_baseline.scn").read()
+    base = Path("scenarios/dualprovider_baseline.scn").read_text(encoding="utf-8")
     with_noise = base + "advertise 65001 10.1.0.0/16 l1 community 65000:1\nadvertise 65001 10.1.0.0/16 l2 community 65000:2\n"
     s_plain = parse_scenario(base)
     s_noise = parse_scenario(with_noise)

@@ -27,7 +27,7 @@ from bgpsteer.policies import PeerSelector, PolicyCatalog
 from bgpsteer.routes import COMMUNITY_BUDGET, Community
 from bgpsteer.topology import LOCAL, require_valid
 
-DUAL = open("scenarios/dualprovider_baseline.scn").read()
+DUAL = Path("scenarios/dualprovider_baseline.scn").read_text(encoding="utf-8")
 
 
 def test_prefix_parse_and_render():
@@ -241,7 +241,7 @@ def test_roundtrip_needs_the_canonical_order_and_no_empty_catalog():
 
     from bgpsteer import PolicyCatalog
 
-    s = parse_scenario(open("scenarios/failover_morespecific.scn").read())
+    s = parse_scenario(Path("scenarios/failover_morespecific.scn").read_text(encoding="utf-8"))
     t, te = s.topology, s.te_config
     stub = min(asn for asn in t.roles if asn not in t.catalogs)
     cases = {
@@ -304,7 +304,7 @@ def test_each_topology_is_validated_once(monkeypatch):
         return validate_topology(t)
 
     monkeypatch.setattr("bgpsteer.topology.validate_topology", counted)
-    s = parse_scenario(open("scenarios/dualprovider_sourceasn_objectives.scn").read())
+    s = parse_scenario(Path("scenarios/dualprovider_sourceasn_objectives.scn").read_text(encoding="utf-8"))
     t = s.topology
     propagate_to_convergence(t, s.te_config)
     plan = plan_inbound_te(t, 65001, s.objectives)
