@@ -31,13 +31,12 @@ What never changes between runs is compiled once per topology
 (`Topology.sessions`, one entry per AS): per exporter, each up link's
 neighbor, the LP that neighbor assigns (its LP override for the exporter,
 else the relationship default), its catalog where the exporter is its
-customer, the exporter's own catalog, neighbor table and the links its
-customers reach it over, and the valley-free split of the links per learned
-link and for its own routes (LOCAL), the one statement of valley-free
-export a run reads.  The round loop walks those session tuples with no
-per-message lookups.  Each origination's local route is compiled
-on a run's first use too, by prefix (`_local_routes`), so a run restricted
-to a few prefixes reads only theirs.  `TeConfig` and `ConvergedState` are
+customer, the exporter's own catalog with its neighbor table, and the
+valley-free split of the links per learned link and for its own routes
+(LOCAL), the one statement of valley-free export a run reads.  The round
+loop walks those session tuples with no per-message lookups.  Each
+origination's local route is compiled on a run's first use too, by prefix
+(`_local_routes`), so a run restricted to a few prefixes reads only theirs.  `TeConfig` and `ConvergedState` are
 `NamedTuple`s, like `Route` and `Advertisement`.
 
 Every Adj-RIB-In and Loc-RIB entry is a `Route`, and each catalog
@@ -80,7 +79,7 @@ from .routes import (
     compare_routes,
     local_route,
 )
-from .topology import LOCAL, Prefix, Session, Sessions, Topology, require_valid
+from .topology import EMPTY, LOCAL, Prefix, Session, Sessions, Topology, require_valid
 
 
 class OscillationError(RuntimeError):
@@ -287,9 +286,8 @@ def propagate_to_convergence(
     wanted = None if prefixes is None else frozenset(prefixes)
     local: dict[tuple[int, Prefix], Route] = {}
     for p in originations if wanted is None else wanted:
-        routes = originations.get(p)
-        if routes is not None:
-            local.update(routes)
+        for route in originations.get(p, ()):
+            local[route.origin_as, p] = route
     for origin, p in listed:
         if (origin, p) not in local and (wanted is None or p in wanted):
             local[origin, p] = local_route(p, origin)
@@ -358,16 +356,15 @@ def propagate_to_convergence(
             gc.enable()
 
 
-def _local_routes(t: Topology) -> Mapping[Prefix, Mapping[tuple[int, Prefix], Route]]:
-    """Prefix -> the local route of each AS that originates it, by (AS,
-    prefix): a fact of the topology, compiled on a run's first use and kept
-    in `t.compiled`."""
+def _local_routes(t: Topology) -> Mapping[Prefix, tuple[Route, ...]]:
+    """Prefix -> the local route of each AS that originates it: a fact of
+    the topology, compiled on a run's first use and kept in `t.compiled`."""
     table = t.compiled.get("engine.local_routes")
     if table is None:
         table = {}
         for asn, originated in t.originations.items():
             for p in originated:
-                table.setdefault(p, {})[asn, p] = local_route(p, asn)
+                table[p] = (*table.get(p, ()), local_route(p, asn))
         table = t.compiled.setdefault("engine.local_routes", table)
     return table
 
@@ -399,7 +396,7 @@ def _export(
     if route.learned_on == LOCAL:
         ads = listed.get((exporter, prefix))
         if ads is None:
-            wire = tuple.__new__(Route, (prefix, (exporter,), 0, None, frozenset(), LOCAL, exporter))
+            wire = tuple.__new__(Route, (prefix, (exporter,), 0, None, EMPTY, LOCAL, exporter))
             _deliver(adj, touched, send, prefix, wire)
             return
         for s in send:
@@ -416,11 +413,12 @@ def _export(
     if not send:
         return
     # The exporter's catalog acts on routes its customers sent with
-    # communities; every neighbor it does not single out gets the route
+    # communities, which are the learned routes that export withholds from
+    # no link; every neighbor it does not single out gets the route
     # prepended once.  One wire per value serves all the neighbors that get it.
     catalog = out.catalog
     schedule = None
-    if catalog is not None and route.communities and route.learned_on in out.customer_links:
+    if catalog is not None and route.communities and not withhold:
         schedule = egress_times(catalog, route, out.neighbor_rels)
     if not schedule:
         _deliver(adj, touched, send, prefix, egress_apply(route, exporter, 1, catalog))

@@ -25,10 +25,12 @@ entry links (`ForwardingTable.entry_link`) decide each objective.  The
 empty action set expands like any other, to the plain table.  What
 depends only on the topology and the destination is compiled once, on the
 planner's first request (`_origin`): the plain announcement table, which an
-expansion copies all but the keys its actions name from, the community,
-MED and withhold atoms with their prepend counts, and the stub sources of a
-`*` objective.  Only the more-specific atoms, on the objectives' prefixes,
-are built per plan, and the baseline's ingress map only for a Plan answer.
+expansion copies all but the keys its actions name from, the community and
+MED atoms with their prepend counts, and the stub sources of a `*`
+objective.  The withhold and more-specific atoms are built per plan, and
+the baseline's ingress map only for a Plan answer.  A one-prefix group
+that no announcement over some objective's link can meet is answered
+without a search (`plan_inbound_te`).
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from .flows import (
     ingress_map,
 )
 from .routes import Community
-from .topology import Prefix, Session, Topology, require_valid
+from .topology import EMPTY, Prefix, Session, Topology, require_valid
 
 SAME_PROVIDER = "same-provider"
 
@@ -303,22 +305,39 @@ def common_upstream_check(
     return witnesses
 
 
+def _reach(t: Topology, dest: int, link_id: str) -> set[int]:
+    """The ASes other than dest that some valley-free path of dest's
+    announcement over up link `link_id` reaches: those of the (AS, link it
+    learned the route on) states reachable from the provider's along
+    `Sessions.by_learned`, never through dest."""
+    sessions = t.sessions
+    start = (t.link_by_id(link_id).other(dest), link_id)
+    seen = {start}
+    todo = [start]
+    while todo:
+        asn, learned_on = todo.pop()
+        for s in sessions[asn].by_learned[learned_on][0]:
+            state = (s.neighbor, s.link_id)
+            if s.neighbor != dest and state not in seen:
+                seen.add(state)
+                todo.append(state)
+    return {asn for asn, _learned_on in seen}
+
+
 class _Origin(NamedTuple):
     """What an action set is expanded against, for one destination AS."""
 
     originated: tuple[Prefix, ...]  # in order
     # Up link id -> the communities of its provider's catalog (none without
-    # one), in text order, for each up link in link id order.
-    offered: Mapping[str, tuple[Community, ...]]
+    # one), for each up link in link id order.
+    offered: Mapping[str, frozenset[Community]]
     # (prefix, link id) -> the plain announcement of each originated prefix
     # on each up link, in key order: the table with no action applied.
     plain: Mapping[tuple[Prefix, str], Advertisement]
-    # The atoms no objective adds, each in Action.sort_key order: the
-    # community and MED atoms, which sort before every more-specific, with
-    # their prepend counts, and the withholds, which sort after.
+    # The community and MED atoms, in Action.sort_key order, with their
+    # prepend counts: every atom that sorts before the more-specifics.
     head: tuple[Action, ...]
     head_prepends: tuple[int, ...]
-    withholds: tuple[Action, ...]
     stubs: tuple[int, ...]  # every stub AS but dest, in ASN order
 
 
@@ -335,14 +354,14 @@ def _origin(t: Topology, dest: int) -> _Origin:
         offered = {}
         for s in sessions:
             cat = t.catalogs.get(s.neighbor)
-            offered[s.link_id] = () if cat is None else tuple(sorted(cat.communities(), key=str))
+            offered[s.link_id] = EMPTY if cat is None else cat.communities()
         plain = {(p, l): Advertisement(dest, p, l) for p in originated for l in offered}
         # MED values discriminate only among links to one neighbor.
         neighbors = [s.neighbor for s in sessions]
         med_capable = [s.link_id for s in sessions if neighbors.count(s.neighbor) >= 2]
         head = [
             Action(ActionKind.ATTACH_COMMUNITY, p, l, c)
-            for p in originated for l, communities in offered.items() for c in communities
+            for p in originated for l, communities in offered.items() for c in sorted(communities, key=str)
         ]
         head += [Action(ActionKind.SET_MED, p, l, None, v) for p in originated for l in med_capable for v in (10, 20)]
         origin = t.compiled.setdefault(key, _Origin(
@@ -351,7 +370,6 @@ def _origin(t: Topology, dest: int) -> _Origin:
             plain,
             tuple(head),
             tuple(_prepend_amount(t, dest, a) for a in head),
-            tuple(Action(ActionKind.WITHHOLD, p, l) for p in originated for l in offered),
             tuple(a for a in sorted(t.roles) if a != dest and t.roles[a] == "stub"),
         ))
     return origin
@@ -363,11 +381,13 @@ def _build_atoms(
     """Every single action on dest's up links, in Action.sort_key order: by
     rank, then prefix, link id, community text and MED.  Only the
     more-specific atoms, on the objectives' prefixes that dest does not
-    originate, are built per plan; `_origin` holds the others."""
+    originate, and the withholds are built per plan; `_origin` holds the
+    others."""
     origin = _origin(t, dest)
     subs = sorted({o.flow.dst_prefix for o in objectives}.difference(origin.originated))
-    more_specific = [Action(ActionKind.ADVERTISE_MORE_SPECIFIC, sp, l) for sp in subs for l in origin.offered]
-    return [*origin.head, *more_specific, *origin.withholds]
+    more_specific = [Action(_MORE_SPECIFIC, sp, l) for sp in subs for l in origin.offered]
+    withholds = [Action(_WITHHOLD, p, l) for p in origin.originated for l in origin.offered]
+    return [*origin.head, *more_specific, *withholds]
 
 
 def _prepend_counts(t: Topology, dest: int, atoms: Sequence[Action]) -> list[int]:
@@ -380,7 +400,7 @@ def _prepend_counts(t: Topology, dest: int, atoms: Sequence[Action]) -> list[int
 
 # The announcement of a (prefix, link) key as (communities, MED), and the
 # answer of _announcement for a key whose actions are inconsistent.
-_PLAIN: tuple[frozenset[Community], int | None] = (frozenset(), None)
+_PLAIN: tuple[frozenset[Community], int | None] = (EMPTY, None)
 _CLASH = "inconsistent"
 
 _phase = attrgetter("kind.phase")
@@ -461,7 +481,7 @@ def te_config_from_actions(t: Topology, dest: int, actions: Sequence[Action]) ->
             ads[key] = tuple.__new__(Advertisement, (dest, *key, *entry))
     if added:
         ads = dict(sorted(ads.items()))
-    withheld: frozenset[tuple[int, Prefix]] = frozenset()
+    withheld: frozenset[tuple[int, Prefix]] = EMPTY
     if dropped:
         announced = {p for p, _link_id in ads}
         withheld = frozenset((dest, p) for p in dropped if p not in announced)
@@ -687,7 +707,19 @@ def plan_inbound_te(
     cheapest, can beat the cheapest combination that fits the budget.  The
     result is that of simulating every candidate in full in ascending cost;
     Exhausted.candidates_tried is the number of consistent candidates, all
-    of which that search would have judged."""
+    of which that search would have judged.
+
+    An unmet one-prefix group where some objective has no source in its
+    required link's `_reach` is decided at once, with the Exhausted the
+    search would return after judging every part in vain.  This is sound:
+    no other prefix covers or lies inside the group's, so every AS on a
+    forwarding walk holds that prefix and the walk follows the source's AS
+    path, which valley-free export (`Sessions.by_learned`) built from dest
+    over its entry link.  Catalogs, LP, MED, prepends, suppression and
+    withholds only remove or re-rank such paths.  So a source outside the
+    reach set never enters over the link, and an objective needs one to
+    (`_objective_satisfied`).  Groups of several prefixes are searched: a
+    walk there can switch to a longer prefix and leave those paths."""
     if budget.max_actions < 0:
         raise PlanningError(f"action budget must be >= 0, got {budget.max_actions}")
     require_valid(t)
@@ -730,6 +762,9 @@ def plan_inbound_te(
         g: [((0, 0, ()), baseline_state)] if satisfies(g, baseline_state) else [] for g in goals
     }
     unmet = [g for g in goals if not fronts[g]]
+    for g in unmet:
+        if len(groups[g]) == 1 and any(_reach(t, dest, o.required_link).isdisjoint(s) for o, s in goals[g]):
+            return Exhausted(_consistent_sets(t, dest, atoms, budget.max_actions), budget.max_actions)
     # Every other unmet group needs at least one action.
     cap = budget.max_actions - len(unmet) + 1
     queues = {

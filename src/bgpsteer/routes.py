@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .topology import LOCAL, Prefix
+from .topology import EMPTY, LOCAL, Prefix
 
 LP_LOCAL = 1000  # above every default LP (`topology.default_local_pref`)
 
@@ -109,7 +109,7 @@ class Route(_RouteFields):
 
 
 def local_route(prefix: Prefix, origin: int) -> Route:
-    return tuple.__new__(Route, (prefix, (), LP_LOCAL, None, frozenset(), LOCAL, origin))
+    return tuple.__new__(Route, (prefix, (), LP_LOCAL, None, EMPTY, LOCAL, origin))
 
 
 def compare_routes(r1: Route, r2: Route) -> int:

@@ -13,6 +13,7 @@ from enum import Enum
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
 from operator import itemgetter
+from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -22,6 +23,8 @@ MIN_ASN = 1
 MAX_ASN = 4_294_967_295
 
 LOCAL = "local"  # learned_on marker for locally originated routes
+# One shared empty frozenset: each frozenset() call builds a new one.
+EMPTY: frozenset = frozenset()
 
 
 class TopologyError(ValueError):
@@ -216,8 +219,10 @@ class ValidationReport:
         return not self.errors
 
 
+_CLEAN = ValidationReport(())  # the one report of a topology with no findings
 _REL_RANK = {Rel.CUSTOMER: 0, Rel.PEER: 1, Rel.PROVIDER: 2}
 _LEARNED_RELS = (None, *Rel)  # what a route was learned from; None: a local route
+_NO_NEIGHBORS: Mapping[int, Rel] = MappingProxyType({})
 
 
 class Session(NamedTuple):
@@ -241,26 +246,20 @@ class Sessions:
       sessions a route learned there is exported on, the sessions it is
       not): the valley-free split, and the one place export reads it;
     * `catalog`: the AS's own catalog, whose communities its egress strips
-      and whose rules it applies to routes learned over `customer_links`;
-    * `neighbor_rels`: neighbor ASN -> relationship over the up links, which
-      the catalog's selectors expand over.  A neighbor reached over both a
-      c2p and a p2p link counts as a customer if any link says so;
-    * `customer_links`: the ids of the links whose other end is a customer."""
+      and whose rules it applies to the routes learned from a customer:
+      those the split withholds from no link;
+    * `neighbor_rels`: `neighbor_rels_of` the sessions, which the catalog's
+      selectors expand over; empty for an AS with no catalog, which has no
+      selector to expand."""
 
     all: tuple[Session, ...]
     by_learned: Mapping[str, tuple[tuple[Session, ...], tuple[Session, ...]]]
     catalog: "PolicyCatalog | None"
     neighbor_rels: Mapping[int, Rel]
-    customer_links: frozenset[str]
 
     @classmethod
     def build(cls, sessions: Iterable[Session], catalog: "PolicyCatalog | None") -> "Sessions":
         ordered = tuple(sorted(sessions, key=lambda s: s.link_id))
-        neighbor_rels: dict[int, Rel] = {}
-        for s in ordered:
-            known = neighbor_rels.get(s.neighbor)
-            if known is None or _REL_RANK[s.rel] < _REL_RANK[known]:
-                neighbor_rels[s.neighbor] = s.rel
         # One copy of each distinct split, shared by the learned
         # relationships that give it.
         by_mask: dict[tuple[bool, ...], tuple[tuple[Session, ...], tuple[Session, ...]]] = {}
@@ -270,12 +269,24 @@ class Sessions:
             if mask not in by_mask:
                 send = tuple(s for s, ok in zip(ordered, mask) if ok)
                 withhold = tuple(s for s, ok in zip(ordered, mask) if not ok)
-                by_mask[mask] = (send if withhold else ordered, withhold)
+                by_mask[mask] = (send if withhold else ordered, withhold if send else ordered)
             split[rel] = by_mask[mask]
-        customer_links = frozenset(s.link_id for s in ordered if s.rel is Rel.CUSTOMER)
         by_learned = {s.link_id: split[s.rel] for s in ordered}
         by_learned[LOCAL] = split[None]
-        return cls(ordered, by_learned, catalog, neighbor_rels, customer_links)
+        neighbor_rels = _NO_NEIGHBORS if catalog is None else neighbor_rels_of(ordered)
+        return cls(ordered, by_learned, catalog, neighbor_rels)
+
+
+def neighbor_rels_of(sessions: Iterable[Session]) -> dict[int, Rel]:
+    """Neighbor ASN -> relationship over `sessions`.  A neighbor reached over
+    both a c2p and a p2p link counts as a customer if any link says so, else
+    as a peer if any link says so."""
+    rels: dict[int, Rel] = {}
+    for s in sessions:
+        known = rels.get(s.neighbor)
+        if known is None or _REL_RANK[s.rel] < _REL_RANK[known]:
+            rels[s.neighbor] = s.rel
+    return rels
 
 
 @dataclass(frozen=True)
@@ -308,8 +319,8 @@ class Topology:
         the TE config.  That is the LP a receiver assigns (its LP override
         for the sender, else `default_local_pref` of the sender's
         relationship) and its catalog where the sender is its customer, the
-        sender's own catalog and neighbor table, and the valley-free export
-        split.  The neighbor and relationship lookups read it."""
+        sender's own catalog (with its neighbor table), and the valley-free
+        export split.  The neighbor and relationship lookups read it."""
         per_as: dict[int, list[Session]] = {asn: [] for asn in self.roles}
         for link in self.links:
             if not link.up:
@@ -352,13 +363,13 @@ class Topology:
         return [link for link in self.links if link.up and asn in link.endpoints()]
 
     def neighbor_rels(self, asn: int) -> dict[int, Rel]:
-        """Neighbor ASN -> relationship over up links (`Sessions.neighbor_rels`),
-        a fresh dict; empty for an unknown ASN."""
+        """Neighbor ASN -> relationship over up links (`neighbor_rels_of` its
+        sessions), a fresh dict; empty for an unknown ASN."""
         own = self.sessions.get(asn)
-        return {} if own is None else dict(own.neighbor_rels)
+        return {} if own is None else neighbor_rels_of(own.all)
 
     def originated_by(self, asn: int) -> frozenset[Prefix]:
-        return self.originations.get(asn, frozenset())
+        return self.originations.get(asn, EMPTY)
 
 
 def relationship_between(t: Topology, a: int, b: int) -> set[tuple[str, Rel]]:
@@ -460,7 +471,7 @@ def validate_topology(t: Topology) -> ValidationReport:
         chain = " -> ".join(str(a) for a in cycle)
         warn(f"customer->provider cycle: {chain} (convergence not guaranteed)")
 
-    return ValidationReport(tuple(findings))
+    return ValidationReport(tuple(findings)) if findings else _CLEAN
 
 
 def require_valid(t: Topology) -> None:

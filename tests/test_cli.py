@@ -23,14 +23,14 @@ def test_simulate_dualprovider_baseline(tmp_path, capsys):
     out = tmp_path / "run"
     code = main(["simulate", "--scenario", str(SCN / "dualprovider_baseline.scn"), "--out", str(out)])
     assert code == 0
-    csv = (out / "ingress.csv").read_text().splitlines()
+    csv = (out / "ingress.csv").read_text(encoding="utf-8").splitlines()
     assert csv[0] == "src_asn,dst_prefix,link"
     rows = dict(line.rsplit(",", 1) for line in csv[1:])
     assert rows["65101,10.1.0.0/16"] == "l1"
     assert rows["65101,10.2.0.0/16"] == "l1"
     assert rows["65102,10.1.0.0/16"] == "l2"
     assert rows["65102,10.2.0.0/16"] == "l2"
-    assert (out / "state.txt").read_text().startswith("rounds ")
+    assert (out / "state.txt").read_text(encoding="utf-8").startswith("rounds ")
 
 
 def test_simulate_missing_file(tmp_path, capsys):
@@ -41,7 +41,7 @@ def test_simulate_missing_file(tmp_path, capsys):
 
 def test_simulate_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.scn"
-    bad.write_text("as 1 stub\nlink l1 1 9 p2p\n")
+    bad.write_text("as 1 stub\nlink l1 1 9 p2p\n", encoding="utf-8")
     code = main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "o")])
     assert code == 1
     assert "unknown ASN" in capsys.readouterr().err
@@ -100,7 +100,7 @@ def test_plan_dualprovider_sourceasn_objectives(tmp_path, capsys):
     out = tmp_path / "plan"
     code = main(["plan", "--scenario", str(SCN / "dualprovider_sourceasn_objectives.scn"), "--out", str(out)])
     assert code == 0
-    report = (out / "plan.txt").read_text()
+    report = (out / "plan.txt").read_text(encoding="utf-8")
     assert "status found" in report
     assert "action attach-community 10.2.0.0/16 l1 100:12" in report
     assert "action attach-community 10.2.0.0/16 l2 200:22" in report
@@ -113,7 +113,7 @@ def test_plan_infeasible_exit_3(tmp_path, capsys):
     code = main(["plan", "--scenario", str(SCN / "singleprovider_split_objectives.scn"), "--out", str(tmp_path / "o")])
     assert code == 3
     assert "same-provider" in capsys.readouterr().out
-    assert (tmp_path / "o" / "plan.txt").read_text().startswith("status infeasible\n")
+    assert (tmp_path / "o" / "plan.txt").read_text(encoding="utf-8").startswith("status infeasible\n")
 
 
 def test_plan_pivot_witness_printed(tmp_path, capsys):
@@ -141,7 +141,7 @@ def test_plan_exhausted_exit_4(tmp_path, capsys):
     ])
     assert code == 4
     assert "exhausted" in capsys.readouterr().out
-    assert (tmp_path / "o" / "plan.txt").read_text().startswith("status exhausted ")
+    assert (tmp_path / "o" / "plan.txt").read_text(encoding="utf-8").startswith("status exhausted ")
 
 
 ONE_ATOM = (
@@ -167,14 +167,14 @@ def test_plan_huge_budget_costs_what_the_atoms_allow(tmp_path, capsys, text, cod
     # The search is bounded by the atom count, not by the budget: a budget
     # of a billion reports what a budget of 3 reports, at once.
     scn = tmp_path / "s.scn"
-    scn.write_text(text)
+    scn.write_text(text, encoding="utf-8")
     reports = []
     for budget in ("3", "1000000000"):
         out = tmp_path / budget
         started = time.perf_counter()
         assert main(["plan", "--scenario", str(scn), "--out", str(out), "--budget-actions", budget]) == code
         assert time.perf_counter() - started < 5.0
-        reports.append((out / "plan.txt").read_text())
+        reports.append((out / "plan.txt").read_text(encoding="utf-8"))
     small, huge = reports
     if code == 0:
         assert small == huge
@@ -182,6 +182,23 @@ def test_plan_huge_budget_costs_what_the_atoms_allow(tmp_path, capsys, text, cod
         assert small == "status exhausted tried=4 max-actions=3\n"
         assert huge == "status exhausted tried=4 max-actions=1000000000\n"
     capsys.readouterr()
+
+
+def test_plan_decides_an_objective_no_announcement_reaches(tmp_path, capsys):
+    # 65103 is a customer of 400 alone, and no announcement over l1 reaches
+    # 400.  The planner answers as a search over every action set of at most
+    # 40 actions would, without that search.
+    text = (SCN / "dualprovider_destprefix_objectives.scn").read_text(encoding="utf-8")
+    unmet = text.replace("objective 65001 * 10.2.0.0/16 l2", "objective 65001 65103 10.2.0.0/16 l1")
+    assert unmet != text
+    scn = tmp_path / "unmet.scn"
+    scn.write_text(unmet, encoding="utf-8")
+    started = time.perf_counter()
+    code = main(["plan", "--scenario", str(scn), "--out", str(tmp_path / "o"), "--budget-actions", "40"])
+    assert time.perf_counter() - started <= 2.0
+    assert code == 4
+    assert capsys.readouterr().out == "status exhausted tried=4362470401 max-actions=40\n"
+    assert (tmp_path / "o" / "plan.txt").read_text(encoding="utf-8") == "status exhausted tried=4362470401 max-actions=40\n"
 
 
 def test_diff_identical_dirs_exit_0(tmp_path, capsys):
@@ -223,15 +240,15 @@ def test_plan_oscillating_baseline_exit_2(tmp_path, capsys):
         "objective 65001 100 10.1.0.0/16 l1\n"
     )
     scn = tmp_path / "osc.scn"
-    scn.write_text(text)
+    scn.write_text(text, encoding="utf-8")
     assert main(["plan", "--scenario", str(scn), "--out", str(tmp_path / "o")]) == 2
     assert "no fixed point" in capsys.readouterr().err
 
 
 def test_plan_reports_lp_constraint_violation(tmp_path, capsys):
-    text = (SCN / "dualprovider_sourceasn_objectives.scn").read_text() + "lp-override 65101 400 300\n"
+    text = (SCN / "dualprovider_sourceasn_objectives.scn").read_text(encoding="utf-8") + "lp-override 65101 400 300\n"
     scn = tmp_path / "lp.scn"
-    scn.write_text(text)
+    scn.write_text(text, encoding="utf-8")
     code = main(["plan", "--scenario", str(scn), "--out", str(tmp_path / "o")])
     out = capsys.readouterr().out
     if code == 0:
@@ -250,7 +267,7 @@ def test_diff_malformed_row_exit_1(tmp_path, capsys):
     good, bad = tmp_path / "good", tmp_path / "bad"
     main(["simulate", "--scenario", str(SCN / "deep_baseline.scn"), "--out", str(good)])
     bad.mkdir()
-    (bad / "ingress.csv").write_text((good / "ingress.csv").read_text() + "65101,10.1.0.0/16\n")
+    (bad / "ingress.csv").write_text((good / "ingress.csv").read_text(encoding="utf-8") + "65101,10.1.0.0/16\n", encoding="utf-8")
     capsys.readouterr()
     assert main(["diff", str(good), str(bad)]) == 1
     assert "malformed row" in single_error_line(capsys.readouterr().err)
@@ -261,7 +278,7 @@ def test_diff_row_with_non_ascii_asn_exit_1(tmp_path, capsys):
     good, bad = tmp_path / "good", tmp_path / "bad"
     main(["simulate", "--scenario", str(SCN / "deep_baseline.scn"), "--out", str(good)])
     bad.mkdir()
-    (bad / "ingress.csv").write_text((good / "ingress.csv").read_text() + "٦٥١٠١,10.1.0.0/16,l2\n")
+    (bad / "ingress.csv").write_text((good / "ingress.csv").read_text(encoding="utf-8") + "٦٥١٠١,10.1.0.0/16,l2\n", encoding="utf-8")
     capsys.readouterr()
     assert main(["diff", str(bad), str(bad)]) == 1
     assert "malformed row" in single_error_line(capsys.readouterr().err)
@@ -318,10 +335,10 @@ def test_simulate_without_fixed_point_leaves_no_report_directory(tmp_path, capsy
 def test_diff_duplicated_row_exit_1(tmp_path, capsys):
     good, bad = tmp_path / "good", tmp_path / "bad"
     main(["simulate", "--scenario", str(SCN / "deep_baseline.scn"), "--out", str(good)])
-    lines = (good / "ingress.csv").read_text().splitlines()
+    lines = (good / "ingress.csv").read_text(encoding="utf-8").splitlines()
     src, prefix, _link = lines[1].split(",")
     bad.mkdir()
-    (bad / "ingress.csv").write_text("\n".join(lines + [f"{src},{prefix},elsewhere"]) + "\n")
+    (bad / "ingress.csv").write_text("\n".join(lines + [f"{src},{prefix},elsewhere"]) + "\n", encoding="utf-8")
     capsys.readouterr()
     assert main(["diff", str(good), str(bad)]) == 1
     captured = capsys.readouterr()
@@ -336,12 +353,12 @@ def test_diff_duplicated_row_exit_1(tmp_path, capsys):
     [
         ("as 6500² stub\n", "expected an AS number"),
         (
-            (SCN / "dualprovider_baseline.scn").read_text() + "lp-override 100 300 ²\n",
+            (SCN / "dualprovider_baseline.scn").read_text(encoding="utf-8") + "lp-override 100 300 ²\n",
             "LP value must be",
         ),
         ("as 1 stub\nas 2 transit\nlink l1 1 2 c2p\noriginate 1 ١٠.1.0.0/16\n", "bad IPv4 address"),
         (
-            (SCN / "dualprovider_baseline.scn").read_text() + "policy 100 lp ١٠٠:77 50\n",
+            (SCN / "dualprovider_baseline.scn").read_text(encoding="utf-8") + "policy 100 lp ١٠٠:77 50\n",
             "malformed community",
         ),
     ],
@@ -367,12 +384,12 @@ def test_simulate_non_ascii_digit_exit_1(tmp_path, capsys, text, message):
 )
 def test_out_naming_a_file_exit_1(tmp_path, capsys, argv):
     taken = tmp_path / "taken"
-    taken.write_text("keep\n")
+    taken.write_text("keep\n", encoding="utf-8")
     assert main(argv + ["--out", str(taken)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "cannot write reports" in single_error_line(captured.err)
-    assert taken.read_text() == "keep\n"
+    assert taken.read_text(encoding="utf-8") == "keep\n"
 
 
 @pytest.mark.parametrize(
@@ -391,7 +408,7 @@ def test_diff_row_with_bad_prefix_or_empty_link_exit_1(tmp_path, capsys, row, me
     csv = f"src_asn,dst_prefix,link\n65002,10.2.0.0/16,l2\n{row}\n"
     for name in ("a", "b"):
         (tmp_path / name).mkdir()
-        (tmp_path / name / "ingress.csv").write_text(csv)
+        (tmp_path / name / "ingress.csv").write_text(csv, encoding="utf-8")
     assert main(["diff", str(tmp_path / "a"), str(tmp_path / "b")]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -406,7 +423,7 @@ def test_diff_moves_in_asn_then_prefix_order(tmp_path, capsys):
     for name, link in (("a", "l1"), ("b", "l2")):
         (tmp_path / name).mkdir()
         rows = "".join(f"{key},{link}\n" for key in keys)
-        (tmp_path / name / "ingress.csv").write_text("src_asn,dst_prefix,link\n" + rows)
+        (tmp_path / name / "ingress.csv").write_text("src_asn,dst_prefix,link\n" + rows, encoding="utf-8")
     assert main(["diff", str(tmp_path / "a"), str(tmp_path / "b")]) == 5
     assert capsys.readouterr().out.splitlines() == [
         "9,10.0.0.0/8,l1,l2",
@@ -499,10 +516,11 @@ def test_simulate_ingress_csv_covers_every_origin(tmp_path, capsys):
     scn.write_text(
         "as 3 transit\nas 20 stub\nas 100 stub\n"
         "link l1 100 3 c2p\nlink l2 20 3 c2p\n"
-        "originate 100 10.10.0.0/16\noriginate 20 10.2.0.0/16\noriginate 20 10.0.0.0/8\n"
+        "originate 100 10.10.0.0/16\noriginate 20 10.2.0.0/16\noriginate 20 10.0.0.0/8\n",
+        encoding="utf-8",
     )
     assert main(["simulate", "--scenario", str(scn), "--out", str(tmp_path / "o")]) == 0
-    assert (tmp_path / "o" / "ingress.csv").read_text().splitlines() == [
+    assert (tmp_path / "o" / "ingress.csv").read_text(encoding="utf-8").splitlines() == [
         "src_asn,dst_prefix,link",
         "3,10.0.0.0/8,l2",
         "3,10.2.0.0/16,l2",
@@ -523,17 +541,17 @@ CYCLE_WARNING = "warning: customer->provider cycle: 1 -> 2 -> 3 -> 1 (convergenc
 
 def test_simulate_and_plan_print_the_topology_warnings(tmp_path, capsys):
     scn = tmp_path / "cycle.scn"
-    scn.write_text(PROVIDER_CYCLE)
+    scn.write_text(PROVIDER_CYCLE, encoding="utf-8")
     assert main(["simulate", "--scenario", str(scn), "--out", str(tmp_path / "sim")]) == 0
     captured = capsys.readouterr()
     assert captured.err == CYCLE_WARNING and captured.out.startswith("converged in ")
     plain = tmp_path / "plain.scn"
-    plain.write_text(PROVIDER_CYCLE.replace("link l3 3 1 c2p\n", "link l3 3 1 c2p down\n"))
+    plain.write_text(PROVIDER_CYCLE.replace("link l3 3 1 c2p\n", "link l3 3 1 c2p down\n"), encoding="utf-8")
     assert main(["simulate", "--scenario", str(plain), "--out", str(tmp_path / "plain")]) == 0
     assert capsys.readouterr().err == ""
     # No stub but the destination sends traffic, so the objective is an
     # input error, reported after the warning.
-    scn.write_text(PROVIDER_CYCLE + "objective 4 * 10.4.0.0/16 l4\n")
+    scn.write_text(PROVIDER_CYCLE + "objective 4 * 10.4.0.0/16 l4\n", encoding="utf-8")
     assert main(["plan", "--scenario", str(scn), "--out", str(tmp_path / "plan")]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == CYCLE_WARNING + (
@@ -543,4 +561,4 @@ def test_simulate_and_plan_print_the_topology_warnings(tmp_path, capsys):
 
 def test_no_golden_scenario_has_a_topology_warning():
     for path in sorted(SCN.glob("*.scn")):
-        assert parse_scenario(path.read_text()).topology.validation.warnings == (), path.name
+        assert parse_scenario(path.read_text(encoding="utf-8")).topology.validation.warnings == (), path.name

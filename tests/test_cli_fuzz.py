@@ -23,7 +23,7 @@ import pytest
 from bgpsteer.cli import INGRESS_FILE, main
 
 SCENARIOS = sorted(Path("scenarios").glob("*.scn"))
-WITH_OBJECTIVES = [p for p in SCENARIOS if "\nobjective " in p.read_text()]
+WITH_OBJECTIVES = [p for p in SCENARIOS if "\nobjective " in p.read_text(encoding="utf-8")]
 SCENARIO_CASES = 100  # each runs simulate and plan
 CSV_CASES = 100
 ARGV_CASES = 50

@@ -139,7 +139,7 @@ def test_a_run_leaves_no_reference_cycles():
     # The pause is safe only because a run's objects form no cycles, so
     # nothing it drops waits for the cyclic GC.
     rng = random.Random(16)
-    cases = [parse_scenario(p.read_text()) for p in CONVERGING_GOLDENS]
+    cases = [parse_scenario(p.read_text(encoding="utf-8")) for p in CONVERGING_GOLDENS]
     cases = [(s.topology, s.te_config) for s in cases]
     for _ in range(40):
         t = gen.with_rule_facts(rng, gen.rand_topology(rng, with_catalogs=True))
@@ -316,7 +316,7 @@ def test_oscillation_trace_alternates_between_two_states():
 
 @pytest.mark.parametrize("path", CONVERGING_GOLDENS, ids=lambda p: p.stem)
 def test_trace_called_once_per_round_and_ends_at_the_fixed_point(path):
-    s = parse_scenario(path.read_text())
+    s = parse_scenario(path.read_text(encoding="utf-8"))
     dumps = []
     state = propagate_to_convergence(s.topology, s.te_config, trace=lambda st: dumps.append((st.rounds_used, st.dump())))
     assert [n for n, _ in dumps] == list(range(1, state.rounds_used + 1))
@@ -372,7 +372,7 @@ def _check_restricted_runs(t, te):
 
 @pytest.mark.parametrize("path", CONVERGING_GOLDENS, ids=lambda p: p.stem)
 def test_restricted_runs_match_the_full_run_on_goldens(path):
-    s = parse_scenario(path.read_text())
+    s = parse_scenario(path.read_text(encoding="utf-8"))
     assert not _check_restricted_runs(s.topology, s.te_config)
 
 
@@ -544,7 +544,7 @@ def _with_disagree_gadget(rng, t, te):
 
 @pytest.mark.parametrize("path", sorted(Path("scenarios").glob("*.scn")), ids=lambda p: p.stem)
 def test_engine_matches_the_reference_loop_on_goldens(path):
-    s = parse_scenario(path.read_text())
+    s = parse_scenario(path.read_text(encoding="utf-8"))
     _check_against_reference(s.topology, s.te_config)
 
 
@@ -731,7 +731,7 @@ def test_value_types_survive_pickle_and_deepcopy():
 def test_converged_states_survive_pickle_and_deepcopy():
     converged = 0
     for path in sorted(Path("scenarios").glob("*.scn")):
-        s = parse_scenario(path.read_text())
+        s = parse_scenario(path.read_text(encoding="utf-8"))
         try:
             state = propagate_to_convergence(s.topology, s.te_config)
         except OscillationError:

@@ -45,7 +45,7 @@ def test_module_imports_reads_module_level_imports_outside_type_checking():
 def test_the_package_imports_form_a_dag():
     """Each module of the package imports only modules of the package, and
     no chain of imports comes back to where it started."""
-    graph = {path.stem: module_imports(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    graph = {path.stem: module_imports(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
     assert set().union(*graph.values()) <= set(graph)
     try:
         TopologicalSorter(graph).prepare()

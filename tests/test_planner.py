@@ -97,7 +97,8 @@ objective 1 6 10.1.0.0/16 l2
 def test_a_route_over_a_p2p_objective_link_does_not_go_up(tmp_path, capsys):
     """AS 10 learns AS 1's route over the peering l1, so it passes it only to
     customers: AS 99 never holds it, no route from AS 5 crosses AS 99 over
-    l1, and there is no pivot.  The search runs and exhausts its budget."""
+    l1, and there is no pivot.  No announcement over l1 reaches AS 5, so the
+    planner answers Exhausted without a search."""
     s = parse_scenario(P2P_OBJECTIVE_SCENARIO)
     t = s.topology
     assert planner._legal_announcement_paths(t, 1, "l1", 5) == []
@@ -106,7 +107,7 @@ def test_a_route_over_a_p2p_objective_link_does_not_go_up(tmp_path, capsys):
     state = propagate_to_convergence(t, s.te_config)
     assert [r.learned_on for r in state.candidates(99, P1)] == ["l4"]
     path = tmp_path / "p2p.scn"
-    path.write_text(P2P_OBJECTIVE_SCENARIO)
+    path.write_text(P2P_OBJECTIVE_SCENARIO, encoding="utf-8")
     assert main(["plan", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 4
     assert capsys.readouterr().out == "status exhausted tried=4 max-actions=3\n"
 
@@ -292,6 +293,71 @@ def test_exhausted_when_budget_too_small():
     result = plan_inbound_te(s.topology, 65001, s.objectives, Budget(max_actions=1))
     assert isinstance(result, Exhausted)
     assert result.max_actions == 1
+
+
+def test_an_objective_no_announcement_reaches_is_decided_after_the_baseline(monkeypatch):
+    # 65103 is a customer of 400 alone, and no valley-free path of an
+    # announcement over l1 (to 100) reaches 400: only 200 does.  The planner
+    # gives the search's answer with no restricted run, after the baseline.
+    calls = []
+    real = planner.propagate_to_convergence
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("prefixes"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(planner, "propagate_to_convergence", counted)
+    text = Path("scenarios/dualprovider_destprefix_objectives.scn").read_text(encoding="utf-8")
+    s = parse_scenario(text.replace("objective 65001 * 10.2.0.0/16 l2", "objective 65001 65103 10.2.0.0/16 l1"))
+    assert planner._reach(s.topology, 65001, "l1") == {100, 300, 65101, 65102, 65104}
+    for max_actions in (0, 3, 40):
+        calls.clear()
+        result = plan_inbound_te(s.topology, 65001, s.objectives, Budget(max_actions))
+        atoms = _build_atoms(s.topology, 65001, s.objectives)
+        assert result == Exhausted(_consistent_sets(s.topology, 65001, atoms, max_actions), max_actions)
+        assert calls == [None]
+
+
+def test_a_walk_that_switches_prefix_can_enter_outside_the_reach_set():
+    # AS 5 peers with AS 20, which passes it the /16 (learned from its
+    # customer AS 1) but not the /17 (learned from its peer AS 10).  So AS 5
+    # lies outside l1's reach set, yet once the /17 goes out over l1 alone
+    # its traffic for the /17 follows the /16 to AS 20, switches to the /17
+    # there, and enters over l1.  A group of two prefixes is searched.
+    s = parse_scenario(
+        "as 1 stub\nas 10 transit\nas 20 transit\nas 5 stub\n"
+        "link l1 1 10 c2p\nlink l2 1 20 c2p\nlink l3 10 20 p2p\nlink l4 5 20 p2p\n"
+        "originate 1 10.1.0.0/16\nobjective 1 5 10.1.0.0/17 l1\n"
+    )
+    t = s.topology
+    assert planner._reach(t, 1, "l1") == {10, 20}
+    result = plan_inbound_te(t, 1, s.objectives)
+    assert [str(a) for a in result.actions] == ["advertise-more-specific 10.1.0.0/17 l1"]
+    assert all(evaluate_plan(t, 1, result, s.objectives).satisfied)
+
+
+def test_an_objective_outside_its_links_reach_is_met_by_no_action_set():
+    # Soundness of the rule that decides a one-prefix group: each objective
+    # it calls unmeetable, planned on its own, has no action set of at most
+    # three actions that meets it under full runs judged by single-flow
+    # walks.  Every other instance widens gen's (LP overrides, peerings,
+    # covering and unrelated prefixes).
+    rng = random.Random(2701)
+    decided = {"source": 0, "*": 0}
+    for i in range(400):
+        make = rand_grouped_instance if i % 2 else gen.rand_planning_instance
+        t, dest, objectives, _budget = make(rng)
+        for o in objectives:
+            if not gen.instance_is_plannable(t, dest, [o]):
+                continue
+            if len(next(g for g in _prefix_groups(t, [o]) if o.flow.dst_prefix in g)) != 1:
+                continue
+            if not planner._reach(t, dest, o.required_link).isdisjoint(_objective_sources(t, dest, o)):
+                continue
+            assert gen.exhaustive_plan_search(t, dest, [o], Budget(max_actions=3)) == (False, None)
+            assert isinstance(plan_inbound_te(t, dest, [o], Budget(max_actions=3)), Exhausted)
+            decided["source" if o.flow.src_asn is not None else "*"] += 1
+    assert decided["source"] >= 25 and decided["*"] >= 8, decided
 
 
 def test_te_config_from_actions_rejects_an_undeclared_destination():
@@ -762,7 +828,7 @@ def test_candidates_tried_counts_every_consistent_action_set():
 
 
 OBJECTIVE_GOLDENS = sorted(
-    p for p in Path("scenarios").glob("*.scn") if "\nobjective " in p.read_text()
+    p for p in Path("scenarios").glob("*.scn") if "\nobjective " in p.read_text(encoding="utf-8")
 )
 
 
@@ -874,9 +940,9 @@ def test_build_atoms_lists_every_single_action_in_sort_key_order():
 
 
 def test_compiled_atoms_prepends_costs_and_sources_match_a_reference():
-    # `_origin` compiles the community, MED and withhold atoms, their
-    # prepend counts and the stub sources once per (topology, destination);
-    # only the more-specific atoms come from each plan's objectives.  The
+    # `_origin` compiles the community and MED atoms, their prepend counts
+    # and the stub sources once per (topology, destination); the withhold
+    # and more-specific atoms are built per plan.  The
     # reference derives them here from the sessions and catalogs alone.
     rng = random.Random(6271)
     instances = [(s.topology, s.objectives[0].flow.dst_asn, s.objectives) for s in map(load, OBJECTIVE_GOLDENS)]

@@ -96,7 +96,7 @@ def check_run(t, te, rounds):
 
 @pytest.mark.parametrize("path", GOLDENS, ids=lambda p: p.stem)
 def test_renderers_match_the_reference_on_goldens(path, dumps_checked):
-    s = parse_scenario(path.read_text())
+    s = parse_scenario(path.read_text(encoding="utf-8"))
     state = check_run(s.topology, s.te_config, dumps_checked)
     assert (state is None) == (path.name == "oscillate.scn")
 

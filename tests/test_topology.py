@@ -226,7 +226,7 @@ def test_roundtrip_canonical_identity_on_goldens():
     import pathlib
 
     for path in sorted(pathlib.Path("scenarios").glob("*.scn")):
-        s = parse_scenario(path.read_text())
+        s = parse_scenario(path.read_text(encoding="utf-8"))
         canon = serialize_scenario(s)
         s2 = parse_scenario(canon)
         assert s2 == s, path.name
@@ -337,7 +337,7 @@ GOLDENS = sorted(Path("scenarios").glob("*.scn"))
 
 @pytest.mark.parametrize("path", GOLDENS, ids=lambda p: p.stem)
 def test_link_and_neighbor_lookups_match_a_scan_of_the_links(path):
-    _check_lookups(parse_scenario(path.read_text()).topology)
+    _check_lookups(parse_scenario(path.read_text(encoding="utf-8")).topology)
 
 
 def test_link_and_neighbor_lookups_match_a_scan_on_random_topologies():
@@ -373,7 +373,7 @@ def _check_lookups(t):
 def _session_cases():
     import gen
 
-    cases = [parse_scenario(path.read_text()).topology for path in GOLDENS]
+    cases = [parse_scenario(path.read_text(encoding="utf-8")).topology for path in GOLDENS]
     rng = random.Random(23)
     for _ in range(150):
         t = gen.rand_topology(rng, with_catalogs=rng.random() < 0.6)
@@ -385,9 +385,11 @@ def test_sessions_match_the_plain_lookups():
     """Each compiled session equals what Link.rel_from, default_local_pref
     and the catalogs give for its link (the catalog only where the
     receiver's catalog applies); down links have none.  Every declared AS
-    has `Sessions`, which carry its own catalog, its neighbor table as a scan
-    of the links gives it, and its customer links; each learned link's split
-    is export_permitted's, and a local route goes out on every link.
+    has `Sessions`, which carry its own catalog and, when it has one, its
+    neighbor table as a scan of the links gives it (`t.neighbor_rels` gives
+    that table for every AS); each learned link's split is
+    export_permitted's, withholds from no link exactly when the link's other
+    end is a customer, and a local route goes out on every link.
     `relationship_between` agrees with a scan of the links for every pair
     of ASes."""
     from bgpsteer.topology import default_local_pref, export_permitted
@@ -397,8 +399,8 @@ def test_sessions_match_the_plain_lookups():
         assert {(asn, s.link_id) for asn, out in t.sessions.items() for s in out.all} == up_ends
         for asn, out in t.sessions.items():
             assert out.catalog is t.catalogs.get(asn)
-            assert out.neighbor_rels == _rels_by_scan(t, asn)
-            assert out.customer_links == {s.link_id for s in out.all if t.link_by_id(s.link_id).customer == s.neighbor}
+            assert t.neighbor_rels(asn) == _rels_by_scan(t, asn)
+            assert out.neighbor_rels == (_rels_by_scan(t, asn) if asn in t.catalogs else {})
             assert [s.link_id for s in out.all] == sorted(s.link_id for s in out.all)
             for s in out.all:
                 link = t.link_by_id(s.link_id)
@@ -411,6 +413,7 @@ def test_sessions_match_the_plain_lookups():
                 send, withhold = out.by_learned[learned.link_id]
                 assert send == tuple(s for s in out.all if export_permitted(learned.rel, s.rel))
                 assert withhold == tuple(s for s in out.all if s not in send)
+                assert (not withhold) == (t.link_by_id(learned.link_id).customer == learned.neighbor)
             assert out.by_learned[LOCAL] == (out.all, ())
         assert set(t.sessions) == set(t.roles)
         for a in t.roles:
@@ -430,7 +433,7 @@ def test_an_as_with_no_up_link_has_empty_sessions():
     )
     own = t.sessions[3]
     assert (own.all, dict(own.by_learned), own.catalog) == ((), {LOCAL: ((), ())}, None)
-    assert (dict(own.neighbor_rels), own.customer_links) == ({}, frozenset())
+    assert dict(own.neighbor_rels) == {}
     assert t.neighbor_rels(3) == {}
     assert relationship_between(t, 3, 2) == relationship_between(t, 2, 3) == set()
     state = propagate_to_convergence(t)
