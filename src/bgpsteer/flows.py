@@ -20,7 +20,6 @@ prefix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, NamedTuple
 
@@ -36,8 +35,7 @@ class FlowClass(Enum):
     SOURCE_PREFIX = "source-prefix"
 
 
-@dataclass(frozen=True, slots=True)
-class Flow:
+class Flow(NamedTuple):
     """None on the source side means wildcard; the destination side is always
     concrete (routes are announced for concrete prefixes)."""
 
@@ -52,12 +50,18 @@ class Flow:
         return f"{{{sp}, {sa}, {self.dst_prefix}, {self.dst_asn}}}"
 
 
+# An enum member read through its class costs a descriptor call each time.
+_SOURCE_PREFIX, _SOURCE_ASN, _DESTINATION_PREFIX = (
+    FlowClass.SOURCE_PREFIX, FlowClass.SOURCE_ASN, FlowClass.DESTINATION_PREFIX
+)
+
+
 def classify(f: Flow) -> FlowClass:
     if f.src_prefix is not None:
-        return FlowClass.SOURCE_PREFIX
+        return _SOURCE_PREFIX
     if f.src_asn is not None:
-        return FlowClass.SOURCE_ASN
-    return FlowClass.DESTINATION_PREFIX
+        return _SOURCE_ASN
+    return _DESTINATION_PREFIX
 
 
 def resolve_forwarding(

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
 from typing import Mapping, NamedTuple, Sequence
@@ -68,8 +67,7 @@ class PlanningError(ValueError):
     """Invalid planning input (bad objective, unsupported granularity)."""
 
 
-@dataclass(frozen=True, slots=True)
-class Objective:
+class Objective(NamedTuple):
     flow: Flow
     required_link: str
 
@@ -133,8 +131,7 @@ class Action(NamedTuple):
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class InfeasibilityWitness:
+class InfeasibilityWitness(NamedTuple):
     """Two objectives that cannot both hold, plus where their candidate
     routes merge: a pivot ASN, or "same-provider" when both required links
     land on one provider."""
@@ -147,8 +144,7 @@ class InfeasibilityWitness:
         return f"witness {self.pivot}: [{self.first}] vs [{self.second}]"
 
 
-@dataclass(frozen=True)
-class Plan:
+class Plan(NamedTuple):
     actions: tuple[Action, ...]
     predicted_map: IngressMap
     side_effects: tuple[tuple[int, Prefix, str, str], ...]
@@ -157,24 +153,20 @@ class Plan:
     lp_constraint_violated: bool = False
 
 
-@dataclass(frozen=True)
-class Infeasible:
+class Infeasible(NamedTuple):
     witnesses: tuple[InfeasibilityWitness, ...]
 
 
-@dataclass(frozen=True)
-class Exhausted:
+class Exhausted(NamedTuple):
     candidates_tried: int
     max_actions: int
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(NamedTuple):
     max_actions: int = 3
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
+class EvaluationReport(NamedTuple):
     satisfied: tuple[bool, ...]
     side_effects: tuple[tuple[int, Prefix, str, str], ...]
     rounds_used: int
@@ -202,7 +194,7 @@ def validate_objectives(t: Topology, dest: int, objectives: Sequence[Objective])
         flow = o.flow
         if flow.dst_asn != dest:
             raise PlanningError(f"objective {o} does not target AS {dest}")
-        if classify(flow) is FlowClass.SOURCE_PREFIX:
+        if classify(flow) is _SOURCE_PREFIX:
             raise PlanningError(
                 f"objective {o}: source-prefix granularity is unsupported; forwarding "
                 "is destination-based, so source addresses cannot steer ingress"
@@ -408,6 +400,7 @@ _phase = attrgetter("kind.phase")
 _WITHHOLD, _MORE_SPECIFIC, _ATTACH = (
     ActionKind.WITHHOLD, ActionKind.ADVERTISE_MORE_SPECIFIC, ActionKind.ATTACH_COMMUNITY
 )
+_SOURCE_PREFIX = FlowClass.SOURCE_PREFIX
 
 
 def _announcement(

@@ -18,12 +18,11 @@ the ingress saw.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, TYPE_CHECKING
+from typing import Mapping, NamedTuple, TYPE_CHECKING
 
 from .routes import Community, Route
-from .topology import Finding, Rel, is_number, is_word
+from .topology import EMPTY_MAP, Finding, Rel, is_number, is_word
 
 if TYPE_CHECKING:
     from .topology import Topology
@@ -33,9 +32,11 @@ PREPEND_MAX = 3
 
 ALL_UPSTREAMS = "all"
 
+# An enum member read through its class costs a descriptor call each time.
+_CUSTOMER = Rel.CUSTOMER
 
-@dataclass(frozen=True, slots=True)
-class PeerSelector:
+
+class PeerSelector(NamedTuple):
     """Which neighbors an action targets: a specific ASN, every upstream
     (peers + providers), or every neighbor tagged with a region."""
 
@@ -63,14 +64,19 @@ class PeerSelector:
         return ALL_UPSTREAMS
 
 
-@dataclass(frozen=True)
-class PolicyCatalog:
+class _PolicyCatalogFields(NamedTuple):
     owner: int
-    lp_rules: Mapping[Community, int] = field(default_factory=dict)
-    suppress_rules: Mapping[Community, PeerSelector] = field(default_factory=dict)
-    prepend_rules: Mapping[Community, tuple[PeerSelector, int]] = field(default_factory=dict)
-    region_of: Mapping[int, str] = field(default_factory=dict)
+    lp_rules: Mapping[Community, int] = EMPTY_MAP
+    suppress_rules: Mapping[Community, PeerSelector] = EMPTY_MAP
+    prepend_rules: Mapping[Community, tuple[PeerSelector, int]] = EMPTY_MAP
+    region_of: Mapping[int, str] = EMPTY_MAP
     drops_community_updates: bool = False
+
+
+class PolicyCatalog(_PolicyCatalogFields):
+    """One provider's community rules.  Its communities are computed on first
+    read and kept in the instance's `__dict__`, so the rule mappings must not
+    change after the catalog is built."""
 
     def is_empty(self) -> bool:
         return not (
@@ -132,9 +138,9 @@ class PolicyCatalog:
         elif sel.kind == "region":
             chosen = {a for a in neighbors if self.region_of.get(a) == sel.region}
         else:
-            chosen = {a for a, rel in neighbors.items() if rel is not Rel.CUSTOMER}
+            chosen = {a for a, rel in neighbors.items() if rel is not _CUSTOMER}
         if exclude_customers:
-            chosen = {a for a in chosen if neighbors[a] is not Rel.CUSTOMER}
+            chosen = {a for a in chosen if neighbors[a] is not _CUSTOMER}
         return chosen
 
 

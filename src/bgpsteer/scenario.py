@@ -33,8 +33,7 @@ carries a line and column.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
-from typing import Callable, TypeVar
+from typing import Callable, NamedTuple, TypeVar
 
 from .engine import Advertisement, TeConfig, check_advertisement
 from .flows import Flow
@@ -55,8 +54,7 @@ class ScenarioError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     topology: Topology
     te_config: TeConfig
     objectives: tuple[Objective, ...] = ()
@@ -144,7 +142,11 @@ def parse_scenario(text: str) -> Scenario:
     where: dict[tuple, _Word] = {}
     links: list[Link] = []
     originations: dict[int, set[Prefix]] = {}
-    catalogs: dict[int, PolicyCatalog] = {}
+    # Owner -> its catalog's rules (lp, suppress, prepend, region), and the
+    # owners with a drops-community-updates record: each catalog is built
+    # once, after the last record.
+    catalog_rules: dict[int, tuple[dict, dict, dict, dict]] = {}
+    drops: set[int] = set()
     advertisements: list[tuple[Advertisement, _Word]] = []
     lp_overrides: dict[tuple[int, int], int] = {}
     objectives: list[tuple[Objective, _Word]] = []
@@ -183,33 +185,33 @@ def parse_scenario(text: str) -> Scenario:
             if len(words) < 3:
                 raise _fail(words[0], "policy record: too few fields")
             owner = _field(words[1], known)
-            if owner not in catalogs:
-                catalogs[owner] = PolicyCatalog(owner, {}, {}, {}, {})
+            if owner not in catalog_rules:
+                catalog_rules[owner] = ({}, {}, {}, {})
                 where["catalog", owner] = words[1]
-            cat = catalogs[owner]
+            lp_rules, suppress_rules, prepend_rules, region_of = catalog_rules[owner]
             what = words[2][0]
             if what == "lp":
                 _expect(words, 5, "policy lp record")
-                c = claim(cat.lp_rules, owner, words[3])
-                cat.lp_rules[c] = _field(words[4], _lp_value)
+                c = claim(lp_rules, owner, words[3])
+                lp_rules[c] = _field(words[4], _lp_value)
             elif what == "prepend":
                 _expect(words, 6, "policy prepend record")
-                c = claim(cat.prepend_rules, owner, words[3])
-                cat.prepend_rules[c] = (_field(words[4], selector), _field(words[5], _prepend_count))
+                c = claim(prepend_rules, owner, words[3])
+                prepend_rules[c] = (_field(words[4], selector), _field(words[5], _prepend_count))
             elif what == "suppress":
                 _expect(words, 5, "policy suppress record")
-                c = claim(cat.suppress_rules, owner, words[3])
-                cat.suppress_rules[c] = _field(words[4], selector)
+                c = claim(suppress_rules, owner, words[3])
+                suppress_rules[c] = _field(words[4], selector)
             elif what == "region":
                 _expect(words, 5, "policy region record")
                 peer = _field(words[3], known)
-                if peer in cat.region_of:
+                if peer in region_of:
                     raise _fail(words[3], f"region of AS {peer} given twice in AS {owner}'s catalog")
-                cat.region_of[peer] = words[4][0]
+                region_of[peer] = words[4][0]
                 where["region", owner, peer] = words[3]
             elif what == "drops-community-updates":
                 _expect(words, 3, "policy drops record")
-                catalogs[owner] = replace(cat, drops_community_updates=True)
+                drops.add(owner)
             else:
                 raise _fail(words[2], f"unknown policy kind {what!r}")
         elif kind == "advertise":
@@ -264,7 +266,7 @@ def parse_scenario(text: str) -> Scenario:
         roles=roles,
         links=tuple(links),
         originations={asn: frozenset(ps) for asn, ps in originations.items()},
-        catalogs=catalogs,
+        catalogs={owner: PolicyCatalog(owner, *r, owner in drops) for owner, r in catalog_rules.items()},
         lp_overrides=lp_overrides,
     )
     # The validators state every semantic rule; report the first error they

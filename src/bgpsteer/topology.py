@@ -8,12 +8,10 @@ customers buying two circuits from one provider).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
 from operator import itemgetter
-from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -25,6 +23,27 @@ MAX_ASN = 4_294_967_295
 LOCAL = "local"  # learned_on marker for locally originated routes
 # One shared empty frozenset: each frozenset() call builds a new one.
 EMPTY: frozenset = frozenset()
+
+
+class _EmptyMap(dict):
+    """The type of EMPTY_MAP: an empty dict whose mutators raise.  Lookups run
+    at dict speed, and it pickles and copies as the one module-level
+    instance, which a `MappingProxyType` cannot."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("EMPTY_MAP is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self) -> str:
+        return "EMPTY_MAP"
+
+
+# The one shared empty mapping: the default of every mapping field.
+EMPTY_MAP: Mapping = _EmptyMap()
 
 
 class TopologyError(ValueError):
@@ -148,26 +167,31 @@ def export_permitted(learned_rel: Rel | None, to_rel: Rel) -> bool:
     return to_rel is Rel.CUSTOMER
 
 
-@dataclass(frozen=True, slots=True)
-class Link:
-    """A physical inter-domain link.  For c2p links, `customer` names the
-    endpoint buying transit; for p2p it is None."""
-
+class _LinkFields(NamedTuple):
     id: str
     a: int
     b: int
     customer: int | None  # None => peer-to-peer
     up: bool = True
 
-    def __post_init__(self) -> None:
-        if self.id == LOCAL:
+
+class Link(_LinkFields):
+    """A physical inter-domain link.  For c2p links, `customer` names the
+    endpoint buying transit; for p2p it is None.  `Link(...)` checks the
+    id and the endpoints; `_make` and `_replace` check nothing."""
+
+    __slots__ = ()
+
+    def __new__(cls, id: str, a: int, b: int, customer: int | None, up: bool = True) -> "Link":
+        if id == LOCAL:
             raise ValueError(f"{LOCAL!r} is reserved and cannot name a link")
-        if not is_word(self.id):
-            raise ValueError(f"link id {self.id!r} is not one word (no whitespace or '#')")
-        if self.a == self.b:
-            raise ValueError(f"link {self.id}: endpoints must differ")
-        if self.customer is not None and self.customer not in (self.a, self.b):
-            raise ValueError(f"link {self.id}: customer is not an endpoint")
+        if not is_word(id):
+            raise ValueError(f"link id {id!r} is not one word (no whitespace or '#')")
+        if a == b:
+            raise ValueError(f"link {id}: endpoints must differ")
+        if customer is not None and customer not in (a, b):
+            raise ValueError(f"link {id}: customer is not an endpoint")
+        return tuple.__new__(cls, (id, a, b, customer, up))
 
     def endpoints(self) -> tuple[int, int]:
         return (self.a, self.b)
@@ -187,8 +211,7 @@ class Link:
         return Rel.PROVIDER if self.customer == asn else Rel.CUSTOMER
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     """One validation result.  `subject` names what it is about, so that a
     reader of a scenario file can point at the record that introduced it:
     ("link", id), ("prefix", prefix), ("catalog", owner),
@@ -200,12 +223,13 @@ class Finding:
     subject: tuple = ()
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """A topology's findings; `errors` and `warnings` are computed on first
-    read, once."""
-
+class _ValidationReportFields(NamedTuple):
     findings: tuple[Finding, ...]
+
+
+class ValidationReport(_ValidationReportFields):
+    """A topology's findings; `errors` and `warnings` are computed on first
+    read, once, and kept in the instance's `__dict__`."""
 
     @cached_property
     def errors(self) -> tuple[Finding, ...]:
@@ -222,7 +246,6 @@ class ValidationReport:
 _CLEAN = ValidationReport(())  # the one report of a topology with no findings
 _REL_RANK = {Rel.CUSTOMER: 0, Rel.PEER: 1, Rel.PROVIDER: 2}
 _LEARNED_RELS = (None, *Rel)  # what a route was learned from; None: a local route
-_NO_NEIGHBORS: Mapping[int, Rel] = MappingProxyType({})
 
 
 class Session(NamedTuple):
@@ -237,8 +260,7 @@ class Session(NamedTuple):
     catalog: "PolicyCatalog | None"
 
 
-@dataclass(frozen=True, slots=True)
-class Sessions:
+class Sessions(NamedTuple):
     """One AS's up links as sessions, compiled for export.
 
     * `all`: a session per up link, sorted by link id;
@@ -273,7 +295,7 @@ class Sessions:
             split[rel] = by_mask[mask]
         by_learned = {s.link_id: split[s.rel] for s in ordered}
         by_learned[LOCAL] = split[None]
-        neighbor_rels = _NO_NEIGHBORS if catalog is None else neighbor_rels_of(ordered)
+        neighbor_rels = EMPTY_MAP if catalog is None else neighbor_rels_of(ordered)
         return cls(ordered, by_learned, catalog, neighbor_rels)
 
 
@@ -289,20 +311,25 @@ def neighbor_rels_of(sessions: Iterable[Session]) -> dict[int, Rel]:
     return rels
 
 
-@dataclass(frozen=True)
-class Topology:
-    """AS graph.  `roles` maps ASN -> "stub" | "transit".  Besides the
-    providers' catalogs it holds each AS's standing import policy that
-    overrides path length: `lp_overrides` maps (receiver, sender) -> the LP
-    the receiver assigns to every route the sender sends it.  Immutability
-    is load-bearing: `links_by_id`, `sessions`, `validation` and the tables
-    in `compiled` are computed once, on first use, and cached."""
-
+class _TopologyFields(NamedTuple):
     roles: Mapping[int, str]
     links: tuple[Link, ...]
     originations: Mapping[int, frozenset[Prefix]]
-    catalogs: Mapping[int, "PolicyCatalog"] = field(default_factory=dict)
-    lp_overrides: Mapping[tuple[int, int], int] = field(default_factory=dict)
+    catalogs: Mapping[int, "PolicyCatalog"] = EMPTY_MAP
+    lp_overrides: Mapping[tuple[int, int], int] = EMPTY_MAP
+
+
+class Topology(_TopologyFields):
+    """AS graph.  `roles` maps ASN -> "stub" | "transit".  Besides the
+    providers' catalogs it holds each AS's standing import policy that
+    overrides path length: `lp_overrides` maps (receiver, sender) -> the LP
+    the receiver assigns to every route the sender sends it.
+
+    Immutability is load-bearing: `links_by_id`, `sessions`, `validation`
+    and the tables in `compiled` are computed once, on first use, and kept
+    in the instance's `__dict__`.  So the mappings a topology is built from
+    must not change after it is built.  A changed copy,
+    `t._replace(field=value)`, starts with none of them."""
 
     @cached_property
     def links_by_id(self) -> Mapping[str, Link]:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import replace
 
 from bgpsteer.engine import Advertisement, TeConfig
 from bgpsteer.planner import Budget, Objective, PlanningError, plan_cost, validate_objectives
@@ -69,7 +68,7 @@ def rand_topology(
         if rng.random() < p_parallel:
             add(link.a, link.b, link.customer)
     links = [
-        replace(link, up=False) if rng.random() < p_down else link for link in links
+        link._replace(up=False) if rng.random() < p_down else link for link in links
     ]
 
     providers = {l.other(l.customer) for l in links if l.customer is not None}
@@ -150,14 +149,13 @@ def with_rule_facts(rng: random.Random, t: Topology) -> Topology:
         if regions:
             suppress[Community(asn % 0xFFFF, 90)] = PeerSelector.for_region(rng.choice(sorted(set(regions.values()))))
             prepend[Community(asn % 0xFFFF, 91)] = (PeerSelector.for_region(rng.choice(("eu", "us"))), rng.randint(1, 3))
-        catalogs[asn] = replace(
-            cat,
+        catalogs[asn] = cat._replace(
             suppress_rules=suppress,
             prepend_rules=prepend,
             region_of=regions,
             drops_community_updates=rng.random() < 0.4,
         )
-    return replace(t, links=tuple(links), catalogs=catalogs)
+    return t._replace(links=tuple(links), catalogs=catalogs)
 
 
 def rand_te(
@@ -209,7 +207,7 @@ def rand_te(
                 lp_overrides[(asn, rng.choice(neighbors))] = rng.choice([20, 80, 150, 400])
     ads.sort(key=lambda ad: (ad.origin, ad.prefix.sort_key(), ad.link_id))
     if lp_overrides:
-        t = replace(t, lp_overrides=lp_overrides)
+        t = t._replace(lp_overrides=lp_overrides)
     return t, TeConfig(tuple(ads))
 
 

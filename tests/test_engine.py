@@ -2,7 +2,6 @@ import copy
 import gc
 import pickle
 import random
-from dataclasses import replace
 from functools import cmp_to_key
 from pathlib import Path
 
@@ -539,7 +538,7 @@ def _with_disagree_gadget(rng, t, te):
     a, b = rng.choice(candidates)
     links = t.links + (Link(f"l{len(t.links) + 1}", a, b, None),)
     overrides = {**t.lp_overrides, (a, b): 300, (b, a): 300}
-    return replace(t, links=links, lp_overrides=overrides), te
+    return t._replace(links=links, lp_overrides=overrides), te
 
 
 @pytest.mark.parametrize("path", sorted(Path("scenarios").glob("*.scn")), ids=lambda p: p.stem)
@@ -659,7 +658,7 @@ def test_compiled_sessions_are_per_topology():
         t = gen.rand_topology(rng, with_catalogs=rng.random() < 0.5)
         t, te = gen.rand_te(rng, t, with_communities=True)
         sequence = [_random_overrides(rng, t), {}, _random_overrides(rng, t)]
-        topologies = [replace(t, lp_overrides=o) for o in sequence]
+        topologies = [t._replace(lp_overrides=o) for o in sequence]
         cases.append((topologies + topologies[:1], te))
     # Two topologies whose l1 and l2 join different ASes.
     roles = {1: "stub", 2: "transit", 3: "transit"}
@@ -688,7 +687,7 @@ def test_lp_overrides_resolve_to_what_sessions_build_compiles():
     for _ in range(300):
         t = gen.rand_topology(rng, with_catalogs=rng.random() < 0.5)
         overrides = _random_overrides(rng, t)
-        resolved = replace(t, lp_overrides=overrides).sessions
+        resolved = t._replace(lp_overrides=overrides).sessions
         assert resolved.keys() == t.sessions.keys()
         for sender, own in t.sessions.items():
             expected = Sessions.build(

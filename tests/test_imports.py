@@ -1,6 +1,13 @@
-"""The package's internal imports, read from its source with `ast`."""
+"""The package's internal imports, read from its source with `ast`, and
+what importing it loads."""
 
 import ast
+import dataclasses
+import importlib
+import inspect
+import os
+import subprocess
+import sys
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
@@ -52,3 +59,24 @@ def test_the_package_imports_form_a_dag():
     except CycleError as exc:
         pytest.fail("import cycle: " + " -> ".join(exc.args[1]))
     assert graph["topology"] == set() and graph["routes"] == {"topology"}
+
+
+def test_importing_the_cli_does_not_load_dataclasses():
+    """Every record is a NamedTuple, so a fresh interpreter that imports the
+    CLI never loads `dataclasses` (nor the `inspect`, `ast` and `dis` that
+    it imports)."""
+    code = "import sys, bgpsteer.cli; print('dataclasses' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
+
+
+def test_no_package_class_is_a_dataclass():
+    classes = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module("bgpsteer" if path.stem == "__init__" else f"bgpsteer.{path.stem}")
+        for _, c in inspect.getmembers(module, inspect.isclass):
+            if c.__module__ == module.__name__:
+                classes[f"{module.__name__}.{c.__qualname__}"] = c
+    assert {"bgpsteer.topology.Topology", "bgpsteer.planner.Objective"} <= set(classes)
+    assert [name for name, c in classes.items() if dataclasses.is_dataclass(c)] == []

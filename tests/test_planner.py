@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -121,7 +120,7 @@ def test_legal_announcement_paths_are_valley_free_over_p2p_objective_links():
     for _ in range(300):
         t, dest, _objectives, _budget = gen.rand_planning_instance(rng)
         peered = rng.choice([(), ("l1",), ("l2",), ("l1", "l2")])
-        links = tuple(replace(l, customer=None) if l.id in peered else l for l in t.links)
+        links = tuple(l._replace(customer=None) if l.id in peered else l for l in t.links)
         t = Topology(t.roles, links, t.originations, t.catalogs)
         p2p_cases += bool(peered)
         for link_id in ("l1", "l2"):
@@ -470,7 +469,7 @@ def test_te_config_from_actions_explicit_everything():
 
 def test_lp_override_flag_tags_plan():
     s = load("scenarios/dualprovider_baseline.scn")
-    t = replace(s.topology, lp_overrides={(65101, 400): 300})
+    t = s.topology._replace(lp_overrides={(65101, 400): 300})
     objectives = (Objective(Flow(None, 65101, P1, 65001), "l1"),)
     result = plan_inbound_te(t, 65001, objectives)
     assert isinstance(result, Plan)
@@ -483,7 +482,7 @@ def test_lp_override_flag_tags_plan():
 def test_planner_and_evaluate_plan_reject_an_lp_override_on_an_undeclared_as():
     s = load("scenarios/dualprovider_sourceasn_objectives.scn")
     plan = plan_inbound_te(s.topology, 65001, s.objectives)
-    bad = replace(s.topology, lp_overrides={(65001, 4242): 300})
+    bad = s.topology._replace(lp_overrides={(65001, 4242): 300})
     message = r"LP override references undeclared AS \(65001, 4242\)"
     with pytest.raises(TopologyError, match=message):
         plan_inbound_te(bad, 65001, s.objectives)

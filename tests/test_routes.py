@@ -9,20 +9,35 @@ from bgpsteer import (
     Action,
     ActionKind,
     Advertisement,
+    Budget,
     Community,
     ConvergedState,
+    EvaluationReport,
+    Exhausted,
+    Finding,
+    Flow,
+    Infeasible,
+    InfeasibilityWitness,
     IngressMap,
+    Link,
+    Objective,
+    PeerSelector,
+    Plan,
+    PolicyCatalog,
     Prefix,
     Rel,
     Route,
+    Scenario,
     TeConfig,
+    Topology,
+    ValidationReport,
     compare_routes,
     default_local_pref,
     export_permitted,
     prepend_path,
 )
 from bgpsteer.routes import best_of
-from bgpsteer.topology import LOCAL
+from bgpsteer.topology import EMPTY_MAP, LOCAL, Session, Sessions
 
 P1 = Prefix.parse("10.1.0.0/16")
 
@@ -211,6 +226,92 @@ def test_te_config_converged_state_and_ingress_map_are_the_tuples_of_their_field
     assert type(changed) is IngressMap and changed.dest == D and m.entries is entries
     for copied in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
         assert type(copied) is IngressMap and copied == m and copied.to_csv() == m.to_csv()
+
+
+def _records():
+    """(record, the tuple of its fields, one field to change, a new value)
+    for every record type that is not a route or an advertisement."""
+    flow = Flow(None, A, P1, D)
+    flow_fields = (None, A, P1, D)
+    objective = Objective(flow, "l1")
+    other = Objective(Flow(None, B, P1, D), "l2")
+    witness = InfeasibilityWitness(objective, other, ISP1)
+    action = Action.withhold(P1, "l1")
+    predicted = IngressMap(D, {(A, P1): "l2"})
+    side = ((A, P1, "l1", "l2"),)
+    c = Community(ISP1, 50)
+    selector = PeerSelector.specific(ISP2)
+    catalog = PolicyCatalog(ISP1, {c: 150}, prepend_rules={Community(ISP1, 2): (selector, 2)})
+    link = Link("l1", D, ISP1, D)
+    finding = Finding("error", "link l1: undeclared AS 9", ("link", "l1"))
+    session = Session("l1", ISP1, Rel.PROVIDER, 200, catalog)
+    sessions = Sessions.build([session], None)
+    roles = {D: "stub", ISP1: "transit"}
+    originations = {D: frozenset({P1})}
+    topology = Topology(roles, (link,), originations)
+    return [
+        (flow, flow_fields, "src_asn", B),
+        (objective, (flow_fields, "l1"), "required_link", "l2"),
+        (witness, (tuple(objective), tuple(other), ISP1), "pivot", "same-provider"),
+        (Plan((action,), predicted, side), ((tuple(action),), (D, {(A, P1): "l2"}), side, False),
+         "lp_constraint_violated", True),
+        (Infeasible((witness,)), ((tuple(witness),),), "witnesses", ()),
+        (Exhausted(12, 3), (12, 3), "candidates_tried", 13),
+        (Budget(), (3,), "max_actions", 0),
+        (EvaluationReport((True, False), side, 4), ((True, False), side, 4), "rounds_used", 5),
+        (selector, ("asn", ISP2, None), "asn", A),
+        (PeerSelector.for_region("eu"), ("region", None, "eu"), "region", "us"),
+        (catalog, (ISP1, {c: 150}, {}, {(ISP1, 2): (("asn", ISP2, None), 2)}, {}, False),
+         "drops_community_updates", True),
+        (link, ("l1", D, ISP1, D, True), "up", False),
+        (finding, ("error", "link l1: undeclared AS 9", ("link", "l1")), "severity", "warning"),
+        (ValidationReport((finding,)), ((tuple(finding),),), "findings", ()),
+        (sessions, ((session,), {"l1": ((), (session,)), LOCAL: ((session,), ())}, None, {}), "catalog", catalog),
+        (topology, (roles, (tuple(link),), originations, {}, {}), "lp_overrides", {(ISP1, D): 80}),
+        (Scenario(topology, TeConfig()), (topology, ((), frozenset()), ()), "objectives", (objective,)),
+    ]
+
+
+RECORDS = _records()
+
+
+@pytest.mark.parametrize(
+    "record, fields, name, value", RECORDS, ids=[f"{type(r).__name__}.{name}" for r, _, name, _ in RECORDS]
+)
+def test_every_record_is_the_tuple_of_its_fields(record, fields, name, value):
+    """Each record equals its fields' tuple and hashes like it (a record
+    holding a dict is unhashable, as the tuple is); `_replace` keeps its
+    type, and a pickle or deep copy reads back as an equal record."""
+    assert record == fields and tuple(record) == fields
+    try:
+        expected = hash(fields)
+    except TypeError:
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == expected
+    changed = record._replace(**{name: value})
+    assert type(changed) is type(record) and getattr(changed, name) == value
+    assert getattr(record, name) != value and changed != record
+    for copied in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(copied) is type(record) and copied == record
+
+
+def test_the_shared_empty_mapping_is_read_only_and_pickles_as_itself():
+    assert PolicyCatalog(ISP1).lp_rules is EMPTY_MAP and Topology({}, (), {}).catalogs is EMPTY_MAP
+    assert EMPTY_MAP == {} and not EMPTY_MAP and EMPTY_MAP.get(1) is None
+    for mutate in (
+        lambda m: m.__setitem__(1, 2),
+        lambda m: m.update({1: 2}),
+        lambda m: m.setdefault(1, 2),
+        lambda m: m.pop(1),
+        lambda m: m.clear(),
+    ):
+        with pytest.raises(TypeError, match="read-only"):
+            mutate(EMPTY_MAP)
+    assert EMPTY_MAP == {}
+    for copied in (copy.copy(EMPTY_MAP), copy.deepcopy(EMPTY_MAP), pickle.loads(pickle.dumps(EMPTY_MAP))):
+        assert copied is EMPTY_MAP
 
 
 def test_community_is_the_tuple_high_low():

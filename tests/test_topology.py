@@ -1,5 +1,6 @@
+import copy
+import pickle
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -237,20 +238,18 @@ def test_roundtrip_needs_the_canonical_order_and_no_empty_catalog():
     """The three conditions of serialize_scenario's round trip besides the
     objectives' order: each broken case parses back to another scenario,
     whose text is the same."""
-    from dataclasses import replace
-
     from bgpsteer import PolicyCatalog
 
     s = parse_scenario(Path("scenarios/failover_morespecific.scn").read_text(encoding="utf-8"))
     t, te = s.topology, s.te_config
     stub = min(asn for asn in t.roles if asn not in t.catalogs)
     cases = {
-        "links not sorted by id": replace(s, topology=replace(t, links=t.links[::-1])),
-        "advertisements out of order": replace(
-            s, te_config=te._replace(advertisements=te.advertisements[::-1])
+        "links not sorted by id": s._replace(topology=t._replace(links=t.links[::-1])),
+        "advertisements out of order": s._replace(
+            te_config=te._replace(advertisements=te.advertisements[::-1])
         ),
-        "an empty catalog": replace(
-            s, topology=replace(t, catalogs={**t.catalogs, stub: PolicyCatalog(stub)})
+        "an empty catalog": s._replace(
+            topology=t._replace(catalogs={**t.catalogs, stub: PolicyCatalog(stub)})
         ),
     }
     assert parse_scenario(serialize_scenario(s)) == s
@@ -590,11 +589,63 @@ def test_a_link_id_must_be_one_word(link_id):
         Link(link_id, 1, 2, 1)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("local", 1, 2, 1), "'local' is reserved and cannot name a link"),
+        (("a b", 1, 2, 1), "link id 'a b' is not one word (no whitespace or '#')"),
+        (("l1", 1, 1, None), "link l1: endpoints must differ"),
+        (("l1", 1, 2, 3), "link l1: customer is not an endpoint"),
+    ],
+    ids=["reserved", "not-one-word", "same-endpoints", "customer"],
+)
+def test_link_checks_its_fields(args, message):
+    with pytest.raises(ValueError) as err:
+        Link(*args)
+    assert str(err.value) == message
+    assert Link._make((*args, True)) == (*args, True)  # the unchecked path
+
+
+def test_replace_gives_fresh_topology_and_catalog_caches():
+    """A changed copy computes its own cached tables, from its own fields;
+    the original keeps the ones it computed."""
+    t = parse_topology(RULE_BASE + "lp-override 2 1 300\n")
+    tables = (t.links_by_id, t.sessions, t.validation, t.compiled)
+    t.compiled["key"] = "value"
+    changed = t._replace(lp_overrides={(2, 1): 40})
+    assert type(changed) is Topology and not vars(changed)
+    assert changed.links_by_id == t.links_by_id and changed.links_by_id is not t.links_by_id
+    lp = {s.link_id: s.local_pref for s in t.sessions[1].all}
+    assert {s.link_id: s.local_pref for s in changed.sessions[1].all} == {**lp, "l1": 40} != lp
+    assert changed.validation == t.validation and changed.compiled == {}
+    assert all(a is b for a, b in zip((t.links_by_id, t.sessions, t.validation, t.compiled), tables))
+
+    cat = PolicyCatalog(2, {Community(2, 1): 80}, {Community(2, 2): PeerSelector.all_upstreams()})
+    assert cat.communities() == {Community(2, 1), Community(2, 2)}
+    grown = cat._replace(lp_rules={Community(2, 1): 80, Community(2, 3): 90})
+    assert type(grown) is PolicyCatalog
+    assert grown.communities() == {Community(2, 1), Community(2, 2), Community(2, 3)}
+    assert cat.communities() == {Community(2, 1), Community(2, 2)}
+
+
+def test_a_topology_pickles_with_its_caches():
+    """The caches travel with a pickled or copied topology (an AS with no
+    catalog has the shared empty neighbor table, which pickles as itself),
+    and the copy plans as the original does."""
+    s = parse_scenario(Path("scenarios/dualprovider_sourceasn_objectives.scn").read_text(encoding="utf-8"))
+    t = s.topology
+    plan = plan_inbound_te(t, 65001, s.objectives)
+    assert sorted(vars(t)) == ["compiled", "links_by_id", "sessions", "validation"]
+    for back in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t)):
+        assert type(back) is Topology and back == t and sorted(vars(back)) == sorted(vars(t))
+        assert back.sessions == t.sessions and plan_inbound_te(back, 65001, s.objectives) == plan
+
+
 def test_a_region_tag_must_be_one_word():
     t = parse_topology(RULE_BASE)
     c = Community(2, 1)
     cat = PolicyCatalog(2, suppress_rules={c: PeerSelector.for_region("e u")}, region_of={1: "e u", 3: "us"})
-    errors = validate_topology(replace(t, catalogs={2: cat})).errors
+    errors = validate_topology(t._replace(catalogs={2: cat})).errors
     assert [(f.subject, f.message) for f in errors] == [
         (("rule", 2, c), "AS 2: selector region tag 'e u' is not one word (no whitespace or '#')"),
         (("region", 2, 1), "AS 2: region tag 'e u' of AS 1 is not one word (no whitespace or '#')"),
@@ -604,7 +655,7 @@ def test_a_region_tag_must_be_one_word():
 def test_lp_override_rules_are_topology_findings():
     t = parse_topology(RULE_BASE + "lp-override 2 1 300\n")
     assert t.lp_overrides == {(2, 1): 300} and not t.validation.errors
-    errors = validate_topology(replace(t, lp_overrides={(2, 1): -1, (2, 4242): 300, (1, 2): 80})).errors
+    errors = validate_topology(t._replace(lp_overrides={(2, 1): -1, (2, 4242): 300, (1, 2): 80})).errors
     assert [(f.subject, f.message) for f in errors] == [
         (("lp-override", 2, 1), "LP override must be >= 0"),
         (("lp-override", 2, 4242), "LP override references undeclared AS (2, 4242)"),
@@ -630,10 +681,7 @@ def test_a_repeated_region_or_lp_override_is_rejected(records):
 
 def _unchecked_link(link_id: str, a: int, b: int, customer: int | None, up: bool = True) -> Link:
     """A link built without Link's own checks, to serialize as a fault."""
-    link = object.__new__(Link)
-    for name, value in zip(("id", "a", "b", "customer", "up"), (link_id, a, b, customer, up)):
-        object.__setattr__(link, name, value)
-    return link
+    return Link._make((link_id, a, b, customer, up))
 
 
 def _fault(kind: str, rng: random.Random, s):
@@ -652,14 +700,14 @@ def _fault(kind: str, rng: random.Random, s):
     c = Community(transit % 0xFFFF, 500)
 
     def topo(**changes):
-        return replace(s, topology=replace(t, **changes))
+        return s._replace(topology=t._replace(**changes))
 
     def catalog(asn, **rules):
-        rules = replace(t.catalogs.get(asn, PolicyCatalog(asn)), **rules)
+        rules = t.catalogs.get(asn, PolicyCatalog(asn))._replace(**rules)
         return topo(roles=roles, catalogs={**t.catalogs, asn: rules})
 
     def ads(*extra):
-        return replace(s, te_config=te._replace(advertisements=te.advertisements + extra))
+        return s._replace(te_config=te._replace(advertisements=te.advertisements + extra))
 
     def ad(**fields):
         link = rng.choice(near)
@@ -788,8 +836,7 @@ def _rename(rng: random.Random, s):
         return PeerSelector.for_region(text()) if sel.kind == "region" else sel
 
     catalogs = {
-        owner: replace(
-            cat,
+        owner: cat._replace(
             region_of={asn: text() for asn in cat.region_of},
             suppress_rules={c: retag(sel) for c, sel in cat.suppress_rules.items()},
             prepend_rules={c: (retag(sel), n) for c, (sel, n) in cat.prepend_rules.items()},
@@ -797,7 +844,7 @@ def _rename(rng: random.Random, s):
         for owner, cat in t.catalogs.items()
     }
     ads = tuple(ad._replace(link_id=ids[ad.link_id]) for ad in te.advertisements)
-    return replace(s, topology=replace(t, links=links, catalogs=catalogs), te_config=te._replace(advertisements=ads))
+    return s._replace(topology=t._replace(links=links, catalogs=catalogs), te_config=te._replace(advertisements=ads))
 
 
 def test_what_the_validators_accept_round_trips_through_the_text_form():
