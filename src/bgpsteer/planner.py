@@ -53,12 +53,13 @@ from .flows import (
     FlowClass,
     ForwardingTable,
     IngressMap,
+    UNREACHABLE,
     classify,
     diff_ingress,
     ingress_map,
 )
 from .routes import Community
-from .topology import EMPTY, Prefix, Session, Topology, require_valid
+from .topology import EMPTY, Prefix, Topology, require_valid
 
 SAME_PROVIDER = "same-provider"
 
@@ -231,89 +232,87 @@ def validate_objectives(t: Topology, dest: int, objectives: Sequence[Objective])
             )
 
 
-def _legal_announcement_paths(
-    t: Topology, dest: int, link_id: str, target: int
-) -> list[tuple[int, ...]]:
-    """Simple paths, origin first, on which `dest`'s announcement over
-    `link_id` reaches `target` past the provider at the link's other end, as
-    valley-free export passes it on (`Sessions.by_learned`); none when the
-    link is down."""
-    paths: list[tuple[int, ...]] = []
-    sessions = t.sessions
-
-    def walk(exported_on: Sequence[Session], visited: tuple[int, ...]) -> None:
-        for s in exported_on:
-            nxt = s.neighbor
-            if nxt in visited:
-                continue
-            path = visited + (nxt,)
-            if nxt == target:
-                paths.append(path)
-            else:
-                walk(sessions[nxt].by_learned[s.link_id][0], path)
-
-    start = t.link_by_id(link_id).other(dest)
-    walk(sessions[start].by_learned.get(link_id, ((), ()))[0], (dest, start))
-    return paths
-
-
-def common_upstream_check(
-    t: Topology, objectives: Sequence[Objective]
-) -> list[InfeasibilityWitness]:
-    """Screen same-prefix objective pairs that no prepending pattern can
-    split.  Sound, not complete: every witness is a real conflict."""
-    witnesses: list[InfeasibilityWitness] = []
-    for o1, o2 in itertools.combinations(objectives, 2):
-        if o1.flow.dst_prefix != o2.flow.dst_prefix:
-            continue
-        if o1.required_link == o2.required_link:
-            continue
-        if o1.flow.src_asn is None or o2.flow.src_asn is None:
-            continue
-        if o1.flow.src_asn == o2.flow.src_asn:
-            continue
-        dest = o1.flow.dst_asn
-        p1 = t.link_by_id(o1.required_link).other(dest)
-        p2 = t.link_by_id(o2.required_link).other(dest)
-        if p1 == p2:
-            witnesses.append(InfeasibilityWitness(o1, o2, SAME_PROVIDER))
-            continue
-        paths1 = _legal_announcement_paths(t, dest, o1.required_link, o1.flow.src_asn)
-        paths2 = _legal_announcement_paths(t, dest, o2.required_link, o2.flow.src_asn)
-        if not paths1 or not paths2:
-            continue
-        on_all1 = set.intersection(*(set(p) for p in paths1))
-        on_all2 = set.intersection(*(set(p) for p in paths2))
-        shared = (on_all1 & on_all2) - {o1.flow.src_asn, o2.flow.src_asn, dest}
-        if not shared:
-            continue
-        # "First merge": the shared AS closest to the providers along the
-        # first objective's candidate paths.
-        def first_index(x: int) -> int:
-            return min(path.index(x) for path in paths1 if x in path)
-
-        pivot = min(shared, key=lambda x: (first_index(x), x))
-        witnesses.append(InfeasibilityWitness(o1, o2, pivot))
-    return witnesses
-
-
-def _reach(t: Topology, dest: int, link_id: str) -> set[int]:
-    """The ASes other than dest that some valley-free path of dest's
-    announcement over up link `link_id` reaches: those of the (AS, link it
-    learned the route on) states reachable from the provider's along
-    `Sessions.by_learned`, never through dest."""
+def _walk(t: Topology, dest: int, link_id: str, avoid: int | None = None) -> dict[tuple[int, str], int]:
+    """The (AS, link it learned the route on) states that dest's announcement
+    over `link_id` reaches as valley-free export passes it on
+    (`Sessions.by_learned`), never through dest or `avoid`, in breadth-first
+    order, each with its depth: dest is at 0, the provider at 1.  Empty when
+    the link is down."""
     sessions = t.sessions
     start = (t.link_by_id(link_id).other(dest), link_id)
-    seen = {start}
+    if start[0] == avoid or link_id not in sessions[start[0]].by_learned:
+        return {}
+    depth = {start: 1}
     todo = [start]
-    while todo:
-        asn, learned_on = todo.pop()
-        for s in sessions[asn].by_learned[learned_on][0]:
-            state = (s.neighbor, s.link_id)
-            if s.neighbor != dest and state not in seen:
-                seen.add(state)
-                todo.append(state)
-    return {asn for asn, _learned_on in seen}
+    for state in todo:  # it grows as it goes: a breadth-first queue
+        for s in sessions[state[0]].by_learned[state[1]][0]:
+            nxt = (s.neighbor, s.link_id)
+            if nxt not in depth and s.neighbor != dest and s.neighbor != avoid:
+                depth[nxt] = depth[state] + 1
+                todo.append(nxt)
+    return depth
+
+
+def _reach(t: Topology, dest: int, link_id: str, avoid: int | None = None) -> set[int]:
+    """The ASes of `_walk`'s states: those dest's announcement over `link_id` reaches."""
+    return {asn for asn, _learned_on in _walk(t, dest, link_id, avoid)}
+
+
+def _positions(t: Topology, dest: int, link_id: str, target: int) -> dict[int, int]:
+    """AS -> its earliest position: its least `_walk` depth among its states
+    from which a state of `target` can still be reached.  Empty when the
+    walk reaches no state of `target`."""
+    walk = _walk(t, dest, link_id)
+    before: dict[tuple[int, str], list[tuple[int, str]]] = {}
+    for state in walk:
+        for s in t.sessions[state[0]].by_learned[state[1]][0]:
+            before.setdefault((s.neighbor, s.link_id), []).append(state)
+    alive = [state for state in walk if state[0] == target]
+    for state in alive:
+        alive += before.pop(state, ())
+    alive_set = set(alive)
+    # Deepest first, so that each AS keeps its least depth.
+    return {state[0]: depth for state, depth in reversed(walk.items()) if state in alive_set}
+
+
+def common_upstream_check(t: Topology, objectives: Sequence[Objective]) -> list[InfeasibilityWitness]:
+    """Screen same-prefix objective pairs that no prepending pattern can
+    split.  Sound, not complete: every witness is a real conflict.
+
+    A pair with distinct sources and links is a witness when both links land
+    on one provider (SAME_PROVIDER), or when an AS other than dest and the
+    sources is on every legal path of both: the simple paths on which dest's
+    announcement over the objective's link reaches its source past the
+    provider.  The pivot, the first merge, has the least earliest position
+    on the first objective's paths, then the lowest ASN.
+
+    `_walk` decides both without listing paths.  Valley-free export only
+    narrows along a walk (a route learned from a customer goes to every
+    neighbor, one learned from a peer or provider only to customers, who
+    learn it from their provider), so a walk that meets an AS again can skip
+    the loop in between.  So any walk to the source cuts into a legal path
+    through a subset of its ASes, and an AS is on every legal path exactly
+    when the walk that avoids it reaches no state of the source.  For such
+    an AS x, a shortest walk P to x's least-depth state of `_positions` and
+    a shortest walk Q from it to the source are simple, P holds no source,
+    and they share only x (a shared AS would cut x out).  So P then Q is a
+    legal path with x at that depth, and no legal path, a walk, has x
+    earlier."""
+    witnesses: list[InfeasibilityWitness] = []
+    for o1, o2 in itertools.combinations(objectives, 2):
+        (l1, s1), (l2, s2) = (o1.required_link, o1.flow.src_asn), (o2.required_link, o2.flow.src_asn)
+        if o1.flow.dst_prefix != o2.flow.dst_prefix or l1 == l2 or s1 is None or s2 is None or s1 == s2:
+            continue
+        dest = o1.flow.dst_asn
+        if t.link_by_id(l1).other(dest) == t.link_by_id(l2).other(dest):
+            witnesses.append(InfeasibilityWitness(o1, o2, SAME_PROVIDER))
+            continue
+        first1, first2 = _positions(t, dest, l1, s1), _positions(t, dest, l2, s2)
+        for x in sorted((first1.keys() & first2.keys()) - {s1, s2}, key=lambda x: (first1[x], x)):
+            if s1 not in _reach(t, dest, l1, x) and s2 not in _reach(t, dest, l2, x):
+                witnesses.append(InfeasibilityWitness(o1, o2, x))  # the first merge
+                break
+    return witnesses
 
 
 class _Origin(NamedTuple):
@@ -798,16 +797,15 @@ def plan_inbound_te(
         return Exhausted(_consistent_sets(t, dest, atoms, budget.max_actions), budget.max_actions)
     cost, states = best
     baseline_map = ingress_map(baseline_state, t, dest)
-    # Each destination prefix's entries come from its own group's run; a
-    # prefix's forwarding reads only its group's routes.
-    maps = {
-        g: ingress_map(state, t, dest).entries
-        for g, state in zip(fronts, states)
-        if state is not baseline_state
-    }
-    base = baseline_map.entries
-    source = {p: maps.get(group_of[p], base) for p in _origin(t, dest).originated}
-    predicted = IngressMap(dest, {key: source[key[1]][key] for key in base})
+    # Each originated prefix's entries come from its own group's state (its
+    # forwarding reads only its group's routes), the baseline's by default.
+    chosen = {g: state for g, state in zip(fronts, states) if state is not baseline_state}
+    originated = _origin(t, dest).originated
+    tables = {p: ForwardingTable(chosen[group_of[p]], t, p, dest) for p in originated if group_of[p] in chosen}
+    predicted = IngressMap(dest, {
+        (src, p): (tables[p].entry_link(src) or UNREACHABLE) if p in tables else link
+        for (src, p), link in baseline_map.entries.items()
+    })
     side = _side_effects(t, objectives, baseline_map, predicted)
     return Plan(tuple(atoms[i] for i in cost[2]), predicted, side, bool(t.lp_overrides))
 

@@ -14,7 +14,15 @@ import itertools
 import random
 
 from bgpsteer.engine import Advertisement, TeConfig
-from bgpsteer.planner import Budget, Objective, PlanningError, plan_cost, validate_objectives
+from bgpsteer.planner import (
+    SAME_PROVIDER,
+    Budget,
+    InfeasibilityWitness,
+    Objective,
+    PlanningError,
+    plan_cost,
+    validate_objectives,
+)
 # The suites drive planner internals on purpose.
 from bgpsteer.planner import _build_atoms  # noqa
 from bgpsteer.planner import te_config_from_actions
@@ -364,6 +372,86 @@ def is_valley_free(t: Topology, receiver: int, as_path: tuple[int, ...]) -> bool
         if hop == 2:
             stage = 2
     return True
+
+
+# ---------------------------------------------------------------------------
+# The infeasibility screen over listed paths
+# ---------------------------------------------------------------------------
+
+
+def legal_announcement_paths(t: Topology, dest: int, link_id: str, target: int) -> list[tuple[int, ...]]:
+    """Simple paths, origin first, on which `dest`'s announcement over
+    `link_id` reaches `target` past the provider at the link's other end, as
+    valley-free export passes it on (`Sessions.by_learned`); none when the
+    link is down.  Their number can grow exponentially with the graph."""
+    paths: list[tuple[int, ...]] = []
+    sessions = t.sessions
+
+    def walk(exported_on, visited: tuple[int, ...]) -> None:
+        for s in exported_on:
+            nxt = s.neighbor
+            if nxt in visited:
+                continue
+            path = visited + (nxt,)
+            if nxt == target:
+                paths.append(path)
+            else:
+                walk(sessions[nxt].by_learned[s.link_id][0], path)
+
+    start = t.link_by_id(link_id).other(dest)
+    walk(sessions[start].by_learned.get(link_id, ((), ()))[0], (dest, start))
+    return paths
+
+
+def reference_upstream_check(t: Topology, objectives: list[Objective]) -> list[InfeasibilityWitness]:
+    """`common_upstream_check`'s rule read off `legal_announcement_paths`:
+    a same-prefix pair with distinct sources and links is a witness when
+    both links land on one provider, or when an AS other than dest and the
+    sources is on every path of both; the pivot is the shared AS of least
+    index on the first objective's paths, then the lowest ASN."""
+    witnesses = []
+    for o1, o2 in itertools.combinations(objectives, 2):
+        if o1.flow.dst_prefix != o2.flow.dst_prefix or o1.required_link == o2.required_link:
+            continue
+        if o1.flow.src_asn is None or o2.flow.src_asn is None or o1.flow.src_asn == o2.flow.src_asn:
+            continue
+        dest = o1.flow.dst_asn
+        if t.link_by_id(o1.required_link).other(dest) == t.link_by_id(o2.required_link).other(dest):
+            witnesses.append(InfeasibilityWitness(o1, o2, SAME_PROVIDER))
+            continue
+        paths1 = legal_announcement_paths(t, dest, o1.required_link, o1.flow.src_asn)
+        paths2 = legal_announcement_paths(t, dest, o2.required_link, o2.flow.src_asn)
+        if not paths1 or not paths2:
+            continue
+        on_all1 = set.intersection(*(set(p) for p in paths1))
+        on_all2 = set.intersection(*(set(p) for p in paths2))
+        shared = (on_all1 & on_all2) - {o1.flow.src_asn, o2.flow.src_asn, dest}
+        if shared:
+            index = {x: min(p.index(x) for p in paths1) for x in shared}
+            witnesses.append(InfeasibilityWitness(o1, o2, min(shared, key=lambda x: (index[x], x))))
+    return witnesses
+
+
+def with_provider_cycle(rng: random.Random, t: Topology) -> Topology | None:
+    """`t` plus one up c2p link that makes the top of a random climb over up
+    c2p links a customer of its bottom, closing a customer->provider cycle
+    of at least three ASes; None when the climb is shorter."""
+    providers: dict[int, list[int]] = {}
+    for l in t.links:
+        if l.up and l.customer is not None:
+            providers.setdefault(l.customer, []).append(l.other(l.customer))
+    climb = [rng.choice(sorted(t.roles))]
+    while True:
+        above = [p for p in providers.get(climb[-1], ()) if p not in climb]
+        if not above:
+            break
+        climb.append(rng.choice(sorted(above)))
+    if len(climb) < 3:
+        return None
+    top, bottom = climb[-1], climb[0]
+    roles = {**t.roles, bottom: "transit"}
+    links = (*t.links, Link(f"l{len(t.links) + 1}", top, bottom, top))
+    return t._replace(roles=roles, links=links)
 
 
 # ---------------------------------------------------------------------------

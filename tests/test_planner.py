@@ -1,6 +1,10 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -100,8 +104,8 @@ def test_a_route_over_a_p2p_objective_link_does_not_go_up(tmp_path, capsys):
     planner answers Exhausted without a search."""
     s = parse_scenario(P2P_OBJECTIVE_SCENARIO)
     t = s.topology
-    assert planner._legal_announcement_paths(t, 1, "l1", 5) == []
-    assert planner._legal_announcement_paths(t, 1, "l2", 6) == [(1, 20, 99, 6)]
+    assert gen.legal_announcement_paths(t, 1, "l1", 5) == []
+    assert gen.legal_announcement_paths(t, 1, "l2", 6) == [(1, 20, 99, 6)]
     assert common_upstream_check(t, s.objectives) == []
     state = propagate_to_convergence(t, s.te_config)
     assert [r.learned_on for r in state.candidates(99, P1)] == ["l4"]
@@ -128,7 +132,7 @@ def test_legal_announcement_paths_are_valley_free_over_p2p_objective_links():
             for target in t.roles:
                 if target in (dest, provider):
                     continue
-                for path in planner._legal_announcement_paths(t, dest, link_id, target):
+                for path in gen.legal_announcement_paths(t, dest, link_id, target):
                     assert path[:2] == (dest, provider) and path[-1] == target
                     assert len(set(path)) == len(path)
                     assert gen.is_valley_free(t, target, tuple(reversed(path[:-1]))), (peered, path)
@@ -285,6 +289,99 @@ def test_sub_prefix_objective_plans_more_specific():
     assert isinstance(result, Plan)
     report = evaluate_plan(s.topology, 65001, result, objectives)
     assert all(report.satisfied)
+
+
+def screen_objectives(t, dest):
+    """One objective per source AS other than `dest` and per link at `dest`,
+    all on P1: every pair the screen can judge at `dest`."""
+    links = [l.id for l in t.links if dest in (l.a, l.b)]
+    return [Objective(Flow(None, src, P1, dest), l) for l in links for src in sorted(t.roles) if src != dest]
+
+
+def test_the_screen_gives_the_path_listing_witnesses():
+    """The screen's walk gives exactly the witnesses, pivots included, that
+    listing every legal path gives (`gen.reference_upstream_check`), on
+    planning instances with peered objective links, on random graphs with
+    catalogs, parallel and down links, and on graphs with a
+    customer->provider cycle, where a walk can meet an AS first on a state
+    that cannot reach the source."""
+    rng = random.Random(2929)
+    pivots = {"planning": 0, "random": 0, "cycle": 0}
+
+    def check(family, t, dest):
+        objectives = screen_objectives(t, dest)
+        witnesses = common_upstream_check(t, objectives)
+        assert witnesses == gen.reference_upstream_check(t, objectives), (family, t, dest)
+        pivots[family] += sum(w.pivot != SAME_PROVIDER for w in witnesses)
+
+    for _ in range(300):
+        t, dest, _objectives, _budget = gen.rand_planning_instance(rng)
+        peered = rng.choice([(), ("l1",), ("l2",), ("l1", "l2")])
+        links = tuple(l._replace(customer=None) if l.id in peered else l for l in t.links)
+        check("planning", Topology(t.roles, links, t.originations, t.catalogs), dest)
+    graphs = 0
+    while graphs < 20:
+        t = gen.rand_topology(rng, 8, with_catalogs=True)
+        family = "random"
+        if graphs % 2:
+            t, family = gen.with_provider_cycle(rng, t), "cycle"
+            if t is None:
+                continue
+        graphs += 1
+        for dest in sorted(t.roles):
+            check(family, t, dest)
+    assert pivots["planning"] >= 40 and pivots["random"] >= 50 and pivots["cycle"] >= 500, pivots
+
+
+def test_an_objective_over_a_down_link_gives_no_witness():
+    """With l1 up, both objectives' paths funnel through AS 99.  With l1
+    down, no announcement crosses it: the pair has no witness, whichever
+    objective comes first, though the other objective's paths exist."""
+    text = (
+        "as 1 stub\nas 10 transit\nas 20 transit\nas 99 transit\nas 5 stub\nas 6 stub\n"
+        "link l1 1 10 c2p\nlink l2 1 20 c2p\nlink l3 10 99 c2p\nlink l4 20 99 c2p\n"
+        "link l5 5 99 c2p\nlink l6 6 99 c2p\noriginate 1 10.1.0.0/16\n"
+        "objective 1 5 10.1.0.0/16 l1\nobjective 1 6 10.1.0.0/16 l2\n"
+    )
+    s = parse_scenario(text)
+    assert [w.pivot for w in common_upstream_check(s.topology, s.objectives)] == [99]
+    t = parse_scenario(text.replace("link l1 1 10 c2p", "link l1 1 10 c2p down")).topology
+    assert not t.link_by_id("l1").up
+    assert gen.legal_announcement_paths(t, 1, "l2", 6) == [(1, 20, 99, 6)]
+    assert common_upstream_check(t, s.objectives) == []
+    assert common_upstream_check(t, s.objectives[::-1]) == []
+
+
+def ladder_scenario(depth):
+    """Stub 1 over l1 to AS 1000 and over l2 to AS 2000; layers i = 0..depth
+    of two transit ASes, 1000+i and 2000+i, each a customer of both ASes of
+    the next layer; stubs 5 and 6 below 1000+depth and 2000+depth.  Each
+    objective has 2^(depth-1) legal paths, and no AS but AS 1 is on every
+    path of both."""
+    lines = ["as 1 stub", "as 5 stub", "as 6 stub"]
+    lines += [f"as {base + i} transit" for i in range(depth + 1) for base in (1000, 2000)]
+    links = [(1, 1000), (1, 2000)]
+    links += [(a + i, b + i + 1) for i in range(depth) for a in (1000, 2000) for b in (1000, 2000)]
+    links += [(5, 1000 + depth), (6, 2000 + depth)]
+    lines += [f"link l{n} {a} {b} c2p" for n, (a, b) in enumerate(links, 1)]
+    lines += ["originate 1 10.1.0.0/16", "objective 1 5 10.1.0.0/16 l1", "objective 1 6 10.1.0.0/16 l2"]
+    return "\n".join(lines) + "\n"
+
+
+def test_the_ladder_plans_without_listing_its_paths(tmp_path):
+    """At depth 24 (53 ASes) each objective has 8,388,608 legal paths; the
+    screen finds no witness without listing them, and the search ends as
+    Exhausted."""
+    path = tmp_path / "ladder.scn"
+    path.write_text(ladder_scenario(24), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    argv = [sys.executable, "-m", "bgpsteer.cli", "plan", "--scenario", str(path), "--out", str(tmp_path / "out")]
+    started = time.perf_counter()
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    wall = time.perf_counter() - started
+    assert done.returncode == 4, done.stderr
+    assert done.stdout == "status exhausted tried=4 max-actions=3\n"
+    assert wall < 10, wall
 
 
 def test_exhausted_when_budget_too_small():
