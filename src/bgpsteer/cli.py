@@ -52,7 +52,7 @@ def _load(path: str) -> Scenario:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise ScenarioError(f"cannot read scenario: {exc}", 0, 0) from exc
+        raise ValueError(f"cannot read scenario: {exc}") from exc
     scenario = parse_scenario(text)
     for finding in scenario.topology.validation.warnings:
         print(f"warning: {finding.message}", file=sys.stderr)
@@ -138,9 +138,9 @@ def _read_csv(path: Path) -> dict[tuple[int, Prefix], str]:
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ScenarioError(f"cannot read {path}: {exc}", 0, 0) from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     if not lines or lines[0] != "src_asn,dst_prefix,link":
-        raise ScenarioError(f"{path} is not an ingress CSV", 0, 0)
+        raise ValueError(f"{path} is not an ingress CSV")
     entries: dict[tuple[int, Prefix], str] = {}
     for number, line in enumerate(lines[1:], start=2):
         if not line:

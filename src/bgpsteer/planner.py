@@ -232,25 +232,25 @@ def validate_objectives(t: Topology, dest: int, objectives: Sequence[Objective])
             )
 
 
-def _walk(t: Topology, dest: int, link_id: str, avoid: int | None = None) -> dict[tuple[int, str], int]:
+def _walk(t: Topology, dest: int, link_id: str, avoid: int | None = None) -> dict[tuple[int, str], tuple[int, str] | None]:
     """The (AS, link it learned the route on) states that dest's announcement
     over `link_id` reaches as valley-free export passes it on
     (`Sessions.by_learned`), never through dest or `avoid`, in breadth-first
-    order, each with its depth: dest is at 0, the provider at 1.  Empty when
-    the link is down."""
+    order, each with the state it was first reached from: None for the
+    provider's.  Empty when the link is down."""
     sessions = t.sessions
     start = (t.link_by_id(link_id).other(dest), link_id)
     if start[0] == avoid or link_id not in sessions[start[0]].by_learned:
         return {}
-    depth = {start: 1}
+    parent: dict[tuple[int, str], tuple[int, str] | None] = {start: None}
     todo = [start]
     for state in todo:  # it grows as it goes: a breadth-first queue
         for s in sessions[state[0]].by_learned[state[1]][0]:
             nxt = (s.neighbor, s.link_id)
-            if nxt not in depth and s.neighbor != dest and s.neighbor != avoid:
-                depth[nxt] = depth[state] + 1
+            if nxt not in parent and s.neighbor != dest and s.neighbor != avoid:
+                parent[nxt] = state
                 todo.append(nxt)
-    return depth
+    return parent
 
 
 def _reach(t: Topology, dest: int, link_id: str, avoid: int | None = None) -> set[int]:
@@ -258,21 +258,16 @@ def _reach(t: Topology, dest: int, link_id: str, avoid: int | None = None) -> se
     return {asn for asn, _learned_on in _walk(t, dest, link_id, avoid)}
 
 
-def _positions(t: Topology, dest: int, link_id: str, target: int) -> dict[int, int]:
-    """AS -> its earliest position: its least `_walk` depth among its states
-    from which a state of `target` can still be reached.  Empty when the
-    walk reaches no state of `target`."""
-    walk = _walk(t, dest, link_id)
-    before: dict[tuple[int, str], list[tuple[int, str]]] = {}
-    for state in walk:
-        for s in t.sessions[state[0]].by_learned[state[1]][0]:
-            before.setdefault((s.neighbor, s.link_id), []).append(state)
-    alive = [state for state in walk if state[0] == target]
-    for state in alive:
-        alive += before.pop(state, ())
-    alive_set = set(alive)
-    # Deepest first, so that each AS keeps its least depth.
-    return {state[0]: depth for state, depth in reversed(walk.items()) if state in alive_set}
+def _path(t: Topology, dest: int, link_id: str, target: int) -> list[int]:
+    """The ASes that one shortest `_walk` passes, in order, before its first
+    state of `target`; empty when it reaches none."""
+    parent = _walk(t, dest, link_id)
+    state = next((state for state in parent if state[0] == target), None)
+    back = []  # target back to the provider
+    while state is not None:
+        back.append(state[0])
+        state = parent[state]
+    return back[:0:-1]
 
 
 def common_upstream_check(t: Topology, objectives: Sequence[Objective]) -> list[InfeasibilityWitness]:
@@ -281,24 +276,25 @@ def common_upstream_check(t: Topology, objectives: Sequence[Objective]) -> list[
 
     A pair with distinct sources and links is a witness when both links land
     on one provider (SAME_PROVIDER), or when an AS other than dest and the
-    sources is on every legal path of both: the simple paths on which dest's
-    announcement over the objective's link reaches its source past the
-    provider.  The pivot, the first merge, has the least earliest position
-    on the first objective's paths, then the lowest ASN.
+    sources is a cut of both, on every legal path of each: a simple path on
+    which dest's announcement over the objective's link reaches its source
+    past the provider.  The pivot is the first such AS along them.
 
     `_walk` decides both without listing paths.  Valley-free export only
     narrows along a walk (a route learned from a customer goes to every
-    neighbor, one learned from a peer or provider only to customers, who
-    learn it from their provider), so a walk that meets an AS again can skip
-    the loop in between.  So any walk to the source cuts into a legal path
-    through a subset of its ASes, and an AS is on every legal path exactly
-    when the walk that avoids it reaches no state of the source.  For such
-    an AS x, a shortest walk P to x's least-depth state of `_positions` and
-    a shortest walk Q from it to the source are simple, P holds no source,
-    and they share only x (a shared AS would cut x out).  So P then Q is a
-    legal path with x at that depth, and no legal path, a walk, has x
-    earlier."""
+    neighbor, one learned from a peer or provider only to customers), so a
+    walk that meets an AS again can skip the loop in between.  So any walk
+    to the source cuts into a legal path through a subset of its ASes, an AS
+    is a cut exactly when the walk that avoids it reaches no state of the
+    source, and a shortest walk, `_path`, is a legal path.  Cuts come in one
+    order on every legal path.  Were x before y on P and y before x on Q,
+    P to x and on as Q goes would be a walk that avoids y, unless Q's state
+    at x is freer than P's.  Then Q's state at y, no less free than at x, is
+    freer than P's at y, no freer than at x, so Q to y and on as P goes would
+    be a walk that avoids x.  So the pivot is the first AS of the first
+    objective's `_path` that is on the second's and a cut of both."""
     witnesses: list[InfeasibilityWitness] = []
+    paths: dict[tuple[int, str, int], list[int]] = {}  # each judged objective's, walked once
     for o1, o2 in itertools.combinations(objectives, 2):
         (l1, s1), (l2, s2) = (o1.required_link, o1.flow.src_asn), (o2.required_link, o2.flow.src_asn)
         if o1.flow.dst_prefix != o2.flow.dst_prefix or l1 == l2 or s1 is None or s2 is None or s1 == s2:
@@ -307,9 +303,12 @@ def common_upstream_check(t: Topology, objectives: Sequence[Objective]) -> list[
         if t.link_by_id(l1).other(dest) == t.link_by_id(l2).other(dest):
             witnesses.append(InfeasibilityWitness(o1, o2, SAME_PROVIDER))
             continue
-        first1, first2 = _positions(t, dest, l1, s1), _positions(t, dest, l2, s2)
-        for x in sorted((first1.keys() & first2.keys()) - {s1, s2}, key=lambda x: (first1[x], x)):
-            if s1 not in _reach(t, dest, l1, x) and s2 not in _reach(t, dest, l2, x):
+        for key in (dest, l1, s1), (dest, l2, s2):
+            if key not in paths:
+                paths[key] = _path(t, *key)
+        path2 = paths[dest, l2, s2]
+        for x in paths[dest, l1, s1]:
+            if x in path2 and s1 not in _reach(t, dest, l1, x) and s2 not in _reach(t, dest, l2, x):
                 witnesses.append(InfeasibilityWitness(o1, o2, x))  # the first merge
                 break
     return witnesses

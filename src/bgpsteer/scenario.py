@@ -294,11 +294,12 @@ def parse_topology(text: str) -> Topology:
 def serialize_scenario(s: Scenario) -> str:
     """Canonical text form.  parse_scenario(serialize_scenario(s)) == s when
     s is in canonical form: its objectives in canonical order, its links
-    sorted by id, its advertisements in (origin, prefix, link) order, and no
-    empty `PolicyCatalog` (which has no record).  Breaking one of the last
-    three changes only the form: the text parses back to another scenario
-    with the same text.  ValueError for a TE config that withholds a prefix everywhere, which no
-    record expresses."""
+    sorted by id, each c2p link naming its customer as `a` (the record names
+    the customer first), its advertisements in (origin, prefix, link) order,
+    and no empty `PolicyCatalog` (which has no record).  Breaking one of the
+    last four changes only the form: the text parses back to another
+    scenario with the same text.  ValueError for a TE config that withholds
+    a prefix everywhere, which no record expresses."""
     if s.te_config.withheld:
         raise ValueError("a prefix withheld on every link has no scenario record")
     t = s.topology

@@ -34,9 +34,13 @@ def test_simulate_dualprovider_baseline(tmp_path, capsys):
 
 
 def test_simulate_missing_file(tmp_path, capsys):
-    code = main(["simulate", "--scenario", str(tmp_path / "nope.scn"), "--out", str(tmp_path / "o")])
+    # A file-level error has no line or column to report
+    missing = tmp_path / "nope.scn"
+    code = main(["simulate", "--scenario", str(missing), "--out", str(tmp_path / "o")])
     assert code == 1
-    assert "error" in capsys.readouterr().err
+    assert single_error_line(capsys.readouterr().err) == (
+        f"error: cannot read scenario: [Errno 2] No such file or directory: '{missing}'"
+    )
 
 
 def test_simulate_parse_error(tmp_path, capsys):
@@ -132,6 +136,21 @@ def test_plan_without_objectives_exit_1(tmp_path, capsys):
     code = main(["plan", "--scenario", str(SCN / "dualprovider_baseline.scn"), "--out", str(tmp_path / "o")])
     assert code == 1
     assert "no objectives" in capsys.readouterr().err
+
+
+def test_plan_objectives_for_two_destinations_exit_1(tmp_path, capsys):
+    text = (SCN / "dualprovider_baseline.scn").read_text(encoding="utf-8")
+    scn = tmp_path / "two.scn"
+    scn.write_text(
+        text + "originate 65102 10.3.0.0/16\n"
+        "objective 65001 65101 10.1.0.0/16 l1\nobjective 65102 65101 10.3.0.0/16 l7\n",
+        encoding="utf-8",
+    )
+    assert main(["plan", "--scenario", str(scn), "--out", str(tmp_path / "o")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert single_error_line(captured.err) == "error: objectives target more than one destination AS"
+    assert not (tmp_path / "o").exists()
 
 
 def test_plan_exhausted_exit_4(tmp_path, capsys):
@@ -245,16 +264,25 @@ def test_plan_oscillating_baseline_exit_2(tmp_path, capsys):
     assert "no fixed point" in capsys.readouterr().err
 
 
-def test_plan_reports_lp_constraint_violation(tmp_path, capsys):
-    text = (SCN / "dualprovider_sourceasn_objectives.scn").read_text(encoding="utf-8") + "lp-override 65101 400 300\n"
+def plan_with_override(tmp_path, override):
+    text = (SCN / "dualprovider_sourceasn_objectives.scn").read_text(encoding="utf-8") + override + "\n"
     scn = tmp_path / "lp.scn"
     scn.write_text(text, encoding="utf-8")
-    code = main(["plan", "--scenario", str(scn), "--out", str(tmp_path / "o")])
+    return main(["plan", "--scenario", str(scn), "--out", str(tmp_path / "o")])
+
+
+def test_plan_reports_lp_constraint_violation(tmp_path, capsys):
+    # An LP override may outrank the path lengths a plan acts on; this one
+    # leaves a plan that meets every objective, warned of on line 2.
+    assert plan_with_override(tmp_path, "lp-override 300 100 60") == 0
     out = capsys.readouterr().out
-    if code == 0:
-        assert "LP-constraint violated" in out
-    else:
-        assert code == 4  # the override may defeat every bounded plan
+    assert out.splitlines()[:2] == ["status found", "warning LP-constraint violated - outcome not guaranteed"]
+    assert (tmp_path / "o" / "plan.txt").read_text(encoding="utf-8") == out
+
+
+def test_plan_lp_override_can_defeat_every_bounded_plan(tmp_path, capsys):
+    assert plan_with_override(tmp_path, "lp-override 65101 400 300") == 4
+    assert capsys.readouterr().out == "status exhausted tried=6799 max-actions=3\n"
 
 
 def single_error_line(err: str) -> str:
@@ -291,14 +319,31 @@ def test_diff_non_utf8_csv_exit_1(tmp_path, capsys):
     (bad / "ingress.csv").write_bytes(b"src_asn,dst_prefix,link\n65101,10.1.0.0/16,l\xff\n")
     capsys.readouterr()
     assert main(["diff", str(good), str(bad)]) == 1
-    assert "cannot read" in single_error_line(capsys.readouterr().err)
+    assert single_error_line(capsys.readouterr().err) == (
+        f"error: cannot read {bad / 'ingress.csv'}: 'utf-8' codec can't decode byte 0xff in position 43: "
+        "invalid start byte"
+    )
+
+
+def test_diff_csv_without_header_exit_1(tmp_path, capsys):
+    for name, text in (("empty", ""), ("headless", "65101,10.1.0.0/16,l1\n")):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "ingress.csv").write_text(text, encoding="utf-8")
+        assert main(["diff", str(tmp_path / name), str(tmp_path / name)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert single_error_line(captured.err) == f"error: {tmp_path / name / 'ingress.csv'} is not an ingress CSV"
 
 
 def test_simulate_non_utf8_scenario_exit_1(tmp_path, capsys):
     scn = tmp_path / "latin1.scn"
-    scn.write_bytes((SCN / "dualprovider_baseline.scn").read_bytes() + b"# caf\xe9\n")
+    golden = (SCN / "dualprovider_baseline.scn").read_bytes()
+    scn.write_bytes(golden + b"# caf\xe9\n")
     assert main(["simulate", "--scenario", str(scn), "--out", str(tmp_path / "o")]) == 1
-    assert "cannot read scenario" in single_error_line(capsys.readouterr().err)
+    assert single_error_line(capsys.readouterr().err) == (
+        f"error: cannot read scenario: 'utf-8' codec can't decode byte 0xe9 in position {len(golden) + 5}: "
+        "invalid continuation byte"
+    )
 
 
 def test_plan_negative_budget_exit_1(tmp_path, capsys):

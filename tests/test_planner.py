@@ -263,6 +263,53 @@ def test_a_wildcard_objective_with_no_source_is_rejected():
     assert isinstance(plan_inbound_te(t, 65001, named), Plan)
 
 
+def flow_to(src, prefix=P1, dest=65001):
+    return Flow(None, src, prefix, dest)
+
+
+# (id, dest, objectives, budget, plan for evaluate_plan or None, message):
+# each planning-input error, on dualprovider_baseline.scn (stub 65001 over
+# l1 to 100 and l2 to 200, originating 10.1.0.0/16 and 10.2.0.0/16).
+PLANNING_INPUT_ERRORS = [
+    ("unknown-destination", 4242, [Objective(flow_to(65101, dest=4242), "l1")], Budget(), None,
+     "unknown destination AS 4242"),
+    ("destination-originates-nothing", 65101, [Objective(flow_to(65102, dest=65101), "l5")], Budget(), None,
+     "destination AS 65101 originates nothing"),
+    ("no-objectives", 65001, [], Budget(), None, "no objectives given"),
+    ("objective-for-another-destination", 65001, [Objective(flow_to(65101, dest=65102), "l1")], Budget(), None,
+     "objective {*, 65101, 10.1.0.0/16, 65102} -> l1 does not target AS 65001"),
+    ("link-not-incident", 65001, [Objective(flow_to(65101), "l3")], Budget(), None,
+     "objective {*, 65101, 10.1.0.0/16, 65001} -> l3: link l3 is not incident to AS 65001"),
+    ("unknown-source", 65001, [Objective(flow_to(4242), "l1")], Budget(), None,
+     "objective {*, 4242, 10.1.0.0/16, 65001} -> l1: unknown source AS 4242"),
+    ("source-is-destination", 65001, [Objective(flow_to(65001), "l1")], Budget(), None,
+     "objective {*, 65001, 10.1.0.0/16, 65001} -> l1: source equals destination"),
+    ("prefix-outside-originated-space", 65001, [Objective(flow_to(65101, Prefix.parse("10.3.0.0/16")), "l1")],
+     Budget(), None,
+     "objective {*, 65101, 10.3.0.0/16, 65001} -> l1: 10.3.0.0/16 is outside AS 65001's originated space"),
+    ("negative-budget", 65001, [Objective(flow_to(65101), "l1")], Budget(max_actions=-1), None,
+     "action budget must be >= 0, got -1"),
+    ("plan-with-clashing-actions", 65001, [Objective(flow_to(65101), "l1")], Budget(),
+     Plan((Action.withhold(P1, "l1"), Action.attach(P1, "l1", Community(100, 50))), None, ()),
+     "plan contains invalid action references"),
+]
+
+
+@pytest.mark.parametrize(
+    "dest, objectives, budget, plan, message",
+    [c[1:] for c in PLANNING_INPUT_ERRORS],
+    ids=[c[0] for c in PLANNING_INPUT_ERRORS],
+)
+def test_planning_input_error_table(dest, objectives, budget, plan, message):
+    t = load("scenarios/dualprovider_baseline.scn").topology
+    with pytest.raises(PlanningError) as err:
+        if plan is None:
+            plan_inbound_te(t, dest, objectives, budget)
+        else:
+            evaluate_plan(t, dest, plan, objectives)
+    assert err.value.args == (message,)
+
+
 def test_contradictory_objectives_rejected():
     s = load("scenarios/dualprovider_baseline.scn")
     objectives = (

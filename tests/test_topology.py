@@ -235,7 +235,7 @@ def test_roundtrip_canonical_identity_on_goldens():
 
 
 def test_roundtrip_needs_the_canonical_order_and_no_empty_catalog():
-    """The three conditions of serialize_scenario's round trip besides the
+    """Three conditions of serialize_scenario's round trip besides the
     objectives' order: each broken case parses back to another scenario,
     whose text is the same."""
     from bgpsteer import PolicyCatalog
@@ -258,6 +258,24 @@ def test_roundtrip_needs_the_canonical_order_and_no_empty_catalog():
         back = parse_scenario(text)
         assert back != broken, kind
         assert serialize_scenario(back) == text, kind
+
+
+def test_roundtrip_of_a_c2p_link_naming_its_customer_as_b():
+    """Such a link is outside the canonical form: it serializes customer
+    first, so it parses back with its ends swapped, as the same c2p link
+    with the same text."""
+    s = parse_scenario(DUAL)
+    t = s.topology
+    link = t.link_by_id("l1")
+    assert (link.a, link.customer) == (65001, 65001)
+    flipped = t._replace(links=tuple(Link(l.id, l.b, l.a, l.customer) if l.id == "l1" else l for l in t.links))
+    text = serialize_scenario(s._replace(topology=flipped))
+    assert text == serialize_scenario(s)
+    back = parse_scenario(text)
+    assert back == s and back != s._replace(topology=flipped)
+    for a, b in ((65001, 100), (100, 65001)):
+        assert relationship_between(back.topology, a, b) == relationship_between(flipped, a, b)
+    assert relationship_between(flipped, 65001, 100) == {("l1", Rel.PROVIDER)}
 
 
 def test_serialize_rejects_a_prefix_withheld_on_every_link():
@@ -660,6 +678,25 @@ def test_lp_override_rules_are_topology_findings():
         (("lp-override", 2, 1), "LP override must be >= 0"),
         (("lp-override", 2, 4242), "LP override references undeclared AS (2, 4242)"),
     ]
+
+
+# (id, the fields replaced in RULE_BASE's topology, the one error): findings
+# that a scenario file cannot produce, as its parser rejects them first.
+API_FINDINGS = [
+    ("asn-out-of-range", lambda t: {"roles": {**t.roles, 4294967296: "stub"}}, "ASN out of range: 4294967296"),
+    ("origination-by-undeclared-as",
+     lambda t: {"originations": {**t.originations, 4242: frozenset({Prefix.parse("10.9.0.0/16")})}},
+     "origination by undeclared AS 4242"),
+    ("catalog-of-undeclared-as", lambda t: {"catalogs": {4242: PolicyCatalog(4242)}},
+     "policy catalog owned by undeclared AS 4242"),
+]
+
+
+@pytest.mark.parametrize("changes, message", [c[1:] for c in API_FINDINGS], ids=[c[0] for c in API_FINDINGS])
+def test_api_finding_table(changes, message):
+    t = parse_topology(RULE_BASE)
+    report = validate_topology(t._replace(**changes(t)))
+    assert [(f.severity, f.subject, f.message) for f in report.findings] == [("error", (), message)]
 
 
 def test_a_repeated_advertise_community_is_reported_at_its_second_value():
