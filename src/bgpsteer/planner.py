@@ -688,17 +688,19 @@ def plan_inbound_te(
     The search works per prefix group (`_prefix_groups`): consistency is
     checked per (prefix, link) key, each group converges on its own, and an
     objective depends only on its own group's routes.  So the answer is the
-    cheapest combination of one satisfying part per group.  A group without
-    objectives takes its empty part, which the baseline run has shown to
-    converge.  Each group with objectives judges its parts lazily in
-    ascending cost (`_Parts`), one run restricted to the group per
-    consistent part; the baseline state answers the empty part.  Once a
-    group has a satisfying part, only smaller parts can still help it, and
-    the search stops when no part left, combined with the other groups'
-    cheapest, can beat the cheapest combination that fits the budget.  The
-    result is that of simulating every candidate in full in ascending cost;
-    Exhausted.candidates_tried is the number of consistent candidates, all
-    of which that search would have judged.
+    cheapest combination of one satisfying part per group.  A group that the
+    baseline run meets, or that has no objectives, takes its empty part.
+    Each other group judges its parts lazily in ascending cost (`_Parts`),
+    one run restricted to the group per consistent part, and once it has a
+    satisfying part only smaller parts can still help it.  A group's least
+    possible cost is its cheapest satisfying part's so far, else its next
+    part's.  One rule picks the next part and ends the search: judge the
+    part whose cost, combined with the other groups' least possible costs,
+    is lowest, and stop when that cannot beat the cheapest combination that
+    fits the budget, or when a group without a satisfying part has no part
+    left.  The result is that of simulating every candidate in full in
+    ascending cost; Exhausted.candidates_tried is the number of consistent
+    candidates, all of which that search would have judged.
 
     An unmet one-prefix group where some objective has no source in its
     required link's `_reach` is decided at once, with the Exhausted the
@@ -747,47 +749,41 @@ def plan_inbound_te(
             return None
         return state if satisfies(g, state) else None
 
-    # Per group with objectives, its satisfying parts found so far as
-    # (cost, state): ascending cost, descending size.
-    fronts = {
-        g: [((0, 0, ()), baseline_state)] if satisfies(g, baseline_state) else [] for g in goals
-    }
-    unmet = [g for g in goals if not fronts[g]]
+    unmet = [g for g in goals if not satisfies(g, baseline_state)]
     for g in unmet:
         if len(groups[g]) == 1 and any(_reach(t, dest, o.required_link).isdisjoint(s) for o, s in goals[g]):
             return Exhausted(_consistent_sets(t, dest, atoms, budget.max_actions), budget.max_actions)
-    # Every other unmet group needs at least one action.
+    # Only the unmet groups are searched, and each needs at least one action.
     cap = budget.max_actions - len(unmet) + 1
     queues = {
         g: _Parts([i for i, a in enumerate(atoms) if group_of[a.prefix] == g], weights, prepends, cap)
         for g in unmet
     }
+    # Per searched group, its satisfying parts so far as (cost, state),
+    # cheapest first.
+    fronts = {g: [] for g in unmet}
     best = _cheapest_fit(list(fronts.values()), budget.max_actions)
-    waiting = list(unmet)  # the unmet groups with no satisfying part yet
     while True:
-        if waiting:
-            # Each group with no satisfying part yet must find one, in turn,
-            # and until then no combination exists to beat.
-            if None in [queues[h].peek() for h in waiting]:
-                break  # a group that can no longer be met
-            g = waiting[0]
-        else:
-            # The group whose next part, with the other groups' cheapest,
-            # costs least, if that can still beat the best combination.
-            bound = None
-            for h, q in queues.items():
-                cost = q.peek()
-                if cost is not None:
-                    b = _combined([cost, *(front[0][0] for k, front in fronts.items() if k != h)])
-                    if bound is None or b < bound:
-                        g, bound = h, b
-            if bound is None or (best is not None and bound >= best[0]):
-                break
+        # The docstring's rule.  _combined is symmetric and strictly monotone
+        # in each cost (atoms weigh at least 1; groups share no atom), and a
+        # group's next part costs more than its judged ones.  So the groups
+        # with no satisfying part yet tie for the lowest bound, and the
+        # others bound higher: those groups find one in `unmet` order.
+        least = [front[0][0] if front else q.peek() for q, front in zip(queues.values(), fronts.values())]
+        if None in least:
+            break  # a group that can no longer be met
+        bound = None
+        for j, (h, q) in enumerate(queues.items()):
+            cost = q.peek()
+            if cost is not None:
+                b = _combined([cost, *least[:j], *least[j + 1:]])
+                if bound is None or b < bound:
+                    g, bound = h, b
+        if bound is None or (best is not None and bound >= best[0]):
+            break
         cost = queues[g].pop()
         state = judge(g, cost[2])
         if state is not None:
-            if not fronts[g]:
-                waiting.remove(g)
             fronts[g].append((cost, state))
             queues[g].cap = len(cost[2]) - 1
             best = _cheapest_fit(list(fronts.values()), budget.max_actions)
@@ -798,7 +794,7 @@ def plan_inbound_te(
     baseline_map = ingress_map(baseline_state, t, dest)
     # Each originated prefix's entries come from its own group's state (its
     # forwarding reads only its group's routes), the baseline's by default.
-    chosen = {g: state for g, state in zip(fronts, states) if state is not baseline_state}
+    chosen = dict(zip(fronts, states))
     originated = _origin(t, dest).originated
     tables = {p: ForwardingTable(chosen[group_of[p]], t, p, dest) for p in originated if group_of[p] in chosen}
     predicted = IngressMap(dest, {

@@ -243,13 +243,31 @@ def test_validation_gate():
         propagate_to_convergence(t, TeConfig())
 
 
-def test_te_config_validation_errors():
+@pytest.mark.parametrize(
+    "ads, message",
+    [
+        ([Advertisement(65001, P1, "l1"), Advertisement(65001, P1, "l1")], "duplicate advertisement of 10.1.0.0/16 on l1"),
+        ([Advertisement(4242, P1, "l1")], "advertisement by undeclared AS 4242"),
+        ([Advertisement(65001, P1, "l99")], "unknown link id: l99"),
+        ([Advertisement(65001, P1, "l3")], "AS 65001 is not on link l3"),
+        (
+            [Advertisement(65001, Prefix.parse("192.168.0.0/16"), "l1")],
+            "AS 65001 advertises 192.168.0.0/16 outside its originated space",
+        ),
+        (
+            [Advertisement(65001, P1, "l1", frozenset(Community(65000, i) for i in range(65)))],
+            "more than 64 communities on one advertisement of 10.1.0.0/16",
+        ),
+        ([Advertisement(65001, P1, "l1", med=-1)], "MED must be >= 0"),
+    ],
+    ids=["duplicate", "undeclared-origin", "unknown-link", "origin-off-link", "outside-originated",
+         "65-communities", "negative-med"],
+)
+def test_te_config_validation_errors(ads, message):
     s = parse_scenario(DUAL)
-    from bgpsteer import Advertisement
-
-    bad = TeConfig((Advertisement(65001, Prefix.parse("192.168.0.0/16"), "l1"),))
-    with pytest.raises(ValueError):
-        propagate_to_convergence(s.topology, bad)
+    with pytest.raises(ValueError) as err:
+        propagate_to_convergence(s.topology, TeConfig(tuple(ads)))
+    assert str(err.value) == message
 
 
 def test_te_config_rejects_a_withheld_prefix_its_origin_does_not_originate():

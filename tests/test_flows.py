@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from bgpsteer import (
+    Advertisement,
     OscillationError,
     Flow,
     FlowClass,
@@ -15,6 +16,7 @@ from bgpsteer import (
     parse_scenario,
     propagate_to_convergence,
     resolve_forwarding,
+    TeConfig,
 )
 from bgpsteer.engine import ConvergedState
 from bgpsteer.flows import UNREACHABLE, ForwardingTable
@@ -219,6 +221,54 @@ def test_ingress_table_matches_hop_by_hop_walks_on_random_cases():
         assert_table_matches_walks(state, t)
         converged += 1
     assert converged >= 190
+
+
+COVER = Prefix.parse("10.0.0.0/8")
+
+
+def test_ingress_table_matches_walks_that_end_at_a_covering_origin():
+    # Random cases where one AS also originates 10.0.0.0/8, which covers
+    # every prefix of gen's pool, and every other origin withholds each of
+    # its prefixes (1 in 5) or announces it over one random link (2 in 5).
+    # An AS with no route to such a prefix forwards its traffic along the
+    # /8, and the walk ends at the /8's origin without entering the
+    # prefix's own.
+    import gen
+
+    rng = random.Random(2025)
+    converged = ends_at_cover = 0
+    for case in range(200):
+        policies = case % 2 == 1
+        t = gen.rand_topology(rng, with_catalogs=policies)
+        cover_origin = rng.choice(t.ases())
+        t = t._replace(originations={**t.originations, cover_origin: t.originated_by(cover_origin) | {COVER}})
+        t, te = gen.rand_te(rng, t, with_communities=policies, with_lp_overrides=policies)
+        ads, withheld = list(te.advertisements), set(te.withheld)
+        for origin in sorted(t.originations):
+            up = sorted(link.id for link in t.up_links_of(origin))
+            for p in sorted(t.originated_by(origin), key=Prefix.sort_key):
+                r = rng.random()
+                if origin == cover_origin or r >= 0.6:
+                    continue
+                ads = [ad for ad in ads if (ad.origin, ad.prefix) != (origin, p)]
+                if r < 0.2 or not up:
+                    withheld.add((origin, p))
+                else:
+                    ads.append(Advertisement(origin, p, rng.choice(up)))
+        try:
+            state = propagate_to_convergence(t, TeConfig(tuple(ads), frozenset(withheld)))
+        except OscillationError:
+            continue
+        assert_table_matches_walks(state, t)
+        converged += 1
+        for prefixes in t.originations.values():
+            for p in prefixes - t.originated_by(cover_origin):
+                for src in t.ases():
+                    here = src
+                    for link_id in resolve_forwarding(state, t, src, p) or []:
+                        here = t.link_by_id(link_id).other(here)
+                    ends_at_cover += here == cover_origin != src
+    assert converged >= 190 and ends_at_cover >= 100, (converged, ends_at_cover)
 
 
 def test_ingress_falls_back_to_another_origins_aggregate():

@@ -851,6 +851,71 @@ def test_planner_propagations_on_the_36_atom_goldens(monkeypatch, name, limit):
     assert calls[0] is None and all(prefixes is not None for prefixes in calls[1:])
 
 
+def test_the_search_judges_parts_in_cost_order_and_groups_find_their_first_in_turn(monkeypatch):
+    # Over rand_grouped_instances with objectives on both 10.1/16 and 10.2/16,
+    # every restricted run the planner makes is one judged part.  Each
+    # group's judged costs strictly ascend; no group with a satisfying part
+    # is judged while another searched group has none; and a group without
+    # one is judged only once every searched group whose first objective
+    # comes earlier has one.
+    runs = []  # per run of the current call: (group, actions, state or None)
+    real_te, real_run = planner.te_config_from_actions, planner.propagate_to_convergence
+    last_actions = []
+
+    def te_config(t, dest, actions):
+        last_actions[:] = actions
+        return real_te(t, dest, actions)
+
+    def run(t, te, **kwargs):
+        state = None
+        try:
+            state = real_run(t, te, **kwargs)
+        finally:  # an oscillating part is judged too
+            if kwargs.get("prefixes") is not None:
+                runs.append((kwargs["prefixes"], tuple(last_actions), state))
+        return state
+
+    monkeypatch.setattr(planner, "te_config_from_actions", te_config)
+    monkeypatch.setattr(planner, "propagate_to_convergence", run)
+    rng = random.Random(3131)
+    two_groups = 0
+    for i in range(400):
+        t, dest, objectives, _budget = rand_grouped_instance(rng)
+        stubs = [a for a in t.ases() if a != dest and t.roles[a] == "stub"]
+        have = {o.flow.dst_prefix for o in objectives}
+        objectives += [
+            Objective(Flow(None, rng.choice(stubs + [None]), p, dest), rng.choice(["l1", "l2"]))
+            for p in (P1, P2) if p not in have
+        ]
+        groups = _prefix_groups(t, objectives)
+        first = {}  # group with objectives: the index of its first objective
+        for k, o in enumerate(objectives):
+            first.setdefault(next(g for g in groups if o.flow.dst_prefix in g), k)
+        if len(first) < 2 or not gen.instance_is_plannable(t, dest, objectives):
+            continue  # one group (a covering 10.0.0.0/8 joins them), or invalid objectives
+        runs.clear()
+        try:
+            plan_inbound_te(t, dest, objectives, Budget(2 + i % 2))
+        except OscillationError:
+            continue  # the baseline oscillates
+        searched = sorted({g for g, _actions, _state in runs}, key=first.__getitem__)
+        two_groups += len(searched) == 2
+        met, last = set(), {}
+        for g, actions, state in runs:
+            cost = plan_cost(t, dest, actions)
+            assert g not in last or last[g] < cost
+            last[g] = cost
+            if g in met:
+                assert met == set(searched)
+            else:
+                assert met >= set(searched[: searched.index(g)])
+                if state is not None and all(
+                    gen.objective_holds(state, t, dest, o) for o in objectives if o.flow.dst_prefix in g
+                ):
+                    met.add(g)
+    assert two_groups >= 20, two_groups
+
+
 P3 = Prefix.parse("10.3.0.0/16")
 
 

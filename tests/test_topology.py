@@ -200,6 +200,9 @@ def test_relationship_between_dualprovider():
         relationship_between(t, 65001, 65001)
     with pytest.raises(KeyError):
         relationship_between(t, 65001, 4242)
+    with pytest.raises(KeyError) as err:
+        relationship_between(t, 4242, 65001)
+    assert err.value.args == ("unknown AS: 4242",)
 
 
 def test_relationship_between_dual_links():
