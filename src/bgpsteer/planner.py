@@ -31,6 +31,11 @@ objective.  The withhold and more-specific atoms are built per plan, and
 the baseline's ingress map only for a Plan answer.  A one-prefix group
 that no announcement over some objective's link can meet is answered
 without a search (`plan_inbound_te`).
+
+A baseline run that meets every objective answers the empty plan, with no
+atoms built and no search.  A plan with no actions is the baseline, so
+evaluate_plan re-checks it with one run, not two.  Nothing is kept from one
+call to the next.
 """
 
 from __future__ import annotations
@@ -690,6 +695,8 @@ def plan_inbound_te(
     objective depends only on its own group's routes.  So the answer is the
     cheapest combination of one satisfying part per group.  A group that the
     baseline run meets, or that has no objectives, takes its empty part.
+    When it meets every group, the answer is the empty plan, whose
+    predicted map is the baseline's, and nothing is built for a search.
     Each other group judges its parts lazily in ascending cost (`_Parts`),
     one run restricted to the group per consistent part, and once it has a
     satisfying part only smaller parts can still help it.  A group's least
@@ -730,12 +737,16 @@ def plan_inbound_te(
     goals: dict[int, list[tuple[Objective, tuple[int, ...]]]] = {}
     for o in objectives:
         goals.setdefault(group_of[o.flow.dst_prefix], []).append((o, _objective_sources(t, dest, o)))
-    atoms = _build_atoms(t, dest, objectives)
-    weights = [a.kind.weight for a in atoms]
-    prepends = _prepend_counts(t, dest, atoms)
 
     def satisfies(g: int, state: ConvergedState) -> bool:
         return all(_verdicts(state, t, dest, goals[g]))
+
+    unmet = [g for g in goals if not satisfies(g, baseline_state)]
+    if not unmet:
+        return Plan((), ingress_map(baseline_state, t, dest), (), bool(t.lp_overrides))
+    atoms = _build_atoms(t, dest, objectives)
+    weights = [a.kind.weight for a in atoms]
+    prepends = _prepend_counts(t, dest, atoms)
 
     def judge(g: int, indices: tuple[int, ...]) -> ConvergedState | None:
         """The group's state when the part is consistent, converges and
@@ -749,7 +760,6 @@ def plan_inbound_te(
             return None
         return state if satisfies(g, state) else None
 
-    unmet = [g for g in goals if not satisfies(g, baseline_state)]
     for g in unmet:
         if len(groups[g]) == 1 and any(_reach(t, dest, o.required_link).isdisjoint(s) for o, s in goals[g]):
             return Exhausted(_consistent_sets(t, dest, atoms, budget.max_actions), budget.max_actions)
@@ -807,7 +817,9 @@ def plan_inbound_te(
 
 def evaluate_plan(t: Topology, dest: int, plan: Plan, objectives: Sequence[Objective]) -> EvaluationReport:
     """Independent re-simulation of a plan; nothing is copied from the plan
-    except its action list."""
+    except its action list.  Side effects diff its ingress map against a
+    separate full run of the baseline; a plan with no actions is the
+    baseline: one run, and no side effects."""
     require_valid(t)
     validate_objectives(t, dest, objectives)
     te = te_config_from_actions(t, dest, plan.actions)
@@ -816,8 +828,9 @@ def evaluate_plan(t: Topology, dest: int, plan: Plan, objectives: Sequence[Objec
     state = propagate_to_convergence(t, te)
     goals = [(o, _objective_sources(t, dest, o)) for o in objectives]
     satisfied = tuple(_verdicts(state, t, dest, goals))
-    baseline_te = te_config_from_actions(t, dest, [])
-    baseline_map = ingress_map(propagate_to_convergence(t, baseline_te), t, dest)
-    new_map = ingress_map(state, t, dest)
-    side = _side_effects(t, objectives, baseline_map, new_map)
+    side = ()
+    if plan.actions:
+        baseline_te = te_config_from_actions(t, dest, [])
+        baseline_map = ingress_map(propagate_to_convergence(t, baseline_te), t, dest)
+        side = _side_effects(t, objectives, baseline_map, ingress_map(state, t, dest))
     return EvaluationReport(satisfied, side, state.rounds_used)

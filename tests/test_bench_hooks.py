@@ -70,17 +70,20 @@ def test_a_traced_plan_counts_its_expansions_and_simulations():
     # traced bench run.  The propagation counts at the default budget are the
     # README's figures.  Every part judged here is consistent, so each run
     # has its expansion and nothing else expands: an Exhausted answer counts
-    # its consistent sets without expanding any.
+    # its consistent sets without expanding any.  A baseline that meets
+    # every objective is the answer: one expansion and one run.
     tracing = load_tracing()
     planner = importlib.import_module("bgpsteer.planner")
     scenario = importlib.import_module("bgpsteer.scenario")
-    for name, budget, propagations in (
-        ("dualprovider_destprefix_objectives.scn", planner.Budget(), 48),
-        ("dualprovider_sourceasn_objectives.scn", planner.Budget(), 101),
-        ("dualprovider_sourceasn_objectives.scn", planner.Budget(max_actions=1), 19),
+    met = "objective 65001 65101 10.1.0.0/16 l1\nobjective 65001 65102 10.1.0.0/16 l2\n"
+    for name, extra, budget, propagations in (
+        ("dualprovider_destprefix_objectives.scn", "", planner.Budget(), 48),
+        ("dualprovider_sourceasn_objectives.scn", "", planner.Budget(), 101),
+        ("dualprovider_sourceasn_objectives.scn", "", planner.Budget(max_actions=1), 19),
+        ("dualprovider_baseline.scn", met, planner.Budget(), 1),
     ):
         with open(f"scenarios/{name}", encoding="utf-8") as f:
-            s = scenario.parse_scenario(f.read())
+            s = scenario.parse_scenario(f.read() + extra)
         tracer = tracing.Tracer()
         tracer.install()
         try:

@@ -163,6 +163,37 @@ def test_plan_exhausted_exit_4(tmp_path, capsys):
     assert (tmp_path / "o" / "plan.txt").read_text(encoding="utf-8").startswith("status exhausted ")
 
 
+BASELINE_MET_PLAN = (
+    "status found\n"
+    "objective 65001 65101 10.1.0.0/16 l1 satisfied=yes\n"
+    "objective 65001 65102 10.1.0.0/16 l2 satisfied=yes\n"
+    "rounds 4\n"
+)
+BASELINE_MET_PREDICTED = (
+    "src_asn,dst_prefix,link\n"
+    "100,10.1.0.0/16,l1\n100,10.2.0.0/16,l1\n200,10.1.0.0/16,l2\n200,10.2.0.0/16,l2\n"
+    "300,10.1.0.0/16,l1\n300,10.2.0.0/16,l1\n400,10.1.0.0/16,l2\n400,10.2.0.0/16,l2\n"
+    "65101,10.1.0.0/16,l1\n65101,10.2.0.0/16,l1\n65102,10.1.0.0/16,l2\n65102,10.2.0.0/16,l2\n"
+)
+
+
+def test_plan_whose_baseline_meets_every_objective(tmp_path, capsys):
+    # The empty plan: no action, no side effect, the baseline's rounds and
+    # ingress map, byte for byte as when the baseline was simulated once
+    # per planner call and twice more by evaluate_plan.
+    text = (SCN / "dualprovider_baseline.scn").read_text(encoding="utf-8")
+    scn = tmp_path / "met.scn"
+    scn.write_text(
+        text + "objective 65001 65101 10.1.0.0/16 l1\nobjective 65001 65102 10.1.0.0/16 l2\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "o"
+    assert main(["plan", "--scenario", str(scn), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == BASELINE_MET_PLAN
+    assert (out / "plan.txt").read_bytes() == BASELINE_MET_PLAN.encode()
+    assert (out / "predicted_ingress.csv").read_bytes() == BASELINE_MET_PREDICTED.encode()
+
+
 ONE_ATOM = (
     "as 65001 stub\nas 100 transit\nas 65101 stub\n"
     "link l1 65001 100 c2p\nlink l2 65101 100 c2p\n"

@@ -12,12 +12,13 @@ import pytest
 import gen
 from bgpsteer import planner
 from bgpsteer.cli import main
-from bgpsteer.flows import ForwardingTable
+from bgpsteer.flows import ForwardingTable, IngressMap
 from bgpsteer import (
     Action,
     ActionKind,
     Budget,
     Community,
+    EvaluationReport,
     Exhausted,
     Flow,
     Infeasible,
@@ -851,6 +852,18 @@ def test_planner_propagations_on_the_36_atom_goldens(monkeypatch, name, limit):
     assert calls[0] is None and all(prefixes is not None for prefixes in calls[1:])
 
 
+def rand_two_prefix_instance(rng):
+    """A rand_grouped_instance with objectives on both 10.1/16 and 10.2/16."""
+    t, dest, objectives, _budget = rand_grouped_instance(rng)
+    stubs = [a for a in t.ases() if a != dest and t.roles[a] == "stub"]
+    have = {o.flow.dst_prefix for o in objectives}
+    objectives += [
+        Objective(Flow(None, rng.choice(stubs + [None]), p, dest), rng.choice(["l1", "l2"]))
+        for p in (P1, P2) if p not in have
+    ]
+    return t, dest, objectives
+
+
 def test_the_search_judges_parts_in_cost_order_and_groups_find_their_first_in_turn(monkeypatch):
     # Over rand_grouped_instances with objectives on both 10.1/16 and 10.2/16,
     # every restricted run the planner makes is one judged part.  Each
@@ -880,13 +893,7 @@ def test_the_search_judges_parts_in_cost_order_and_groups_find_their_first_in_tu
     rng = random.Random(3131)
     two_groups = 0
     for i in range(400):
-        t, dest, objectives, _budget = rand_grouped_instance(rng)
-        stubs = [a for a in t.ases() if a != dest and t.roles[a] == "stub"]
-        have = {o.flow.dst_prefix for o in objectives}
-        objectives += [
-            Objective(Flow(None, rng.choice(stubs + [None]), p, dest), rng.choice(["l1", "l2"]))
-            for p in (P1, P2) if p not in have
-        ]
+        t, dest, objectives = rand_two_prefix_instance(rng)
         groups = _prefix_groups(t, objectives)
         first = {}  # group with objectives: the index of its first objective
         for k, o in enumerate(objectives):
@@ -914,6 +921,52 @@ def test_the_search_judges_parts_in_cost_order_and_groups_find_their_first_in_tu
                 ):
                     met.add(g)
     assert two_groups >= 20, two_groups
+
+
+def test_two_unmet_groups_match_the_exhaustive_search(monkeypatch):
+    # Instances whose baseline leaves two groups unmet, at budgets that
+    # leave each group at least one action.  A Plan costs what the cheapest
+    # satisfying action set in the exhaustive search costs; an Exhausted
+    # counts every consistent action set, none of which satisfies.
+    judged = []  # the prefixes of each restricted run of the current call
+    real_run = planner.propagate_to_convergence
+
+    def run(t, te, **kwargs):
+        if kwargs.get("prefixes") is not None:
+            judged.append(kwargs["prefixes"])
+        return real_run(t, te, **kwargs)
+
+    monkeypatch.setattr(planner, "propagate_to_convergence", run)
+    rng = random.Random(9191)
+    kinds = dict.fromkeys(["plan", "exhausted", "judges two groups"], 0)
+    for i in range(400):
+        t, dest, objectives = rand_two_prefix_instance(rng)
+        if not gen.instance_is_plannable(t, dest, objectives) or common_upstream_check(t, objectives):
+            continue
+        try:
+            baseline = propagate_to_convergence(t, te_config_from_actions(t, dest, []))
+        except OscillationError:
+            continue
+        unmet = {
+            g for g in _prefix_groups(t, objectives) for o in objectives
+            if o.flow.dst_prefix in g and not gen.objective_holds(baseline, t, dest, o)
+        }
+        if len(unmet) != 2:
+            continue
+        budget = Budget(2 + i % 2)  # cap = budget - 1 >= 1
+        judged.clear()
+        got = plan_inbound_te(t, dest, objectives, budget)
+        sat, best_cost = gen.exhaustive_plan_search(t, dest, objectives, budget)
+        if isinstance(got, Plan):
+            assert sat and plan_cost(t, dest, got.actions) == best_cost
+            kinds["plan"] += 1
+        else:
+            assert isinstance(got, Exhausted) and not sat
+            atoms = _build_atoms(t, dest, objectives)
+            assert got.candidates_tried == brute_force_consistent_counts(t, dest, atoms, budget.max_actions)[-1]
+            kinds["exhausted"] += 1
+        kinds["judges two groups"] += len(set(judged)) == 2
+    assert kinds["plan"] >= 10 and kinds["exhausted"] >= 5 and kinds["judges two groups"] >= 20, kinds
 
 
 P3 = Prefix.parse("10.3.0.0/16")
@@ -1259,3 +1312,70 @@ def test_te_config_from_actions_checks_each_key_on_its_own():
                 assert te.advertisements == expected, actions
             outcomes[te is None] += 1
     assert min(outcomes.values()) >= 500, outcomes
+
+
+# ---------------------------------------------------------------------------
+# A baseline that meets every objective
+# ---------------------------------------------------------------------------
+
+
+def test_a_baseline_that_meets_every_objective_is_simulated_once_per_call(monkeypatch):
+    # The planner answers the empty plan from its baseline run and that
+    # run's ingress map, with no atoms built, and evaluate_plan re-checks
+    # that plan with one run and no ingress map, since it has no side
+    # effects to diff.  Both answers equal the reference built here from
+    # two separate full runs: the planner's predicted map rebuilt from the
+    # baseline's entries and diffed against them, and the re-check's side
+    # effects diffed against a second run of the baseline.
+    runs, maps, atoms = [], [], []
+    real_run, real_map, real_atoms = planner.propagate_to_convergence, planner.ingress_map, planner._build_atoms
+
+    def run(t, te, **kwargs):
+        runs.append(kwargs.get("prefixes"))
+        return real_run(t, te, **kwargs)
+
+    def counted_map(*args):
+        maps.append(args)
+        return real_map(*args)
+
+    def counted_atoms(*args):
+        atoms.append(args)
+        return real_atoms(*args)
+
+    monkeypatch.setattr(planner, "propagate_to_convergence", run)
+    monkeypatch.setattr(planner, "ingress_map", counted_map)
+    monkeypatch.setattr(planner, "_build_atoms", counted_atoms)
+    rng = random.Random(2323)
+    met = 0
+    for _ in range(160):
+        t, dest, objectives, budget = gen.rand_planning_instance(rng)
+        if not gen.instance_is_plannable(t, dest, objectives) or common_upstream_check(t, objectives):
+            continue
+        baseline = te_config_from_actions(t, dest, [])
+        first, second = propagate_to_convergence(t, baseline), propagate_to_convergence(t, baseline)
+        sources = [_objective_sources(t, dest, o) for o in objectives]
+        satisfied = tuple(
+            _objective_satisfied(ForwardingTable(first, t, o.flow.dst_prefix, dest), o, s)
+            for o, s in zip(objectives, sources)
+        )
+        if not all(satisfied):
+            continue
+        met += 1
+        base_map, new_map = ingress_map(second, t, dest), ingress_map(first, t, dest)
+        predicted = IngressMap(dest, dict(new_map.entries))
+        expected_plan = Plan((), predicted, _side_effects(t, objectives, new_map, predicted), bool(t.lp_overrides))
+        expected_report = EvaluationReport(
+            satisfied, _side_effects(t, objectives, base_map, new_map), first.rounds_used
+        )
+
+        del runs[:], maps[:]
+        got = plan_inbound_te(t, dest, objectives, budget)
+        assert runs == [None] and len(maps) == 1 and atoms == []
+        assert got == expected_plan
+        assert got.predicted_map.to_csv() == new_map.to_csv()
+
+        del runs[:], maps[:]
+        report = evaluate_plan(t, dest, got, objectives)
+        assert runs == [None] and maps == []
+        assert report == expected_report
+    assert met >= 30, met
