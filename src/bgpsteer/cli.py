@@ -17,6 +17,11 @@ and `plan` print each warning of the scenario's topology (say, a
 customer->provider cycle) as one `warning:` line on stderr; a warning
 changes no exit code and no report.
 
+`plan` reads the scenario's topology and objectives alone: it ignores the
+`advertise` records, so the planner starts from the plain announcement
+table and measures side effects against that table's baseline, not against
+what `simulate` reports for the same file.
+
 All reports are sorted and timestamp-free, so repeated runs on identical
 inputs are byte-identical.
 """

@@ -31,13 +31,14 @@ What never changes between runs is compiled once per topology
 (`Topology.sessions`, one entry per AS): per exporter, each up link's
 neighbor, the LP that neighbor assigns (its LP override for the exporter,
 else the relationship default), its catalog where the exporter is its
-customer, the exporter's own catalog with its neighbor table, and the
-valley-free split of the links per learned link and for its own routes
-(LOCAL), the one statement of valley-free export a run reads.  The round
-loop walks those session tuples with no per-message lookups.  Each
-origination's local route is compiled on a run's first use too, by prefix
-(`_local_routes`), so a run restricted to a few prefixes reads only theirs.  `TeConfig` and `ConvergedState` are
-`NamedTuple`s, like `Route` and `Advertisement`.
+customer, the exporter's own catalog with the communities its egress strips
+and its neighbor table, and the valley-free split of the links per learned
+link and for its own routes (LOCAL), the one statement of valley-free export
+a run reads.  The round loop walks those session tuples with no per-message
+lookups.  Each origination's local route is compiled on a run's first use
+too, by prefix (`_local_routes`), so a run restricted to a few prefixes
+reads only theirs.  `TeConfig` and `ConvergedState` are `NamedTuple`s, like
+`Route` and `Advertisement`.
 
 Every Adj-RIB-In and Loc-RIB entry is a `Route`, and each catalog
 action is evaluated where it acts.  Each rule keeps one code path: the loop
@@ -45,7 +46,7 @@ check, `drops_community_updates` and the LP installed (the session's, which
 `Topology.sessions` resolved) in `_deliver`, a catalog LP community in
 `ingress_transform`, the prepends and suppression of a route learned from a
 customer in `egress_times` at its owner's export, and the stripping of the
-owner's communities in `egress_apply`.
+owner's communities, its compiled `Sessions.strip`, in `egress_apply`.
 
 The decision process never compares routes of different prefixes, so each
 prefix converges on its own.  A run restricted to a set of prefixes (the
@@ -421,13 +422,13 @@ def _export(
     if catalog is not None and route.communities and not withhold:
         schedule = egress_times(catalog, route, out.neighbor_rels)
     if not schedule:
-        _deliver(adj, touched, send, prefix, egress_apply(route, exporter, 1, catalog))
+        _deliver(adj, touched, send, prefix, egress_apply(route, exporter, 1, out.strip))
         return
     by_times: dict[int | None, list[Session]] = {}
     for s in send:
         by_times.setdefault(schedule.get(s.neighbor, 1), []).append(s)
     for times, group in by_times.items():
-        wire = None if times is None else egress_apply(route, exporter, times, catalog)
+        wire = None if times is None else egress_apply(route, exporter, times, out.strip)
         _deliver(adj, touched, group, prefix, wire)
 
 

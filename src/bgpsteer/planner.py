@@ -346,10 +346,8 @@ def _origin(t: Topology, dest: int) -> _Origin:
             raise PlanningError(f"unknown destination AS {dest}")
         originated = tuple(sorted(t.originated_by(dest)))
         sessions = t.sessions[dest].all
-        offered = {}
-        for s in sessions:
-            cat = t.catalogs.get(s.neighbor)
-            offered[s.link_id] = EMPTY if cat is None else cat.communities()
+        # A provider offers the communities its catalog maps: those it strips.
+        offered = {s.link_id: t.sessions[s.neighbor].strip for s in sessions}
         plain = {(p, l): Advertisement(dest, p, l) for p in originated for l in offered}
         # MED values discriminate only among links to one neighbor.
         neighbors = [s.neighbor for s in sessions]

@@ -11,18 +11,17 @@ on the routes it learns from its customers:
   provider exports the route (`egress_times`).
 
 Communities carrying these instructions are local to the provider and are
-stripped from the route at the provider's egress (`egress_apply`).  They stay
-on the installed route until then, so the egress reads the same communities
-the ingress saw.
+stripped from the route at the provider's egress (`egress_apply`, which
+removes the set its `Sessions.strip` compiles).  They stay on the installed
+route until then, so the egress reads the same communities the ingress saw.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Mapping, NamedTuple, TYPE_CHECKING
 
 from .routes import Community, Route
-from .topology import EMPTY_MAP, Finding, Rel, is_number, is_word
+from .topology import EMPTY, EMPTY_MAP, Finding, Rel, is_number, is_word
 
 if TYPE_CHECKING:
     from .topology import Topology
@@ -64,19 +63,15 @@ class PeerSelector(NamedTuple):
         return ALL_UPSTREAMS
 
 
-class _PolicyCatalogFields(NamedTuple):
+class PolicyCatalog(NamedTuple):
+    """One provider's community rules."""
+
     owner: int
     lp_rules: Mapping[Community, int] = EMPTY_MAP
     suppress_rules: Mapping[Community, PeerSelector] = EMPTY_MAP
     prepend_rules: Mapping[Community, tuple[PeerSelector, int]] = EMPTY_MAP
     region_of: Mapping[int, str] = EMPTY_MAP
     drops_community_updates: bool = False
-
-
-class PolicyCatalog(_PolicyCatalogFields):
-    """One provider's community rules.  Its communities are computed on first
-    read and kept in the instance's `__dict__`, so the rule mappings must not
-    change after the catalog is built."""
 
     def is_empty(self) -> bool:
         return not (
@@ -88,17 +83,14 @@ class PolicyCatalog(_PolicyCatalogFields):
         )
 
     def communities(self) -> frozenset[Community]:
-        return self._communities
-
-    @cached_property
-    def _communities(self) -> frozenset[Community]:
+        """Every community a rule maps: what the owner strips at its egress."""
         return frozenset(self.lp_rules) | frozenset(self.suppress_rules) | frozenset(self.prepend_rules)
 
     def validate(self, t: "Topology") -> list[Finding]:
         findings: list[Finding] = []
 
         def err(msg: str, *subject) -> None:
-            findings.append(Finding("error", f"AS {self.owner}: {msg}", subject))
+            findings.append(Finding(f"AS {self.owner}: {msg}", subject))
 
         seen: set[Community] = set()
         for c in sorted([*self.lp_rules, *self.suppress_rules, *self.prepend_rules]):
@@ -184,14 +176,14 @@ def egress_times(cat: PolicyCatalog, r: Route, neighbors: Mapping[int, Rel]) -> 
     return times
 
 
-def egress_apply(r: Route, provider: int, times: int, catalog: PolicyCatalog | None = None) -> Route:
+def egress_apply(r: Route, provider: int, times: int, strip: frozenset[Community] = EMPTY) -> Route:
     """Turn an installed route into the wire form sent to a neighbor: the
-    provider is prepended `times` times (`egress_times`), the provider's own
-    catalog communities are stripped, and LP is zeroed since it never
-    crosses the AS boundary."""
+    provider is prepended `times` times (`egress_times`), the communities in
+    `strip` (the provider's own catalog communities, `Sessions.strip`) are
+    removed, and LP is zeroed since it never crosses the AS boundary."""
     communities = r.communities
-    if catalog is not None and communities:
-        communities = communities - catalog.communities()
+    if strip and communities:
+        communities = communities - strip
     return tuple.__new__(
         Route, (r.prefix, (provider,) * times + r.as_path, 0, r.med, communities, r.learned_on, r.origin_as)
     )

@@ -218,32 +218,21 @@ class Finding(NamedTuple):
     ("rule", owner, community), ("region", owner, peer) or
     ("lp-override", receiver, sender)."""
 
-    severity: str  # "error" | "warning"
     message: str
     subject: tuple = ()
 
 
-class _ValidationReportFields(NamedTuple):
-    findings: tuple[Finding, ...]
+class ValidationReport(NamedTuple):
+    """A topology's findings, each list in the order they were found."""
 
-
-class ValidationReport(_ValidationReportFields):
-    """A topology's findings; `errors` and `warnings` are computed on first
-    read, once, and kept in the instance's `__dict__`."""
-
-    @cached_property
-    def errors(self) -> tuple[Finding, ...]:
-        return tuple(f for f in self.findings if f.severity == "error")
-
-    @cached_property
-    def warnings(self) -> tuple[Finding, ...]:
-        return tuple(f for f in self.findings if f.severity == "warning")
+    errors: tuple[Finding, ...]
+    warnings: tuple[Finding, ...]
 
     def ok(self) -> bool:
         return not self.errors
 
 
-_CLEAN = ValidationReport(())  # the one report of a topology with no findings
+_CLEAN = ValidationReport((), ())  # the one report of a topology with no findings
 _REL_RANK = {Rel.CUSTOMER: 0, Rel.PEER: 1, Rel.PROVIDER: 2}
 _LEARNED_RELS = (None, *Rel)  # what a route was learned from; None: a local route
 
@@ -267,9 +256,10 @@ class Sessions(NamedTuple):
     * `by_learned`: link id, or LOCAL for the AS's own routes -> (the
       sessions a route learned there is exported on, the sessions it is
       not): the valley-free split, and the one place export reads it;
-    * `catalog`: the AS's own catalog, whose communities its egress strips
-      and whose rules it applies to the routes learned from a customer:
-      those the split withholds from no link;
+    * `catalog`: the AS's own catalog, whose rules it applies to the routes
+      learned from a customer: those the split withholds from no link;
+    * `strip`: the catalog's communities, which its egress strips; EMPTY for
+      an AS with no catalog;
     * `neighbor_rels`: `neighbor_rels_of` the sessions, which the catalog's
       selectors expand over; empty for an AS with no catalog, which has no
       selector to expand."""
@@ -277,6 +267,7 @@ class Sessions(NamedTuple):
     all: tuple[Session, ...]
     by_learned: Mapping[str, tuple[tuple[Session, ...], tuple[Session, ...]]]
     catalog: "PolicyCatalog | None"
+    strip: frozenset
     neighbor_rels: Mapping[int, Rel]
 
     @classmethod
@@ -295,8 +286,9 @@ class Sessions(NamedTuple):
             split[rel] = by_mask[mask]
         by_learned = {s.link_id: split[s.rel] for s in ordered}
         by_learned[LOCAL] = split[None]
-        neighbor_rels = EMPTY_MAP if catalog is None else neighbor_rels_of(ordered)
-        return cls(ordered, by_learned, catalog, neighbor_rels)
+        if catalog is None:
+            return cls(ordered, by_learned, None, EMPTY, EMPTY_MAP)
+        return cls(ordered, by_learned, catalog, catalog.communities(), neighbor_rels_of(ordered))
 
 
 def neighbor_rels_of(sessions: Iterable[Session]) -> dict[int, Rel]:
@@ -346,8 +338,9 @@ class Topology(_TopologyFields):
         the TE config.  That is the LP a receiver assigns (its LP override
         for the sender, else `default_local_pref` of the sender's
         relationship) and its catalog where the sender is its customer, the
-        sender's own catalog (with its neighbor table), and the valley-free
-        export split.  The neighbor and relationship lookups read it."""
+        sender's own catalog (with the communities its egress strips and its
+        neighbor table), and the valley-free export split.  The neighbor and
+        relationship lookups read it."""
         per_as: dict[int, list[Session]] = {asn: [] for asn in self.roles}
         for link in self.links:
             if not link.up:
@@ -433,13 +426,14 @@ def _provider_cycle(t: Topology) -> list[int] | None:
 def validate_topology(t: Topology) -> ValidationReport:
     """Structural checks.  Errors make the topology unusable for simulation;
     warnings flag shapes (provider cycles) where convergence is not guaranteed."""
-    findings: list[Finding] = []
+    errors: list[Finding] = []
+    warnings: list[Finding] = []
 
     def err(msg: str, *subject) -> None:
-        findings.append(Finding("error", msg, subject))
+        errors.append(Finding(msg, subject))
 
     def warn(msg: str) -> None:
-        findings.append(Finding("warning", msg))
+        warnings.append(Finding(msg))
 
     for asn, role in t.roles.items():
         if role not in ("stub", "transit"):
@@ -484,7 +478,7 @@ def validate_topology(t: Topology) -> ValidationReport:
             continue
         if not cat.is_empty() and t.roles[asn] != "transit":
             err(f"catalog on non-transit AS {asn}", "catalog", asn)
-        findings.extend(cat.validate(t))
+        errors.extend(cat.validate(t))
 
     for (receiver, sender), lp in t.lp_overrides.items():
         subject = ("lp-override", receiver, sender)
@@ -498,7 +492,7 @@ def validate_topology(t: Topology) -> ValidationReport:
         chain = " -> ".join(str(a) for a in cycle)
         warn(f"customer->provider cycle: {chain} (convergence not guaranteed)")
 
-    return ValidationReport(tuple(findings)) if findings else _CLEAN
+    return ValidationReport(tuple(errors), tuple(warnings)) if errors or warnings else _CLEAN
 
 
 def require_valid(t: Topology) -> None:

@@ -113,6 +113,23 @@ def test_plan_dualprovider_sourceasn_objectives(tmp_path, capsys):
     assert (out / "predicted_ingress.csv").exists()
 
 
+def test_plan_ignores_the_scenarios_advertise_records(tmp_path, capsys):
+    # Two advertise records move flows in `simulate`, but `plan` starts from
+    # the plain announcement table, so its reports stay byte for byte.
+    plain = SCN / "dualprovider_sourceasn_objectives.scn"
+    advertised = tmp_path / "advertised.scn"
+    advertised.write_text(
+        plain.read_text(encoding="utf-8") + "advertise 65001 10.1.0.0/16 l2\nadvertise 65001 10.2.0.0/16 l2\n",
+        encoding="utf-8",
+    )
+    for path, name in ((plain, "plain"), (advertised, "advertised")):
+        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "sim" / name)]) == 0
+        assert main(["plan", "--scenario", str(path), "--out", str(tmp_path / name)]) == 0
+    assert main(["diff", str(tmp_path / "sim" / "plain"), str(tmp_path / "sim" / "advertised")]) == 5
+    for report in ("plan.txt", "predicted_ingress.csv"):
+        assert (tmp_path / "plain" / report).read_bytes() == (tmp_path / "advertised" / report).read_bytes()
+
+
 def test_plan_infeasible_exit_3(tmp_path, capsys):
     code = main(["plan", "--scenario", str(SCN / "singleprovider_split_objectives.scn"), "--out", str(tmp_path / "o")])
     assert code == 3

@@ -22,7 +22,7 @@ from bgpsteer import (
 from bgpsteer.engine import MAX_PREPEND, ConvergedState
 from bgpsteer.policies import egress_apply, egress_times, ingress_transform
 from bgpsteer.routes import Route, compare_routes, local_route
-from bgpsteer.topology import LOCAL, Rel, Session, Sessions, default_local_pref, export_permitted
+from bgpsteer.topology import EMPTY, LOCAL, Rel, Session, Sessions, default_local_pref, export_permitted
 
 P1 = Prefix.parse("10.1.0.0/16")
 P2 = Prefix.parse("10.2.0.0/16")
@@ -480,7 +480,7 @@ def _reference_run(t, te, *, prefixes=None, max_rounds=None):
                             times = egress_times(catalog, route, t.neighbor_rels(sender)).get(receiver, 1)
                         if times is None:
                             continue
-                        wire = egress_apply(route, sender, times, catalog)
+                        wire = egress_apply(route, sender, times, EMPTY if catalog is None else catalog.communities())
                     installed = receive(receiver, link, sender, wire)
                     if installed is not None:
                         new_adj[receiver].setdefault(prefix, {})[link.id] = installed

@@ -1255,6 +1255,12 @@ def test_compiled_atoms_prepends_costs_and_sources_match_a_reference():
     assert with_med >= 50 and with_prepend >= 200 and with_more_specific >= 50, (
         with_med, with_prepend, with_more_specific
     )
+    # An attachment that no atom offers, on a link whose provider has no
+    # catalog, costs its weight and no prepend.
+    t = load("scenarios/failover_morespecific.scn").topology
+    attach = Action.attach(Prefix.parse("10.1.0.0/16"), "l1", Community(1, 1))
+    assert 100 not in t.catalogs
+    assert plan_cost(t, 65001, [attach]) == (ActionKind.ATTACH_COMMUNITY.weight, 0, (attach.sort_key(),))
 
 
 def test_te_config_from_actions_ignores_the_order_of_its_actions():

@@ -47,7 +47,7 @@ def wires(cat, r):
     from a customer: the wire route, or None where the catalog suppresses it."""
     times = egress_times(cat, r, NEIGHBORS)
     return {
-        n: None if times.get(n, 1) is None else egress_apply(r, ISP1, times.get(n, 1), cat)
+        n: None if times.get(n, 1) is None else egress_apply(r, ISP1, times.get(n, 1), cat.communities())
         for n in NEIGHBORS
     }
 
@@ -147,7 +147,7 @@ def test_egress_prepends_schedule_plus_one():
 def test_egress_plain_export():
     cat = PolicyCatalog(ISP1, {Community(100, 50): 50}, {}, {}, {})
     base = Route(P2, (D,), 200, None, frozenset({Community(100, 50), Community(999, 9)}), "l1", D)
-    wire = egress_apply(base, ISP1, 1, cat)
+    wire = egress_apply(base, ISP1, 1, cat.communities())
     assert wire.as_path == (ISP1, D)
     assert wire.communities == frozenset({Community(999, 9)})  # own catalog value stripped
 

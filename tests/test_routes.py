@@ -243,7 +243,7 @@ def _records():
     selector = PeerSelector.specific(ISP2)
     catalog = PolicyCatalog(ISP1, {c: 150}, prepend_rules={Community(ISP1, 2): (selector, 2)})
     link = Link("l1", D, ISP1, D)
-    finding = Finding("error", "link l1: undeclared AS 9", ("link", "l1"))
+    finding = Finding("link l1: undeclared AS 9", ("link", "l1"))
     session = Session("l1", ISP1, Rel.PROVIDER, 200, catalog)
     sessions = Sessions.build([session], None)
     roles = {D: "stub", ISP1: "transit"}
@@ -264,9 +264,9 @@ def _records():
         (catalog, (ISP1, {c: 150}, {}, {(ISP1, 2): (("asn", ISP2, None), 2)}, {}, False),
          "drops_community_updates", True),
         (link, ("l1", D, ISP1, D, True), "up", False),
-        (finding, ("error", "link l1: undeclared AS 9", ("link", "l1")), "severity", "warning"),
-        (ValidationReport((finding,)), ((tuple(finding),),), "findings", ()),
-        (sessions, ((session,), {"l1": ((), (session,)), LOCAL: ((session,), ())}, None, {}), "catalog", catalog),
+        (finding, ("link l1: undeclared AS 9", ("link", "l1")), "subject", ()),
+        (ValidationReport((finding,), ()), ((tuple(finding),), ()), "warnings", (finding,)),
+        (sessions, ((session,), {"l1": ((), (session,)), LOCAL: ((session,), ())}, None, frozenset(), {}), "catalog", catalog),
         (topology, (roles, (tuple(link),), originations, {}, {}), "lp_overrides", {(ISP1, D): 80}),
         (Scenario(topology, TeConfig()), (topology, ((), frozenset()), ()), "objectives", (objective,)),
     ]
@@ -281,8 +281,10 @@ RECORDS = _records()
 def test_every_record_is_the_tuple_of_its_fields(record, fields, name, value):
     """Each record equals its fields' tuple and hashes like it (a record
     holding a dict is unhashable, as the tuple is); `_replace` keeps its
-    type, and a pickle or deep copy reads back as an equal record."""
+    type, and a pickle or deep copy reads back as an equal record.  Only a
+    `Topology` has an instance `__dict__`, which holds its caches."""
     assert record == fields and tuple(record) == fields
+    assert hasattr(record, "__dict__") == (type(record) is Topology)
     try:
         expected = hash(fields)
     except TypeError:

@@ -15,6 +15,7 @@ from bgpsteer import (
     ScenarioError,
     Topology,
     TopologyError,
+    ValidationReport,
     evaluate_plan,
     parse_scenario,
     parse_topology,
@@ -98,7 +99,7 @@ def test_dualprovider_parses_to_seven_ases_eight_links():
     t = parse_topology(DUAL)
     assert len(t.roles) == 7
     assert len(t.links) == 8
-    assert validate_topology(t).findings == ()
+    assert validate_topology(t) == ((), ())
 
 
 def test_empty_scenario():
@@ -348,8 +349,8 @@ def test_a_report_computes_its_errors_and_warnings_once():
 
 
 def test_finding_is_data():
-    f = Finding("warning", "x")
-    assert f.severity == "warning"
+    f = Finding("x")
+    assert f == ("x", ()) and ValidationReport((), (f,)).warnings == (f,)
 
 
 GOLDENS = sorted(Path("scenarios").glob("*.scn"))
@@ -699,7 +700,7 @@ API_FINDINGS = [
 def test_api_finding_table(changes, message):
     t = parse_topology(RULE_BASE)
     report = validate_topology(t._replace(**changes(t)))
-    assert [(f.severity, f.subject, f.message) for f in report.findings] == [("error", (), message)]
+    assert [(f.subject, f.message) for f in report.errors] == [((), message)] and report.warnings == ()
 
 
 def test_a_repeated_advertise_community_is_reported_at_its_second_value():
